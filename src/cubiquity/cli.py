@@ -64,7 +64,12 @@ def _resource_cap(args) -> int:
     if getattr(args, "cap", None) is not None:
         cap = args.cap
     else:
-        cap = int(os.environ.get(CAP_ENV_VAR, DEFAULT_RESOURCE_CAP))
+        raw = os.environ.get(CAP_ENV_VAR, str(DEFAULT_RESOURCE_CAP))
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise UsageError(
+                f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
     if cap < 1:
         raise UsageError("resource cap must be at least 1")
     return cap
@@ -131,8 +136,10 @@ def cmd_check(args) -> int:
     except ResourceLimit:
         verdict = CubiquityVerdict(Status.INCONCLUSIVE)
     if verdict.status is Status.INCONCLUSIVE:
-        if abs(basis.det) * (2 ** basis.n) <= cap:
+        try:
             verdict = is_cubiquitous_bruteforce(basis, cap=cap)
+        except ResourceLimit:
+            pass  # past the cap the verdict stays Inconclusive
     _emit_verdict(verdict, args.format)
     return _status_exit(verdict.status)
 
@@ -270,8 +277,12 @@ def cmd_det4(args) -> int:
     if args.zeros:
         if args.values:
             raise UsageError("--zeros takes no diagonal values")
+        try:
+            solutions = det4_zero_solutions(args.bound)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         print("a,b,c,d")
-        for sol in det4_zero_solutions(args.bound):
+        for sol in solutions:
             print(",".join(str(v) for v in sol))
         return EXIT_CUBIQUITOUS
     if len(args.values) != 4:

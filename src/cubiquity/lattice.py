@@ -16,7 +16,8 @@ from typing import Iterable, Iterator, Sequence
 from .errors import DimensionMismatch, ResourceLimit, SingularMatrix
 
 #: Default ceiling on enumeration work (number of coset representatives for
-#: coset_reps, |det| * 2^n membership solves for the brute-force oracle).
+#: coset_reps; about 2^n + |det| coset reductions of n coordinates each,
+#: counted as n * (2^n + |det|), for the brute-force oracle).
 DEFAULT_RESOURCE_CAP = 2 ** 24
 
 Vector = tuple[int, ...]

@@ -8,8 +8,9 @@ unit cube x + {0,1}^n.  This module provides
   subsets in terms of the norm excess,
 * the determinant gate: index above 2^n rules cubiquity out, index exactly
   2^n reduces it to the existence of a Hajos basis,
-* the brute-force oracle that decides cubiquity outright by scanning coset
-  representatives, which grounds every structural criterion in the tests.
+* the brute-force oracle that decides cubiquity outright by covering the
+  cosets with cube vertices, which grounds every structural criterion in
+  the tests.
 
 Obstructions never claim a lattice IS cubiquitous; only the oracle and the
 Hajos route do.
@@ -27,7 +28,6 @@ from .lattice import (
     DEFAULT_RESOURCE_CAP,
     BasisMatrix,
     Vector,
-    _membership_test,
     hnf_box,
 )
 from .subsets import Subset, is_non_acute, is_orthogonal, stats
@@ -151,27 +151,55 @@ def wu_obstruction_orthogonal(subset: Subset) -> CubiquityVerdict:
 def is_cubiquitous_bruteforce(
         basis: BasisMatrix,
         cap: int = DEFAULT_RESOURCE_CAP) -> CubiquityVerdict:
-    """Decide cubiquity by exhausting coset representatives.
+    """Decide cubiquity by covering the cosets of Z^n modulo the lattice.
 
-    Membership in the lattice is translation invariant, so the lattice hits
-    every unit cube iff it hits x + {0,1}^n for each representative x of
-    Z^n modulo the lattice.  Representatives are scanned in lexicographic
-    order over the HNF box; the first x whose cube contains no lattice
-    point becomes the witness, making certificates reproducible.
+    The cube x + {0,1}^n meets the lattice iff -x is congruent to some 0/1
+    vector e, so the lattice hits every unit cube iff the 2^n vectors e
+    reach all |det| cosets.  Their HNF-box representatives are built one
+    coordinate at a time, stopping once every coset is reached.  Otherwise
+    the witness is the first x of the HNF box, in lexicographic order,
+    whose -x lies in an unreached coset, making certificates reproducible.
+
+    The cost is about 2^n + |det| coset reductions of n coordinates each;
+    ResourceLimit is raised when n * (2^n + |det|) exceeds ``cap``.
     """
     n = basis.n
     order = abs(basis.det)
-    if order * (2 ** n) > cap:
+    reductions = 2 ** n + order
+    if n * reductions > cap:
         raise ResourceLimit(
-            f"brute force needs about {order * 2 ** n} membership solves, "
-            f"cap is {cap}")
-    member = _membership_test(basis)
-    vertices = list(itertools.product((0, 1), repeat=n))
-    for x in hnf_box(basis):
-        if not any(member([a + e for a, e in zip(x, eps)])
-                   for eps in vertices):
-            return CubiquityVerdict(Status.NOT_CUBIQUITOUS, witness=x)
-    return CubiquityVerdict(Status.CUBIQUITOUS)
+            f"brute force needs about {reductions} coset reductions of {n} "
+            f"coordinates ({n * reductions} steps), cap is {cap}")
+    hcols = basis.hnf.columns
+    diag = [hcols[j][j] for j in range(n)]
+
+    def reduce(v: list[int], start: int) -> Vector:
+        # coordinates below start already lie in the HNF box
+        for j in range(start, n):
+            q = v[j] // diag[j]
+            if q:
+                col = hcols[j]
+                for i in range(j, n):
+                    v[i] -= q * col[i]
+        return tuple(v)
+
+    reached = {(0,) * n}
+    for k in range(n):
+        if len(reached) == order:
+            break
+        for s in list(reached):
+            v = list(s)
+            v[k] += 1
+            # without a carry at k the sum is already in the box
+            reached.add(reduce(v, k) if v[k] == diag[k] else tuple(v))
+            if len(reached) == order:
+                break
+    if len(reached) == order:
+        return CubiquityVerdict(Status.CUBIQUITOUS)
+    # negation permutes the cosets, so some -x lies outside the reached set
+    witness = next(x for x in hnf_box(basis)
+                   if reduce([-a for a in x], 0) not in reached)
+    return CubiquityVerdict(Status.NOT_CUBIQUITOUS, witness=witness)
 
 
 def hajos_basis(basis: BasisMatrix,

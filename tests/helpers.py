@@ -2,7 +2,8 @@
 
 import itertools
 
-from cubiquity import BasisMatrix, Subset
+from cubiquity import BasisMatrix, CubiquityVerdict, Status, Subset
+from cubiquity.lattice import _membership_test, hnf_box
 
 
 def cofactor_det(rows):
@@ -17,6 +18,23 @@ def cofactor_det(rows):
         minor = [row[:j] + row[j + 1:] for row in rows[1:]]
         total += (-1) ** j * rows[0][j] * cofactor_det(minor)
     return total
+
+
+def bruteforce_vertex_scan(basis):
+    """Reference cubiquity oracle: test every cube vertex for membership.
+
+    Scans the HNF box in lexicographic order and solves membership for all
+    2^n vertices of the cube at each point, |det| * 2^n solves in all.  The
+    first point whose cube misses the lattice is the witness.
+    """
+    n = basis.n
+    member = _membership_test(basis)
+    vertices = list(itertools.product((0, 1), repeat=n))
+    for x in hnf_box(basis):
+        if not any(member([a + e for a, e in zip(x, eps)])
+                   for eps in vertices):
+            return CubiquityVerdict(Status.NOT_CUBIQUITOUS, witness=x)
+    return CubiquityVerdict(Status.CUBIQUITOUS)
 
 
 def dot(u, v):
@@ -66,6 +84,23 @@ def random_hnf(n, d, rng):
         for j in range(i):
             rows[i][j] = rng.randrange(diag[i])
     return BasisMatrix(rows)
+
+
+def unimodular_mix(basis, rng, steps):
+    """Another basis of the same lattice, by random column operations.
+
+    Needs n >= 2.
+    """
+    n = basis.n
+    cols = [list(c) for c in basis.columns]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        if rng.random() < 0.2:
+            cols[i] = [-v for v in cols[i]]
+        else:
+            k = rng.choice((-2, -1, 1, 2))
+            cols[i] = [a + k * b for a, b in zip(cols[i], cols[j])]
+    return BasisMatrix.from_columns(cols)
 
 
 def signed_permutation(vectors, rng, shuffle_vectors=True):

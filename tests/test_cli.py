@@ -75,6 +75,37 @@ def test_check_cap_env_var(capsys, monkeypatch):
     assert json.loads(out)["status"] == "Inconclusive"
 
 
+def test_check_cap_env_var_invalid(capsys, monkeypatch):
+    monkeypatch.setenv("CUBIQUITY_RESOURCE_CAP", "abc")
+    code, out, err = _run(capsys, "check", "--matrix", "1 0; 0 3")
+    assert code == 64
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_check_cap_boundary(capsys):
+    # brute force on Z + 3Z costs n * (2^n + |det|) = 14 steps
+    code, out, _ = _run(capsys, "check", "--matrix", "1 0; 0 3",
+                        "--cap", "14")
+    assert code == 1
+    assert json.loads(out)["witness"] == [0, 1]
+    code, out, _ = _run(capsys, "check", "--matrix", "1 0; 0 3",
+                        "--cap", "13")
+    assert code == 2
+    assert json.loads(out)["status"] == "Inconclusive"
+
+
+def test_check_decides_past_old_vertex_cap(capsys):
+    # index 3 * 2^10 at n = 13: |det| * 2^n is past the default cap of
+    # 2^24, n * (2^n + |det|) is not
+    diag = [6] + [2] * 9 + [1] * 3
+    matrix = "; ".join(" ".join(str(d if i == j else 0) for j in range(13))
+                       for i, d in enumerate(diag))
+    code, out, _ = _run(capsys, "check", "--matrix", matrix)
+    assert code == 1
+    assert json.loads(out)["witness"] == [1] + [0] * 12
+
+
 def test_check_rows_as_vectors(capsys):
     # rows (1,2), (0,3) span {y = 2x mod 3}, which hits every unit square;
     # the columns (1,0), (2,3) span Z + 3Z, which does not
@@ -213,6 +244,13 @@ def test_det4_value_and_csv(capsys):
 
     code, _, err = _run(capsys, "det4", "1", "2")
     assert code == 64
+
+
+def test_det4_zeros_bound_usage_error(capsys):
+    code, out, err = _run(capsys, "det4", "--zeros", "--bound", "0")
+    assert code == 64
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_catalog_round_trip(capsys):

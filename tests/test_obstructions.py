@@ -25,8 +25,11 @@ from cubiquity import (
 from helpers import (
     BLOCK_LIBRARY,
     assemble_blocks,
+    bruteforce_vertex_scan,
     hnf_matrices,
+    random_hnf,
     signed_permutation,
+    unimodular_mix,
 )
 
 
@@ -175,6 +178,47 @@ def test_bruteforce_signed_permutation_invariance():
 def test_bruteforce_resource_limit():
     with pytest.raises(ResourceLimit):
         is_cubiquitous_bruteforce(BasisMatrix([[9, 0], [0, 9]]), cap=100)
+
+
+def _same_as_vertex_scan(basis):
+    fast = is_cubiquitous_bruteforce(basis)
+    slow = bruteforce_vertex_scan(basis)
+    assert (fast.status, fast.witness) == (slow.status, slow.witness), basis
+    return fast.status
+
+
+def test_bruteforce_matches_vertex_scan_exhaustive():
+    checked = 0
+    for n in (1, 2, 3):
+        for b in hnf_matrices(n, range(1, 2 ** n + 9)):
+            _same_as_vertex_scan(b)
+            checked += 1
+    assert checked > 3000
+
+
+def test_bruteforce_matches_vertex_scan_random():
+    rng = random.Random(47)
+    seen = set()
+    for _ in range(320):
+        n = rng.randint(4, 7)
+        # power-of-two indices make cubiquitous lattices common
+        d = rng.choice((rng.randint(1, 2 ** n + 8), 2 ** rng.randint(0, n)))
+        b = unimodular_mix(random_hnf(n, d, rng), rng, 3 * n)
+        seen.add(_same_as_vertex_scan(b))
+    assert seen == {Status.CUBIQUITOUS, Status.NOT_CUBIQUITOUS}
+
+
+def test_bruteforce_matches_vertex_scan_catalog():
+    for block in catalog_blocks():
+        assert _same_as_vertex_scan(block) is Status.NOT_CUBIQUITOUS
+
+
+def test_bruteforce_cap_boundary():
+    # n * (2^n + |det|) = 2 * (4 + 3) steps
+    b = BasisMatrix([[1, 0], [0, 3]])
+    assert is_cubiquitous_bruteforce(b, cap=14).witness == (0, 1)
+    with pytest.raises(ResourceLimit):
+        is_cubiquitous_bruteforce(b, cap=13)
 
 
 def test_hajos_examples():
