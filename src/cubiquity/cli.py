@@ -3,7 +3,8 @@
 Exit codes: 0 the lattice is cubiquitous (or the query succeeded),
 1 not cubiquitous / obstructed / negative answer, 2 inconclusive (resource
 cap exceeded, or the obstruction did not fire), 64 usage error, 65 input
-error.  Verdicts go to stdout; errors go to stderr, never mixed.
+error, 70 internal error (a bug).  Verdicts go to stdout; errors go to
+stderr, never mixed.
 
 In text mode every informational line starts with '#', so any matrix the
 command prints can be re-parsed from the full output stream.  Indices in
@@ -47,8 +48,12 @@ EXIT_NEGATIVE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
+EXIT_SOFTWARE = 70
 
 CAP_ENV_VAR = "CUBIQUITY_RESOURCE_CAP"
+PERM_CAP_HELP = ("largest dimension for the Hajos search, which checks at "
+                 "most 2^n coordinate prefix sets with n gcd checks each "
+                 f"(default {DEFAULT_PERMUTATION_CAP})")
 
 
 class UsageError(Exception):
@@ -261,6 +266,12 @@ def cmd_reduce(args) -> int:
 
 def cmd_contract(args) -> int:
     subset = _read_subset(args)
+    n = subset.n
+    if not 1 <= args.coordinate <= n:
+        raise UsageError(f"coordinate {args.coordinate} is outside 1..{n}")
+    for v in args.vectors:
+        if not 1 <= v <= n:
+            raise UsageError(f"vector {v} is outside 1..{n}")
     i = args.coordinate - 1
     s, t, u = (v - 1 for v in args.vectors)
     result = contract(subset, i, s, t, u)
@@ -330,7 +341,8 @@ def build_parser() -> _Parser:
     p.add_argument("--cap", type=int, default=None,
                    help=f"resource cap (default ${CAP_ENV_VAR} or "
                         f"{DEFAULT_RESOURCE_CAP})")
-    p.add_argument("--perm-cap", type=int, default=DEFAULT_PERMUTATION_CAP)
+    p.add_argument("--perm-cap", type=int, default=DEFAULT_PERMUTATION_CAP,
+                   help=PERM_CAP_HELP)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("wu", parents=[src, fmt_json],
@@ -343,7 +355,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("hajos", parents=[src, fmt_json],
                        help="search for a Hajos basis")
-    p.add_argument("--perm-cap", type=int, default=DEFAULT_PERMUTATION_CAP)
+    p.add_argument("--perm-cap", type=int, default=DEFAULT_PERMUTATION_CAP,
+                   help=PERM_CAP_HELP)
     p.set_defaults(func=cmd_hajos)
 
     p = sub.add_parser("classify", parents=[src, fmt_json],
@@ -397,6 +410,11 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except (CubiquityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except Exception as exc:
+        # a bug must not exit 1, which reads as "not cubiquitous"
+        print(f"error: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return EXIT_SOFTWARE
 
 
 def main() -> None:

@@ -18,9 +18,9 @@ Hajos route do.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
+from math import gcd
 from typing import Optional
 
 from .errors import NotNonAcute, NotOrthogonal, ResourceLimit
@@ -28,11 +28,13 @@ from .lattice import (
     DEFAULT_RESOURCE_CAP,
     BasisMatrix,
     Vector,
+    _xgcd,
     hnf_box,
 )
 from .subsets import Subset, is_non_acute, is_orthogonal, stats
 
-#: Largest dimension for which the Hajos search will try all row orders.
+#: Largest dimension the Hajos search accepts; it checks at most 2^n
+#: coordinate prefix sets with n gcd checks each.
 DEFAULT_PERMUTATION_CAP = 8
 
 
@@ -202,6 +204,64 @@ def is_cubiquitous_bruteforce(
     return CubiquityVerdict(Status.NOT_CUBIQUITOUS, witness=witness)
 
 
+def _eliminate(free: list[list[int]], j: int) -> list[list[int]]:
+    """Clear coordinate j from the columns by unimodular column operations.
+
+    One column ends up carrying the gcd at j and is dropped; the others
+    span the vectors of the columns' lattice that vanish at j.
+    """
+    rest = []
+    pivot = None
+    for col in free:
+        if col[j] == 0:
+            rest.append(col)
+        elif pivot is None:
+            pivot = col
+        else:
+            a, b = pivot[j], col[j]
+            x, y, g = _xgcd(a, b)
+            a_g, b_g = a // g, b // g
+            rest.append([a_g * v - b_g * u for u, v in zip(pivot, col)])
+            pivot = [x * u + y * v for u, v in zip(pivot, col)]
+    return rest
+
+
+def _first_hajos_order(basis: BasisMatrix) -> Optional[tuple[int, ...]]:
+    """Lexicographically first row order whose HNF diagonal is all 2s.
+
+    The k-th HNF diagonal entry is the gcd of the k-th chosen coordinate
+    over the lattice vectors that vanish on the coordinates chosen before
+    it, so it depends on the set of earlier coordinates, not their order.
+    A depth-first search extends prefixes in increasing coordinate order,
+    carrying a basis of those vectors ("free" columns), and remembers the
+    prefix sets that admit no completion.  Each of the at most 2^n sets is
+    expanded once, with n gcd checks.
+    """
+    n = basis.n
+    dead = set()  # bitmasks of prefix sets with no valid completion
+    order: list[int] = []
+
+    def extend(free: list[list[int]], chosen: int) -> bool:
+        if not free:
+            return True
+        for j in range(n):
+            bit = 1 << j
+            if chosen & bit or (chosen | bit) in dead:
+                continue
+            if gcd(*(col[j] for col in free)) != 2:
+                continue
+            order.append(j)
+            if extend(_eliminate(free, j), chosen | bit):
+                return True
+            order.pop()
+            dead.add(chosen | bit)
+        return False
+
+    if extend([list(c) for c in basis.columns], 0):
+        return tuple(order)
+    return None
+
+
 def hajos_basis(basis: BasisMatrix,
                 perm_cap: int = DEFAULT_PERMUTATION_CAP
                 ) -> Optional[HajosBasis]:
@@ -210,21 +270,23 @@ def hajos_basis(basis: BasisMatrix,
     A Hajos basis is lower triangular with 2s on the diagonal and 0/1
     entries below, hence has determinant 2^n; anything else returns None
     immediately.  Whether existence depends on the coordinate order is not
-    settled, so all row orders are tried (identity first) and the
-    successful order is recorded.
+    settled, so the search covers every row order and records the
+    lexicographically first that works (identity first).  It checks at
+    most 2^n coordinate prefix sets with n gcd checks each, and refuses
+    with ResourceLimit when n exceeds ``perm_cap``.
     """
     n = basis.n
     if abs(basis.det) != 2 ** n:
         return None
     if n > perm_cap:
         raise ResourceLimit(
-            f"Hajos search over {n}! row orders exceeds cap {perm_cap}")
-    for order in itertools.permutations(range(n)):
-        h = basis.permute_rows(order).hnf
-        if all(h.rows[i][i] == 2 for i in range(n)):
-            # The HNF reduction range makes every subdiagonal entry 0 or 1.
-            return HajosBasis(matrix=h, row_order=order)
-    return None
+            f"Hajos search in dimension {n} exceeds the dimension cap "
+            f"{perm_cap}")
+    order = _first_hajos_order(basis)
+    if order is None:
+        return None
+    # The HNF reduction range makes every subdiagonal entry 0 or 1.
+    return HajosBasis(matrix=basis.permute_rows(order).hnf, row_order=order)
 
 
 def det_gate(basis: BasisMatrix,

@@ -133,6 +133,9 @@ def contract(subset: Subset, i: int, s: int, t: int, u: int) -> Subset:
     n = subset.n
     if n < 3:
         raise PreconditionFailed("contraction needs at least 3 vectors")
+    if not all(0 <= k < n for k in (i, s, t, u)):
+        raise PreconditionFailed(
+            f"indices (i, s, t, u) = {(i, s, t, u)} must lie in range({n})")
     if len({s, t, u}) != 3:
         raise PreconditionFailed("vector indices s, t, u must be distinct")
     vecs = subset.vectors

@@ -2,7 +2,13 @@
 
 import itertools
 
-from cubiquity import BasisMatrix, CubiquityVerdict, Status, Subset
+from cubiquity import (
+    BasisMatrix,
+    CubiquityVerdict,
+    HajosBasis,
+    Status,
+    Subset,
+)
 from cubiquity.lattice import _membership_test, hnf_box
 
 
@@ -35,6 +41,22 @@ def bruteforce_vertex_scan(basis):
                    for eps in vertices):
             return CubiquityVerdict(Status.NOT_CUBIQUITOUS, witness=x)
     return CubiquityVerdict(Status.CUBIQUITOUS)
+
+
+def hajos_permutation_scan(basis):
+    """Reference Hajos search: a full HNF under every row order.
+
+    Tries the n! orders in itertools.permutations order (identity first)
+    and returns the first whose HNF has 2 at every diagonal entry, or None.
+    """
+    n = basis.n
+    if abs(basis.det) != 2 ** n:
+        return None
+    for order in itertools.permutations(range(n)):
+        h = basis.permute_rows(order).hnf
+        if all(h.rows[i][i] == 2 for i in range(n)):
+            return HajosBasis(matrix=h, row_order=order)
+    return None
 
 
 def dot(u, v):

@@ -2,8 +2,9 @@ import json
 from pathlib import Path
 
 import jsonschema
+import pytest
 
-from cubiquity import parse_matrix
+from cubiquity import cli, parse_matrix
 from cubiquity.cli import run
 
 SCHEMA = json.loads(
@@ -228,6 +229,38 @@ def test_contract_cli(capsys):
                         "--vectors", "1", "2", "3")
     assert code == 65
     assert "error" in err
+
+
+@pytest.mark.parametrize("indices, message", [
+    (("-i", "9", "--vectors", "1", "2", "3"), "coordinate 9"),
+    (("-i", "0", "--vectors", "1", "2", "3"), "coordinate 0"),
+    (("-i", "1", "--vectors", "0", "1", "2"), "vector 0"),
+])
+def test_contract_index_out_of_range(capsys, indices, message):
+    code, out, err = _run(capsys, "contract", "--matrix",
+                          "2 0 0; 0 2 0; 0 0 2", *indices)
+    assert code == 64
+    assert out == ""
+    assert err == f"error: {message} is outside 1..3\n"
+
+
+def test_internal_error_exits_70(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_check", broken)
+    code, out, err = _run(capsys, "check", "--matrix", "2 0; 0 2")
+    assert code == cli.EXIT_SOFTWARE == 70
+    assert out == ""
+    assert err == "error: internal error: RuntimeError: boom\n"
+
+
+def test_hajos_perm_cap_message(capsys):
+    code, out, err = _run(capsys, "hajos", "--matrix", "2 0 0; 0 2 0; 0 0 2",
+                          "--perm-cap", "2")
+    assert code == 2
+    assert out == ""
+    assert "dimension 3" in err and "cap 2" in err
 
 
 def test_det4_value_and_csv(capsys):

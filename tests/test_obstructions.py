@@ -26,6 +26,7 @@ from helpers import (
     BLOCK_LIBRARY,
     assemble_blocks,
     bruteforce_vertex_scan,
+    hajos_permutation_scan,
     hnf_matrices,
     random_hnf,
     signed_permutation,
@@ -273,6 +274,65 @@ def test_hajos_iff_bruteforce_exhaustive_n2():
         cubiquitous = is_cubiquitous_bruteforce(b).status is \
             Status.CUBIQUITOUS
         assert present == cubiquitous, b
+
+
+def _hajos_key(found):
+    return None if found is None else (found.matrix.rows, found.row_order)
+
+
+def _lower_two_diagonal(n, rng):
+    """Random lower-triangular basis with 2s on the diagonal, 0/1 below."""
+    return BasisMatrix([[2 if j == i else rng.randrange(2) if j < i else 0
+                         for j in range(n)] for i in range(n)])
+
+
+def test_hajos_matches_permutation_scan_exhaustive_n3():
+    for n in (1, 2, 3):
+        for b in hnf_matrices(n, (2 ** n,)):
+            assert _hajos_key(hajos_basis(b)) == \
+                _hajos_key(hajos_permutation_scan(b)), b
+
+
+def test_hajos_matches_permutation_scan_random():
+    # n = 7 cases cost the reference up to 5040 HNFs each, so they are few
+    rng = random.Random(20241)
+    outcomes = set()
+    for n, count in ((4, 170), (5, 110), (6, 26), (7, 4)):
+        for _ in range(count):
+            if rng.random() < 0.5:
+                b = _lower_two_diagonal(n, rng)
+            else:
+                b = random_hnf(n, 2 ** n, rng)
+            cols = signed_permutation(list(b.columns), rng)
+            b = unimodular_mix(BasisMatrix.from_columns(cols), rng, 2 * n)
+            found = hajos_basis(b)
+            assert _hajos_key(found) == \
+                _hajos_key(hajos_permutation_scan(b)), b
+            outcomes.add((n, found is not None))
+    assert outcomes == {(n, hit) for n in (4, 5, 6, 7)
+                        for hit in (False, True)}
+
+
+def test_hajos_identity_order_first():
+    rng = random.Random(5)
+    b = unimodular_mix(BasisMatrix([[2 if j == i else int(j < i)
+                                     for j in range(6)] for i in range(6)]),
+                       rng, 12)
+    found = hajos_basis(b)
+    assert found.row_order == tuple(range(6))
+    assert _hajos_key(found) == _hajos_key(hajos_permutation_scan(b))
+
+
+def test_hajos_absent_n8_mixed_diagonal():
+    # index 2^8, but the coordinates of index 4 and 1 rule out every order
+    rng = random.Random(8)
+    diag = (4, 1, 2, 2, 2, 2, 2, 2)
+    b = BasisMatrix([[diag[i] if j == i else 0 for j in range(8)]
+                     for i in range(8)])
+    cols = signed_permutation(list(b.columns), rng)
+    b = unimodular_mix(BasisMatrix.from_columns(cols), rng, 16)
+    assert abs(b.det) == 2 ** 8
+    assert hajos_basis(b) is None
 
 
 def test_det_gate_examples():

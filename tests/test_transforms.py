@@ -161,6 +161,13 @@ def test_contract_precondition_errors():
         contract(small, 0, 0, 1, 2)
 
 
+def test_contract_index_out_of_range():
+    s = Subset([(1, 1, 0), (-1, 0, 1), (1, -1, -1)])
+    for args in ((3, 0, 1, 2), (-1, 0, 1, 2), (0, 0, 1, 3), (0, -3, 1, 2)):
+        with pytest.raises(PreconditionFailed, match="range"):
+            contract(s, *args)
+
+
 def _expansion(x):
     """Non-acute 4-dim subset that contracts at (i,s,t,u)=(3,0,1,2) onto
     the three-vector family with parameter x."""
