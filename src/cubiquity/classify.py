@@ -143,17 +143,52 @@ def det4_formula(a: int, b: int, c: int, d: int) -> int:
 
 def det4_zero_solutions(bound: int = 50) -> list[tuple[int, int, int, int]]:
     """All sorted tuples 1 <= a <= b <= c <= d <= bound with zero
-    determinant, in lexicographic order."""
+    determinant, in lexicographic order.
+
+    The determinant is affine in d: it vanishes iff
+    d * (abc - a - b - c - 2) = 2a + ab + 2b + ac + bc + 2c + 3 = rhs,
+    so each (a, b, c) has at most one d.  The right side is positive, so a
+    coefficient coef <= 0 has no solution (a = b = 1 gives -4 for every c
+    and is skipped).  Write q(a, b, c) = c * coef - rhs; d >= c iff q <= 0.
+    q is a quadratic in c with positive leading term (ab - 1) and q(0) < 0,
+    so once q > 0 it stays positive for every larger c.  Along the first c
+    of each loop, q(a, b, b) = ab^3 - 3b^2 - (3a + 6)b - (2a + 3) and
+    q(a, a, a) = a^4 - 6a^2 - 8a - 3 each have one sign change, hence one
+    positive root, so once the first c overshoots it overshoots for every
+    larger b, and likewise for a.  The loops therefore stop by themselves
+    (they reach at most a = 4, b = 6 and c = 12) and the work does not
+    grow with the bound.
+    """
     if bound < 1:
         raise ValueError("bound must be at least 1")
     out = []
     for a in range(1, bound + 1):
+        if _d_below_c(a, a, a):
+            break
         for b in range(a, bound + 1):
+            if _d_below_c(a, b, b):
+                break
+            if a == b == 1:
+                continue
             for c in range(b, bound + 1):
-                for d in range(c, bound + 1):
-                    if det4_formula(a, b, c, d) == 0:
-                        out.append((a, b, c, d))
+                coef, rhs = _det4_affine(a, b, c)
+                if c * coef > rhs:
+                    break
+                if coef > 0 and rhs % coef == 0 and rhs // coef <= bound:
+                    out.append((a, b, c, rhs // coef))
     return out
+
+
+def _det4_affine(a: int, b: int, c: int) -> tuple[int, int]:
+    """(coef, rhs) with det4_formula(a, b, c, d) == d * coef - rhs."""
+    return (a * b * c - a - b - c - 2,
+            2 * a + a * b + 2 * b + a * c + b * c + 2 * c + 3)
+
+
+def _d_below_c(a: int, b: int, c: int) -> bool:
+    """Whether q(a, b, c) > 0, so that no zero has d >= c."""
+    coef, rhs = _det4_affine(a, b, c)
+    return c * coef > rhs
 
 
 # The two sporadic 8x8 blocks arising among orthogonal subsets whose every

@@ -6,6 +6,10 @@ cap exceeded, or the obstruction did not fire), 64 usage error, 65 input
 error, 70 internal error (a bug).  Verdicts go to stdout; errors go to
 stderr, never mixed.
 
+The argument parser is built once per process, on the first call to
+``run``, and reused by every later call; ``build_parser`` returns a fresh
+one.
+
 In text mode every informational line starts with '#', so any matrix the
 command prints can be re-parsed from the full output stream.  Indices in
 JSON output are 1-based.
@@ -14,6 +18,7 @@ JSON output are 1-based.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -343,43 +348,35 @@ def build_parser() -> _Parser:
                         f"{DEFAULT_RESOURCE_CAP})")
     p.add_argument("--perm-cap", type=int, default=DEFAULT_PERMUTATION_CAP,
                    help=PERM_CAP_HELP)
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("wu", parents=[src, fmt_json],
-                       help="Wu element and Wu obstruction")
-    p.set_defaults(func=cmd_wu)
+    sub.add_parser("wu", parents=[src, fmt_json],
+                   help="Wu element and Wu obstruction")
 
-    p = sub.add_parser("stats", parents=[src, fmt_json],
-                       help="subset support statistics")
-    p.set_defaults(func=cmd_stats)
+    sub.add_parser("stats", parents=[src, fmt_json],
+                   help="subset support statistics")
 
     p = sub.add_parser("hajos", parents=[src, fmt_json],
                        help="search for a Hajos basis")
     p.add_argument("--perm-cap", type=int, default=DEFAULT_PERMUTATION_CAP,
                    help=PERM_CAP_HELP)
-    p.set_defaults(func=cmd_hajos)
 
-    p = sub.add_parser("classify", parents=[src, fmt_json],
-                       help="block decomposition of an orthogonal subset")
-    p.set_defaults(func=cmd_classify)
+    sub.add_parser("classify", parents=[src, fmt_json],
+                   help="block decomposition of an orthogonal subset")
 
     p = sub.add_parser("torus",
                        help="rational-ball rule for torus-link sums")
     p.add_argument("params", nargs="+", type=int,
                    help="half-twist counts (use -- before negatives)")
     p.add_argument("--format", choices=("json", "text"), default="text")
-    p.set_defaults(func=cmd_torus)
 
-    p = sub.add_parser("reduce", parents=[src],
-                       help="projection/double-projection trace as JSON lines")
-    p.set_defaults(func=cmd_reduce)
+    sub.add_parser("reduce", parents=[src],
+                   help="projection/double-projection trace as JSON lines")
 
     p = sub.add_parser("contract", parents=[src],
                        help="apply one contraction (1-based indices)")
     p.add_argument("-i", "--coordinate", type=int, required=True)
     p.add_argument("--vectors", type=int, nargs=3, required=True,
                    metavar=("S", "T", "U"))
-    p.set_defaults(func=cmd_contract)
 
     p = sub.add_parser("det4",
                        help="4x4 determinant formula / zero-solution table")
@@ -387,20 +384,26 @@ def build_parser() -> _Parser:
     p.add_argument("--zeros", action="store_true",
                    help="print the zero-solution table as CSV")
     p.add_argument("--bound", type=int, default=50)
-    p.set_defaults(func=cmd_det4)
 
     p = sub.add_parser("catalog", help="print the 8x8 catalog blocks")
     p.add_argument("--index", type=int, choices=(1, 2), default=None)
-    p.set_defaults(func=cmd_catalog)
 
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    # built on the first run, so importing the module stays cheap;
+    # argparse keeps no state between parse_args calls, so one tree
+    # serves every call
+    return build_parser()
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = _parser().parse_args(argv)
+        # looked up at call time, so a rebound cmd_<name> takes effect
+        return globals()[f"cmd_{args.command}"](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

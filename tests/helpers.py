@@ -8,6 +8,7 @@ from cubiquity import (
     HajosBasis,
     Status,
     Subset,
+    det4_formula,
 )
 from cubiquity.lattice import _membership_test, hnf_box
 
@@ -57,6 +58,19 @@ def hajos_permutation_scan(basis):
         if all(h.rows[i][i] == 2 for i in range(n)):
             return HajosBasis(matrix=h, row_order=order)
     return None
+
+
+def det4_quartic_scan(bound):
+    """Reference det4 zero table: evaluate the closed form on every sorted
+    tuple 1 <= a <= b <= c <= d <= bound, about bound^4 / 24 of them."""
+    out = []
+    for a in range(1, bound + 1):
+        for b in range(a, bound + 1):
+            for c in range(b, bound + 1):
+                for d in range(c, bound + 1):
+                    if det4_formula(a, b, c, d) == 0:
+                        out.append((a, b, c, d))
+    return out
 
 
 def dot(u, v):

@@ -18,7 +18,7 @@ from cubiquity import (
     is_cubiquitous_bruteforce,
     torus_sum_bounds_qball,
 )
-from helpers import cofactor_det
+from helpers import cofactor_det, det4_quartic_scan
 
 
 def test_decompose_examples():
@@ -116,6 +116,22 @@ def test_det4_zero_solutions_bound_10():
         (1, 3, 7, 7), (1, 4, 4, 9), (1, 5, 5, 5),
         (2, 2, 5, 5), (2, 3, 3, 5), (3, 3, 3, 3),
     ]
+
+
+def test_det4_zero_solutions_match_quartic_scan():
+    # the table at a smaller bound is the rows of the table at 60 whose
+    # largest entry d fits, so one reference scan serves every bound
+    reference = det4_quartic_scan(60)
+    for bound in range(1, 61):
+        assert det4_zero_solutions(bound) == [
+            sol for sol in reference if sol[3] <= bound]
+
+
+def test_det4_zero_solutions_do_not_grow_with_bound():
+    table = det4_zero_solutions(10 ** 9)
+    assert table == det4_zero_solutions(41)
+    assert len(table) == 14
+    assert table[0] == (1, 2, 6, 41)
 
 
 def test_det4_zero_solutions_symmetric_closed():

@@ -255,6 +255,29 @@ def test_internal_error_exits_70(monkeypatch, capsys):
     assert err == "error: internal error: RuntimeError: boom\n"
 
 
+def test_parser_built_once_per_process(monkeypatch, capsys):
+    calls = []
+    build = cli.build_parser
+
+    def counting_build():
+        calls.append(None)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    try:
+        codes = [_run(capsys, *argv)[0] for argv in (
+            ("check", "--matrix", "2 0; 0 2"),
+            ("hajos", "--matrix", "2 0; 0 2"),
+            ("check", "--format", "yaml"),
+            ("classify", "--matrix", "1 0; 0 1"),
+        )]
+    finally:
+        cli._parser.cache_clear()
+    assert codes == [0, 0, 64, 0]
+    assert len(calls) == 1
+
+
 def test_hajos_perm_cap_message(capsys):
     code, out, err = _run(capsys, "hajos", "--matrix", "2 0 0; 0 2 0; 0 0 2",
                           "--perm-cap", "2")
@@ -277,6 +300,18 @@ def test_det4_value_and_csv(capsys):
 
     code, _, err = _run(capsys, "det4", "1", "2")
     assert code == 64
+
+
+def test_det4_zeros_huge_bound(capsys):
+    code, out, err = _run(capsys, "det4", "--zeros", "--bound", "1000000000")
+    assert code == 0
+    assert err == ""
+    assert out.splitlines() == ["a,b,c,d"] + [
+        ",".join(map(str, sol)) for sol in (
+            (1, 2, 6, 41), (1, 2, 7, 23), (1, 2, 8, 17), (1, 2, 9, 14),
+            (1, 2, 11, 11), (1, 3, 4, 19), (1, 3, 5, 11), (1, 3, 7, 7),
+            (1, 4, 4, 9), (1, 5, 5, 5), (2, 2, 3, 11), (2, 2, 5, 5),
+            (2, 3, 3, 5), (3, 3, 3, 3))]
 
 
 def test_det4_zeros_bound_usage_error(capsys):
