@@ -3,8 +3,9 @@
 A full-rank sublattice of Z^n is cubiquitous when it meets every translated
 unit cube x + {0,1}^n.  The package provides exact lattice arithmetic, the
 Wu obstruction, the determinant/Hajos criteria, subset rewrites, the
-classification of orthogonal sublattices, and a brute-force oracle that
-grounds all of them.
+classification of orthogonal sublattices, a brute-force oracle that
+grounds all of them, and ``decide``, which runs the determinant gate and
+then the oracle under one resource cap.
 """
 
 from .errors import (
@@ -22,9 +23,7 @@ from .errors import (
 from .lattice import (
     DEFAULT_RESOURCE_CAP,
     BasisMatrix,
-    CosetSystem,
     contains,
-    coset_reps,
     det,
     direct_sum,
     gram,
@@ -39,11 +38,11 @@ from .subsets import (
     stats,
 )
 from .obstructions import (
-    DEFAULT_PERMUTATION_CAP,
     CubiquityVerdict,
     HajosBasis,
     Status,
     WuData,
+    decide,
     det_gate,
     hajos_basis,
     is_cubiquitous_bruteforce,
@@ -59,7 +58,6 @@ from .transforms import (
     project,
     reduce,
     trace_reduce,
-    wu_preserved,
 )
 from .classify import (
     Block,
@@ -79,10 +77,8 @@ __all__ = [
     "BasisMatrix",
     "Block",
     "BlockDecomposition",
-    "CosetSystem",
     "CubiquityError",
     "CubiquityVerdict",
-    "DEFAULT_PERMUTATION_CAP",
     "DEFAULT_RESOURCE_CAP",
     "DimensionMismatch",
     "HajosBasis",
@@ -104,7 +100,7 @@ __all__ = [
     "classify_orthogonal",
     "contains",
     "contract",
-    "coset_reps",
+    "decide",
     "decompose",
     "det",
     "det4_formula",
@@ -130,5 +126,4 @@ __all__ = [
     "wu_element",
     "wu_obstruction",
     "wu_obstruction_orthogonal",
-    "wu_preserved",
 ]

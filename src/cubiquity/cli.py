@@ -6,6 +6,10 @@ cap exceeded, or the obstruction did not fire), 64 usage error, 65 input
 error, 70 internal error (a bug).  Verdicts go to stdout; errors go to
 stderr, never mixed.
 
+``check`` and ``hajos`` share one resource cap (``--cap``, else
+``$CUBIQUITY_RESOURCE_CAP``, else the library default); past it they exit 2.
+``check`` prints the verdict of the library's ``decide``.
+
 The argument parser is built once per process, on the first call to
 ``run``, and reused by every later call; ``build_parser`` returns a fresh
 one.
@@ -36,12 +40,10 @@ from .errors import CubiquityError, ResourceLimit
 from .formats import format_matrix, parse_inline, parse_matrix
 from .lattice import DEFAULT_RESOURCE_CAP, BasisMatrix
 from .obstructions import (
-    DEFAULT_PERMUTATION_CAP,
     CubiquityVerdict,
     Status,
-    det_gate,
+    decide,
     hajos_basis,
-    is_cubiquitous_bruteforce,
     wu_element,
     wu_obstruction,
 )
@@ -56,9 +58,6 @@ EXIT_DATA = 65
 EXIT_SOFTWARE = 70
 
 CAP_ENV_VAR = "CUBIQUITY_RESOURCE_CAP"
-PERM_CAP_HELP = ("largest dimension for the Hajos search, which checks at "
-                 "most 2^n coordinate prefix sets with n gcd checks each "
-                 f"(default {DEFAULT_PERMUTATION_CAP})")
 
 
 class UsageError(Exception):
@@ -71,7 +70,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resource_cap(args) -> int:
-    if getattr(args, "cap", None) is not None:
+    if args.cap is not None:
         cap = args.cap
     else:
         raw = os.environ.get(CAP_ENV_VAR, str(DEFAULT_RESOURCE_CAP))
@@ -140,16 +139,7 @@ def _emit_verdict(verdict: CubiquityVerdict, fmt: str) -> None:
 
 def cmd_check(args) -> int:
     basis = _read_basis(args)
-    cap = _resource_cap(args)
-    try:
-        verdict = det_gate(basis, perm_cap=args.perm_cap)
-    except ResourceLimit:
-        verdict = CubiquityVerdict(Status.INCONCLUSIVE)
-    if verdict.status is Status.INCONCLUSIVE:
-        try:
-            verdict = is_cubiquitous_bruteforce(basis, cap=cap)
-        except ResourceLimit:
-            pass  # past the cap the verdict stays Inconclusive
+    verdict = decide(basis, cap=_resource_cap(args))
     _emit_verdict(verdict, args.format)
     return _status_exit(verdict.status)
 
@@ -199,7 +189,7 @@ def cmd_stats(args) -> int:
 
 def cmd_hajos(args) -> int:
     basis = _read_basis(args)
-    found = hajos_basis(basis, perm_cap=args.perm_cap)
+    found = hajos_basis(basis, cap=_resource_cap(args))
     if args.format == "json":
         payload = {
             "hajos_basis": [list(r) for r in found.matrix.rows]
@@ -341,13 +331,16 @@ def build_parser() -> _Parser:
     fmt_json.add_argument("--format", choices=("json", "text"),
                           default="json")
 
-    p = sub.add_parser("check", parents=[src, fmt_json],
-                       help="determinant gate, then brute force within cap")
-    p.add_argument("--cap", type=int, default=None,
-                   help=f"resource cap (default ${CAP_ENV_VAR} or "
-                        f"{DEFAULT_RESOURCE_CAP})")
-    p.add_argument("--perm-cap", type=int, default=DEFAULT_PERMUTATION_CAP,
-                   help=PERM_CAP_HELP)
+    cap = _Parser(add_help=False)
+    cap.add_argument("--cap", type=int, default=None,
+                     help="resource cap in coordinate steps: n * 2^n for "
+                          "the Hajos search, n * (2^n + |det|) for brute "
+                          f"force (default ${CAP_ENV_VAR} or "
+                          f"{DEFAULT_RESOURCE_CAP})")
+
+    sub.add_parser("check", parents=[src, fmt_json, cap],
+                   help="determinant gate (Hajos search at index 2^n), "
+                        "then brute force, within the cap")
 
     sub.add_parser("wu", parents=[src, fmt_json],
                    help="Wu element and Wu obstruction")
@@ -355,10 +348,8 @@ def build_parser() -> _Parser:
     sub.add_parser("stats", parents=[src, fmt_json],
                    help="subset support statistics")
 
-    p = sub.add_parser("hajos", parents=[src, fmt_json],
-                       help="search for a Hajos basis")
-    p.add_argument("--perm-cap", type=int, default=DEFAULT_PERMUTATION_CAP,
-                   help=PERM_CAP_HELP)
+    sub.add_parser("hajos", parents=[src, fmt_json, cap],
+                   help="search for a Hajos basis within the cap")
 
     sub.add_parser("classify", parents=[src, fmt_json],
                    help="block decomposition of an orthogonal subset")

@@ -8,16 +8,16 @@ square matrix whose columns are basis vectors.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from operator import index
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DimensionMismatch, ResourceLimit, SingularMatrix
+from .errors import DimensionMismatch, SingularMatrix
 
-#: Default ceiling on enumeration work (number of coset representatives for
-#: coset_reps; about 2^n + |det| coset reductions of n coordinates each,
-#: counted as n * (2^n + |det|), for the brute-force oracle).
+#: Default ceiling on the work of the two exponential searches, in
+#: coordinate steps: n * (2^n + |det|) for the brute-force oracle (about
+#: 2^n + |det| coset reductions of n coordinates each) and n * 2^n for the
+#: Hajos search (at most 2^n prefix sets of n gcd checks each).
 DEFAULT_RESOURCE_CAP = 2 ** 24
 
 Vector = tuple[int, ...]
@@ -128,14 +128,6 @@ class BasisMatrix:
         return f"BasisMatrix({[list(r) for r in self._rows]})"
 
 
-@dataclass(frozen=True)
-class CosetSystem:
-    """A complete set of representatives for Z^n modulo a sublattice."""
-
-    reps: tuple[Vector, ...]
-    order: int
-
-
 def det(basis: BasisMatrix) -> int:
     """Exact determinant of the basis matrix."""
     return basis.det
@@ -217,23 +209,13 @@ def contains(basis: BasisMatrix, x: Sequence[int]) -> bool:
 
 
 def hnf_box(basis: BasisMatrix) -> Iterator[Vector]:
-    """Lexicographic iterator over the fundamental box prod [0, H_ii)."""
+    """Lexicographic iterator over the fundamental box prod [0, H_ii).
+
+    The box holds one representative of each coset of Z^n modulo the
+    lattice, |det| points in all.
+    """
     diag = [basis.hnf.rows[i][i] for i in range(basis.n)]
     return itertools.product(*(range(d) for d in diag))
-
-
-def coset_reps(basis: BasisMatrix,
-               cap: int = DEFAULT_RESOURCE_CAP) -> CosetSystem:
-    """Canonical coset representatives of Z^n modulo the lattice.
-
-    One representative per coset, taken from the HNF box, in lexicographic
-    order.  The count always equals |det|.
-    """
-    order = abs(basis.det)
-    if order > cap:
-        raise ResourceLimit(
-            f"coset enumeration needs {order} representatives, cap is {cap}")
-    return CosetSystem(reps=tuple(hnf_box(basis)), order=order)
 
 
 def gram(vectors) -> tuple[Vector, ...]:

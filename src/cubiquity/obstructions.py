@@ -1,4 +1,4 @@
-"""Cubiquity obstructions and the brute-force oracle.
+"""Cubiquity obstructions, the brute-force oracle and the decision pipeline.
 
 A full-rank sublattice of Z^n is cubiquitous when it meets every translated
 unit cube x + {0,1}^n.  This module provides
@@ -10,7 +10,9 @@ unit cube x + {0,1}^n.  This module provides
   2^n reduces it to the existence of a Hajos basis,
 * the brute-force oracle that decides cubiquity outright by covering the
   cosets with cube vertices, which grounds every structural criterion in
-  the tests.
+  the tests,
+* ``decide``, the determinant gate followed by the oracle, both metered
+  by one resource cap.
 
 Obstructions never claim a lattice IS cubiquitous; only the oracle and the
 Hajos route do.
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .errors import NotNonAcute, NotOrthogonal, ResourceLimit
 from .lattice import (
@@ -33,9 +35,8 @@ from .lattice import (
 )
 from .subsets import Subset, is_non_acute, is_orthogonal, stats
 
-#: Largest dimension the Hajos search accepts; it checks at most 2^n
-#: coordinate prefix sets with n gcd checks each.
-DEFAULT_PERMUTATION_CAP = 8
+if TYPE_CHECKING:  # classify imports this module at runtime
+    from .classify import Block
 
 
 class Status(str, Enum):
@@ -90,7 +91,7 @@ class CubiquityVerdict:
     witness: Optional[Vector] = None
     inequality: Optional[tuple[int, int]] = None
     hajos: Optional[HajosBasis] = None
-    block: object = None
+    block: Optional[Block] = None
 
     def to_json_dict(self) -> dict:
         """Fixed-order JSON object: status, witness, inequality, hajos_basis."""
@@ -263,25 +264,28 @@ def _first_hajos_order(basis: BasisMatrix) -> Optional[tuple[int, ...]]:
 
 
 def hajos_basis(basis: BasisMatrix,
-                perm_cap: int = DEFAULT_PERMUTATION_CAP
-                ) -> Optional[HajosBasis]:
+                cap: int = DEFAULT_RESOURCE_CAP) -> Optional[HajosBasis]:
     """Search for a Hajos basis of the lattice.
 
     A Hajos basis is lower triangular with 2s on the diagonal and 0/1
     entries below, hence has determinant 2^n; anything else returns None
     immediately.  Whether existence depends on the coordinate order is not
     settled, so the search covers every row order and records the
-    lexicographically first that works (identity first).  It checks at
-    most 2^n coordinate prefix sets with n gcd checks each, and refuses
-    with ResourceLimit when n exceeds ``perm_cap``.
+    lexicographically first that works (identity first).
+
+    The search expands each of the at most 2^n coordinate prefix sets once
+    (the dead-set memo skips a set seen before) with n gcd checks, so its
+    cost is counted as n * 2^n steps, in the brute-force oracle's unit;
+    ResourceLimit is raised when that exceeds ``cap``.
     """
     n = basis.n
     if abs(basis.det) != 2 ** n:
         return None
-    if n > perm_cap:
+    prefixes = 2 ** n
+    if n * prefixes > cap:
         raise ResourceLimit(
-            f"Hajos search in dimension {n} exceeds the dimension cap "
-            f"{perm_cap}")
+            f"Hajos search needs up to {prefixes} prefix sets of {n} gcd "
+            f"checks ({n * prefixes} steps), cap is {cap}")
     order = _first_hajos_order(basis)
     if order is None:
         return None
@@ -290,12 +294,13 @@ def hajos_basis(basis: BasisMatrix,
 
 
 def det_gate(basis: BasisMatrix,
-             perm_cap: int = DEFAULT_PERMUTATION_CAP) -> CubiquityVerdict:
+             cap: int = DEFAULT_RESOURCE_CAP) -> CubiquityVerdict:
     """Determinant criterion for cubiquity.
 
     |det| above 2^n is Obstructed outright.  |det| equal to 2^n is decided
-    by the Hajos search (Cubiquitous iff a Hajos basis exists).  Smaller
-    determinants are Inconclusive.
+    by the Hajos search (Cubiquitous iff a Hajos basis exists), which
+    raises ResourceLimit past ``cap``.  Smaller determinants are
+    Inconclusive.
     """
     n = basis.n
     d = abs(basis.det)
@@ -303,8 +308,26 @@ def det_gate(basis: BasisMatrix,
     if d > bound:
         return CubiquityVerdict(Status.OBSTRUCTED, inequality=(d, bound))
     if d == bound:
-        found = hajos_basis(basis, perm_cap=perm_cap)
+        found = hajos_basis(basis, cap=cap)
         if found is not None:
             return CubiquityVerdict(Status.CUBIQUITOUS, hajos=found)
         return CubiquityVerdict(Status.NOT_CUBIQUITOUS)
     return CubiquityVerdict(Status.INCONCLUSIVE)
+
+
+def decide(basis: BasisMatrix,
+           cap: int = DEFAULT_RESOURCE_CAP) -> CubiquityVerdict:
+    """Decide cubiquity: the determinant gate, then the coset-cover oracle.
+
+    Only an Inconclusive gate (index below 2^n) reaches the oracle.  Either
+    search refusing past ``cap`` gives an Inconclusive verdict.  At index
+    2^n the Hajos cost n * 2^n is below the oracle's n * 2^(n+1), so an
+    input the gate refuses would be refused by the oracle too.
+    """
+    try:
+        verdict = det_gate(basis, cap=cap)
+        if verdict.status is Status.INCONCLUSIVE:
+            verdict = is_cubiquitous_bruteforce(basis, cap=cap)
+    except ResourceLimit:
+        return CubiquityVerdict(Status.INCONCLUSIVE)
+    return verdict

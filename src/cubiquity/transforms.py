@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import NotOrthogonal, PreconditionFailed
-from .obstructions import CubiquityVerdict, wu_obstruction
-from .subsets import Subset, is_orthogonal, stats
+from .subsets import Subset, SubsetStats, is_orthogonal, stats
 
 PROJECTION = "Projection"
 DOUBLE_PROJECTION = "DoubleProjection"
@@ -38,6 +37,30 @@ def _delete(subset: Subset, vector_indices: Iterable[int],
         for i, v in enumerate(subset.vectors) if i not in drop_v)
 
 
+def _projection_failure(st: SubsetStats, s: int) -> str | None:
+    """Why vector s cannot be projected away, or None if it can."""
+    support = st.by_vector[s]
+    if len(support) != 1:
+        return (f"vector {s} is supported on {len(support)} coordinates, "
+                f"not 1")
+    return None
+
+
+def _double_projection_failure(subset: Subset, st: SubsetStats,
+                               i: int) -> str | None:
+    """Why coordinate i carries no removable hyperbolic pair, or None."""
+    users = st.by_coordinate[i]
+    if len(users) != 2:
+        return f"coordinate {i} is supported by {len(users)} vectors, not 2"
+    s, t = users
+    if abs(subset.vectors[s][i]) != 1 or abs(subset.vectors[t][i]) != 1:
+        return f"coordinate {i} carries an entry of magnitude >= 2"
+    if st.by_vector[s] != st.by_vector[t] or len(st.by_vector[s]) != 2:
+        return (f"vectors {s} and {t} are not a hyperbolic pair on a "
+                f"common coordinate pair")
+    return None
+
+
 def project(subset: Subset, s: int) -> Subset:
     """Remove a vector supported on a single coordinate, and that coordinate.
 
@@ -46,11 +69,11 @@ def project(subset: Subset, s: int) -> Subset:
     """
     if not is_orthogonal(subset):
         raise NotOrthogonal("projection requires an orthogonal subset")
-    support = stats(subset).by_vector[s]
-    if len(support) != 1:
-        raise PreconditionFailed(
-            f"vector {s} is supported on {len(support)} coordinates, not 1")
-    return _delete(subset, (s,), support)
+    st = stats(subset)
+    failure = _projection_failure(st, s)
+    if failure is not None:
+        raise PreconditionFailed(failure)
+    return _delete(subset, (s,), st.by_vector[s])
 
 
 def double_project(subset: Subset, i: int) -> Subset:
@@ -63,36 +86,24 @@ def double_project(subset: Subset, i: int) -> Subset:
     if not is_orthogonal(subset):
         raise NotOrthogonal("double projection requires an orthogonal subset")
     st = stats(subset)
-    users = st.by_coordinate[i]
-    if len(users) != 2:
-        raise PreconditionFailed(
-            f"coordinate {i} is supported by {len(users)} vectors, not 2")
-    s, t = users
-    if abs(subset.vectors[s][i]) != 1 or abs(subset.vectors[t][i]) != 1:
-        raise PreconditionFailed(
-            f"coordinate {i} carries an entry of magnitude >= 2")
-    if st.by_vector[s] != st.by_vector[t] or len(st.by_vector[s]) != 2:
-        raise PreconditionFailed(
-            f"vectors {s} and {t} are not a hyperbolic pair on a "
-            f"common coordinate pair")
+    failure = _double_projection_failure(subset, st, i)
+    if failure is not None:
+        raise PreconditionFailed(failure)
+    s, t = st.by_coordinate[i]
     return _delete(subset, (s, t), st.by_vector[s])
 
 
 def _next_step(subset: Subset) -> RewriteStep | None:
+    # candidates are found with the rewrites' own precondition checks,
+    # then applied through the public rewrite
     st = stats(subset)
     for s in range(subset.n):
-        if len(st.by_vector[s]) == 1:
+        if _projection_failure(st, s) is None:
             return RewriteStep(PROJECTION, st.by_vector[s], (s,),
                                project(subset, s))
     for i in range(subset.n):
-        users = st.by_coordinate[i]
-        if len(users) != 2:
-            continue
-        s, t = users
-        if (abs(subset.vectors[s][i]) == 1
-                and abs(subset.vectors[t][i]) == 1
-                and st.by_vector[s] == st.by_vector[t]
-                and len(st.by_vector[s]) == 2):
+        if _double_projection_failure(subset, st, i) is None:
+            s, t = st.by_coordinate[i]
             return RewriteStep(DOUBLE_PROJECTION, st.by_vector[s], (s, t),
                                double_project(subset, i))
     return None
@@ -161,21 +172,6 @@ def contract(subset: Subset, i: int, s: int, t: int, u: int) -> Subset:
     keep = [j for j in range(n) if j != i]
     return Subset(
         tuple(v[j] for j in keep) for v in survivors + [merged, truncated])
-
-
-def wu_preserved(subset: Subset, i: int, s: int, t: int, u: int) -> bool:
-    """Whether a contraction leaves the Wu obstruction status unchanged.
-
-    Both the source and the contracted subset must be non-acute (errors
-    from the obstruction propagate).  Preservation always holds: the
-    contraction drops one odd Wu coordinate of magnitude 1, which lowers
-    both sides of the obstruction inequality by the same amount.  A False
-    return means an implementation bug, so this is a self-test oracle.
-    """
-    contracted = contract(subset, i, s, t, u)
-    before: CubiquityVerdict = wu_obstruction(subset)
-    after: CubiquityVerdict = wu_obstruction(contracted)
-    return before.status == after.status
 
 
 def length_three_family(x: int) -> Subset:

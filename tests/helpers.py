@@ -8,7 +8,9 @@ from cubiquity import (
     HajosBasis,
     Status,
     Subset,
+    contract,
     det4_formula,
+    wu_obstruction,
 )
 from cubiquity.lattice import _membership_test, hnf_box
 
@@ -58,6 +60,20 @@ def hajos_permutation_scan(basis):
         if all(h.rows[i][i] == 2 for i in range(n)):
             return HajosBasis(matrix=h, row_order=order)
     return None
+
+
+def wu_preserved(subset, i, s, t, u):
+    """Whether a contraction leaves the Wu obstruction status unchanged.
+
+    Both the source and the contracted subset must be non-acute (errors
+    from the obstruction propagate).  Preservation always holds: the
+    contraction drops one odd Wu coordinate of magnitude 1, which lowers
+    both sides of the obstruction inequality by the same amount.  A False
+    return means an implementation bug, so this is a self-test oracle.
+    """
+    before = wu_obstruction(subset)
+    after = wu_obstruction(contract(subset, i, s, t, u))
+    return before.status == after.status
 
 
 def det4_quartic_scan(bound):

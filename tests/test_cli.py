@@ -1,11 +1,13 @@
 import json
+import random
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from cubiquity import cli, parse_matrix
+from cubiquity import BasisMatrix, cli, parse_matrix
 from cubiquity.cli import run
+from helpers import hajos_permutation_scan, unimodular_mix
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" /
@@ -278,12 +280,61 @@ def test_parser_built_once_per_process(monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_hajos_perm_cap_message(capsys):
-    code, out, err = _run(capsys, "hajos", "--matrix", "2 0 0; 0 2 0; 0 0 2",
-                          "--perm-cap", "2")
+DIAG222 = "2 0 0; 0 2 0; 0 0 2"
+
+
+def test_hajos_cap_boundary(capsys, monkeypatch):
+    # the search costs n * 2^n = 24 steps, counted against the shared cap
+    code, out, _ = _run(capsys, "hajos", "--matrix", DIAG222, "--cap", "24")
+    assert code == 0
+    assert json.loads(out)["row_order"] == [1, 2, 3]
+    code, out, err = _run(capsys, "hajos", "--matrix", DIAG222,
+                          "--cap", "23")
     assert code == 2
     assert out == ""
-    assert "dimension 3" in err and "cap 2" in err
+    assert "24 steps" in err and "cap is 23" in err
+    monkeypatch.setenv("CUBIQUITY_RESOURCE_CAP", "23")
+    assert _run(capsys, "hajos", "--matrix", DIAG222)[0] == 2
+
+
+def test_check_hajos_cap_boundary(capsys):
+    code, out, _ = _run(capsys, "check", "--matrix", DIAG222, "--cap", "24")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["status"] == "Cubiquitous"
+    assert payload["hajos_basis"] == [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
+    code, out, _ = _run(capsys, "check", "--matrix", DIAG222, "--cap", "23")
+    assert code == 2
+    assert json.loads(out) == {"status": "Inconclusive", "witness": None,
+                               "inequality": None, "hajos_basis": None}
+
+
+def test_perm_cap_flag_removed(capsys):
+    for command in ("check", "hajos"):
+        code, out, err = _run(capsys, command, "--matrix", DIAG222,
+                              "--perm-cap", "8")
+        assert code == 64
+        assert out == ""
+        assert "--perm-cap" in err
+
+
+def test_hajos_n10_chain_matches_permutation_scan(capsys):
+    # the chain's only Hajos order is the identity, so with its last four
+    # rows shuffled the reference scan stops within 4! orders
+    n = 10
+    chain = [[2 if j == i else int(j == i - 1) for j in range(n)]
+             for i in range(n)]
+    rows = [chain[i] for i in (0, 1, 2, 3, 4, 5, 9, 7, 6, 8)]
+    b = unimodular_mix(BasisMatrix(rows), random.Random(10), 2 * n)
+    expected = hajos_permutation_scan(b)
+    assert expected.row_order[:6] == (0, 1, 2, 3, 4, 5)
+    matrix = "; ".join(" ".join(map(str, r)) for r in b.rows)
+    code, out, _ = _run(capsys, "hajos", "--matrix", matrix)
+    assert code == 0
+    assert json.loads(out) == {
+        "hajos_basis": [list(r) for r in expected.matrix.rows],
+        "row_order": [i + 1 for i in expected.row_order],
+    }
 
 
 def test_det4_value_and_csv(capsys):

@@ -56,12 +56,12 @@ SOURCE = [flag("--matrix", one_in(4, MALFORMED, matrix_text())),
 INDEX = st.integers(-1, 6).map(str)
 FORMAT = flag("--format", one_in(5, st.just("yaml"),
                                  st.sampled_from(["json", "text"])))
-PERM_CAP = flag("--perm-cap", INT_TEXT)
+CAP = flag("--cap", INT_TEXT)
 OPTIONS = {
-    "check": SOURCE + [FORMAT, flag("--cap", INT_TEXT), PERM_CAP],
+    "check": SOURCE + [FORMAT, CAP],
     "wu": SOURCE + [FORMAT],
     "stats": SOURCE + [FORMAT],
-    "hajos": SOURCE + [FORMAT, PERM_CAP],
+    "hajos": SOURCE + [FORMAT, CAP],
     "classify": SOURCE + [FORMAT],
     "reduce": SOURCE,
     "contract": SOURCE + [
@@ -75,7 +75,8 @@ OPTIONS = {
              st.lists(st.integers(-3, 12).map(str), max_size=5)],
     "catalog": [flag("--index", st.sampled_from(["1", "2", "3", "x"]))],
 }
-JUNK = st.sampled_from([["--nope"], ["--format"], ["--matrix"], ["-i"]])
+JUNK = st.sampled_from([["--nope"], ["--format"], ["--matrix"], ["-i"],
+                        ["--perm-cap", "8"]])
 
 
 @st.composite

@@ -8,16 +8,15 @@ from hypothesis import strategies as st
 from cubiquity import (
     BasisMatrix,
     DimensionMismatch,
-    ResourceLimit,
     SingularMatrix,
     catalog_blocks,
     contains,
-    coset_reps,
     det,
     direct_sum,
     gram,
     hnf,
 )
+from cubiquity.lattice import hnf_box
 from helpers import cofactor_det, hnf_matrices
 
 
@@ -140,13 +139,13 @@ def test_contains_every_lattice_combination():
 
 
 def test_coset_reps_examples():
-    reps = coset_reps(BasisMatrix([[2, 0], [0, 2]])).reps
+    # the HNF box is the canonical system of coset representatives
+    reps = tuple(hnf_box(BasisMatrix([[2, 0], [0, 2]])))
     assert reps == ((0, 0), (0, 1), (1, 0), (1, 1))
-    assert coset_reps(BasisMatrix([[1]])).reps == ((0,),)
+    assert tuple(hnf_box(BasisMatrix([[1]]))) == ((0,),)
 
-    system = coset_reps(BasisMatrix([[2, 1], [0, 2]]))
-    assert system.order == 4
-    assert len(system.reps) == 4
+    reps = tuple(hnf_box(BasisMatrix([[2, 1], [0, 2]])))
+    assert len(reps) == 4
     # The listed points are pairwise non-congruent, so they also form a
     # complete system for this index-4 lattice.
     alternative = [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -157,15 +156,10 @@ def test_coset_reps_examples():
 
 def test_coset_reps_pairwise_non_congruent():
     for b in hnf_matrices(2, (6,)) + hnf_matrices(3, (4,)):
-        system = coset_reps(b)
-        assert len(system.reps) == abs(det(b)) == system.order
-        for r, s in itertools.combinations(system.reps, 2):
+        reps = tuple(hnf_box(b))
+        assert len(reps) == abs(det(b))
+        for r, s in itertools.combinations(reps, 2):
             assert contains(b, tuple(a - c for a, c in zip(r, s))) is False
-
-
-def test_coset_reps_resource_limit():
-    with pytest.raises(ResourceLimit):
-        coset_reps(BasisMatrix([[100, 0], [0, 100]]), cap=9999)
 
 
 def test_gram_examples():

@@ -5,6 +5,7 @@ import pytest
 
 from cubiquity import (
     BasisMatrix,
+    CubiquityVerdict,
     NotNonAcute,
     NotOrthogonal,
     ResourceLimit,
@@ -12,6 +13,7 @@ from cubiquity import (
     Subset,
     catalog_blocks,
     contains,
+    decide,
     det_gate,
     direct_sum,
     hajos_basis,
@@ -197,16 +199,50 @@ def test_bruteforce_matches_vertex_scan_exhaustive():
     assert checked > 3000
 
 
-def test_bruteforce_matches_vertex_scan_random():
+def _random_differential_bases():
     rng = random.Random(47)
-    seen = set()
     for _ in range(320):
         n = rng.randint(4, 7)
         # power-of-two indices make cubiquitous lattices common
         d = rng.choice((rng.randint(1, 2 ** n + 8), 2 ** rng.randint(0, n)))
-        b = unimodular_mix(random_hnf(n, d, rng), rng, 3 * n)
-        seen.add(_same_as_vertex_scan(b))
+        yield unimodular_mix(random_hnf(n, d, rng), rng, 3 * n)
+
+
+def test_bruteforce_matches_vertex_scan_random():
+    seen = {_same_as_vertex_scan(b) for b in _random_differential_bases()}
     assert seen == {Status.CUBIQUITOUS, Status.NOT_CUBIQUITOUS}
+
+
+def test_decide_matches_gate_and_bruteforce_random():
+    routes = set()
+    for b in itertools.chain(_random_differential_bases(),
+                             _random_hajos_bases()):
+        verdict = decide(b)
+        gate = det_gate(b)
+        oracle = is_cubiquitous_bruteforce(b)
+        if gate.status is Status.INCONCLUSIVE:
+            assert verdict == oracle, b
+        else:
+            assert verdict == gate, b
+        assert (verdict.status is Status.CUBIQUITOUS) == \
+            (oracle.status is Status.CUBIQUITOUS), b
+        routes.add((gate.status, verdict.status))
+    assert routes == {
+        (Status.OBSTRUCTED, Status.OBSTRUCTED),
+        (Status.CUBIQUITOUS, Status.CUBIQUITOUS),
+        (Status.NOT_CUBIQUITOUS, Status.NOT_CUBIQUITOUS),
+        (Status.INCONCLUSIVE, Status.CUBIQUITOUS),
+        (Status.INCONCLUSIVE, Status.NOT_CUBIQUITOUS),
+    }
+
+
+def test_decide_inconclusive_past_cap():
+    # Z + 3Z: brute force costs 14 steps; diag(2, 2, 2): Hajos costs 24
+    assert decide(BasisMatrix([[1, 0], [0, 3]]), cap=13) == \
+        CubiquityVerdict(Status.INCONCLUSIVE)
+    b = BasisMatrix([[2, 0, 0], [0, 2, 0], [0, 0, 2]])
+    assert decide(b, cap=23) == CubiquityVerdict(Status.INCONCLUSIVE)
+    assert decide(b, cap=24).hajos.matrix == b
 
 
 def test_bruteforce_matches_vertex_scan_catalog():
@@ -262,10 +298,14 @@ def test_hajos_shape():
                 assert h.rows[i][j] in (0, 1)
 
 
-def test_hajos_permutation_cap():
+def test_hajos_cap_boundary():
+    # n * 2^n = 3 * 8 steps: at most 2^3 prefix sets of 3 gcd checks each
     b = BasisMatrix([[2, 0, 0], [0, 2, 0], [0, 0, 2]])
+    assert hajos_basis(b, cap=24).row_order == (0, 1, 2)
+    with pytest.raises(ResourceLimit, match="24 steps"):
+        hajos_basis(b, cap=23)
     with pytest.raises(ResourceLimit):
-        hajos_basis(b, perm_cap=2)
+        det_gate(b, cap=23)
 
 
 def test_hajos_iff_bruteforce_exhaustive_n2():
@@ -293,10 +333,9 @@ def test_hajos_matches_permutation_scan_exhaustive_n3():
                 _hajos_key(hajos_permutation_scan(b)), b
 
 
-def test_hajos_matches_permutation_scan_random():
+def _random_hajos_bases():
     # n = 7 cases cost the reference up to 5040 HNFs each, so they are few
     rng = random.Random(20241)
-    outcomes = set()
     for n, count in ((4, 170), (5, 110), (6, 26), (7, 4)):
         for _ in range(count):
             if rng.random() < 0.5:
@@ -304,11 +343,15 @@ def test_hajos_matches_permutation_scan_random():
             else:
                 b = random_hnf(n, 2 ** n, rng)
             cols = signed_permutation(list(b.columns), rng)
-            b = unimodular_mix(BasisMatrix.from_columns(cols), rng, 2 * n)
-            found = hajos_basis(b)
-            assert _hajos_key(found) == \
-                _hajos_key(hajos_permutation_scan(b)), b
-            outcomes.add((n, found is not None))
+            yield unimodular_mix(BasisMatrix.from_columns(cols), rng, 2 * n)
+
+
+def test_hajos_matches_permutation_scan_random():
+    outcomes = set()
+    for b in _random_hajos_bases():
+        found = hajos_basis(b)
+        assert _hajos_key(found) == _hajos_key(hajos_permutation_scan(b)), b
+        outcomes.add((b.n, found is not None))
     assert outcomes == {(n, hit) for n in (4, 5, 6, 7)
                         for hit in (False, True)}
 

@@ -20,9 +20,8 @@ from cubiquity import (
     trace_reduce,
     wu_element,
     wu_obstruction,
-    wu_preserved,
 )
-from helpers import assemble_blocks, signed_permutation
+from helpers import assemble_blocks, signed_permutation, wu_preserved
 
 
 def test_project_examples():
