@@ -9,8 +9,7 @@ classification reduces to recognising those three block shapes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import MixedSigns, NotOrthogonal, ZeroParameter
 from .lattice import BasisMatrix
@@ -25,8 +24,7 @@ OTHER = "Other"
 GOOD_KINDS = frozenset({UNIT, TWO_TIMES, HYPER_2X2})
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     """A support-connected component: its coordinates, vectors, and shape."""
 
     coordinates: tuple[int, ...]
@@ -34,8 +32,7 @@ class Block:
     kind: str
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(NamedTuple):
     blocks: tuple[Block, ...]
 
     @property

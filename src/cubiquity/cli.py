@@ -3,8 +3,9 @@
 Exit codes: 0 the lattice is cubiquitous (or the query succeeded),
 1 not cubiquitous / obstructed / negative answer, 2 inconclusive (resource
 cap exceeded, or the obstruction did not fire), 64 usage error, 65 input
-error, 70 internal error (a bug).  Verdicts go to stdout; errors go to
-stderr, never mixed.
+error, 70 internal error (a bug), 74 output error (stdout closed, as when
+piped into ``head``, or not writable).  Verdicts go to stdout; errors go
+to stderr, never mixed.
 
 ``check`` and ``hajos`` share one resource cap (``--cap``, else
 ``$CUBIQUITY_RESOURCE_CAP``, else the library default); past it they exit 2.
@@ -13,6 +14,14 @@ stderr, never mixed.
 The argument parser is built once per process, on the first call to
 ``run``, and reused by every later call; ``build_parser`` returns a fresh
 one.
+
+A subcommand loads only the modules it runs.  Importing this module loads
+``errors``, ``lattice``, ``formats`` and ``obstructions``, which is all
+that ``check`` and ``hajos`` need.  The other subcommands import their
+module when called: ``subsets`` for ``wu`` and ``stats`` (and for every
+subcommand that reads a subset), ``classify`` for ``classify``, ``torus``,
+``det4`` and ``catalog``, and ``transforms`` for ``reduce`` and
+``contract``.
 
 In text mode every informational line starts with '#', so any matrix the
 command prints can be re-parsed from the full output stream.  Indices in
@@ -26,16 +35,8 @@ import functools
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .classify import (
-    catalog_blocks,
-    classify_orthogonal,
-    decompose,
-    det4_formula,
-    det4_zero_solutions,
-    torus_sum_bounds_qball,
-)
 from .errors import CubiquityError, ResourceLimit
 from .formats import format_matrix, parse_inline, parse_matrix
 from .lattice import DEFAULT_RESOURCE_CAP, BasisMatrix
@@ -47,8 +48,9 @@ from .obstructions import (
     wu_element,
     wu_obstruction,
 )
-from .subsets import Subset, check_identity, stats
-from .transforms import contract, trace_reduce
+
+if TYPE_CHECKING:
+    from .subsets import Subset
 
 EXIT_CUBIQUITOUS = 0
 EXIT_NEGATIVE = 1
@@ -56,6 +58,7 @@ EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_SOFTWARE = 70
+EXIT_IOERR = 74
 
 CAP_ENV_VAR = "CUBIQUITY_RESOURCE_CAP"
 
@@ -91,11 +94,16 @@ def _read_rows(args):
         return parse_inline(args.matrix, args.rows_as_vectors)
     if args.file is None:
         raise UsageError("an input file or --matrix is required")
-    if args.file == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.file, "r", encoding="utf-8") as handle:
-            text = handle.read()
+    try:
+        if args.file == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.file, "r", encoding="utf-8") as handle:
+                text = handle.read()
+    except OSError as exc:
+        # an unreadable input is bad input; an OSError that reaches run()
+        # is an output failure
+        raise CubiquityError(str(exc)) from None
     return parse_matrix(text, args.rows_as_vectors)
 
 
@@ -104,6 +112,8 @@ def _read_basis(args) -> BasisMatrix:
 
 
 def _read_subset(args) -> Subset:
+    from .subsets import Subset
+
     rows = _read_rows(args)
     n = len(rows)
     return Subset(tuple(rows[i][j] for i in range(n)) for j in range(n))
@@ -167,6 +177,8 @@ def cmd_wu(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from .subsets import check_identity, stats
+
     subset = _read_subset(args)
     st = stats(subset)
     payload = {
@@ -207,6 +219,8 @@ def cmd_hajos(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .classify import classify_orthogonal, decompose
+
     subset = _read_subset(args)
     verdict = classify_orthogonal(subset)
     blocks = decompose(subset)
@@ -232,6 +246,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_torus(args) -> int:
+    from .classify import torus_sum_bounds_qball
+
     bounds = torus_sum_bounds_qball(args.params)
     if args.format == "json":
         print(json.dumps({"bounds": bounds}))
@@ -250,6 +266,8 @@ def _step_payload(step) -> dict:
 
 
 def cmd_reduce(args) -> int:
+    from .transforms import trace_reduce
+
     subset = _read_subset(args)
     reduced, steps = trace_reduce(subset)
     for step in steps:
@@ -260,6 +278,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_contract(args) -> int:
+    from .transforms import contract
+
     subset = _read_subset(args)
     n = subset.n
     if not 1 <= args.coordinate <= n:
@@ -280,6 +300,8 @@ def cmd_contract(args) -> int:
 
 
 def cmd_det4(args) -> int:
+    from .classify import det4_formula, det4_zero_solutions
+
     if args.zeros:
         if args.values:
             raise UsageError("--zeros takes no diagonal values")
@@ -298,6 +320,8 @@ def cmd_det4(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    from .classify import catalog_blocks
+
     first, second = catalog_blocks()
     if args.index == 1:
         print(format_matrix(first))
@@ -394,16 +418,25 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _parser().parse_args(argv)
         # looked up at call time, so a rebound cmd_<name> takes effect
-        return globals()[f"cmd_{args.command}"](args)
+        code = globals()[f"cmd_{args.command}"](args)
+        if sys.stdout is not None:
+            sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceLimit as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except (CubiquityError, OSError) as exc:
+    except CubiquityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except BrokenPipeError:
+        # the reader left early, as in `cubiquity ... | head`
+        return EXIT_IOERR
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IOERR
     except Exception as exc:
         # a bug must not exit 1, which reads as "not cubiquitous"
         print(f"error: internal error: {type(exc).__name__}: {exc}",
@@ -412,7 +445,12 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    if code == EXIT_IOERR:
+        # stdout is unusable: send what is left in its buffer to devnull,
+        # so the flush at interpreter exit neither fails nor reports
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -20,10 +20,9 @@ Hajos route do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import gcd
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import NotNonAcute, NotOrthogonal, ResourceLimit
 from .lattice import (
@@ -33,10 +32,10 @@ from .lattice import (
     _xgcd,
     hnf_box,
 )
-from .subsets import Subset, is_non_acute, is_orthogonal, stats
 
-if TYPE_CHECKING:  # classify imports this module at runtime
-    from .classify import Block
+if TYPE_CHECKING:
+    from .classify import Block  # classify imports this module at runtime
+    from .subsets import Subset  # loaded by the Wu functions that need it
 
 
 class Status(str, Enum):
@@ -49,8 +48,7 @@ class Status(str, Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class WuData:
+class WuData(NamedTuple):
     """The Wu element (sum of the subset's vectors) and its parity pattern.
 
     ``vector`` holds the coordinates of the sum; ``odd``, ``even_nonzero``
@@ -64,8 +62,7 @@ class WuData:
     zero: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class HajosBasis:
+class HajosBasis(NamedTuple):
     """A lower-triangular basis with 2s on the diagonal and 0/1 below it.
 
     ``row_order`` records the coordinate order under which the Hermite form
@@ -76,8 +73,7 @@ class HajosBasis:
     row_order: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CubiquityVerdict:
+class CubiquityVerdict(NamedTuple):
     """Decision outcome with a re-checkable certificate.
 
     ``witness`` is a cube base point x with no lattice point in
@@ -124,6 +120,8 @@ def wu_obstruction(subset: Subset) -> CubiquityVerdict:
     4n - 3*(number of odd coordinates); Inconclusive otherwise.  The
     obstruction is one-directional, so Cubiquitous is never returned.
     """
+    from .subsets import is_non_acute
+
     if not is_non_acute(subset):
         raise NotNonAcute("wu_obstruction requires a non-acute subset")
     wu = wu_element(subset)
@@ -141,6 +139,8 @@ def wu_obstruction_orthogonal(subset: Subset) -> CubiquityVerdict:
     element equals the sum of the norms, so this agrees with
     wu_obstruction on every orthogonal input.
     """
+    from .subsets import is_orthogonal, stats
+
     if not is_orthogonal(subset):
         raise NotOrthogonal(
             "wu_obstruction_orthogonal requires an orthogonal subset")

@@ -7,18 +7,22 @@ BasisMatrix.  All indices in this module are 0-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatch
 from .lattice import BasisMatrix, Vector, gram
 
 
-@dataclass(frozen=True)
 class Subset:
-    """An ordered list of n vectors in Z^n (possibly empty, n = 0)."""
+    """An ordered list of n vectors in Z^n (possibly empty, n = 0).
 
+    Immutable and compared by value; the constructor turns every entry
+    into an int and checks that there are n vectors of dimension n.
+    """
+
+    __slots__ = ("vectors",)
+    __match_args__ = ("vectors",)
     vectors: tuple[Vector, ...]
 
     def __init__(self, vectors: Iterable[Sequence[int]]):
@@ -27,6 +31,27 @@ class Subset:
             raise DimensionMismatch(
                 f"need {len(vecs)} vectors of dimension {len(vecs)}")
         object.__setattr__(self, "vectors", vecs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.vectors == other.vectors
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.vectors,))
+
+    def __repr__(self) -> str:
+        return f"Subset(vectors={self.vectors!r})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, as __setattr__ refuses
+        return Subset, (self.vectors,)
 
     @classmethod
     def from_basis(cls, basis: BasisMatrix) -> "Subset":
@@ -61,8 +86,7 @@ class Subset:
             for i, v in enumerate(self.vectors))
 
 
-@dataclass(frozen=True)
-class SubsetStats:
+class SubsetStats(NamedTuple):
     """Support statistics of a subset.
 
     by_coordinate[j] lists the vectors with a nonzero j-th entry,

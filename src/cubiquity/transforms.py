@@ -8,8 +8,7 @@ trace can be replayed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import NotOrthogonal, PreconditionFailed
 from .subsets import Subset, SubsetStats, is_orthogonal, stats
@@ -19,8 +18,7 @@ DOUBLE_PROJECTION = "DoubleProjection"
 CONTRACTION = "Contraction"
 
 
-@dataclass(frozen=True)
-class RewriteStep:
+class RewriteStep(NamedTuple):
     kind: str
     coordinates: tuple[int, ...]
     vectors: tuple[int, ...]

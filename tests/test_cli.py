@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -431,3 +434,85 @@ def test_stdin_input(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("1\n3\n"))
     code, out, _ = _run(capsys, "check", "-")
     assert code == 1
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away, failing on write or on flush."""
+
+    def __init__(self, fail_on):
+        self.fail_on = fail_on
+
+    def write(self, text):
+        if self.fail_on == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self):
+        if self.fail_on == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("fail_on", ["write", "flush"])
+def test_broken_pipe_exits_74(monkeypatch, capsys, fail_on):
+    monkeypatch.setattr("sys.stdout", _ClosedPipe(fail_on))
+    code = run(["det4", "--zeros", "--bound", "1000"])
+    assert code == cli.EXIT_IOERR == 74
+    assert capsys.readouterr().err == ""
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _child(*args, unbuffered=False, **kwargs):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, *args], env=env, timeout=60,
+                          **kwargs)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+def test_broken_pipe_process_exits_74_silently(unbuffered):
+    # the read end is closed before the child writes, so every write fails;
+    # buffered, the output is still pending when the interpreter exits
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _child("-m", "cubiquity.cli", "catalog", stdout=write_end,
+                      stderr=subprocess.PIPE, unbuffered=unbuffered)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 74
+    assert proc.stderr == b""
+
+
+COLD_IMPORTS = """
+import contextlib, io, json, sys
+start = set(sys.modules)
+from cubiquity import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.run(["check", "--matrix", "2 0; 1 2"]),
+             cli.run(["hajos", "--matrix", "2 0; 1 2"])]
+loaded = sorted(set(sys.modules) - start)
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    codes.append(cli.run(["classify", "--matrix", "1 0; 0 2"]))
+print(json.dumps({"codes": codes, "loaded": loaded,
+                  "classify": out.getvalue()}))
+"""
+
+
+def test_check_and_hajos_load_only_what_they_run():
+    proc = _child("-c", COLD_IMPORTS, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0, 0, 0]
+    # measured against the interpreter's own start, so a module that a
+    # site hook already loaded does not count
+    for module in ("dataclasses", "cubiquity.subsets", "cubiquity.classify",
+                   "cubiquity.transforms"):
+        assert module not in result["loaded"]
+    assert "cubiquity.obstructions" in result["loaded"]
+    assert json.loads(result["classify"])["verdict"]["status"] == \
+        "Cubiquitous"
