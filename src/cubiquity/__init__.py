@@ -5,7 +5,7 @@ unit cube x + {0,1}^n.  The package provides exact lattice arithmetic, the
 Wu obstruction, the determinant/Hajos criteria, subset rewrites, the
 classification of orthogonal sublattices, a brute-force oracle that
 grounds all of them, and ``decide``, which runs the determinant gate and
-then the oracle under one resource cap.
+then the oracle under a resource cap.
 
 Importing the package loads none of its submodules.  Each name in
 ``__all__`` is imported from its submodule on first use, so a program

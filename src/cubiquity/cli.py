@@ -7,9 +7,11 @@ error, 70 internal error (a bug), 74 output error (stdout closed, as when
 piped into ``head``, or not writable).  Verdicts go to stdout; errors go
 to stderr, never mixed.
 
-``check`` and ``hajos`` share one resource cap (``--cap``, else
-``$CUBIQUITY_RESOURCE_CAP``, else the library default); past it they exit 2.
-``check`` prints the verdict of the library's ``decide``.
+``check`` prints the verdict of the library's ``decide``.  Its brute-force
+oracle is bounded by a resource cap (``--cap``, else
+``$CUBIQUITY_RESOURCE_CAP``, else the library default); past it ``check``
+exits 2.  The Hajos search takes at most n eliminations and has no cap, so
+``hajos`` takes no ``--cap``.
 
 The argument parser is built once per process, on the first call to
 ``run``, and reused by every later call; ``build_parser`` returns a fresh
@@ -37,7 +39,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .errors import CubiquityError, ResourceLimit
+from .errors import CubiquityError
 from .formats import format_matrix, parse_inline, parse_matrix
 from .lattice import DEFAULT_RESOURCE_CAP, BasisMatrix
 from .obstructions import (
@@ -100,9 +102,9 @@ def _read_rows(args):
         else:
             with open(args.file, "r", encoding="utf-8") as handle:
                 text = handle.read()
-    except OSError as exc:
-        # an unreadable input is bad input; an OSError that reaches run()
-        # is an output failure
+    except (OSError, UnicodeDecodeError) as exc:
+        # an unreadable or undecodable input is bad input; an OSError that
+        # reaches run() is an output failure
         raise CubiquityError(str(exc)) from None
     return parse_matrix(text, args.rows_as_vectors)
 
@@ -201,7 +203,7 @@ def cmd_stats(args) -> int:
 
 def cmd_hajos(args) -> int:
     basis = _read_basis(args)
-    found = hajos_basis(basis, cap=_resource_cap(args))
+    found = hajos_basis(basis)
     if args.format == "json":
         payload = {
             "hajos_basis": [list(r) for r in found.matrix.rows]
@@ -355,16 +357,13 @@ def build_parser() -> _Parser:
     fmt_json.add_argument("--format", choices=("json", "text"),
                           default="json")
 
-    cap = _Parser(add_help=False)
-    cap.add_argument("--cap", type=int, default=None,
-                     help="resource cap in coordinate steps: n * 2^n for "
-                          "the Hajos search, n * (2^n + |det|) for brute "
-                          f"force (default ${CAP_ENV_VAR} or "
-                          f"{DEFAULT_RESOURCE_CAP})")
-
-    sub.add_parser("check", parents=[src, fmt_json, cap],
-                   help="determinant gate (Hajos search at index 2^n), "
-                        "then brute force, within the cap")
+    p = sub.add_parser("check", parents=[src, fmt_json],
+                       help="determinant gate (Hajos search at index 2^n), "
+                            "then brute force within the cap")
+    p.add_argument("--cap", type=int, default=None,
+                   help="brute-force resource cap in coordinate steps, "
+                        f"n * (2^n + |det|) (default ${CAP_ENV_VAR} or "
+                        f"{DEFAULT_RESOURCE_CAP})")
 
     sub.add_parser("wu", parents=[src, fmt_json],
                    help="Wu element and Wu obstruction")
@@ -372,8 +371,8 @@ def build_parser() -> _Parser:
     sub.add_parser("stats", parents=[src, fmt_json],
                    help="subset support statistics")
 
-    sub.add_parser("hajos", parents=[src, fmt_json, cap],
-                   help="search for a Hajos basis within the cap")
+    sub.add_parser("hajos", parents=[src, fmt_json],
+                   help="search for a Hajos basis")
 
     sub.add_parser("classify", parents=[src, fmt_json],
                    help="block decomposition of an orthogonal subset")
@@ -425,9 +424,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ResourceLimit as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
     except CubiquityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -14,10 +14,9 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatch, SingularMatrix
 
-#: Default ceiling on the work of the two exponential searches, in
-#: coordinate steps: n * (2^n + |det|) for the brute-force oracle (about
-#: 2^n + |det| coset reductions of n coordinates each) and n * 2^n for the
-#: Hajos search (at most 2^n prefix sets of n gcd checks each).
+#: Default ceiling on the work of the brute-force oracle, in coordinate
+#: steps: n * (2^n + |det|), for about 2^n + |det| coset reductions of n
+#: coordinates each.
 DEFAULT_RESOURCE_CAP = 2 ** 24
 
 Vector = tuple[int, ...]

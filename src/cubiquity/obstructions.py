@@ -11,8 +11,8 @@ unit cube x + {0,1}^n.  This module provides
 * the brute-force oracle that decides cubiquity outright by covering the
   cosets with cube vertices, which grounds every structural criterion in
   the tests,
-* ``decide``, the determinant gate followed by the oracle, both metered
-  by one resource cap.
+* ``decide``, the determinant gate followed by the oracle, which alone is
+  metered by a resource cap.
 
 Obstructions never claim a lattice IS cubiquitous; only the oracle and the
 Hajos route do.
@@ -232,60 +232,51 @@ def _first_hajos_order(basis: BasisMatrix) -> Optional[tuple[int, ...]]:
 
     The k-th HNF diagonal entry is the gcd of the k-th chosen coordinate
     over the lattice vectors that vanish on the coordinates chosen before
-    it, so it depends on the set of earlier coordinates, not their order.
-    A depth-first search extends prefixes in increasing coordinate order,
-    carrying a basis of those vectors ("free" columns), and remembers the
-    prefix sets that admit no completion.  Each of the at most 2^n sets is
-    expanded once, with n gcd checks.
+    it.  Each step carries a basis of those vectors ("free" columns) and
+    takes the smallest coordinate whose gcd is 2; a chosen coordinate has
+    gcd 0 from then on.  The first dead end proves that no order works
+    (see hajos_basis), so there is no backtracking: at most n steps.
     """
-    n = basis.n
-    dead = set()  # bitmasks of prefix sets with no valid completion
+    free = [list(c) for c in basis.columns]
     order: list[int] = []
-
-    def extend(free: list[list[int]], chosen: int) -> bool:
-        if not free:
-            return True
-        for j in range(n):
-            bit = 1 << j
-            if chosen & bit or (chosen | bit) in dead:
-                continue
-            if gcd(*(col[j] for col in free)) != 2:
-                continue
-            order.append(j)
-            if extend(_eliminate(free, j), chosen | bit):
-                return True
-            order.pop()
-            dead.add(chosen | bit)
-        return False
-
-    if extend([list(c) for c in basis.columns], 0):
-        return tuple(order)
-    return None
+    while free:
+        j = next((j for j in range(basis.n)
+                  if gcd(*(col[j] for col in free)) == 2), None)
+        if j is None:
+            return None
+        order.append(j)
+        free = _eliminate(free, j)
+    return tuple(order)
 
 
-def hajos_basis(basis: BasisMatrix,
-                cap: int = DEFAULT_RESOURCE_CAP) -> Optional[HajosBasis]:
+def hajos_basis(basis: BasisMatrix) -> Optional[HajosBasis]:
     """Search for a Hajos basis of the lattice.
 
     A Hajos basis is lower triangular with 2s on the diagonal and 0/1
     entries below, hence has determinant 2^n; anything else returns None
-    immediately.  Whether existence depends on the coordinate order is not
-    settled, so the search covers every row order and records the
-    lexicographically first that works (identity first).
+    immediately.  The result carries the lexicographically first row order
+    that works (identity first), and a greedy search finds it:
 
-    The search expands each of the at most 2^n coordinate prefix sets once
-    (the dead-set memo skips a set seen before) with n gcd checks, so its
-    cost is counted as n * 2^n steps, in the brute-force oracle's unit;
-    ResourceLimit is raised when that exceeds ``cap``.
+    * Let S be a prefix of coordinates whose HNF diagonal entries are all
+      2.  Then {0,1}^S is a complete set of coset representatives of Z^S
+      modulo the projection of the lattice L onto S.
+    * So L is cubiquitous iff L_S is, where L_S is the set of vectors of L
+      that vanish on S, seen in the other coordinates, at index
+      2^(n - |S|).
+    * By Hajos's theorem (1941; Stein and Szabo, *Algebra and Tiling*,
+      1994) a cubiquitous L_S has a Hajos order, and the first coordinate
+      of that order has gcd 2 over L_S.  So taking the smallest coordinate
+      with gcd 2 never enters a dead prefix when L is cubiquitous.
+    * When L is not cubiquitous no order completes, so the first dead end
+      proves that no Hajos basis exists.
+
+    The greedy path is the first branch of a depth-first search over all
+    row orders, so it returns that search's first order, in at most n
+    eliminations.
     """
     n = basis.n
     if abs(basis.det) != 2 ** n:
         return None
-    prefixes = 2 ** n
-    if n * prefixes > cap:
-        raise ResourceLimit(
-            f"Hajos search needs up to {prefixes} prefix sets of {n} gcd "
-            f"checks ({n * prefixes} steps), cap is {cap}")
     order = _first_hajos_order(basis)
     if order is None:
         return None
@@ -293,14 +284,12 @@ def hajos_basis(basis: BasisMatrix,
     return HajosBasis(matrix=basis.permute_rows(order).hnf, row_order=order)
 
 
-def det_gate(basis: BasisMatrix,
-             cap: int = DEFAULT_RESOURCE_CAP) -> CubiquityVerdict:
+def det_gate(basis: BasisMatrix) -> CubiquityVerdict:
     """Determinant criterion for cubiquity.
 
     |det| above 2^n is Obstructed outright.  |det| equal to 2^n is decided
-    by the Hajos search (Cubiquitous iff a Hajos basis exists), which
-    raises ResourceLimit past ``cap``.  Smaller determinants are
-    Inconclusive.
+    by the Hajos search (Cubiquitous iff a Hajos basis exists).  Smaller
+    determinants are Inconclusive.
     """
     n = basis.n
     d = abs(basis.det)
@@ -308,7 +297,7 @@ def det_gate(basis: BasisMatrix,
     if d > bound:
         return CubiquityVerdict(Status.OBSTRUCTED, inequality=(d, bound))
     if d == bound:
-        found = hajos_basis(basis, cap=cap)
+        found = hajos_basis(basis)
         if found is not None:
             return CubiquityVerdict(Status.CUBIQUITOUS, hajos=found)
         return CubiquityVerdict(Status.NOT_CUBIQUITOUS)
@@ -319,15 +308,13 @@ def decide(basis: BasisMatrix,
            cap: int = DEFAULT_RESOURCE_CAP) -> CubiquityVerdict:
     """Decide cubiquity: the determinant gate, then the coset-cover oracle.
 
-    Only an Inconclusive gate (index below 2^n) reaches the oracle.  Either
-    search refusing past ``cap`` gives an Inconclusive verdict.  At index
-    2^n the Hajos cost n * 2^n is below the oracle's n * 2^(n+1), so an
-    input the gate refuses would be refused by the oracle too.
+    Only an Inconclusive gate (index below 2^n) reaches the oracle, and
+    only the oracle is metered: past ``cap`` the verdict is Inconclusive.
     """
+    verdict = det_gate(basis)
+    if verdict.status is not Status.INCONCLUSIVE:
+        return verdict
     try:
-        verdict = det_gate(basis, cap=cap)
-        if verdict.status is Status.INCONCLUSIVE:
-            verdict = is_cubiquitous_bruteforce(basis, cap=cap)
+        return is_cubiquitous_bruteforce(basis, cap=cap)
     except ResourceLimit:
         return CubiquityVerdict(Status.INCONCLUSIVE)
-    return verdict

@@ -1,6 +1,7 @@
 """Shared test utilities: independent oracles and instance generators."""
 
 import itertools
+from math import gcd
 
 from cubiquity import (
     BasisMatrix,
@@ -13,6 +14,7 @@ from cubiquity import (
     wu_obstruction,
 )
 from cubiquity.lattice import _membership_test, hnf_box
+from cubiquity.obstructions import _eliminate
 
 
 def cofactor_det(rows):
@@ -60,6 +62,45 @@ def hajos_permutation_scan(basis):
         if all(h.rows[i][i] == 2 for i in range(n)):
             return HajosBasis(matrix=h, row_order=order)
     return None
+
+
+def hajos_prefix_dfs(basis):
+    """Reference Hajos search: depth-first over coordinate prefix sets.
+
+    The k-th HNF diagonal entry is the gcd of the k-th chosen coordinate
+    over the lattice vectors that vanish on the coordinates chosen before
+    it, so it depends on the set of earlier coordinates, not their order.
+    Prefixes are extended in increasing coordinate order, carrying a basis
+    of those vectors, and a prefix set with no completion is remembered
+    as dead, so each of the at most 2^n sets is expanded once.
+
+    Returns (row order or None, number of dead prefix sets met).  The
+    elimination step is the library's; hajos_permutation_scan checks it.
+    """
+    n = basis.n
+    if abs(basis.det) != 2 ** n:
+        return None, 0
+    dead = set()  # bitmasks of prefix sets with no valid completion
+    order = []
+
+    def extend(free, chosen):
+        if not free:
+            return True
+        for j in range(n):
+            bit = 1 << j
+            if chosen & bit or (chosen | bit) in dead:
+                continue
+            if gcd(*(col[j] for col in free)) != 2:
+                continue
+            order.append(j)
+            if extend(_eliminate(free, j), chosen | bit):
+                return True
+            order.pop()
+            dead.add(chosen | bit)
+        return False
+
+    found = extend([list(c) for c in basis.columns], 0)
+    return (tuple(order) if found else None), len(dead)
 
 
 def wu_preserved(subset, i, s, t, u):

@@ -286,39 +286,29 @@ def test_parser_built_once_per_process(monkeypatch, capsys):
 DIAG222 = "2 0 0; 0 2 0; 0 0 2"
 
 
-def test_hajos_cap_boundary(capsys, monkeypatch):
-    # the search costs n * 2^n = 24 steps, counted against the shared cap
-    code, out, _ = _run(capsys, "hajos", "--matrix", DIAG222, "--cap", "24")
+def test_check_hajos_route_ignores_cap(capsys, monkeypatch):
+    # the cap meters brute force only, and hajos does not read it
+    code, out, _ = _run(capsys, "check", "--matrix", DIAG222, "--cap", "1")
     assert code == 0
+    assert json.loads(out) == {"status": "Cubiquitous", "witness": None,
+                               "inequality": None,
+                               "hajos_basis": [[2, 0, 0], [0, 2, 0],
+                                               [0, 0, 2]]}
+    monkeypatch.setenv("CUBIQUITY_RESOURCE_CAP", "abc")
+    code, out, err = _run(capsys, "hajos", "--matrix", DIAG222)
+    assert (code, err) == (0, "")
     assert json.loads(out)["row_order"] == [1, 2, 3]
-    code, out, err = _run(capsys, "hajos", "--matrix", DIAG222,
-                          "--cap", "23")
-    assert code == 2
-    assert out == ""
-    assert "24 steps" in err and "cap is 23" in err
-    monkeypatch.setenv("CUBIQUITY_RESOURCE_CAP", "23")
-    assert _run(capsys, "hajos", "--matrix", DIAG222)[0] == 2
-
-
-def test_check_hajos_cap_boundary(capsys):
-    code, out, _ = _run(capsys, "check", "--matrix", DIAG222, "--cap", "24")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["status"] == "Cubiquitous"
-    assert payload["hajos_basis"] == [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
-    code, out, _ = _run(capsys, "check", "--matrix", DIAG222, "--cap", "23")
-    assert code == 2
-    assert json.loads(out) == {"status": "Inconclusive", "witness": None,
-                               "inequality": None, "hajos_basis": None}
 
 
 def test_perm_cap_flag_removed(capsys):
-    for command in ("check", "hajos"):
+    for command, flag, value in (("check", "--perm-cap", "8"),
+                                 ("hajos", "--perm-cap", "8"),
+                                 ("hajos", "--cap", "24")):
         code, out, err = _run(capsys, command, "--matrix", DIAG222,
-                              "--perm-cap", "8")
+                              flag, value)
         assert code == 64
         assert out == ""
-        assert "--perm-cap" in err
+        assert flag in err
 
 
 def test_hajos_n10_chain_matches_permutation_scan(capsys):
@@ -421,6 +411,15 @@ def test_input_errors(tmp_path, capsys):
     singular.write_text("2\n1 1\n1 1\n")
     code, _, err = _run(capsys, "check", str(singular))
     assert code == 65
+
+
+def test_non_utf8_input_exits_65(tmp_path, capsys):
+    path = tmp_path / "bom16.txt"
+    path.write_bytes(b"\xff\xfe\n")
+    code, out, err = _run(capsys, "check", str(path))
+    assert code == 65
+    assert out == ""
+    assert err.startswith("error: ") and "internal error" not in err
 
 
 def test_byte_identical_output(capsys):

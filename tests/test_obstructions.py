@@ -6,6 +6,7 @@ import pytest
 from cubiquity import (
     BasisMatrix,
     CubiquityVerdict,
+    HajosBasis,
     NotNonAcute,
     NotOrthogonal,
     ResourceLimit,
@@ -29,6 +30,7 @@ from helpers import (
     assemble_blocks,
     bruteforce_vertex_scan,
     hajos_permutation_scan,
+    hajos_prefix_dfs,
     hnf_matrices,
     random_hnf,
     signed_permutation,
@@ -237,12 +239,18 @@ def test_decide_matches_gate_and_bruteforce_random():
 
 
 def test_decide_inconclusive_past_cap():
-    # Z + 3Z: brute force costs 14 steps; diag(2, 2, 2): Hajos costs 24
+    # Z + 3Z: brute force costs 14 steps
     assert decide(BasisMatrix([[1, 0], [0, 3]]), cap=13) == \
         CubiquityVerdict(Status.INCONCLUSIVE)
-    b = BasisMatrix([[2, 0, 0], [0, 2, 0], [0, 0, 2]])
-    assert decide(b, cap=23) == CubiquityVerdict(Status.INCONCLUSIVE)
-    assert decide(b, cap=24).hajos.matrix == b
+
+
+@pytest.mark.parametrize("n", [3, 20])
+def test_decide_hajos_route_ignores_cap(n):
+    # only brute force is metered; 2^n at n = 20 is past the default cap
+    b = BasisMatrix([[2 if j == i else 0 for j in range(n)]
+                     for i in range(n)])
+    assert decide(b, cap=1) == CubiquityVerdict(
+        Status.CUBIQUITOUS, hajos=HajosBasis(b, tuple(range(n))))
 
 
 def test_bruteforce_matches_vertex_scan_catalog():
@@ -298,16 +306,6 @@ def test_hajos_shape():
                 assert h.rows[i][j] in (0, 1)
 
 
-def test_hajos_cap_boundary():
-    # n * 2^n = 3 * 8 steps: at most 2^3 prefix sets of 3 gcd checks each
-    b = BasisMatrix([[2, 0, 0], [0, 2, 0], [0, 0, 2]])
-    assert hajos_basis(b, cap=24).row_order == (0, 1, 2)
-    with pytest.raises(ResourceLimit, match="24 steps"):
-        hajos_basis(b, cap=23)
-    with pytest.raises(ResourceLimit):
-        det_gate(b, cap=23)
-
-
 def test_hajos_iff_bruteforce_exhaustive_n2():
     for b in hnf_matrices(2, (4,)):
         present = hajos_basis(b) is not None
@@ -326,11 +324,22 @@ def _lower_two_diagonal(n, rng):
                          for j in range(n)] for i in range(n)])
 
 
+def _hajos_matches_oracles(b):
+    """hajos_basis against both reference searches; returns its result."""
+    found = hajos_basis(b)
+    assert _hajos_key(found) == _hajos_key(hajos_permutation_scan(b)), b
+    order, dead = hajos_prefix_dfs(b)
+    assert order == (found.row_order if found else None), b
+    # the greedy path never backtracks when a basis exists
+    if found is not None:
+        assert dead == 0, b
+    return found, dead
+
+
 def test_hajos_matches_permutation_scan_exhaustive_n3():
     for n in (1, 2, 3):
         for b in hnf_matrices(n, (2 ** n,)):
-            assert _hajos_key(hajos_basis(b)) == \
-                _hajos_key(hajos_permutation_scan(b)), b
+            _hajos_matches_oracles(b)
 
 
 def _random_hajos_bases():
@@ -348,12 +357,15 @@ def _random_hajos_bases():
 
 def test_hajos_matches_permutation_scan_random():
     outcomes = set()
+    backtracked = False
     for b in _random_hajos_bases():
-        found = hajos_basis(b)
-        assert _hajos_key(found) == _hajos_key(hajos_permutation_scan(b)), b
+        found, dead = _hajos_matches_oracles(b)
         outcomes.add((b.n, found is not None))
+        backtracked |= dead > 0
     assert outcomes == {(n, hit) for n in (4, 5, 6, 7)
                         for hit in (False, True)}
+    # the dead-set count is live: the DFS does backtrack where none exists
+    assert backtracked
 
 
 def test_hajos_identity_order_first():
@@ -366,16 +378,36 @@ def test_hajos_identity_order_first():
     assert _hajos_key(found) == _hajos_key(hajos_permutation_scan(b))
 
 
-def test_hajos_absent_n8_mixed_diagonal():
-    # index 2^8, but the coordinates of index 4 and 1 rule out every order
-    rng = random.Random(8)
-    diag = (4, 1, 2, 2, 2, 2, 2, 2)
-    b = BasisMatrix([[diag[i] if j == i else 0 for j in range(8)]
-                     for i in range(8)])
+def _signed_mix(b, rng):
+    """Another basis of b's lattice, after a signed coordinate permutation."""
     cols = signed_permutation(list(b.columns), rng)
-    b = unimodular_mix(BasisMatrix.from_columns(cols), rng, 16)
-    assert abs(b.det) == 2 ** 8
+    return unimodular_mix(BasisMatrix.from_columns(cols), rng, 2 * b.n)
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_hajos_absent_mixed_diagonal(n):
+    # index 2^n, but the coordinates of index 4 and 1 rule out every order
+    diag = (4, 1) + (2,) * (n - 2)
+    b = _signed_mix(BasisMatrix([[diag[i] if j == i else 0 for j in range(n)]
+                                 for i in range(n)]), random.Random(n))
+    assert abs(b.det) == 2 ** n
     assert hajos_basis(b) is None
+
+
+def test_hajos_present_n64_mixed_chain():
+    n = 64
+    b = _signed_mix(BasisMatrix([[2 if j == i else int(j == i - 1)
+                                  for j in range(n)] for i in range(n)]),
+                    random.Random(n))
+    found = hajos_basis(b)
+    h = found.matrix
+    for i in range(n):
+        assert h.rows[i][i] == 2
+        assert all(h.rows[i][j] in (0, 1) for j in range(i))
+        assert all(h.rows[i][j] == 0 for j in range(i + 1, n))
+    assert abs(h.det) == 2 ** n
+    permuted = b.permute_rows(found.row_order)
+    assert all(contains(permuted, col) for col in h.columns)
 
 
 def test_det_gate_examples():
