@@ -300,15 +300,29 @@ def test_check_hajos_route_ignores_cap(capsys, monkeypatch):
     assert json.loads(out)["row_order"] == [1, 2, 3]
 
 
-def test_perm_cap_flag_removed(capsys):
-    for command, flag, value in (("check", "--perm-cap", "8"),
-                                 ("hajos", "--perm-cap", "8"),
-                                 ("hajos", "--cap", "24")):
-        code, out, err = _run(capsys, command, "--matrix", DIAG222,
-                              flag, value)
+def test_hajos_cap_boundary(capsys, monkeypatch):
+    # the greedy search takes no cap: `--cap` is a usage error on either
+    # side of the old n * 2^n = 24 step boundary, and a cap in the
+    # environment below that boundary does not stop the search
+    for value in ("24", "23"):
+        code, out, err = _run(capsys, "hajos", "--matrix", DIAG222,
+                              "--cap", value)
         assert code == 64
         assert out == ""
-        assert flag in err
+        assert "--cap" in err
+    monkeypatch.setenv("CUBIQUITY_RESOURCE_CAP", "23")
+    code, out, err = _run(capsys, "hajos", "--matrix", DIAG222)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["row_order"] == [1, 2, 3]
+
+
+def test_perm_cap_flag_removed(capsys):
+    for command in ("check", "hajos"):
+        code, out, err = _run(capsys, command, "--matrix", DIAG222,
+                              "--perm-cap", "8")
+        assert code == 64
+        assert out == ""
+        assert "--perm-cap" in err
 
 
 def test_hajos_n10_chain_matches_permutation_scan(capsys):
