@@ -44,7 +44,9 @@ from .formats import format_matrix, parse_inline, parse_matrix
 from .lattice import DEFAULT_RESOURCE_CAP, BasisMatrix
 from .obstructions import (
     CubiquityVerdict,
+    HajosBasis,
     Status,
+    _hajos_rows,
     decide,
     hajos_basis,
     wu_element,
@@ -144,9 +146,13 @@ def _emit_verdict(verdict: CubiquityVerdict, fmt: str) -> None:
         lhs, rhs = verdict.inequality
         print(f"# inequality: lhs={lhs} rhs={rhs}")
     if verdict.hajos is not None:
-        order = " ".join(str(i) for i in _one_based(verdict.hajos.row_order))
-        print(f"# hajos basis, row order {order}")
-        print(format_matrix(verdict.hajos.matrix))
+        _print_hajos(verdict.hajos)
+
+
+def _print_hajos(found: HajosBasis) -> None:
+    order = " ".join(str(i) for i in _one_based(found.row_order))
+    print(f"# hajos basis, row order {order}")
+    print(format_matrix(found.matrix))
 
 
 def cmd_check(args) -> int:
@@ -206,15 +212,12 @@ def cmd_hajos(args) -> int:
     found = hajos_basis(basis)
     if args.format == "json":
         payload = {
-            "hajos_basis": [list(r) for r in found.matrix.rows]
-            if found else None,
+            "hajos_basis": _hajos_rows(found),
             "row_order": _one_based(found.row_order) if found else None,
         }
         print(json.dumps(payload))
     elif found:
-        order = " ".join(str(i) for i in _one_based(found.row_order))
-        print(f"# hajos basis, row order {order}")
-        print(format_matrix(found.matrix))
+        _print_hajos(found)
     else:
         print("# absent")
     return EXIT_CUBIQUITOUS if found else EXIT_NEGATIVE

@@ -132,6 +132,59 @@ def det(basis: BasisMatrix) -> int:
     return basis.det
 
 
+def _triangulate(basis: BasisMatrix, pick):
+    """Column-style Hermite Normal Form, choosing the row order on the way.
+
+    Step k takes coordinate ``p = pick(free, rest)``.  ``free`` are the
+    columns from k on; they span the lattice vectors that vanish on the
+    coordinates chosen so far, so their gcd at p is the k-th diagonal
+    entry.  ``rest`` holds the unchosen coordinates in increasing order.
+    Extended-gcd column operations on the unchosen coordinates clear p from
+    the columns after k; column k then gets a positive diagonal and reduces
+    the entries at p of the columns before it into [0, diagonal).
+
+    Returns (the HNF of the rows in the chosen order, that order), or None
+    as soon as ``pick`` does.
+    """
+    n = basis.n
+    cols = [list(c) for c in basis.columns]
+    rest = list(range(n))
+    order = []
+    for k in range(n):
+        p = pick(cols[k:], rest)
+        if p is None:
+            return None
+        rest.remove(p)
+        order.append(p)
+        live = [p] + rest
+        ck = cols[k]
+        for j in range(k + 1, n):
+            b = cols[j][p]
+            if b == 0:
+                continue
+            a = ck[p]
+            x, y, g = _xgcd(a, b)
+            a_g, b_g = a // g, b // g
+            cj = cols[j]
+            for i in live:
+                u, v = ck[i], cj[i]
+                ck[i] = x * u + y * v
+                cj[i] = a_g * v - b_g * u
+        if ck[p] == 0:
+            raise SingularMatrix("matrix is not full rank")
+        if ck[p] < 0:
+            ck = cols[k] = [-v for v in ck]
+        d = ck[p]
+        for j in range(k):
+            q = cols[j][p] // d
+            if q:
+                cj = cols[j]
+                for i in live:
+                    cj[i] -= q * ck[i]
+    return BasisMatrix([[col[i] for col in cols] for i in order]), \
+        tuple(order)
+
+
 def _hnf(basis: BasisMatrix) -> BasisMatrix:
     """Column-style Hermite Normal Form.
 
@@ -139,33 +192,7 @@ def _hnf(basis: BasisMatrix) -> BasisMatrix:
     the diagonal are reduced into [0, diagonal).  The result generates the
     same sublattice and is the unique such basis for a fixed row order.
     """
-    n = basis.n
-    cols = [list(c) for c in basis.columns]
-    for r in range(n):
-        for j in range(r + 1, n):
-            b = cols[j][r]
-            if b == 0:
-                continue
-            a = cols[r][r]
-            x, y, g = _xgcd(a, b)
-            a_g, b_g = a // g, b // g
-            cr, cj = cols[r], cols[j]
-            for i in range(r, n):
-                u, v = cr[i], cj[i]
-                cr[i] = x * u + y * v
-                cj[i] = a_g * v - b_g * u
-        if cols[r][r] == 0:
-            raise SingularMatrix("matrix is not full rank")
-        if cols[r][r] < 0:
-            cols[r] = [-v for v in cols[r]]
-        d = cols[r][r]
-        for j in range(r):
-            q = cols[j][r] // d
-            if q:
-                cj, cr = cols[j], cols[r]
-                for i in range(r, n):
-                    cj[i] -= q * cr[i]
-    return BasisMatrix.from_columns(cols)
+    return _triangulate(basis, lambda free, rest: rest[0])[0]
 
 
 def hnf(basis: BasisMatrix) -> BasisMatrix:
@@ -173,38 +200,37 @@ def hnf(basis: BasisMatrix) -> BasisMatrix:
     return basis.hnf
 
 
-def _membership_test(basis: BasisMatrix):
-    """Return a fast predicate deciding membership in the lattice.
+def _box_reducer(basis: BasisMatrix):
+    """Return ``reduce(v, start=0)``, the HNF-box representative of v.
 
-    Forward substitution against the HNF columns; every division must be
-    exact, so the test is purely integral.
+    Subtracts multiples of the HNF columns from the list v in place, one
+    coordinate at a time from ``start`` on, and returns it as a tuple.
+    Coordinates below ``start`` must already lie in the box.  v lies in the
+    lattice iff its representative is 0.
     """
-    hcols = [list(c) for c in basis.hnf.columns]
+    hcols = basis.hnf.columns
     n = basis.n
     diag = [hcols[j][j] for j in range(n)]
 
-    def member(x: Sequence[int]) -> bool:
-        rem = list(x)
-        for j in range(n):
-            r = rem[j]
-            if r % diag[j]:
-                return False
-            q = r // diag[j]
+    def reduce(v: list[int], start: int = 0) -> Vector:
+        for j in range(start, n):
+            q = v[j] // diag[j]
             if q:
                 col = hcols[j]
-                for i in range(j + 1, n):
-                    rem[i] -= q * col[i]
-        return True
+                for i in range(j, n):
+                    v[i] -= q * col[i]
+        return tuple(v)
 
-    return member
+    return reduce
 
 
 def contains(basis: BasisMatrix, x: Sequence[int]) -> bool:
     """True iff x lies in the sublattice spanned by the columns of basis."""
-    if len(x) != basis.n:
+    v = [index(a) for a in x]  # rejects floats, as BasisMatrix does
+    if len(v) != basis.n:
         raise DimensionMismatch(
-            f"vector has dimension {len(x)}, lattice has dimension {basis.n}")
-    return _membership_test(basis)(x)
+            f"vector has dimension {len(v)}, lattice has dimension {basis.n}")
+    return not any(_box_reducer(basis)(v))
 
 
 def hnf_box(basis: BasisMatrix) -> Iterator[Vector]:

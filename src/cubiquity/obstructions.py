@@ -29,7 +29,8 @@ from .lattice import (
     DEFAULT_RESOURCE_CAP,
     BasisMatrix,
     Vector,
-    _xgcd,
+    _box_reducer,
+    _triangulate,
     hnf_box,
 )
 
@@ -66,7 +67,7 @@ class HajosBasis(NamedTuple):
     """A lower-triangular basis with 2s on the diagonal and 0/1 below it.
 
     ``row_order`` records the coordinate order under which the Hermite form
-    took this shape (identity order is tried first).
+    took this shape (the lexicographically first order, found greedily).
     """
 
     matrix: BasisMatrix
@@ -97,10 +98,13 @@ class CubiquityVerdict(NamedTuple):
             "inequality": (
                 {"lhs": self.inequality[0], "rhs": self.inequality[1]}
                 if self.inequality is not None else None),
-            "hajos_basis": (
-                [list(r) for r in self.hajos.matrix.rows]
-                if self.hajos is not None else None),
+            "hajos_basis": _hajos_rows(self.hajos),
         }
+
+
+def _hajos_rows(found: Optional[HajosBasis]) -> Optional[list[list[int]]]:
+    """The JSON ``hajos_basis`` value: the certificate's rows, or null."""
+    return None if found is None else [list(r) for r in found.matrix.rows]
 
 
 def wu_element(subset: Subset) -> WuData:
@@ -173,19 +177,8 @@ def is_cubiquitous_bruteforce(
         raise ResourceLimit(
             f"brute force needs about {reductions} coset reductions of {n} "
             f"coordinates ({n * reductions} steps), cap is {cap}")
-    hcols = basis.hnf.columns
-    diag = [hcols[j][j] for j in range(n)]
-
-    def reduce(v: list[int], start: int) -> Vector:
-        # coordinates below start already lie in the HNF box
-        for j in range(start, n):
-            q = v[j] // diag[j]
-            if q:
-                col = hcols[j]
-                for i in range(j, n):
-                    v[i] -= q * col[i]
-        return tuple(v)
-
+    reduce = _box_reducer(basis)
+    diag = [basis.hnf.rows[j][j] for j in range(n)]
     reached = {(0,) * n}
     for k in range(n):
         if len(reached) == order:
@@ -201,52 +194,8 @@ def is_cubiquitous_bruteforce(
         return CubiquityVerdict(Status.CUBIQUITOUS)
     # negation permutes the cosets, so some -x lies outside the reached set
     witness = next(x for x in hnf_box(basis)
-                   if reduce([-a for a in x], 0) not in reached)
+                   if reduce([-a for a in x]) not in reached)
     return CubiquityVerdict(Status.NOT_CUBIQUITOUS, witness=witness)
-
-
-def _eliminate(free: list[list[int]], j: int) -> list[list[int]]:
-    """Clear coordinate j from the columns by unimodular column operations.
-
-    One column ends up carrying the gcd at j and is dropped; the others
-    span the vectors of the columns' lattice that vanish at j.
-    """
-    rest = []
-    pivot = None
-    for col in free:
-        if col[j] == 0:
-            rest.append(col)
-        elif pivot is None:
-            pivot = col
-        else:
-            a, b = pivot[j], col[j]
-            x, y, g = _xgcd(a, b)
-            a_g, b_g = a // g, b // g
-            rest.append([a_g * v - b_g * u for u, v in zip(pivot, col)])
-            pivot = [x * u + y * v for u, v in zip(pivot, col)]
-    return rest
-
-
-def _first_hajos_order(basis: BasisMatrix) -> Optional[tuple[int, ...]]:
-    """Lexicographically first row order whose HNF diagonal is all 2s.
-
-    The k-th HNF diagonal entry is the gcd of the k-th chosen coordinate
-    over the lattice vectors that vanish on the coordinates chosen before
-    it.  Each step carries a basis of those vectors ("free" columns) and
-    takes the smallest coordinate whose gcd is 2; a chosen coordinate has
-    gcd 0 from then on.  The first dead end proves that no order works
-    (see hajos_basis), so there is no backtracking: at most n steps.
-    """
-    free = [list(c) for c in basis.columns]
-    order: list[int] = []
-    while free:
-        j = next((j for j in range(basis.n)
-                  if gcd(*(col[j] for col in free)) == 2), None)
-        if j is None:
-            return None
-        order.append(j)
-        free = _eliminate(free, j)
-    return tuple(order)
 
 
 def hajos_basis(basis: BasisMatrix) -> Optional[HajosBasis]:
@@ -271,17 +220,22 @@ def hajos_basis(basis: BasisMatrix) -> Optional[HajosBasis]:
       proves that no Hajos basis exists.
 
     The greedy path is the first branch of a depth-first search over all
-    row orders, so it returns that search's first order, in at most n
-    eliminations.
+    row orders, so it returns that search's first order.  It is one Hermite
+    form elimination that picks, at each step, the smallest coordinate
+    whose gcd over the columns not yet pivoted is 2; the Hermite form it
+    ends with is the certificate.
     """
     n = basis.n
     if abs(basis.det) != 2 ** n:
         return None
-    order = _first_hajos_order(basis)
-    if order is None:
-        return None
+
+    def pick(free, rest):
+        return next((j for j in rest
+                     if gcd(*(col[j] for col in free)) == 2), None)
+
+    found = _triangulate(basis, pick)
     # The HNF reduction range makes every subdiagonal entry 0 or 1.
-    return HajosBasis(matrix=basis.permute_rows(order).hnf, row_order=order)
+    return None if found is None else HajosBasis(*found)
 
 
 def det_gate(basis: BasisMatrix) -> CubiquityVerdict:

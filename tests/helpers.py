@@ -13,8 +13,99 @@ from cubiquity import (
     det4_formula,
     wu_obstruction,
 )
-from cubiquity.lattice import _membership_test, hnf_box
-from cubiquity.obstructions import _eliminate
+
+
+def xgcd(a, b):
+    """Return (x, y, g) with x*a + y*b == g == gcd(a, b) >= 0."""
+    x, next_x = 1, 0
+    y, next_y = 0, 1
+    g, next_g = a, b
+    while next_g:
+        q = g // next_g
+        x, next_x = next_x, x - q * next_x
+        y, next_y = next_y, y - q * next_y
+        g, next_g = next_g, g - q * next_g
+    if g < 0:
+        x, y, g = -x, -y, -g
+    return x, y, g
+
+
+def hnf_reference(basis):
+    """Reference column-style Hermite Normal Form, row by row in order.
+
+    Lower triangular with positive diagonal; in each row the entries left
+    of the diagonal are reduced into [0, diagonal).
+    """
+    n = basis.n
+    cols = [list(c) for c in basis.columns]
+    for r in range(n):
+        for j in range(r + 1, n):
+            b = cols[j][r]
+            if b == 0:
+                continue
+            a = cols[r][r]
+            x, y, g = xgcd(a, b)
+            a_g, b_g = a // g, b // g
+            cr, cj = cols[r], cols[j]
+            for i in range(r, n):
+                u, v = cr[i], cj[i]
+                cr[i] = x * u + y * v
+                cj[i] = a_g * v - b_g * u
+        if cols[r][r] < 0:
+            cols[r] = [-v for v in cols[r]]
+        d = cols[r][r]
+        for j in range(r):
+            q = cols[j][r] // d
+            if q:
+                cj, cr = cols[j], cols[r]
+                for i in range(r, n):
+                    cj[i] -= q * cr[i]
+    return BasisMatrix.from_columns(cols)
+
+
+def membership_reference(basis):
+    """Reference membership predicate: forward substitution into the HNF
+    columns, where every division must be exact."""
+    hcols = [list(c) for c in hnf_reference(basis).columns]
+    n = basis.n
+    diag = [hcols[j][j] for j in range(n)]
+
+    def member(x):
+        rem = list(x)
+        for j in range(n):
+            r = rem[j]
+            if r % diag[j]:
+                return False
+            q = r // diag[j]
+            if q:
+                col = hcols[j]
+                for i in range(j + 1, n):
+                    rem[i] -= q * col[i]
+        return True
+
+    return member
+
+
+def eliminate(free, j):
+    """Clear coordinate j from the columns by unimodular column operations.
+
+    One column ends up carrying the gcd at j and is dropped; the others
+    span the vectors of the columns' lattice that vanish at j.
+    """
+    rest = []
+    pivot = None
+    for col in free:
+        if col[j] == 0:
+            rest.append(col)
+        elif pivot is None:
+            pivot = col
+        else:
+            a, b = pivot[j], col[j]
+            x, y, g = xgcd(a, b)
+            a_g, b_g = a // g, b // g
+            rest.append([a_g * v - b_g * u for u, v in zip(pivot, col)])
+            pivot = [x * u + y * v for u, v in zip(pivot, col)]
+    return rest
 
 
 def cofactor_det(rows):
@@ -39,9 +130,10 @@ def bruteforce_vertex_scan(basis):
     first point whose cube misses the lattice is the witness.
     """
     n = basis.n
-    member = _membership_test(basis)
+    member = membership_reference(basis)
+    h = hnf_reference(basis)
     vertices = list(itertools.product((0, 1), repeat=n))
-    for x in hnf_box(basis):
+    for x in itertools.product(*(range(h.rows[i][i]) for i in range(n))):
         if not any(member([a + e for a, e in zip(x, eps)])
                    for eps in vertices):
             return CubiquityVerdict(Status.NOT_CUBIQUITOUS, witness=x)
@@ -58,7 +150,7 @@ def hajos_permutation_scan(basis):
     if abs(basis.det) != 2 ** n:
         return None
     for order in itertools.permutations(range(n)):
-        h = basis.permute_rows(order).hnf
+        h = hnf_reference(basis.permute_rows(order))
         if all(h.rows[i][i] == 2 for i in range(n)):
             return HajosBasis(matrix=h, row_order=order)
     return None
@@ -74,8 +166,7 @@ def hajos_prefix_dfs(basis):
     of those vectors, and a prefix set with no completion is remembered
     as dead, so each of the at most 2^n sets is expanded once.
 
-    Returns (row order or None, number of dead prefix sets met).  The
-    elimination step is the library's; hajos_permutation_scan checks it.
+    Returns (row order or None, number of dead prefix sets met).
     """
     n = basis.n
     if abs(basis.det) != 2 ** n:
@@ -93,7 +184,7 @@ def hajos_prefix_dfs(basis):
             if gcd(*(col[j] for col in free)) != 2:
                 continue
             order.append(j)
-            if extend(_eliminate(free, j), chosen | bit):
+            if extend(eliminate(free, j), chosen | bit):
                 return True
             order.pop()
             dead.add(chosen | bit)

@@ -173,6 +173,22 @@ def test_hajos_text_round_trip(capsys):
     assert parse_matrix(out) == ((2, 0), (1, 2))
 
 
+@pytest.mark.parametrize("argv, code, out", [
+    (("check", "--matrix", "2 2 0; 0 2 2; 0 0 2"), 0,
+     "# status: Cubiquitous\n# hajos basis, row order 1 2 3\n"
+     "3\n2 0 0\n0 2 0\n0 0 2\n"),
+    (("hajos", "--matrix", "2 2 0; 0 2 2; 0 0 2"), 0,
+     "# hajos basis, row order 1 2 3\n3\n2 0 0\n0 2 0\n0 0 2\n"),
+    (("hajos", "--matrix", "1 0; 2 4"), 0,
+     "# hajos basis, row order 2 1\n2\n2 0\n1 2\n"),
+    (("hajos", "--matrix", "1 0; 0 4"), 1, "# absent\n"),
+])
+def test_hajos_text_output(capsys, argv, code, out):
+    # a mixed basis of diag(2, 2, 2), a Hajos order other than the
+    # identity, and an index-2^n lattice with no Hajos basis
+    assert _run(capsys, *argv, "--format", "text") == (code, out, "")
+
+
 def test_classify_json(capsys):
     code, out, _ = _run(capsys, "classify", "--matrix",
                         "1 0 0; 0 2 0; 0 0 3")

@@ -16,8 +16,15 @@ from cubiquity import (
     gram,
     hnf,
 )
-from cubiquity.lattice import hnf_box
-from helpers import cofactor_det, hnf_matrices
+from cubiquity.lattice import _hnf, hnf_box
+from helpers import (
+    cofactor_det,
+    hnf_matrices,
+    hnf_reference,
+    membership_reference,
+    random_hnf,
+    unimodular_mix,
+)
 
 
 def test_det_examples():
@@ -102,8 +109,47 @@ def test_hnf_same_point_set_small_boxes():
         for _ in range(8):
             b = _random_basis(rng, n, span=3)
             h = hnf(b)
+            member = membership_reference(b)
             for x in itertools.product(range(-5, 6), repeat=n):
-                assert contains(b, x) == contains(h, x)
+                assert contains(b, x) == contains(h, x) == member(x)
+
+
+def _small_hnf_cases():
+    # every small HNF, and for n >= 2 a mixed basis of the same lattice
+    rng = random.Random(29)
+    for n in (1, 2, 3):
+        for b in hnf_matrices(n, range(1, 2 ** n + 9)):
+            yield b
+            if n > 1:
+                yield unimodular_mix(b, rng, 3 * n)
+
+
+def _mixed_hnf_cases():
+    rng = random.Random(31)
+    for n in range(4, 13):
+        for _ in range(12):
+            d = rng.choice((rng.randint(1, 2 ** n + 8), 2 ** n))
+            yield unimodular_mix(random_hnf(n, d, rng), rng, 3 * n)
+
+
+def _n64_hnf_case():
+    # a lower-triangular basis with diagonal entries 1-3, mixed
+    rng = random.Random(64)
+    n = 64
+    rows = [[rng.randint(1, 3) if j == i else rng.randrange(4) if j < i
+             else 0 for j in range(n)] for i in range(n)]
+    return [unimodular_mix(BasisMatrix(rows), rng, 2 * n)]
+
+
+@pytest.mark.parametrize("cases", [_small_hnf_cases, _mixed_hnf_cases,
+                                   _n64_hnf_case],
+                         ids=["n1-3", "n4-12", "n64"])
+def test_hnf_matches_reference(cases):
+    checked = 0
+    for b in cases():
+        assert _hnf(b) == hnf_reference(b), b
+        checked += 1
+    assert checked > 0
 
 
 def test_hnf_unique_for_fixed_row_order():
@@ -125,6 +171,12 @@ def test_contains_examples():
     assert contains(first, (-2, 1, 1, 1, 1, 1, 1, 1)) is False
     with pytest.raises(DimensionMismatch):
         contains(b, (1, 2, 3))
+
+
+@pytest.mark.parametrize("x", [(2.0, 0), ("2", 0)])
+def test_contains_rejects_non_integers(x):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        contains(BasisMatrix([[2, 0], [0, 2]]), x)
 
 
 def test_contains_every_lattice_combination():

@@ -32,6 +32,7 @@ from helpers import (
     hajos_permutation_scan,
     hajos_prefix_dfs,
     hnf_matrices,
+    hnf_reference,
     random_hnf,
     signed_permutation,
     unimodular_mix,
@@ -330,8 +331,10 @@ def _hajos_matches_oracles(b):
     assert _hajos_key(found) == _hajos_key(hajos_permutation_scan(b)), b
     order, dead = hajos_prefix_dfs(b)
     assert order == (found.row_order if found else None), b
-    # the greedy path never backtracks when a basis exists
     if found is not None:
+        # the certificate is the Hermite form under the order found
+        assert found.matrix == hnf_reference(b.permute_rows(order)), b
+        # the greedy path never backtracks when a basis exists
         assert dead == 0, b
     return found, dead
 
