@@ -10,8 +10,9 @@ then the oracle under a resource cap.
 Importing the package loads none of its submodules.  Each name in
 ``__all__`` is imported from its submodule on first use, so a program
 pays only for the parts it calls: ``check`` and ``hajos`` on the command
-line load ``errors``, ``lattice``, ``formats`` and ``obstructions``, and
-the other subcommands add the module they run (see ``cubiquity.cli``).
+line load ``errors``, ``lattice``, ``formats`` and ``obstructions``
+(brute force adds ``cosets``), and the other subcommands add the module
+they run (see ``cubiquity.cli``).
 """
 
 import importlib

@@ -19,7 +19,8 @@ one.
 
 A subcommand loads only the modules it runs.  Importing this module loads
 ``errors``, ``lattice``, ``formats`` and ``obstructions``, which is all
-that ``check`` and ``hajos`` need.  The other subcommands import their
+that ``check`` and ``hajos`` need, except that brute force imports
+``cosets`` on its first call.  The other subcommands import their
 module when called: ``subsets`` for ``wu`` and ``stats`` (and for every
 subcommand that reads a subset), ``classify`` for ``classify``, ``torus``,
 ``det4`` and ``catalog``, and ``transforms`` for ``reduce`` and
@@ -364,9 +365,9 @@ def build_parser() -> _Parser:
                        help="determinant gate (Hajos search at index 2^n), "
                             "then brute force within the cap")
     p.add_argument("--cap", type=int, default=None,
-                   help="brute-force resource cap in coordinate steps, "
-                        f"n * (2^n + |det|) (default ${CAP_ENV_VAR} or "
-                        f"{DEFAULT_RESOURCE_CAP})")
+                   help="brute-force resource cap: refuse when "
+                        "n * (2^n + |det|) exceeds it "
+                        f"(default ${CAP_ENV_VAR} or {DEFAULT_RESOURCE_CAP})")
 
     sub.add_parser("wu", parents=[src, fmt_json],
                    help="Wu element and Wu obstruction")

@@ -7,16 +7,18 @@ square matrix whose columns are basis vectors.
 
 from __future__ import annotations
 
-import itertools
 from functools import cached_property
+from math import prod
 from operator import index
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, SingularMatrix
 
-#: Default ceiling on the work of the brute-force oracle, in coordinate
-#: steps: n * (2^n + |det|), for about 2^n + |det| coset reductions of n
-#: coordinates each.
+#: Default cap on the brute-force oracle, which refuses inputs whose
+#: n * (2^n + |det|) exceeds it.  Under the cap its work is one
+#: diagonalisation of Z^n/L and at most n rotations of a |det|-bit integer
+#: (a witness adds about log2 |det| rotations and one bit test per value
+#: tried), holding about (n + 1) * |det| bits, a few MB at this default.
 DEFAULT_RESOURCE_CAP = 2 ** 24
 
 Vector = tuple[int, ...]
@@ -82,6 +84,15 @@ class BasisMatrix:
         self._rows = rows
         if self.det == 0:
             raise SingularMatrix(f"columns are linearly dependent: {rows}")
+
+    @classmethod
+    def _triangular(cls, rows: tuple[Vector, ...]) -> "BasisMatrix":
+        """Wrap the rows of a triangular integer matrix with nonzero
+        diagonal, unchecked; its det is the product of the diagonal."""
+        self = cls.__new__(cls)
+        self._rows = rows
+        self.det = prod(row[i] for i, row in enumerate(rows))
+        return self
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]]) -> "BasisMatrix":
@@ -181,8 +192,8 @@ def _triangulate(basis: BasisMatrix, pick):
                 cj = cols[j]
                 for i in live:
                     cj[i] -= q * ck[i]
-    return BasisMatrix([[col[i] for col in cols] for i in order]), \
-        tuple(order)
+    return BasisMatrix._triangular(
+        tuple(tuple(col[i] for col in cols) for i in order)), tuple(order)
 
 
 def _hnf(basis: BasisMatrix) -> BasisMatrix:
@@ -200,47 +211,23 @@ def hnf(basis: BasisMatrix) -> BasisMatrix:
     return basis.hnf
 
 
-def _box_reducer(basis: BasisMatrix):
-    """Return ``reduce(v, start=0)``, the HNF-box representative of v.
-
-    Subtracts multiples of the HNF columns from the list v in place, one
-    coordinate at a time from ``start`` on, and returns it as a tuple.
-    Coordinates below ``start`` must already lie in the box.  v lies in the
-    lattice iff its representative is 0.
-    """
-    hcols = basis.hnf.columns
-    n = basis.n
-    diag = [hcols[j][j] for j in range(n)]
-
-    def reduce(v: list[int], start: int = 0) -> Vector:
-        for j in range(start, n):
-            q = v[j] // diag[j]
-            if q:
-                col = hcols[j]
-                for i in range(j, n):
-                    v[i] -= q * col[i]
-        return tuple(v)
-
-    return reduce
-
-
 def contains(basis: BasisMatrix, x: Sequence[int]) -> bool:
-    """True iff x lies in the sublattice spanned by the columns of basis."""
-    v = [index(a) for a in x]  # rejects floats, as BasisMatrix does
-    if len(v) != basis.n:
-        raise DimensionMismatch(
-            f"vector has dimension {len(v)}, lattice has dimension {basis.n}")
-    return not any(_box_reducer(basis)(v))
+    """True iff x lies in the sublattice spanned by the columns of basis.
 
-
-def hnf_box(basis: BasisMatrix) -> Iterator[Vector]:
-    """Lexicographic iterator over the fundamental box prod [0, H_ii).
-
-    The box holds one representative of each coset of Z^n modulo the
-    lattice, |det| points in all.
+    Subtracts multiples of the HNF columns, one coordinate at a time, to
+    reach the HNF-box representative of x, which is 0 iff x is in L.
     """
-    diag = [basis.hnf.rows[i][i] for i in range(basis.n)]
-    return itertools.product(*(range(d) for d in diag))
+    v = [index(a) for a in x]  # rejects floats, as BasisMatrix does
+    n = basis.n
+    if len(v) != n:
+        raise DimensionMismatch(
+            f"vector has dimension {len(v)}, lattice has dimension {n}")
+    for j, col in enumerate(basis.hnf.columns):
+        q = v[j] // col[j]
+        if q:
+            for i in range(j, n):
+                v[i] -= q * col[i]
+    return not any(v)
 
 
 def gram(vectors) -> tuple[Vector, ...]:

@@ -29,9 +29,7 @@ from .lattice import (
     DEFAULT_RESOURCE_CAP,
     BasisMatrix,
     Vector,
-    _box_reducer,
     _triangulate,
-    hnf_box,
 )
 
 if TYPE_CHECKING:
@@ -162,39 +160,32 @@ def is_cubiquitous_bruteforce(
 
     The cube x + {0,1}^n meets the lattice iff -x is congruent to some 0/1
     vector e, so the lattice hits every unit cube iff the 2^n vectors e
-    reach all |det| cosets.  Their HNF-box representatives are built one
-    coordinate at a time, stopping once every coset is reached.  Otherwise
-    the witness is the first x of the HNF box, in lexicographic order,
-    whose -x lies in an unreached coset, making certificates reproducible.
+    reach all |det| cosets.  Z^n/L is diagonalised once into a product of
+    cyclic groups, so a set of cosets is one |det|-bit integer in mixed
+    radix and adding e_k to each of them is a rotation: n rotations reach
+    every sum of distinct e_k, stopping once every coset is reached.
+    Otherwise the witness is the first x of the HNF box, in lexicographic
+    order, whose -x lies in an unreached coset, making certificates
+    reproducible.
 
-    The cost is about 2^n + |det| coset reductions of n coordinates each;
-    ResourceLimit is raised when n * (2^n + |det|) exceeds ``cap``.
+    ResourceLimit is raised when n * (2^n + |det|) exceeds ``cap``.  Under
+    that bound the work is one diagonalisation and at most n rotations of
+    a |det|-bit integer; a witness adds about log2 |det| rotations and one
+    bit test per coordinate value tried.  The sets held take about
+    (n + 1) * |det| bits.
     """
     n = basis.n
     order = abs(basis.det)
     reductions = 2 ** n + order
     if n * reductions > cap:
         raise ResourceLimit(
-            f"brute force needs about {reductions} coset reductions of {n} "
-            f"coordinates ({n * reductions} steps), cap is {cap}")
-    reduce = _box_reducer(basis)
-    diag = [basis.hnf.rows[j][j] for j in range(n)]
-    reached = {(0,) * n}
-    for k in range(n):
-        if len(reached) == order:
-            break
-        for s in list(reached):
-            v = list(s)
-            v[k] += 1
-            # without a carry at k the sum is already in the box
-            reached.add(reduce(v, k) if v[k] == diag[k] else tuple(v))
-            if len(reached) == order:
-                break
-    if len(reached) == order:
+            f"brute force counts n * (2^n + |det|) = {n} * (2^{n} + {order})"
+            f" = {n * reductions} steps, cap is {cap}")
+    from .cosets import first_missed_cube  # compiled on first use
+
+    witness = first_missed_cube(basis)
+    if witness is None:
         return CubiquityVerdict(Status.CUBIQUITOUS)
-    # negation permutes the cosets, so some -x lies outside the reached set
-    witness = next(x for x in hnf_box(basis)
-                   if reduce([-a for a in x]) not in reached)
     return CubiquityVerdict(Status.NOT_CUBIQUITOUS, witness=witness)
 
 

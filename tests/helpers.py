@@ -140,6 +140,56 @@ def bruteforce_vertex_scan(basis):
     return CubiquityVerdict(Status.CUBIQUITOUS)
 
 
+def hnf_box(basis):
+    """Lexicographic iterator over the fundamental box prod [0, H_ii).
+
+    The box holds one representative of each coset of Z^n modulo the
+    lattice, |det| points in all.
+    """
+    h = hnf_reference(basis)
+    return itertools.product(*(range(h.rows[i][i]) for i in range(basis.n)))
+
+
+def coset_cover_reference(basis):
+    """Reference cubiquity oracle: cover the cosets one at a time.
+
+    The HNF-box representatives of the 0/1 vectors are built one
+    coordinate at a time, each reached coset plus e_k reduced back into
+    the box, stopping once all |det| cosets are reached.  Otherwise the
+    witness is the first box point x whose -x lies in an unreached coset.
+    About 2^n + |det| reductions of n coordinates, a set of tuples.
+    """
+    n = basis.n
+    h = hnf_reference(basis)
+    hcols = h.columns
+    diag = [h.rows[j][j] for j in range(n)]
+    order = abs(basis.det)
+
+    def reduce(v, start=0):
+        for j in range(start, n):
+            q = v[j] // diag[j]
+            if q:
+                col = hcols[j]
+                for i in range(j, n):
+                    v[i] -= q * col[i]
+        return tuple(v)
+
+    reached = {(0,) * n}
+    for k in range(n):
+        for s in list(reached):
+            if len(reached) == order:
+                break
+            v = list(s)
+            v[k] += 1
+            # without a carry at k the sum is already in the box
+            reached.add(reduce(v, k) if v[k] == diag[k] else tuple(v))
+    if len(reached) == order:
+        return CubiquityVerdict(Status.CUBIQUITOUS)
+    box = itertools.product(*(range(d) for d in diag))
+    witness = next(x for x in box if reduce([-a for a in x]) not in reached)
+    return CubiquityVerdict(Status.NOT_CUBIQUITOUS, witness=witness)
+
+
 def hajos_permutation_scan(basis):
     """Reference Hajos search: a full HNF under every row order.
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -16,9 +17,11 @@ from cubiquity import (
     gram,
     hnf,
 )
-from cubiquity.lattice import _hnf, hnf_box
+from cubiquity.cosets import _diagonalize
+from cubiquity.lattice import _hnf
 from helpers import (
     cofactor_det,
+    hnf_box,
     hnf_matrices,
     hnf_reference,
     membership_reference,
@@ -150,6 +153,44 @@ def test_hnf_matches_reference(cases):
         assert _hnf(b) == hnf_reference(b), b
         checked += 1
     assert checked > 0
+
+
+def _small_and_mixed_bases():
+    rng = random.Random(29)
+    for n in (1, 2, 3):
+        for b in hnf_matrices(n, range(1, 2 ** n + 9)):
+            yield b
+            if n > 1:
+                yield unimodular_mix(b, rng, 2 * n)
+    for _ in range(60):
+        n = rng.randint(4, 8)
+        yield unimodular_mix(random_hnf(n, rng.randint(1, 3 * 2 ** n), rng),
+                             rng, 2 * n)
+
+
+def test_hnf_det_is_diagonal_product():
+    for b in _small_and_mixed_bases():
+        h = b.hnf
+        assert h.det == abs(b.det), b
+        assert h.det == BasisMatrix(h.rows).det, b
+
+
+def test_diagonalize_is_an_isomorphism():
+    # the images satisfy every HNF relation and take the |det| points of
+    # the HNF box to |det| distinct elements of a group of order |det|
+    for b in _small_and_mixed_bases():
+        moduli, images = _diagonalize(b)
+        h = b.hnf
+        n = b.n
+        assert all(m > 1 for m in moduli)
+        assert math.prod(moduli) == abs(b.det), b
+        for j in range(n):
+            assert all(sum(h.rows[i][j] * images[i][c] for i in range(n))
+                       % m == 0 for c, m in enumerate(moduli)), b
+        seen = {tuple(sum(x[k] * images[k][c] for k in range(n)) % m
+                      for c, m in enumerate(moduli))
+                for x in hnf_box(b)}
+        assert len(seen) == abs(b.det), b
 
 
 def test_hnf_unique_for_fixed_row_order():

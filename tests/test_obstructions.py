@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -25,10 +26,12 @@ from cubiquity import (
     wu_obstruction,
     wu_obstruction_orthogonal,
 )
+from cubiquity.cosets import _diagonalize
 from helpers import (
     BLOCK_LIBRARY,
     assemble_blocks,
     bruteforce_vertex_scan,
+    coset_cover_reference,
     hajos_permutation_scan,
     hajos_prefix_dfs,
     hnf_matrices,
@@ -267,6 +270,105 @@ def test_bruteforce_cap_boundary():
         is_cubiquitous_bruteforce(b, cap=13)
 
 
+def _scaled_triangle(n, twos, rng, scale=3):
+    """A lower triangle with diagonal entries in {1, 2} and 0/1 fill, which
+    is cubiquitous, signed-permuted, with one coordinate times ``scale``.
+    Tripled, it has index 3 * 2^twos and often a witness deep in the box."""
+    diag = [2] * twos + [1] * (n - twos)
+    rng.shuffle(diag)
+    rows = [[diag[i] if j == i else rng.randrange(2) if j < i else 0
+             for j in range(n)] for i in range(n)]
+    rows = [list(r) for r in signed_permutation(rows, rng)]
+    rows[0] = [scale * v for v in rows[0]]
+    return BasisMatrix(rows)
+
+
+def _diagonal(diag):
+    n = len(diag)
+    return BasisMatrix([[diag[i] if j == i else 0 for j in range(n)]
+                        for i in range(n)])
+
+
+def _box_position(basis, x):
+    """Index of x in the lexicographic order of the HNF box."""
+    diag = [basis.hnf.rows[k][k] for k in range(basis.n)]
+    pos = 0
+    for a, d in zip(x, diag):
+        pos = pos * d + a
+    return pos
+
+
+def _past_vertex_scan_bases():
+    """Bases at n = 11-16, where the vertex scan is too slow."""
+    rng = random.Random(911)
+    for n in range(11, 17):
+        for scale in (1, 3, 3, 3, 3, 3):
+            yield _scaled_triangle(n, rng.randint(8, 11), rng, scale)
+        # non-cyclic quotients, with d_k = 1 rows beside them
+        for diag in ((2, 16, 96), (4, 4, 12), (2, 2, 2, 6, 30)):
+            yield _signed_mix(_diagonal(diag + (1,) * (n - len(diag))), rng)
+        for _ in range(4):
+            d = rng.randint(2, 4 * n * n)
+            yield unimodular_mix(random_hnf(n, d, rng), rng, 2 * n)
+
+
+def test_bruteforce_matches_coset_cover_reference_n11_16():
+    late = ones = non_cyclic = 0
+    statuses = set()
+    for b in _past_vertex_scan_bases():
+        fast = is_cubiquitous_bruteforce(b)
+        slow = coset_cover_reference(b)
+        assert (fast.status, fast.witness) == (slow.status, slow.witness), b
+        statuses.add(fast.status)
+        diag = [b.hnf.rows[k][k] for k in range(b.n)]
+        ones += 1 in diag
+        non_cyclic += len(_diagonalize(b)[0]) > 1
+        if fast.witness is not None:
+            late += _box_position(b, fast.witness) >= 500
+    assert statuses == {Status.CUBIQUITOUS, Status.NOT_CUBIQUITOUS}
+    # witnesses at box position 500 or later, HNF rows with d_k = 1, and
+    # quotients that are no cyclic group
+    assert late >= 10 and ones >= 60 and non_cyclic >= 40
+
+
+def test_bruteforce_late_witness_cyclic_n19():
+    # L = {x : sum c_k x_k = 0 mod N} with c = -1, -2, ..., -2^15, 0, 0, 1;
+    # the cubes reach the cosets -2^16 + 1 .. 1, so the first cube that
+    # misses L sits at 2^16 on the last coordinate, of index N = 3 * 2^16
+    n, N = 19, 3 * 2 ** 16
+    c = [-(2 ** k) for k in range(16)] + [0, 0, 1]
+    cols = [[int(i == k) if i < n - 1 else -c[k] % N for i in range(n)]
+            for k in range(n - 1)]
+    cols.append([0] * (n - 1) + [N])
+    b = unimodular_mix(BasisMatrix.from_columns(cols), random.Random(n), 2 * n)
+    start = time.perf_counter()
+    v = is_cubiquitous_bruteforce(b)
+    assert time.perf_counter() - start < 1
+    assert abs(b.det) == N
+    assert v == CubiquityVerdict(Status.NOT_CUBIQUITOUS,
+                                 witness=(0,) * (n - 1) + (2 ** 16,))
+
+
+@pytest.mark.parametrize("diag", [(3,) + (2,) * 16 + (1, 1),
+                                  (2 ** 23 - 5,)])
+def test_bruteforce_near_cap_time(diag):
+    # n = 19 at index 3 * 2^16 and n = 1 at index 2^23 - 5, both under
+    # the default cap: the bitset is |det| bits wide, and the witness
+    # search doubles up to d_k
+    n = len(diag)
+    b = _diagonal(diag)
+    if n > 1:
+        b = _signed_mix(b, random.Random(n))
+    start = time.perf_counter()
+    v = is_cubiquitous_bruteforce(b)
+    assert time.perf_counter() - start < 1
+    # In both lattices 3 divides every lattice vector at one coordinate p
+    # (2^23 - 5 = 3 * 2796201), and x_p = 1 is the first value whose
+    # {x_p, x_p + 1} misses the lattice there, so the first witness is e_p
+    p, = [i for i, row in enumerate(b.rows) if all(a % 3 == 0 for a in row)]
+    assert v.witness == tuple(int(k == p) for k in range(n))
+
+
 def test_hajos_examples():
     found = hajos_basis(BasisMatrix([[2]]))
     assert found is not None
@@ -369,6 +471,18 @@ def test_hajos_matches_permutation_scan_random():
                         for hit in (False, True)}
     # the dead-set count is live: the DFS does backtrack where none exists
     assert backtracked
+
+
+def test_hajos_certificate_det():
+    # the certificate's det is the product of its diagonal, 2^n
+    bases = itertools.chain(
+        (b for n in (1, 2, 3) for b in hnf_matrices(n, (2 ** n,))),
+        _random_hajos_bases())
+    for b in bases:
+        found = hajos_basis(b)
+        if found is not None:
+            assert found.matrix.det == 2 ** b.n, b
+            assert BasisMatrix(found.matrix.rows).det == 2 ** b.n, b
 
 
 def test_hajos_identity_order_first():
