@@ -9,6 +9,7 @@ classification reduces to recognising those three block shapes.
 
 from __future__ import annotations
 
+from operator import index
 from typing import NamedTuple, Sequence
 
 from .errors import MixedSigns, NotOrthogonal, ZeroParameter
@@ -118,7 +119,7 @@ def torus_sum_bounds_qball(params: Sequence[int]) -> bool:
     magnitude lies in {1, 2, 4} and the number of magnitude-2 parameters
     is even.
     """
-    params = [int(k) for k in params]
+    params = [index(k) for k in params]  # rejects floats, as Subset does
     if not params:
         raise ZeroParameter("at least one parameter is required")
     if any(k == 0 for k in params):

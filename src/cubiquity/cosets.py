@@ -22,44 +22,22 @@ def _diagonalize(basis: BasisMatrix) -> tuple[tuple[int, ...],
     Returns ``(moduli, images)``: Z^n/L is isomorphic to the product of
     Z/m over the moduli, all above 1, and ``images[k]`` is the image of
     e_k there.  Read the columns of the HNF H as relations among the
-    generators e_k.  Row and column operations bring H to a diagonal
-    D = U H V, and x -> U x modulo D is the isomorphism, so only U is
-    kept, beside each row.  N = |det| times Z^n lies in L, so everything
-    is reduced modulo N: the steps are invertible over Z/N, and a diagonal
-    entry d leaves the factor Z/gcd(d, N).  Two kinds of generator are
-    solved for instead, which keeps U small:
-
-    * an HNF row whose diagonal entry is 1 is 0 elsewhere, so that e_k is
-      minus the rest of its column;
-    * a relation with a unit coefficient at a generator gives it in terms
-      of the others, and column operations fold that relation into the
-      others.
+    generators e_k.  An HNF row whose diagonal entry is 1 is 0 elsewhere,
+    so its column gives e_k as minus the rest of that column.  One Smith
+    elimination brings the other rows to a diagonal D = U H V, and
+    x -> U x modulo D is the isomorphism, so only U is kept, beside each
+    row.  N = |det| times Z^n lies in L, so everything is reduced modulo
+    N: the steps are invertible over Z/N, and a diagonal entry d leaves
+    the factor Z/gcd(d, N).  Pivots of least gcd with N come first, so a
+    unit coefficient clears its column at once and leaves a Z/1, dropped.
     """
     h = basis.hnf
     hrows = h.rows
     n = h.n
     N = h.det
-    rest = [k for k in range(n) if hrows[k][k] > 1]
-    gens = list(rest)
-    rels = list(range(len(gens)))
-    a = {i: [hrows[i][k] for k in gens] for i in gens}
-    solved = []
-    for j in range(len(rels)):
-        i = next((i for i in gens if gcd(a[i][j], N) == 1), None)
-        if i is None:
-            continue
-        gens.remove(i)
-        rels.remove(j)
-        w = pow(a[i][j], -1, N)
-        col = [(r, a[r][j]) for r in gens if a[r][j]]
-        solved.append((i, w, col))
-        for other in rels:
-            f = a[i][other] * w % N
-            if f:
-                for r, c in col:
-                    a[r][other] = (a[r][other] - f * c) % N
+    gens = [k for k in range(n) if hrows[k][k] > 1]
     s = len(gens)
-    rows = [[a[i][k] for k in rels] + [int(i == g) for g in gens]
+    rows = [[hrows[i][k] for k in gens] + [int(i == g) for g in gens]
             for i in gens]
     for k in range(s):
         # the smaller its gcd with N, the more entries a pivot divides
@@ -84,13 +62,12 @@ def _diagonalize(basis: BasisMatrix) -> tuple[tuple[int, ...],
                 rk = rows[k] = [(x * u + y * v) % N for u, v in zip(rk, ri)]
             # Column k is clear below the pivot.  If the pivot divides its
             # row, the column operations that clear the row change nothing
-            # else; if not, one gcd step lowers the pivot and refills
-            # column k.
+            # else, and no later step reads the row; if not, one gcd step
+            # lowers the pivot and refills column k.
             p = rk[k]
             g = gcd(p, N)
             j = next((j for j in range(k + 1, s) if rk[j] % g), None)
             if j is None:
-                rk[k + 1:s] = [0] * (s - k - 1)
                 break
             x, y, g = _xgcd(p, rk[j])
             p_g, b_g = p // g, rk[j] // g
@@ -104,18 +81,10 @@ def _diagonalize(basis: BasisMatrix) -> tuple[tuple[int, ...],
     images = [None] * n
     for j, i in enumerate(gens):
         images[i] = [u[j] for _, u in kept]
-
-    def minus(terms):
-        image = [0] * len(moduli)
-        for r, c in terms:
-            image = [x - c * y for x, y in zip(image, images[r])]
-        return image
-
-    for i, w, col in reversed(solved):
-        images[i] = [w * x % N for x in minus(col)]
     for k in range(n):
-        if images[k] is None:
-            images[k] = minus((i, hrows[i][k]) for i in rest if hrows[i][k])
+        if images[k] is None:  # e_k is minus the rest of its HNF column
+            images[k] = [-sum(hrows[i][k] * images[i][c] for i in gens)
+                         for c in range(len(moduli))]
     return moduli, tuple(tuple(x % m for x, m in zip(image, moduli))
                          for image in images)
 

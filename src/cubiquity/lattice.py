@@ -126,6 +126,10 @@ class BasisMatrix:
         return _hnf(self)
 
     def permute_rows(self, order: Sequence[int]) -> "BasisMatrix":
+        """The matrix with row order[i] as row i (a permutation)."""
+        order = [index(i) for i in order]
+        if sorted(order) != list(range(self.n)):
+            raise DimensionMismatch(f"{order} is not a permutation")
         return BasisMatrix([self._rows[i] for i in order])
 
     def __eq__(self, other: object) -> bool:

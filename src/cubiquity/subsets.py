@@ -74,13 +74,17 @@ class Subset:
 
     def reorder(self, order: Sequence[int]) -> "Subset":
         """Subset with vectors listed in the given order (a permutation)."""
+        order = [index(i) for i in order]
         if sorted(order) != list(range(self.n)):
             raise DimensionMismatch(f"{order} is not a permutation")
         return Subset(self.vectors[i] for i in order)
 
     def negate(self, indices: Iterable[int]) -> "Subset":
         """Subset with the chosen vectors negated."""
-        chosen = set(indices)
+        chosen = {index(i) for i in indices}
+        if any(not 0 <= i < self.n for i in chosen):
+            raise DimensionMismatch(
+                f"{sorted(chosen)} has an index outside range({self.n})")
         return Subset(
             tuple(-x for x in v) if i in chosen else v
             for i, v in enumerate(self.vectors))

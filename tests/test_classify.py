@@ -96,6 +96,14 @@ def test_torus_rule_examples():
         torus_sum_bounds_qball([])
 
 
+def test_torus_rule_rejects_floats():
+    # 2.5 is no half-twist count; int() would have read it as 2
+    with pytest.raises(TypeError):
+        torus_sum_bounds_qball([2.5, 2])
+    with pytest.raises(TypeError):
+        torus_sum_bounds_qball([2.0, 2])
+
+
 def test_det4_formula_examples():
     assert det4_formula(3, 3, 3, 3) == 0
     assert det4_formula(1, 5, 5, 5) == 0

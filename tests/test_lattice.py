@@ -26,6 +26,7 @@ from helpers import (
     hnf_reference,
     membership_reference,
     random_hnf,
+    signed_permutation,
     unimodular_mix,
 )
 
@@ -175,10 +176,41 @@ def test_hnf_det_is_diagonal_product():
         assert h.det == BasisMatrix(h.rows).det, b
 
 
+def _signed_mix(rows, rng):
+    cols = signed_permutation(list(BasisMatrix(rows).columns), rng)
+    return unimodular_mix(BasisMatrix.from_columns(cols), rng, 2 * len(rows))
+
+
+def _unit_pivot_bases():
+    """Shapes whose relations have unit coefficients, so that the Smith
+    elimination takes unit pivots before the others."""
+    rng = random.Random(1)
+    # 0/1 below the diagonal (2, 2, 2, 2, 1, 2, 2, 2, 2), then a 3; under
+    # coordinate reflections alone the HNF keeps that diagonal
+    diag = [2] * 4 + [1] + [2] * 4 + [3]
+    rows = [[diag[i] if j == i else rng.randint(0, 1) * (i < 9) if j < i
+             else 0 for j in range(10)] for i in range(10)]
+    yield unimodular_mix(BasisMatrix([[rng.choice((-1, 1)) * v for v in row]
+                                      for row in rows]), rng, 20)
+    yield _signed_mix(rows, rng)
+    # cyclic of index 3 * 2^16 at n = 19: x_19 = sum 2^k x_{k+1} mod N
+    n, N = 19, 3 * 2 ** 16
+    c = [-(2 ** k) for k in range(16)] + [0, 0, 1]
+    cols = [[int(i == k) if i < n - 1 else -c[k] % N for i in range(n)]
+            for k in range(n - 1)]
+    cols.append([0] * (n - 1) + [N])
+    yield unimodular_mix(BasisMatrix.from_columns(cols), random.Random(n),
+                         2 * n)
+    # Z/2 x Z/16 x Z/96 beside d_k = 1 rows
+    diag = [2, 16, 96] + [1] * 5
+    yield _signed_mix([[diag[i] * (j == i) for j in range(8)]
+                       for i in range(8)], rng)
+
+
 def test_diagonalize_is_an_isomorphism():
     # the images satisfy every HNF relation and take the |det| points of
     # the HNF box to |det| distinct elements of a group of order |det|
-    for b in _small_and_mixed_bases():
+    for b in itertools.chain(_small_and_mixed_bases(), _unit_pivot_bases()):
         moduli, images = _diagonalize(b)
         h = b.hnf
         n = b.n
@@ -191,6 +223,12 @@ def test_diagonalize_is_an_isomorphism():
                       for c, m in enumerate(moduli))
                 for x in hnf_box(b)}
         assert len(seen) == abs(b.det), b
+
+
+@pytest.mark.parametrize("order", [[-1, 0], [5, 0], [0, 0], [0], [0, 1, 2]])
+def test_permute_rows_rejects_non_permutations(order):
+    with pytest.raises(DimensionMismatch):
+        BasisMatrix([[1, 2], [3, 4]]).permute_rows(order)
 
 
 def test_hnf_unique_for_fixed_row_order():

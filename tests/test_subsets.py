@@ -128,6 +128,18 @@ def test_reorder_and_negate_helpers():
         s.reorder([0, 0])
 
 
+def test_reorder_reads_an_iterator_once():
+    # sorted() used to drain it, leaving an empty Subset
+    s = Subset([(1, 0), (1, 2)])
+    assert s.reorder(iter([1, 0])) == s.reorder([1, 0])
+
+
+@pytest.mark.parametrize("indices", [[5], [-1], [0, 2]])
+def test_negate_rejects_indices_outside_range(indices):
+    with pytest.raises(DimensionMismatch):
+        Subset([(1, 0), (1, 2)]).negate(indices)
+
+
 def test_norms_and_gram():
     s = Subset([(1, 1, 0), (0, -1, 3), (-1, 1, 0)])
     assert s.norms == (2, 10, 2)
