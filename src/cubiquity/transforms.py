@@ -92,18 +92,20 @@ def double_project(subset: Subset, i: int) -> Subset:
 
 
 def _next_step(subset: Subset) -> RewriteStep | None:
-    # candidates are found with the rewrites' own precondition checks,
-    # then applied through the public rewrite
+    # the rewrites' own precondition checks, then the deletion itself: the
+    # caller has proved the subset orthogonal
     st = stats(subset)
     for s in range(subset.n):
         if _projection_failure(st, s) is None:
-            return RewriteStep(PROJECTION, st.by_vector[s], (s,),
-                               project(subset, s))
+            coordinates = st.by_vector[s]
+            return RewriteStep(PROJECTION, coordinates, (s,),
+                               _delete(subset, (s,), coordinates))
     for i in range(subset.n):
         if _double_projection_failure(subset, st, i) is None:
-            s, t = st.by_coordinate[i]
-            return RewriteStep(DOUBLE_PROJECTION, st.by_vector[s], (s, t),
-                               double_project(subset, i))
+            pair = st.by_coordinate[i]
+            coordinates = st.by_vector[pair[0]]
+            return RewriteStep(DOUBLE_PROJECTION, coordinates, pair,
+                               _delete(subset, pair, coordinates))
     return None
 
 
@@ -114,6 +116,21 @@ def trace_reduce(subset: Subset) -> tuple[Subset, tuple[RewriteStep, ...]]:
     increasing order, so the trace is deterministic.  The final subset is
     empty, or has every vector supported on at least two coordinates and
     every two-vector coordinate carrying an entry of magnitude >= 2.
+
+    Cost: orthogonality is checked once, at entry (a dense Gram matrix,
+    O(n^3)); after that each step computes the support statistics once
+    (O(n^2)) and deletes.  The steps need no further check, because no
+    step can break orthogonality:
+
+    - a vector supported on one coordinate is the only vector that uses
+      it, since any other user would have a nonzero product with it;
+    - a hyperbolic pair on coordinates {i, j} is likewise the only pair
+      that uses i and j, since a third vector using either would have a
+      nonzero product with the pair.
+
+    So deleting those vectors and their coordinates changes no other norm
+    or product.  ``project`` and ``double_project`` still check
+    orthogonality on every call.
     """
     if not is_orthogonal(subset):
         raise NotOrthogonal("reduce requires an orthogonal subset")
@@ -150,9 +167,10 @@ def contract(subset: Subset, i: int, s: int, t: int, u: int) -> Subset:
     vecs = subset.vectors
     users = stats(subset).by_coordinate[i]
     if set(users) != {s, t, u}:
+        # named by clause, not by index: the CLI's indices are 1-based
         raise PreconditionFailed(
-            f"coordinate {i} must be supported by exactly {{s, t, u}}, "
-            f"got {set(users)}")
+            "coordinate i must be supported by exactly the vectors s, t "
+            "and u")
     if sum(a * b for a, b in zip(vecs[s], vecs[t])) != -1:
         raise PreconditionFailed("vectors s and t must have product -1")
     if abs(vecs[s][i]) != 1 or vecs[s][i] != -vecs[t][i]:

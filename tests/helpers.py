@@ -7,10 +7,16 @@ from cubiquity import (
     BasisMatrix,
     CubiquityVerdict,
     HajosBasis,
+    NotOrthogonal,
+    RewriteStep,
     Status,
     Subset,
     contract,
     det4_formula,
+    double_project,
+    is_orthogonal,
+    project,
+    stats,
     wu_obstruction,
 )
 
@@ -256,6 +262,46 @@ def wu_preserved(subset, i, s, t, u):
     before = wu_obstruction(subset)
     after = wu_obstruction(contract(subset, i, s, t, u))
     return before.status == after.status
+
+
+def trace_reduce_reference(subset):
+    """Reference reduce trace: every step goes through the public
+    ``project`` or ``double_project``, which re-check orthogonality.
+
+    Same order as ``trace_reduce``: the lowest projectable vector first,
+    else the lowest coordinate carrying a hyperbolic pair.  The candidates
+    are found from the support statistics here, not with the library's
+    precondition helpers.
+    """
+    if not is_orthogonal(subset):
+        raise NotOrthogonal("reduce requires an orthogonal subset")
+    steps = []
+    current = subset
+    while True:
+        st = stats(current)
+        n = current.n
+        vecs = current.vectors
+        step = None
+        for s in range(n):
+            if len(st.by_vector[s]) == 1:
+                step = RewriteStep("Projection", st.by_vector[s], (s,),
+                                   project(current, s))
+                break
+        else:
+            for i in range(n):
+                pair = st.by_coordinate[i]
+                if (len(pair) == 2
+                        and all(abs(vecs[v][i]) == 1 for v in pair)
+                        and st.by_vector[pair[0]] == st.by_vector[pair[1]]
+                        and len(st.by_vector[pair[0]]) == 2):
+                    step = RewriteStep("DoubleProjection",
+                                       st.by_vector[pair[0]], pair,
+                                       double_project(current, i))
+                    break
+        if step is None:
+            return current, tuple(steps)
+        steps.append(step)
+        current = step.result
 
 
 def det4_quartic_scan(bound):

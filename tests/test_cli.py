@@ -249,7 +249,16 @@ def test_contract_cli(capsys):
                         "1 -1 1; 1 0 -1; 0 1 -1", "-i", "2",
                         "--vectors", "1", "2", "3")
     assert code == 65
-    assert "error" in err
+    assert err == ("error: coordinate i must be supported by exactly the "
+                   "vectors s, t and u\n")
+
+    # coordinate 2 of the identity is supported by vector 2 alone
+    code, out, err = _run(capsys, "contract", "--matrix",
+                          "1 0 0 0; 0 1 0 0; 0 0 1 0; 0 0 0 1", "-i", "2",
+                          "--vectors", "1", "2", "3")
+    assert (code, out) == (65, "")
+    assert err == ("error: coordinate i must be supported by exactly the "
+                   "vectors s, t and u\n")
 
 
 @pytest.mark.parametrize("indices, message", [

@@ -216,6 +216,9 @@ def test_diagonalize_is_an_isomorphism():
         n = b.n
         assert all(m > 1 for m in moduli)
         assert math.prod(moduli) == abs(b.det), b
+        # the rotations of the cover read the images as residues
+        assert all(0 <= images[k][c] < m for k in range(n)
+                   for c, m in enumerate(moduli)), b
         for j in range(n):
             assert all(sum(h.rows[i][j] * images[i][c] for i in range(n))
                        % m == 0 for c, m in enumerate(moduli)), b

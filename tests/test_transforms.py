@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import cubiquity.transforms
 from cubiquity import (
     NotNonAcute,
     NotOrthogonal,
@@ -21,7 +22,12 @@ from cubiquity import (
     wu_element,
     wu_obstruction,
 )
-from helpers import assemble_blocks, signed_permutation, wu_preserved
+from helpers import (
+    assemble_blocks,
+    signed_permutation,
+    trace_reduce_reference,
+    wu_preserved,
+)
 
 
 def test_project_examples():
@@ -130,6 +136,80 @@ def test_projection_preserves_orthogonality():
                     and len(st.by_vector[users[0]]) == 2):
                 assert is_orthogonal(double_project(s, i))
                 break
+
+
+# Orthogonal blocks by kind, each in its own coordinates.
+ORTHOGONAL_BLOCKS = {
+    "Unit": [(1,)],
+    "TwoTimes": [(2,)],
+    "Three": [(3,)],
+    "Hyper2x2": [(1, 1), (1, -1)],
+    "Skew2": [(1, 2), (2, -1)],
+    "Norm9": [(1, 2, 2), (2, 1, -2), (2, -2, 1)],
+    "Hadamard4": [(1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1),
+                  (1, -1, -1, 1)],
+}
+
+
+def _orthogonal_block_sum(n, rng):
+    """Signed-permuted direct sum of random blocks, n coordinates in all."""
+    vectors = []
+    used = 0
+    while used < n:
+        block = ORTHOGONAL_BLOCKS[rng.choice(sorted(ORTHOGONAL_BLOCKS))]
+        d = len(block)
+        if used + d > n:
+            continue
+        vectors = ([v + (0,) * d for v in vectors]
+                   + [(0,) * used + v for v in block])
+        used += d
+    return Subset(signed_permutation(vectors, rng))
+
+
+def test_trace_matches_reference():
+    rng = random.Random(67)
+    sizes = [rng.randint(1, 63) for _ in range(30)] + [64] * 3
+    kinds = set()
+    for n in sizes:
+        s = _orthogonal_block_sum(n, rng)
+        reduced, steps = trace_reduce(s)
+        assert (reduced, steps) == trace_reduce_reference(s), s
+        kinds.update(step.kind for step in steps)
+    assert kinds == {"Projection", "DoubleProjection"}
+
+
+def test_trace_checks_orthogonality_once(monkeypatch):
+    calls = {"is_orthogonal": 0, "stats": 0}
+
+    def counted(name):
+        original = getattr(cubiquity.transforms, name)
+
+        def wrapper(subset):
+            calls[name] += 1
+            return original(subset)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cubiquity.transforms, name, counted(name))
+    s = _orthogonal_block_sum(32, random.Random(71))
+    reduced, steps = trace_reduce(s)
+    assert len(steps) > 5 and reduced.n > 0
+    assert calls == {"is_orthogonal": 1, "stats": len(steps) + 1}
+
+
+def test_rewrites_still_check_orthogonality():
+    # every other precondition holds: vector 0 is supported on coordinate
+    # 0 alone, and coordinate 0 of the second subset carries a hyperbolic
+    # pair; but a further vector meets them
+    single = Subset([(1, 0), (1, 1)])
+    with pytest.raises(NotOrthogonal):
+        project(single, 0)
+    pair = Subset([(1, 1, 0), (1, -1, 0), (0, 1, 1)])
+    with pytest.raises(NotOrthogonal):
+        double_project(pair, 0)
+    for s in (single, pair):
+        with pytest.raises(NotOrthogonal):
+            trace_reduce(s)
 
 
 def test_contract_example():
