@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 from .errors import MixedSigns, NotOrthogonal, ZeroParameter
 from .lattice import BasisMatrix
 from .obstructions import CubiquityVerdict, Status
-from .subsets import Subset, is_orthogonal
+from .subsets import Subset, _supports, is_orthogonal
 
 UNIT = "Unit"
 TWO_TIMES = "TwoTimes"
@@ -66,33 +66,27 @@ def decompose(subset: Subset) -> BlockDecomposition:
     coordinates where it is nonzero.  Blocks are listed by their smallest
     coordinate; vectors with empty support trail as singleton blocks.
     """
-    n = subset.n
-    vecs = subset.vectors
-    seen_c: set[int] = set()
-    seen_v: set[int] = set()
+    by_vector, by_coordinate = _supports(subset)
+    seen: set[int] = set()
     blocks = []
-    for start in range(n):
-        if start in seen_c:
+    for start in range(subset.n):
+        if start in seen:
             continue
         coords = {start}
         vectors: set[int] = set()
         frontier = [start]
         while frontier:
-            j = frontier.pop()
-            for i in range(n):
-                if i not in vectors and vecs[i][j] != 0:
+            for i in by_coordinate[frontier.pop()]:
+                if i not in vectors:
                     vectors.add(i)
-                    for jj in range(n):
-                        if vecs[i][jj] != 0 and jj not in coords:
-                            coords.add(jj)
-                            frontier.append(jj)
-        seen_c |= coords
-        seen_v |= vectors
+                    fresh = set(by_vector[i]) - coords
+                    coords |= fresh
+                    frontier.extend(fresh)
+        seen |= coords
         c, v = tuple(sorted(coords)), tuple(sorted(vectors))
         blocks.append(Block(c, v, _block_kind(subset, c, v)))
-    for i in range(n):
-        if i not in seen_v:
-            blocks.append(Block((), (i,), OTHER))
+    blocks.extend(Block((), (i,), OTHER)
+                  for i, support in enumerate(by_vector) if not support)
     return BlockDecomposition(tuple(blocks))
 
 

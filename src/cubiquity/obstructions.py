@@ -141,13 +141,13 @@ def wu_obstruction_orthogonal(subset: Subset) -> CubiquityVerdict:
     element equals the sum of the norms, so this agrees with
     wu_obstruction on every orthogonal input.
     """
-    from .subsets import is_orthogonal, stats
+    from .subsets import is_orthogonal
 
     if not is_orthogonal(subset):
         raise NotOrthogonal(
             "wu_obstruction_orthogonal requires an orthogonal subset")
     wu = wu_element(subset)
-    lhs = stats(subset).excess
+    lhs = sum(subset.norms) - 3 * subset.n
     rhs = subset.n - 3 * len(wu.odd)
     status = Status.OBSTRUCTED if lhs > rhs else Status.INCONCLUSIVE
     return CubiquityVerdict(status, inequality=(lhs, rhs))

@@ -8,10 +8,12 @@ BasisMatrix.  All indices in this module are 0-based.
 from __future__ import annotations
 
 from operator import index
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DimensionMismatch
 from .lattice import BasisMatrix, Vector, gram
+
+_Supports = tuple[tuple[int, ...], ...]  # by_vector or by_coordinate
 
 
 class Subset:
@@ -109,14 +111,23 @@ class SubsetStats(NamedTuple):
     excess: int
 
 
+def _supports(subset: Subset) -> tuple[_Supports, _Supports]:
+    """(by_vector, by_coordinate) as SubsetStats defines them, each list
+    in increasing order."""
+    by_vector = tuple(tuple(j for j, x in enumerate(v) if x)
+                      for v in subset.vectors)
+    by_coordinate: list[list[int]] = [[] for _ in range(subset.n)]
+    for i, support in enumerate(by_vector):
+        for j in support:
+            by_coordinate[j].append(i)
+    return by_vector, tuple(map(tuple, by_coordinate))
+
+
 def stats(subset: Subset) -> SubsetStats:
     """Compute all support statistics of the subset."""
     n = subset.n
     vecs = subset.vectors
-    by_coordinate = tuple(
-        tuple(i for i in range(n) if vecs[i][j] != 0) for j in range(n))
-    by_vector = tuple(
-        tuple(j for j in range(n) if vecs[i][j] != 0) for i in range(n))
+    by_vector, by_coordinate = _supports(subset)
     classes = tuple(
         tuple(j for j in range(n) if len(by_coordinate[j]) == m)
         for m in range(n + 1))
@@ -151,30 +162,24 @@ def check_identity(subset: Subset) -> bool:
     return lhs == rhs
 
 
+def _gram_rows(subset: Subset) -> Iterator[tuple[int, list[int]]]:
+    """Per vector, its norm and its products with the vectors that share a
+    coordinate with it; every product left out is 0."""
+    vecs = subset.vectors
+    by_vector, by_coordinate = _supports(subset)
+    for i, support in enumerate(by_vector):
+        near = {k for j in support for k in by_coordinate[j]} - {i}
+        yield (sum(vecs[i][j] ** 2 for j in support),
+               [sum(vecs[i][j] * vecs[k][j] for j in support) for k in near])
+
+
 def is_orthogonal(subset: Subset) -> bool:
     """True iff the vectors are pairwise orthogonal with norms >= 1."""
-    g = subset.gram()
-    n = subset.n
-    if any(g[i][i] < 1 for i in range(n)):
-        return False
-    return all(g[i][j] == 0 for i in range(n) for j in range(n) if i != j)
+    return all(norm >= 1 and not any(row) for norm, row in _gram_rows(subset))
 
 
 def is_non_acute(subset: Subset) -> bool:
     """True iff norms are positive, pairwise products are non-positive,
     and each norm dominates the negated off-diagonal sum of its row."""
-    g = subset.gram()
-    n = subset.n
-    for i in range(n):
-        if g[i][i] < 1:
-            return False
-        row_rest = 0
-        for j in range(n):
-            if j == i:
-                continue
-            if g[i][j] > 0:
-                return False
-            row_rest += g[i][j]
-        if g[i][i] < -row_rest:
-            return False
-    return True
+    return all(norm >= 1 and all(p <= 0 for p in row) and norm >= -sum(row)
+               for norm, row in _gram_rows(subset))

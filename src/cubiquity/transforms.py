@@ -8,10 +8,11 @@ trace can be replayed.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, NamedTuple
 
 from .errors import NotOrthogonal, PreconditionFailed
-from .subsets import Subset, SubsetStats, is_orthogonal, stats
+from .subsets import Subset, _Supports, _supports, is_orthogonal
 
 PROJECTION = "Projection"
 DOUBLE_PROJECTION = "DoubleProjection"
@@ -35,25 +36,25 @@ def _delete(subset: Subset, vector_indices: Iterable[int],
         for i, v in enumerate(subset.vectors) if i not in drop_v)
 
 
-def _projection_failure(st: SubsetStats, s: int) -> str | None:
+def _projection_failure(by_vector: _Supports, s: int) -> str | None:
     """Why vector s cannot be projected away, or None if it can."""
-    support = st.by_vector[s]
+    support = by_vector[s]
     if len(support) != 1:
         return (f"vector {s} is supported on {len(support)} coordinates, "
                 f"not 1")
     return None
 
 
-def _double_projection_failure(subset: Subset, st: SubsetStats,
-                               i: int) -> str | None:
+def _double_projection_failure(subset: Subset, by_vector: _Supports,
+                               by_coordinate: _Supports, i: int) -> str | None:
     """Why coordinate i carries no removable hyperbolic pair, or None."""
-    users = st.by_coordinate[i]
+    users = by_coordinate[i]
     if len(users) != 2:
         return f"coordinate {i} is supported by {len(users)} vectors, not 2"
     s, t = users
     if abs(subset.vectors[s][i]) != 1 or abs(subset.vectors[t][i]) != 1:
         return f"coordinate {i} carries an entry of magnitude >= 2"
-    if st.by_vector[s] != st.by_vector[t] or len(st.by_vector[s]) != 2:
+    if by_vector[s] != by_vector[t] or len(by_vector[s]) != 2:
         return (f"vectors {s} and {t} are not a hyperbolic pair on a "
                 f"common coordinate pair")
     return None
@@ -65,13 +66,16 @@ def project(subset: Subset, s: int) -> Subset:
     Orthogonality makes the coordinate exclusive to the removed vector, so
     the other vectors are unchanged apart from the relabelling.
     """
+    s = index(s)
+    if not 0 <= s < subset.n:
+        raise PreconditionFailed(f"vector s must lie in range({subset.n})")
     if not is_orthogonal(subset):
         raise NotOrthogonal("projection requires an orthogonal subset")
-    st = stats(subset)
-    failure = _projection_failure(st, s)
+    by_vector = _supports(subset)[0]
+    failure = _projection_failure(by_vector, s)
     if failure is not None:
         raise PreconditionFailed(failure)
-    return _delete(subset, (s,), st.by_vector[s])
+    return _delete(subset, (s,), by_vector[s])
 
 
 def double_project(subset: Subset, i: int) -> Subset:
@@ -81,29 +85,33 @@ def double_project(subset: Subset, i: int) -> Subset:
     +-1 there, and the pair must live (up to signs) on a common coordinate
     pair {i, j}.  Both coordinates are deleted.
     """
+    i = index(i)
+    if not 0 <= i < subset.n:
+        raise PreconditionFailed(f"coordinate i must lie in range({subset.n})")
     if not is_orthogonal(subset):
         raise NotOrthogonal("double projection requires an orthogonal subset")
-    st = stats(subset)
-    failure = _double_projection_failure(subset, st, i)
+    by_vector, by_coordinate = _supports(subset)
+    failure = _double_projection_failure(subset, by_vector, by_coordinate, i)
     if failure is not None:
         raise PreconditionFailed(failure)
-    s, t = st.by_coordinate[i]
-    return _delete(subset, (s, t), st.by_vector[s])
+    s, t = by_coordinate[i]
+    return _delete(subset, (s, t), by_vector[s])
 
 
 def _next_step(subset: Subset) -> RewriteStep | None:
     # the rewrites' own precondition checks, then the deletion itself: the
     # caller has proved the subset orthogonal
-    st = stats(subset)
+    by_vector, by_coordinate = _supports(subset)
     for s in range(subset.n):
-        if _projection_failure(st, s) is None:
-            coordinates = st.by_vector[s]
+        if _projection_failure(by_vector, s) is None:
+            coordinates = by_vector[s]
             return RewriteStep(PROJECTION, coordinates, (s,),
                                _delete(subset, (s,), coordinates))
     for i in range(subset.n):
-        if _double_projection_failure(subset, st, i) is None:
-            pair = st.by_coordinate[i]
-            coordinates = st.by_vector[pair[0]]
+        if _double_projection_failure(subset, by_vector, by_coordinate,
+                                      i) is None:
+            pair = by_coordinate[i]
+            coordinates = by_vector[pair[0]]
             return RewriteStep(DOUBLE_PROJECTION, coordinates, pair,
                                _delete(subset, pair, coordinates))
     return None
@@ -117,10 +125,10 @@ def trace_reduce(subset: Subset) -> tuple[Subset, tuple[RewriteStep, ...]]:
     empty, or has every vector supported on at least two coordinates and
     every two-vector coordinate carrying an entry of magnitude >= 2.
 
-    Cost: orthogonality is checked once, at entry (a dense Gram matrix,
-    O(n^3)); after that each step computes the support statistics once
-    (O(n^2)) and deletes.  The steps need no further check, because no
-    step can break orthogonality:
+    Cost: orthogonality is checked once, at entry, from the products of
+    the vectors that share a coordinate; after that each step computes
+    the support lists once (O(n^2)) and deletes.  The steps need no
+    further check, because no step can break orthogonality:
 
     - a vector supported on one coordinate is the only vector that uses
       it, since any other user would have a nonzero product with it;
@@ -165,7 +173,7 @@ def contract(subset: Subset, i: int, s: int, t: int, u: int) -> Subset:
     if len({s, t, u}) != 3:
         raise PreconditionFailed("vector indices s, t, u must be distinct")
     vecs = subset.vectors
-    users = stats(subset).by_coordinate[i]
+    users = _supports(subset)[1][i]
     if set(users) != {s, t, u}:
         # named by clause, not by index: the CLI's indices are 1-based
         raise PreconditionFailed(

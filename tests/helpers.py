@@ -5,12 +5,15 @@ from math import gcd
 
 from cubiquity import (
     BasisMatrix,
+    Block,
+    BlockDecomposition,
     CubiquityVerdict,
     HajosBasis,
     NotOrthogonal,
     RewriteStep,
     Status,
     Subset,
+    catalog_blocks,
     contract,
     det4_formula,
     double_project,
@@ -19,6 +22,7 @@ from cubiquity import (
     stats,
     wu_obstruction,
 )
+from cubiquity.classify import OTHER, _block_kind
 
 
 def xgcd(a, b):
@@ -304,6 +308,67 @@ def trace_reduce_reference(subset):
         current = step.result
 
 
+def is_orthogonal_reference(subset):
+    """Reference orthogonality: the dense Gram matrix, every pair."""
+    g = subset.gram()
+    n = subset.n
+    if any(g[i][i] < 1 for i in range(n)):
+        return False
+    return all(g[i][j] == 0 for i in range(n) for j in range(n) if i != j)
+
+
+def is_non_acute_reference(subset):
+    """Reference non-acuteness: the dense Gram matrix, row by row."""
+    g = subset.gram()
+    n = subset.n
+    for i in range(n):
+        if g[i][i] < 1:
+            return False
+        row_rest = 0
+        for j in range(n):
+            if j == i:
+                continue
+            if g[i][j] > 0:
+                return False
+            row_rest += g[i][j]
+        if g[i][i] < -row_rest:
+            return False
+    return True
+
+
+def decompose_reference(subset):
+    """Reference block decomposition: each component grows by rescanning
+    every vector at each coordinate it reaches."""
+    n = subset.n
+    vecs = subset.vectors
+    seen_c = set()
+    seen_v = set()
+    blocks = []
+    for start in range(n):
+        if start in seen_c:
+            continue
+        coords = {start}
+        vectors = set()
+        frontier = [start]
+        while frontier:
+            j = frontier.pop()
+            for i in range(n):
+                if i not in vectors and vecs[i][j] != 0:
+                    vectors.add(i)
+                    for jj in range(n):
+                        if vecs[i][jj] != 0 and jj not in coords:
+                            coords.add(jj)
+                            frontier.append(jj)
+        seen_c |= coords
+        seen_v |= vectors
+        c, v = tuple(sorted(coords)), tuple(sorted(vectors))
+        blocks.append(Block(c, v, _block_kind(subset, c, v)))
+    for i in range(n):
+        if i not in seen_v:
+            blocks.append(Block((), (i,), OTHER))
+    return BlockDecomposition(tuple(blocks))
+
+
 def det4_quartic_scan(bound):
     """Reference det4 zero table: evaluate the closed form on every sorted
     tuple 1 <= a <= b <= c <= d <= bound, about bound^4 / 24 of them."""
@@ -428,3 +493,53 @@ def assemble_blocks(names):
 
 def subset_from_columns(columns):
     return Subset(tuple(c) for c in columns)
+
+
+def edge_subsets():
+    """Hand-picked subsets for the support-list predicates and decompose."""
+    return [
+        Subset([]), Subset([(0,)]), Subset([(1,)]), Subset([(-3,)]),
+        # a zero vector; a zero vector beside a coordinate no vector uses
+        Subset([(1, 0), (0, 0)]),
+        Subset([(0, 0, 0), (0, 1, 1), (0, 1, -1)]),
+        # repeated vectors, equal and opposite
+        Subset([(1, 1), (1, 1)]),
+        Subset([(1, 0), (-1, 0)]),
+        Subset([(1, -1, 0), (1, -1, 0), (0, 0, 2)]),
+        # supports that overlap without being orthogonal
+        Subset([(1, 1, 0), (0, 1, 1), (-1, 0, 1)]),
+        Subset([(1, 1, 0), (0, -1, 3), (-1, 1, 0)]),
+        Subset([(1, 1), (-1, -1)]),
+        Subset([(2, 1), (1, -1)]),
+        *(Subset(block.columns) for block in catalog_blocks()),
+    ]
+
+
+def random_subsets(rng, count):
+    """Random subsets at n = 0-12, in turn dense, sparse, a non-positive
+    chain and an orthogonal block sum, so that each predicate meets both
+    answers."""
+    out = []
+    for k in range(count):
+        n = rng.randint(0, 12)
+        kind = k % 4
+        if kind == 0:
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        elif kind == 1:
+            rows = [[rng.choice((-2, -1, 1, 2)) if rng.random() < 0.2 else 0
+                     for _ in range(n)] for _ in range(n)]
+        elif kind == 2:
+            # vector i meets only its neighbours, with product -b_i a_(i+1)
+            # <= 0, so dominance of the norms decides non-acuteness
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                rows[i][i] = rng.randint(1, 3)
+                if i + 1 < n:
+                    rows[i][i + 1] = -rng.randint(0, 3)
+        else:
+            names = []
+            while sum(len(BLOCK_LIBRARY[nm][0]) for nm in names) < n:
+                names.append(rng.choice(sorted(BLOCK_LIBRARY)))
+            rows = assemble_blocks(names)
+        out.append(Subset(signed_permutation(rows, rng)))
+    return out

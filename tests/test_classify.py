@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -16,9 +17,19 @@ from cubiquity import (
     det4_formula,
     det4_zero_solutions,
     is_cubiquitous_bruteforce,
+    is_non_acute,
+    is_orthogonal,
     torus_sum_bounds_qball,
 )
-from helpers import cofactor_det, det4_quartic_scan
+from helpers import (
+    assemble_blocks,
+    cofactor_det,
+    decompose_reference,
+    det4_quartic_scan,
+    edge_subsets,
+    random_subsets,
+    signed_permutation,
+)
 
 
 def test_decompose_examples():
@@ -42,6 +53,31 @@ def test_decompose_degenerate_shapes():
     assert kinds.count("Other") >= 1
     all_vectors = sorted(v for b in d.blocks for v in b.vectors)
     assert all_vectors == [0, 1]
+
+
+def test_decompose_matches_row_scan_reference():
+    for s in random_subsets(random.Random(89), 400) + edge_subsets():
+        assert decompose(s) == decompose_reference(s), s
+
+
+def test_sparse_predicates_and_classify_at_n512():
+    # the dense Gram matrix is O(n^3), about 10 s at this size on CPython
+    # 3.11; the products over shared coordinates take milliseconds
+    rng = random.Random(97)
+    names = ["unit", "double", "triple", "hyper"] * 102 + ["hyper"]
+    rng.shuffle(names)
+    s = Subset(signed_permutation(assemble_blocks(names), rng))
+    assert s.n == 512
+    for decide in (is_orthogonal, is_non_acute, classify_orthogonal):
+        start = time.perf_counter()
+        result = decide(s)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0, (decide.__name__, elapsed)
+        if decide is classify_orthogonal:
+            assert result.status == Status.NOT_CUBIQUITOUS
+            assert result.block.kind == "Other"
+        else:
+            assert result is True
 
 
 def test_hyper_recognition_up_to_signed_permutation():

@@ -13,6 +13,12 @@ from cubiquity import (
     is_orthogonal,
     stats,
 )
+from helpers import (
+    edge_subsets,
+    is_non_acute_reference,
+    is_orthogonal_reference,
+    random_subsets,
+)
 
 
 def test_stats_hyper_pair():
@@ -144,3 +150,13 @@ def test_norms_and_gram():
     s = Subset([(1, 1, 0), (0, -1, 3), (-1, 1, 0)])
     assert s.norms == (2, 10, 2)
     assert s.gram() == ((2, -1, 0), (-1, 10, -1), (0, -1, 2))
+
+
+def test_predicates_match_dense_reference():
+    outcomes = set()
+    for s in random_subsets(random.Random(83), 400) + edge_subsets():
+        assert is_orthogonal(s) == is_orthogonal_reference(s), s
+        assert is_non_acute(s) == is_non_acute_reference(s), s
+        outcomes.add((is_orthogonal(s), is_non_acute(s)))
+    # both answers of each predicate, and non-acute without orthogonal
+    assert outcomes == {(True, True), (False, True), (False, False)}

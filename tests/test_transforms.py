@@ -179,7 +179,7 @@ def test_trace_matches_reference():
 
 
 def test_trace_checks_orthogonality_once(monkeypatch):
-    calls = {"is_orthogonal": 0, "stats": 0}
+    calls = {"is_orthogonal": 0, "_supports": 0}
 
     def counted(name):
         original = getattr(cubiquity.transforms, name)
@@ -194,7 +194,22 @@ def test_trace_checks_orthogonality_once(monkeypatch):
     s = _orthogonal_block_sum(32, random.Random(71))
     reduced, steps = trace_reduce(s)
     assert len(steps) > 5 and reduced.n > 0
-    assert calls == {"is_orthogonal": 1, "stats": len(steps) + 1}
+    assert calls == {"is_orthogonal": 1, "_supports": len(steps) + 1}
+
+
+@pytest.mark.parametrize("rewrite, clause", [
+    (project, "vector s must lie in range(3)"),
+    (double_project, "coordinate i must lie in range(3)"),
+])
+def test_rewrites_reject_indices_outside_range(rewrite, clause):
+    # -1 used to act on the last vector or coordinate, 3 to raise IndexError
+    s = Subset([(1, 1, 0), (1, -1, 0), (0, 0, 1)])
+    for bad in (-1, 3):
+        with pytest.raises(PreconditionFailed) as err:
+            rewrite(s, bad)
+        assert str(err.value) == clause
+    with pytest.raises(TypeError):
+        rewrite(s, 0.0)
 
 
 def test_rewrites_still_check_orthogonality():
