@@ -97,12 +97,20 @@ def classify_orthogonal(subset: Subset) -> CubiquityVerdict:
     vector, or a hyperbolic pair; otherwise NotCubiquitous with the first
     offending block attached as the certificate.
     """
+    return _classify_blocks(subset)[0]
+
+
+def _classify_blocks(
+        subset: Subset) -> tuple[CubiquityVerdict, BlockDecomposition]:
+    """classify_orthogonal's verdict and the decomposition it read."""
     if not is_orthogonal(subset):
         raise NotOrthogonal("classification requires an orthogonal subset")
-    for block in decompose(subset).blocks:
+    blocks = decompose(subset)
+    for block in blocks.blocks:
         if block.kind not in GOOD_KINDS:
-            return CubiquityVerdict(Status.NOT_CUBIQUITOUS, block=block)
-    return CubiquityVerdict(Status.CUBIQUITOUS)
+            return (CubiquityVerdict(Status.NOT_CUBIQUITOUS, block=block),
+                    blocks)
+    return CubiquityVerdict(Status.CUBIQUITOUS), blocks
 
 
 def torus_sum_bounds_qball(params: Sequence[int]) -> bool:

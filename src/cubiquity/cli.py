@@ -48,10 +48,9 @@ from .obstructions import (
     HajosBasis,
     Status,
     _hajos_rows,
+    _wu_obstruction,
     decide,
     hajos_basis,
-    wu_element,
-    wu_obstruction,
 )
 
 if TYPE_CHECKING:
@@ -119,9 +118,7 @@ def _read_basis(args) -> BasisMatrix:
 def _read_subset(args) -> Subset:
     from .subsets import Subset
 
-    rows = _read_rows(args)
-    n = len(rows)
-    return Subset(tuple(rows[i][j] for i in range(n)) for j in range(n))
+    return Subset(zip(*_read_rows(args)))  # the columns
 
 
 def _one_based(indices) -> list[int]:
@@ -165,8 +162,7 @@ def cmd_check(args) -> int:
 
 def cmd_wu(args) -> int:
     subset = _read_subset(args)
-    wu = wu_element(subset)
-    verdict = wu_obstruction(subset)
+    wu, verdict = _wu_obstruction(subset)
     lhs, rhs = verdict.inequality
     payload = {
         "W": list(wu.vector),
@@ -186,7 +182,7 @@ def cmd_wu(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    from .subsets import check_identity, stats
+    from .subsets import _identity_holds, stats
 
     subset = _read_subset(args)
     st = stats(subset)
@@ -198,7 +194,7 @@ def cmd_stats(args) -> int:
         "by_coordinate": [_one_based(e) for e in st.by_coordinate],
         "by_vector": [_one_based(v) for v in st.by_vector],
         "heavy": [_one_based(q) for q in st.heavy],
-        "identity_holds": check_identity(subset),
+        "identity_holds": _identity_holds(subset, st),
     }
     if args.format == "json":
         print(json.dumps(payload))
@@ -225,11 +221,9 @@ def cmd_hajos(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    from .classify import classify_orthogonal, decompose
+    from .classify import _classify_blocks
 
-    subset = _read_subset(args)
-    verdict = classify_orthogonal(subset)
-    blocks = decompose(subset)
+    verdict, blocks = _classify_blocks(_read_subset(args))
     if args.format == "json":
         payload = {
             "blocks": [

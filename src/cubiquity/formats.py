@@ -41,7 +41,7 @@ def parse_matrix(text: str, rows_as_vectors: bool = False) -> Rows:
     rows = []
     for line in lines[1:]:
         try:
-            row = tuple(int(tok) for tok in line.split())
+            row = tuple(map(int, line.split()))
         except ValueError as exc:
             raise MatrixFormatError(f"bad matrix row {line!r}") from exc
         if len(row) != n:
@@ -49,7 +49,7 @@ def parse_matrix(text: str, rows_as_vectors: bool = False) -> Rows:
                 f"row {line!r} has {len(row)} entries, expected {n}")
         rows.append(row)
     if rows_as_vectors:
-        rows = [tuple(rows[i][j] for i in range(n)) for j in range(n)]
+        rows = zip(*rows)
     return tuple(rows)
 
 

@@ -75,7 +75,7 @@ class BasisMatrix:
 
     def __init__(self, rows: Iterable[Iterable[int]]):
         # operator.index rejects floats; this library is exact
-        rows = tuple(tuple(index(v) for v in row) for row in rows)
+        rows = tuple(tuple(map(index, row)) for row in rows)
         n = len(rows)
         if n == 0:
             raise DimensionMismatch("a basis matrix needs at least one row")

@@ -107,11 +107,10 @@ def _hajos_rows(found: Optional[HajosBasis]) -> Optional[list[list[int]]]:
 
 def wu_element(subset: Subset) -> WuData:
     """Sum of the subset's vectors and the parity partition of its entries."""
-    n = subset.n
-    total = tuple(sum(v[j] for v in subset.vectors) for j in range(n))
-    odd = tuple(j for j in range(n) if total[j] % 2)
-    even_nonzero = tuple(j for j in range(n) if total[j] and total[j] % 2 == 0)
-    zero = tuple(j for j in range(n) if total[j] == 0)
+    total = tuple(map(sum, zip(*subset.vectors)))
+    odd = tuple(j for j, k in enumerate(total) if k % 2)
+    even_nonzero = tuple(j for j, k in enumerate(total) if k and k % 2 == 0)
+    zero = tuple(j for j, k in enumerate(total) if k == 0)
     return WuData(total, odd, even_nonzero, zero)
 
 
@@ -122,6 +121,10 @@ def wu_obstruction(subset: Subset) -> CubiquityVerdict:
     4n - 3*(number of odd coordinates); Inconclusive otherwise.  The
     obstruction is one-directional, so Cubiquitous is never returned.
     """
+    return _wu_obstruction(subset)[1]
+
+
+def _wu_obstruction(subset: Subset) -> tuple[WuData, CubiquityVerdict]:
     from .subsets import is_non_acute
 
     if not is_non_acute(subset):
@@ -130,7 +133,7 @@ def wu_obstruction(subset: Subset) -> CubiquityVerdict:
     lhs = sum(k * k for k in wu.vector)
     rhs = 4 * subset.n - 3 * len(wu.odd)
     status = Status.OBSTRUCTED if lhs > rhs else Status.INCONCLUSIVE
-    return CubiquityVerdict(status, inequality=(lhs, rhs))
+    return wu, CubiquityVerdict(status, inequality=(lhs, rhs))
 
 
 def wu_obstruction_orthogonal(subset: Subset) -> CubiquityVerdict:

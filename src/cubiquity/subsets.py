@@ -7,6 +7,7 @@ BasisMatrix.  All indices in this module are 0-based.
 
 from __future__ import annotations
 
+from itertools import compress
 from operator import index
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -28,11 +29,19 @@ class Subset:
     vectors: tuple[Vector, ...]
 
     def __init__(self, vectors: Iterable[Sequence[int]]):
-        vecs = tuple(tuple(index(x) for x in v) for v in vectors)
+        vecs = tuple(tuple(map(index, v)) for v in vectors)
         if any(len(v) != len(vecs) for v in vecs):
             raise DimensionMismatch(
                 f"need {len(vecs)} vectors of dimension {len(vecs)}")
         object.__setattr__(self, "vectors", vecs)
+
+    @classmethod
+    def _unchecked(cls, vectors: tuple[Vector, ...]) -> "Subset":
+        """Wrap n tuples of n ints, unchecked: for rewrites whose entries
+        come from a subset that was checked already."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "vectors", vectors)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -114,9 +123,9 @@ class SubsetStats(NamedTuple):
 def _supports(subset: Subset) -> tuple[_Supports, _Supports]:
     """(by_vector, by_coordinate) as SubsetStats defines them, each list
     in increasing order."""
-    by_vector = tuple(tuple(j for j, x in enumerate(v) if x)
-                      for v in subset.vectors)
-    by_coordinate: list[list[int]] = [[] for _ in range(subset.n)]
+    coordinates = range(subset.n)
+    by_vector = tuple(tuple(compress(coordinates, v)) for v in subset.vectors)
+    by_coordinate: list[list[int]] = [[] for _ in coordinates]
     for i, support in enumerate(by_vector):
         for j in support:
             by_coordinate[j].append(i)
@@ -128,15 +137,17 @@ def stats(subset: Subset) -> SubsetStats:
     n = subset.n
     vecs = subset.vectors
     by_vector, by_coordinate = _supports(subset)
-    classes = tuple(
-        tuple(j for j in range(n) if len(by_coordinate[j]) == m)
-        for m in range(n + 1))
-    counts = tuple(len(c) for c in classes)
+    by_count: list[list[int]] = [[] for _ in range(n + 1)]
+    for j, users in enumerate(by_coordinate):
+        by_count[len(users)].append(j)
+    classes = tuple(map(tuple, by_count))
+    counts = tuple(map(len, classes))
     heavy = tuple(
         tuple(j for j in cls if any(abs(vecs[i][j]) >= 2
                                     for i in by_coordinate[j]))
         for cls in classes)
-    excess = sum(subset.norms) - 3 * n
+    excess = sum(vecs[i][j] ** 2 for i, support in enumerate(by_vector)
+                 for j in support) - 3 * n
     return SubsetStats(by_coordinate, by_vector, classes, counts, heavy,
                        excess)
 
@@ -151,7 +162,11 @@ def check_identity(subset: Subset) -> bool:
     coordinate is used.  A False return means an implementation bug; this
     is a self-test oracle.
     """
-    st = stats(subset)
+    return _identity_holds(subset, stats(subset))
+
+
+def _identity_holds(subset: Subset, st: SubsetStats) -> bool:
+    """check_identity given the subset's stats."""
 
     def count(m: int) -> int:
         return st.counts[m] if m < len(st.counts) else 0

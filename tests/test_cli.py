@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import random
@@ -8,7 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from cubiquity import BasisMatrix, cli, parse_matrix
+from cubiquity import BasisMatrix, MatrixFormatError, Subset, cli, parse_matrix
 from cubiquity.cli import run
 from helpers import hajos_permutation_scan, unimodular_mix
 
@@ -122,6 +123,72 @@ def test_check_rows_as_vectors(capsys):
     code, out, _ = _run(capsys, "check", "--matrix", "1 2; 0 3")
     assert code == 1
     assert json.loads(out)["status"] == "NotCubiquitous"
+
+
+@pytest.mark.parametrize("text", ["2\n1 x\n2 3", "2\n1 1.0\n2 3"])
+def test_bad_token_keeps_its_message(text, capsys):
+    with pytest.raises(MatrixFormatError) as exc:
+        parse_matrix(text)
+    row = text.splitlines()[1]
+    assert str(exc.value) == f"bad matrix row {row!r}"
+    code, out, err = _run(capsys, "stats", "--matrix", row + "; 2 3")
+    assert (code, out, err) == (65, "", f"error: bad matrix row {row!r}\n")
+
+
+def test_rows_as_vectors_transposes_into_the_same_subset():
+    rows = "1 1 0; 1 -1 0; 0 3 2"
+    as_rows = cli._read_subset(cli._parser().parse_args(
+        ["stats", "--matrix", rows, "--rows-as-vectors"]))
+    as_columns = cli._read_subset(cli._parser().parse_args(
+        ["stats", "--matrix", rows]))
+    assert as_rows == Subset([(1, 1, 0), (1, -1, 0), (0, 3, 2)])
+    assert as_columns == Subset([(1, 1, 0), (1, -1, 3), (0, 0, 2)])
+    assert parse_matrix("3\n1 1 0\n1 -1 0\n0 3 2", True) == \
+        ((1, 1, 0), (1, -1, 3), (0, 0, 2))
+
+
+@pytest.mark.parametrize("command, module, name", [
+    ("classify", "cubiquity.classify", "decompose"),
+    ("classify", "cubiquity.classify", "is_orthogonal"),
+    ("stats", "cubiquity.subsets", "stats"),
+    ("wu", "cubiquity.obstructions", "wu_element"),
+    ("wu", "cubiquity.subsets", "is_non_acute"),
+])
+def test_subcommand_does_its_work_once(command, module, name, monkeypatch,
+                                       capsys):
+    argv = (command, "--matrix", "1 1 0; 1 -1 0; 0 0 2")
+    expected = _run(capsys, *argv)
+    owner = importlib.import_module(module)
+    original = getattr(owner, name)
+    calls = []
+
+    def counted(subset):
+        calls.append(subset)
+        return original(subset)
+
+    # under every name a module of the package binds it to
+    for module_name, mod in list(sys.modules.items()):
+        if (module_name.partition(".")[0] == "cubiquity"
+                and getattr(mod, name, None) is original):
+            monkeypatch.setattr(mod, name, counted)
+    assert _run(capsys, *argv) == expected
+    assert expected[0] in (0, 2) and expected[2] == ""
+    assert len(calls) == 1
+
+
+def test_stats_computes_norms_once(monkeypatch, capsys):
+    norms = Subset.norms
+    calls = []
+
+    def counted(subset):
+        calls.append(subset)
+        return norms.fget(subset)
+
+    monkeypatch.setattr(Subset, "norms", property(counted))
+    code, out, _ = _run(capsys, "stats", "--matrix", "1 0 -1; 1 -1 1; 0 3 0")
+    assert code == 0
+    assert json.loads(out)["norms"] == [2, 10, 2]
+    assert len(calls) == 1
 
 
 def test_wu_matches_contract_example(capsys):

@@ -56,6 +56,19 @@ def test_subset_validation():
         Subset([(1, 0), (0, 1), (1, 1)])
 
 
+@pytest.mark.parametrize("bad", [1.0, "1"])
+def test_subset_rejects_non_integers(bad):
+    # the same check BasisMatrix makes on its entries
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        Subset([(1, 0), (0, bad)])
+
+
+def test_subset_entries_are_exact_ints():
+    s = Subset([[True, 0], range(2)])
+    assert s.vectors == ((1, 0), (0, 1))
+    assert all(type(x) is int for v in s.vectors for x in v)
+
+
 def test_check_identity_hand_cases():
     # {e1+e2, e1-e2}: lhs = 0 + 2 - 2 = 0, rhs = 0
     assert check_identity(Subset([(1, 1), (1, -1)]))

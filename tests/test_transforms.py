@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 import cubiquity.transforms
+from cubiquity.subsets import _supports
 from cubiquity import (
     NotNonAcute,
     NotOrthogonal,
@@ -194,7 +196,73 @@ def test_trace_checks_orthogonality_once(monkeypatch):
     s = _orthogonal_block_sum(32, random.Random(71))
     reduced, steps = trace_reduce(s)
     assert len(steps) > 5 and reduced.n > 0
-    assert calls == {"is_orthogonal": 1, "_supports": len(steps) + 1}
+    # the support index is built once at entry and renumbered per step
+    assert calls == {"is_orthogonal": 1, "_supports": 1}
+
+
+def test_carried_index_matches_rebuilt_supports(monkeypatch):
+    # every step reads the index renumbered from the step before; it must
+    # equal the index rebuilt from that step's subset
+    seen = []
+    next_step = cubiquity.transforms._next_step
+
+    def recording(subset, by_vector, by_coordinate):
+        seen.append((subset, by_vector, by_coordinate))
+        return next_step(subset, by_vector, by_coordinate)
+
+    monkeypatch.setattr(cubiquity.transforms, "_next_step", recording)
+    rng = random.Random(73)
+    total = 0
+    for n in list(range(65)) + [64] * 3:
+        s = _orthogonal_block_sum(n, rng)
+        seen.clear()
+        reduced, steps = trace_reduce(s)
+        assert (reduced, steps) == trace_reduce_reference(s), s
+        assert [entry[0] for entry in seen] == \
+            [s] + [step.result for step in steps]
+        for subset, by_vector, by_coordinate in seen:
+            assert (by_vector, by_coordinate) == _supports(subset), subset
+            # the unchecked results hold the same tuples of ints
+            assert subset == Subset(subset.vectors)
+            assert all(type(x) is int for v in subset.vectors for x in v)
+        total += len(steps)
+    assert total > 600
+
+
+def _contract_reference(subset, i, s, t, u):
+    """The contraction rebuilt entry by entry through the checked
+    constructor."""
+    vecs = subset.vectors
+    merged = tuple(a + b for a, b in zip(vecs[s], vecs[t]))
+    truncated = tuple(x if j != i else 0 for j, x in enumerate(vecs[u]))
+    survivors = [v for k, v in enumerate(vecs) if k not in (s, t, u)]
+    keep = [j for j in range(subset.n) if j != i]
+    return Subset(tuple(v[j] for j in keep)
+                  for v in survivors + [merged, truncated])
+
+
+def test_contract_matches_checked_rebuild():
+    rng = random.Random(79)
+    subsets = [_expansion(x) for x in (1, 2, 3, -4)]
+    for _ in range(400):
+        n = rng.randint(3, 7)
+        subsets.append(Subset(
+            tuple(rng.choice((0, 0, 0, 1, -1, 1, -1, 2)) for _ in range(n))
+            for _ in range(n)))
+    hits = 0
+    for s in subsets:
+        for i, users in enumerate(_supports(s)[1]):
+            if len(users) != 3:
+                continue
+            for a, b, c in itertools.permutations(users):
+                try:
+                    out = contract(s, i, a, b, c)
+                except PreconditionFailed:
+                    continue
+                hits += 1
+                assert out == _contract_reference(s, i, a, b, c), (s, i)
+                assert all(type(x) is int for v in out.vectors for x in v)
+    assert hits >= 150
 
 
 @pytest.mark.parametrize("rewrite, clause", [
