@@ -52,9 +52,9 @@ def _block_kind(subset: Subset, coords: tuple[int, ...],
             return TWO_TIMES
         return OTHER
     if len(vectors) == 2 and len(coords) == 2:
-        entries = [v[j] for v in vecs for j in coords]
-        orthogonal = sum(a * b for a, b in zip(vecs[0], vecs[1])) == 0
-        if all(abs(e) == 1 for e in entries) and orthogonal:
+        # both vectors vanish off the block's two coordinates
+        entries = a, b, c, d = [v[j] for v in vecs for j in coords]
+        if all(abs(e) == 1 for e in entries) and a * c + b * d == 0:
             return HYPER_2X2
     return OTHER
 

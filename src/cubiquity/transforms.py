@@ -8,7 +8,7 @@ trace can be replayed.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from itertools import compress
 from operator import add, index
 from typing import Container, NamedTuple
@@ -34,20 +34,6 @@ def _delete(subset: Subset, vector_indices: Container[int],
     return Subset._unchecked(tuple(
         tuple(compress(v, keep))
         for i, v in enumerate(subset.vectors) if i not in vector_indices))
-
-
-def _renumber(lists: _Supports, gone: tuple[int, ...],
-              values_gone: tuple[int, ...]) -> _Supports:
-    """The support lists left once the lists at ``gone`` and the values
-    ``values_gone`` (increasing) are deleted, values relabelled downward.
-
-    After a rewrite step, ``values_gone`` occur only in the lists at
-    ``gone`` (see trace_reduce), so no surviving list loses an entry.
-    """
-    relabel = [j - bisect_left(values_gone, j)
-               for j in range(len(lists))].__getitem__
-    return tuple(tuple(map(relabel, entries))
-                 for k, entries in enumerate(lists) if k not in gone)
 
 
 def _projection_failure(by_vector: _Supports, s: int) -> str | None:
@@ -112,25 +98,6 @@ def double_project(subset: Subset, i: int) -> Subset:
     return _delete(subset, (s, t), by_vector[s])
 
 
-def _next_step(subset: Subset, by_vector: _Supports,
-               by_coordinate: _Supports) -> RewriteStep | None:
-    # the rewrites' own precondition checks, then the deletion itself: the
-    # caller has proved the subset orthogonal
-    for s in range(subset.n):
-        if _projection_failure(by_vector, s) is None:
-            coordinates = by_vector[s]
-            return RewriteStep(PROJECTION, coordinates, (s,),
-                               _delete(subset, (s,), coordinates))
-    for i in range(subset.n):
-        if _double_projection_failure(subset, by_vector, by_coordinate,
-                                      i) is None:
-            pair = by_coordinate[i]
-            coordinates = by_vector[pair[0]]
-            return RewriteStep(DOUBLE_PROJECTION, coordinates, pair,
-                               _delete(subset, pair, coordinates))
-    return None
-
-
 def trace_reduce(subset: Subset) -> tuple[Subset, tuple[RewriteStep, ...]]:
     """Apply projections, then double projections, to exhaustion.
 
@@ -139,12 +106,8 @@ def trace_reduce(subset: Subset) -> tuple[Subset, tuple[RewriteStep, ...]]:
     empty, or has every vector supported on at least two coordinates and
     every two-vector coordinate carrying an entry of magnitude >= 2.
 
-    Cost: orthogonality is checked once, at entry, from the products of
-    the vectors that share a coordinate, and the support lists are built
-    once, also at entry.  After each step the lists are renumbered in
-    O(nnz), nnz the number of nonzero entries, instead of being rebuilt,
-    and the surviving rows are copied at C speed.  The steps need no
-    further check, because no step can break orthogonality:
+    No step can break orthogonality, or add, remove or change another
+    step's candidate:
 
     - a vector supported on one coordinate is the only vector that uses
       it, since any other user would have a nonzero product with it;
@@ -152,22 +115,46 @@ def trace_reduce(subset: Subset) -> tuple[Subset, tuple[RewriteStep, ...]]:
       that uses i and j, since a third vector using either would have a
       nonzero product with the pair.
 
-    So deleting those vectors and their coordinates changes no other norm
-    or product, and no other vector's support: the deleted coordinates
-    belong only to the deleted vectors.  ``project`` and
-    ``double_project`` still check orthogonality on every call.
+    So deleting those vectors and their coordinates changes no other norm,
+    product, entry or support: the deleted coordinates belong only to the
+    deleted vectors.  The support index of the input therefore fixes the
+    whole trace.  It lists the projectable vectors in increasing order,
+    then the hyperbolic pairs by their smaller coordinate (the scan meets
+    it first, and the larger one goes with it).  Each step's indices are
+    relabelled downward past those already deleted.
+
+    Cost: one orthogonality check, from the products of the vectors that
+    share a coordinate, and one support index, both at entry; then one
+    deletion per step, copying the surviving rows at C speed.
+    ``project`` and ``double_project`` still check orthogonality on every
+    call.
     """
     if not is_orthogonal(subset):
         raise NotOrthogonal("reduce requires an orthogonal subset")
     by_vector, by_coordinate = _supports(subset)
+    # the rewrites' own precondition checks, on the entry index
+    plan = [(PROJECTION, (s,), by_vector[s]) for s in range(subset.n)
+            if _projection_failure(by_vector, s) is None]
+    plan += [(DOUBLE_PROJECTION, by_coordinate[i],
+              by_vector[by_coordinate[i][0]]) for i in range(subset.n)
+             if _double_projection_failure(subset, by_vector, by_coordinate,
+                                           i) is None
+             and by_vector[by_coordinate[i][0]][0] == i]
+    gone_vectors: list[int] = []
+    gone_coordinates: list[int] = []
     steps = []
     current = subset
-    while (step := _next_step(current, by_vector, by_coordinate)) is not None:
-        by_vector = _renumber(by_vector, step.vectors, step.coordinates)
-        by_coordinate = _renumber(by_coordinate, step.coordinates,
-                                  step.vectors)
-        steps.append(step)
-        current = step.result
+    for kind, vectors, coordinates in plan:
+        now_vectors = tuple(s - bisect_left(gone_vectors, s)
+                            for s in vectors)
+        now_coordinates = tuple(j - bisect_left(gone_coordinates, j)
+                                for j in coordinates)
+        current = _delete(current, now_vectors, now_coordinates)
+        steps.append(RewriteStep(kind, now_coordinates, now_vectors, current))
+        for s in vectors:
+            insort(gone_vectors, s)
+        for j in coordinates:
+            insort(gone_coordinates, j)
     return current, tuple(steps)
 
 
@@ -183,6 +170,7 @@ def contract(subset: Subset, i: int, s: int, t: int, u: int) -> Subset:
     merge into their sum; vector u (unit entry at i, norm at least 3) loses
     its i-th entry.  Raises PreconditionFailed naming the violated clause.
     """
+    i, s, t, u = map(index, (i, s, t, u))
     n = subset.n
     if n < 3:
         raise PreconditionFailed("contraction needs at least 3 vectors")

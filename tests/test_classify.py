@@ -91,6 +91,19 @@ def test_hyper_recognition_up_to_signed_permutation():
     assert decompose(Subset([(1, 1), (-1, -1)])).kinds == ("Other",)
 
 
+def test_two_vector_blocks_at_distant_coordinates():
+    # each block's kind is read from its own two coordinates, far apart
+    for pair, kind in (([(1, 1), (1, -1)], "Hyper2x2"),
+                       ([(1, 1), (1, 1)], "Other")):
+        vectors = [tuple(int(j == k) for j in range(64)) for k in range(64)]
+        for v, (x, y) in zip((3, 60), pair):
+            vectors[v] = tuple(x if j == 3 else y if j == 60 else 0
+                               for j in range(64))
+        kinds = decompose(Subset(vectors)).kinds
+        assert kinds.count(kind) == 1 and kinds.count("Unit") == 62
+        assert len(kinds) == 63
+
+
 def test_classify_examples():
     v = classify_orthogonal(
         Subset([(1, 1, 0, 0), (1, -1, 0, 0), (0, 0, 2, 0), (0, 0, 0, 1)]))

@@ -170,7 +170,8 @@ def _orthogonal_block_sum(n, rng):
 
 def test_trace_matches_reference():
     rng = random.Random(67)
-    sizes = [rng.randint(1, 63) for _ in range(30)] + [64] * 3
+    sizes = [rng.randint(1, 63) for _ in range(30)]
+    sizes += [64] * 3 + [128] * 3
     kinds = set()
     for n in sizes:
         s = _orthogonal_block_sum(n, rng)
@@ -196,35 +197,24 @@ def test_trace_checks_orthogonality_once(monkeypatch):
     s = _orthogonal_block_sum(32, random.Random(71))
     reduced, steps = trace_reduce(s)
     assert len(steps) > 5 and reduced.n > 0
-    # the support index is built once at entry and renumbered per step
+    # the support index is built once at entry and plans every step
     assert calls == {"is_orthogonal": 1, "_supports": 1}
 
 
-def test_carried_index_matches_rebuilt_supports(monkeypatch):
-    # every step reads the index renumbered from the step before; it must
-    # equal the index rebuilt from that step's subset
-    seen = []
-    next_step = cubiquity.transforms._next_step
-
-    def recording(subset, by_vector, by_coordinate):
-        seen.append((subset, by_vector, by_coordinate))
-        return next_step(subset, by_vector, by_coordinate)
-
-    monkeypatch.setattr(cubiquity.transforms, "_next_step", recording)
+def test_carried_index_matches_rebuilt_supports():
+    # the trace is planned from the entry index alone; every step must
+    # still match the reference, which rebuilds the supports per step
     rng = random.Random(73)
     total = 0
     for n in list(range(65)) + [64] * 3:
         s = _orthogonal_block_sum(n, rng)
-        seen.clear()
         reduced, steps = trace_reduce(s)
         assert (reduced, steps) == trace_reduce_reference(s), s
-        assert [entry[0] for entry in seen] == \
-            [s] + [step.result for step in steps]
-        for subset, by_vector, by_coordinate in seen:
-            assert (by_vector, by_coordinate) == _supports(subset), subset
+        for step in steps:
             # the unchecked results hold the same tuples of ints
-            assert subset == Subset(subset.vectors)
-            assert all(type(x) is int for v in subset.vectors for x in v)
+            assert step.result == Subset(step.result.vectors)
+            assert all(type(x) is int
+                       for v in step.result.vectors for x in v)
         total += len(steps)
     assert total > 600
 
@@ -327,6 +317,10 @@ def test_contract_index_out_of_range():
     s = Subset([(1, 1, 0), (-1, 0, 1), (1, -1, -1)])
     for args in ((3, 0, 1, 2), (-1, 0, 1, 2), (0, 0, 1, 3), (0, -3, 1, 2)):
         with pytest.raises(PreconditionFailed, match="range"):
+            contract(s, *args)
+    # (0, 0, 1, 2) is a valid contraction; floats are refused at entry
+    for args in ((0.0, 0, 1, 2), (0, 0, 1, 2.0)):
+        with pytest.raises(TypeError, match="as an integer"):
             contract(s, *args)
 
 
