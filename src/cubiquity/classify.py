@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 from .errors import MixedSigns, NotOrthogonal, ZeroParameter
 from .lattice import BasisMatrix
 from .obstructions import CubiquityVerdict, Status
-from .subsets import Subset, _supports, is_orthogonal
+from .subsets import Subset, _support_index, is_orthogonal
 
 UNIT = "Unit"
 TWO_TIMES = "TwoTimes"
@@ -66,7 +66,7 @@ def decompose(subset: Subset) -> BlockDecomposition:
     coordinates where it is nonzero.  Blocks are listed by their smallest
     coordinate; vectors with empty support trail as singleton blocks.
     """
-    by_vector, by_coordinate = _supports(subset)
+    by_vector, by_coordinate = _support_index(subset)
     seen: set[int] = set()
     blocks = []
     for start in range(subset.n):

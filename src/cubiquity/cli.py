@@ -15,7 +15,10 @@ exits 2.  The Hajos search takes at most n eliminations and has no cap, so
 
 The argument parser is built once per process, on the first call to
 ``run``, and reused by every later call; ``build_parser`` returns a fresh
-one.
+one.  Each subcommand has its own parser, and ``run`` hands the arguments
+after the command name straight to it, so a call runs one argparse pass.
+The top-level parser runs only for help and for a missing or unknown
+command, and prints what it always has.
 
 A subcommand loads only the modules it runs.  Importing this module loads
 ``errors``, ``lattice``, ``formats`` and ``obstructions``, which is all
@@ -72,6 +75,9 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # set on the top-level parser only: the subcommand parsers, by name
+    _commands: dict[str, _Parser]
+
     def error(self, message):
         raise UsageError(message)
 
@@ -342,6 +348,7 @@ def build_parser() -> _Parser:
                     "sublattices of Z^n.")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
+    parser._commands = sub.choices  # filled in by add_parser below
 
     src = _Parser(add_help=False)
     src.add_argument("file", nargs="?", default=None,
@@ -411,9 +418,23 @@ def _parser() -> _Parser:
     return build_parser()
 
 
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """The Namespace ``_parser().parse_args(argv)`` gives, or its error,
+    from the subcommand's parser alone when argv[0] names one.  The
+    top-level parser would pass that parser everything after argv[0]
+    anyway, '--' included, and its own options never match there."""
+    parser = _parser()
+    command = parser._commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args = command.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         # looked up at call time, so a rebound cmd_<name> takes effect
         code = globals()[f"cmd_{args.command}"](args)
         if sys.stdout is not None:

@@ -16,30 +16,12 @@ from .lattice import BasisMatrix
 Rows = tuple[tuple[int, ...], ...]
 
 
-def _data_lines(text: str) -> list[str]:
-    return [line.strip() for line in text.splitlines()
-            if line.strip() and not line.lstrip().startswith("#")]
-
-
-def parse_matrix(text: str, rows_as_vectors: bool = False) -> Rows:
-    """Parse the text format into row tuples (transposed when the rows are
-    declared to be the vectors)."""
-    lines = _data_lines(text)
-    if not lines:
-        raise MatrixFormatError("no data lines")
-    try:
-        n = int(lines[0])
-    except ValueError as exc:
-        raise MatrixFormatError(
-            f"first data line must be the dimension, got {lines[0]!r}"
-        ) from exc
-    if n < 1:
-        raise MatrixFormatError(f"dimension must be positive, got {n}")
-    if len(lines) - 1 != n:
-        raise MatrixFormatError(
-            f"expected {n} matrix rows, found {len(lines) - 1}")
+def _read_rows(lines: list[str], rows_as_vectors: bool) -> Rows:
+    """Read n stripped lines of n integers each into row tuples
+    (transposed when the rows are declared to be the vectors)."""
+    n = len(lines)
     rows = []
-    for line in lines[1:]:
+    for line in lines:
         try:
             row = tuple(map(int, line.split()))
         except ValueError as exc:
@@ -53,13 +35,40 @@ def parse_matrix(text: str, rows_as_vectors: bool = False) -> Rows:
     return tuple(rows)
 
 
+def parse_matrix(text: str, rows_as_vectors: bool = False) -> Rows:
+    """Parse the text format into row tuples (transposed when the rows are
+    declared to be the vectors)."""
+    lines = [line for line in map(str.strip, text.splitlines())
+             if line and not line.startswith("#")]
+    if not lines:
+        raise MatrixFormatError("no data lines")
+    try:
+        n = int(lines[0])
+    except ValueError as exc:
+        raise MatrixFormatError(
+            f"first data line must be the dimension, got {lines[0]!r}"
+        ) from exc
+    if n < 1:
+        raise MatrixFormatError(f"dimension must be positive, got {n}")
+    if len(lines) - 1 != n:
+        raise MatrixFormatError(
+            f"expected {n} matrix rows, found {len(lines) - 1}")
+    return _read_rows(lines[1:], rows_as_vectors)
+
+
 def parse_inline(text: str, rows_as_vectors: bool = False) -> Rows:
-    """Parse an inline matrix, rows separated by semicolons."""
-    parts = [p.strip() for p in text.split(";") if p.strip()]
+    """Parse an inline matrix, one row per ';'-separated part.
+
+    Blank parts are skipped, so the dimension is the number of rows.
+    Inline text has no comments: a part that starts with '#' is a bad
+    row, and a part with a line break inside it is refused."""
+    parts = [part for part in map(str.strip, text.split(";")) if part]
     if not parts:
         raise MatrixFormatError("empty inline matrix")
-    body = "\n".join(parts)
-    return parse_matrix(f"{len(parts)}\n{body}", rows_as_vectors)
+    for part in parts:
+        if len(part.splitlines()) > 1:
+            raise MatrixFormatError(f"inline row {part!r} holds a line break")
+    return _read_rows(parts, rows_as_vectors)
 
 
 def format_matrix(rows: Sequence[Sequence[int]] | BasisMatrix) -> str:

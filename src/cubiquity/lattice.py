@@ -83,7 +83,8 @@ class BasisMatrix:
             raise DimensionMismatch("basis matrix must be square")
         self._rows = rows
         if self.det == 0:
-            raise SingularMatrix(f"columns are linearly dependent: {rows}")
+            raise SingularMatrix(
+                f"columns of the {n}x{n} matrix are linearly dependent")
 
     @classmethod
     def _triangular(cls, rows: tuple[Vector, ...]) -> "BasisMatrix":
@@ -99,7 +100,7 @@ class BasisMatrix:
         n = len(columns)
         if any(len(c) != n for c in columns):
             raise DimensionMismatch("basis matrix must be square")
-        return cls([[columns[j][i] for j in range(n)] for i in range(n)])
+        return cls(zip(*columns))
 
     @property
     def n(self) -> int:
@@ -111,8 +112,7 @@ class BasisMatrix:
 
     @property
     def columns(self) -> tuple[Vector, ...]:
-        n = self.n
-        return tuple(tuple(self._rows[i][j] for i in range(n)) for j in range(n))
+        return tuple(zip(*self._rows))
 
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self._rows)

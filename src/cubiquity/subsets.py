@@ -21,10 +21,11 @@ class Subset:
     """An ordered list of n vectors in Z^n (possibly empty, n = 0).
 
     Immutable and compared by value; the constructor turns every entry
-    into an int and checks that there are n vectors of dimension n.
+    into an int and checks that there are n vectors of dimension n.  The
+    support index is built on first use and kept (see _support_index).
     """
 
-    __slots__ = ("vectors",)
+    __slots__ = ("vectors", "_index")
     __match_args__ = ("vectors",)
     vectors: tuple[Vector, ...]
 
@@ -132,11 +133,22 @@ def _supports(subset: Subset) -> tuple[_Supports, _Supports]:
     return by_vector, tuple(map(tuple, by_coordinate))
 
 
+def _support_index(subset: Subset) -> tuple[_Supports, _Supports]:
+    """_supports of the subset, built on first use and kept on it, so a
+    route and the predicate that checks its input share one index."""
+    try:
+        return subset._index
+    except AttributeError:
+        supports = _supports(subset)
+        object.__setattr__(subset, "_index", supports)
+        return supports
+
+
 def stats(subset: Subset) -> SubsetStats:
     """Compute all support statistics of the subset."""
     n = subset.n
     vecs = subset.vectors
-    by_vector, by_coordinate = _supports(subset)
+    by_vector, by_coordinate = _support_index(subset)
     by_count: list[list[int]] = [[] for _ in range(n + 1)]
     for j, users in enumerate(by_coordinate):
         by_count[len(users)].append(j)
@@ -181,7 +193,7 @@ def _gram_rows(subset: Subset) -> Iterator[tuple[int, list[int]]]:
     """Per vector, its norm and its products with the vectors that share a
     coordinate with it; every product left out is 0."""
     vecs = subset.vectors
-    by_vector, by_coordinate = _supports(subset)
+    by_vector, by_coordinate = _support_index(subset)
     for i, support in enumerate(by_vector):
         near = {k for j in support for k in by_coordinate[j]} - {i}
         yield (sum(vecs[i][j] ** 2 for j in support),

@@ -14,7 +14,7 @@ from operator import add, index
 from typing import Container, NamedTuple
 
 from .errors import NotOrthogonal, PreconditionFailed
-from .subsets import Subset, _Supports, _supports, is_orthogonal
+from .subsets import Subset, _Supports, _support_index, is_orthogonal
 
 PROJECTION = "Projection"
 DOUBLE_PROJECTION = "DoubleProjection"
@@ -71,7 +71,7 @@ def project(subset: Subset, s: int) -> Subset:
         raise PreconditionFailed(f"vector s must lie in range({subset.n})")
     if not is_orthogonal(subset):
         raise NotOrthogonal("projection requires an orthogonal subset")
-    by_vector = _supports(subset)[0]
+    by_vector = _support_index(subset)[0]
     failure = _projection_failure(by_vector, s)
     if failure is not None:
         raise PreconditionFailed(failure)
@@ -90,7 +90,7 @@ def double_project(subset: Subset, i: int) -> Subset:
         raise PreconditionFailed(f"coordinate i must lie in range({subset.n})")
     if not is_orthogonal(subset):
         raise NotOrthogonal("double projection requires an orthogonal subset")
-    by_vector, by_coordinate = _supports(subset)
+    by_vector, by_coordinate = _support_index(subset)
     failure = _double_projection_failure(subset, by_vector, by_coordinate, i)
     if failure is not None:
         raise PreconditionFailed(failure)
@@ -131,7 +131,7 @@ def trace_reduce(subset: Subset) -> tuple[Subset, tuple[RewriteStep, ...]]:
     """
     if not is_orthogonal(subset):
         raise NotOrthogonal("reduce requires an orthogonal subset")
-    by_vector, by_coordinate = _supports(subset)
+    by_vector, by_coordinate = _support_index(subset)
     # the rewrites' own precondition checks, on the entry index
     plan = [(PROJECTION, (s,), by_vector[s]) for s in range(subset.n)
             if _projection_failure(by_vector, s) is None]
@@ -180,7 +180,7 @@ def contract(subset: Subset, i: int, s: int, t: int, u: int) -> Subset:
     if len({s, t, u}) != 3:
         raise PreconditionFailed("vector indices s, t, u must be distinct")
     vecs = subset.vectors
-    users = _supports(subset)[1][i]
+    users = _support_index(subset)[1][i]
     if set(users) != {s, t, u}:
         # named by clause, not by index: the CLI's indices are 1-based
         raise PreconditionFailed(

@@ -1,6 +1,8 @@
 """Shared test utilities: independent oracles and instance generators."""
 
+import importlib
 import itertools
+import sys
 from math import gcd
 
 from cubiquity import (
@@ -23,6 +25,35 @@ from cubiquity import (
     wu_obstruction,
 )
 from cubiquity.classify import OTHER, _block_kind
+from cubiquity.errors import MatrixFormatError
+from cubiquity.formats import parse_matrix
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name under every name a module of the package binds it
+    to; returns the list each call appends its first argument to."""
+    original = getattr(importlib.import_module(module), name)
+    calls = []
+
+    def counted(first, *args):
+        calls.append(first)
+        return original(first, *args)
+
+    for module_name, mod in list(sys.modules.items()):
+        if (module_name.partition(".")[0] == "cubiquity"
+                and getattr(mod, name, None) is original):
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def parse_inline_reference(text, rows_as_vectors=False):
+    """The inline reader as it was: the ';' parts joined into file text
+    under their count as the dimension, and that text parsed again."""
+    parts = [p.strip() for p in text.split(";") if p.strip()]
+    if not parts:
+        raise MatrixFormatError("empty inline matrix")
+    body = "\n".join(parts)
+    return parse_matrix(f"{len(parts)}\n{body}", rows_as_vectors)
 
 
 def xgcd(a, b):

@@ -1,4 +1,3 @@
-import importlib
 import json
 import os
 import random
@@ -11,7 +10,7 @@ import pytest
 
 from cubiquity import BasisMatrix, MatrixFormatError, Subset, cli, parse_matrix
 from cubiquity.cli import run
-from helpers import hajos_permutation_scan, unimodular_mix
+from helpers import count_calls, hajos_permutation_scan, unimodular_mix
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" /
@@ -150,27 +149,18 @@ def test_rows_as_vectors_transposes_into_the_same_subset():
 @pytest.mark.parametrize("command, module, name", [
     ("classify", "cubiquity.classify", "decompose"),
     ("classify", "cubiquity.classify", "is_orthogonal"),
+    ("classify", "cubiquity.subsets", "_supports"),
     ("stats", "cubiquity.subsets", "stats"),
+    ("stats", "cubiquity.subsets", "_supports"),
     ("wu", "cubiquity.obstructions", "wu_element"),
     ("wu", "cubiquity.subsets", "is_non_acute"),
+    ("wu", "cubiquity.subsets", "_supports"),
 ])
 def test_subcommand_does_its_work_once(command, module, name, monkeypatch,
                                        capsys):
     argv = (command, "--matrix", "1 1 0; 1 -1 0; 0 0 2")
     expected = _run(capsys, *argv)
-    owner = importlib.import_module(module)
-    original = getattr(owner, name)
-    calls = []
-
-    def counted(subset):
-        calls.append(subset)
-        return original(subset)
-
-    # under every name a module of the package binds it to
-    for module_name, mod in list(sys.modules.items()):
-        if (module_name.partition(".")[0] == "cubiquity"
-                and getattr(mod, name, None) is original):
-            monkeypatch.setattr(mod, name, counted)
+    calls = count_calls(monkeypatch, module, name)
     assert _run(capsys, *argv) == expected
     assert expected[0] in (0, 2) and expected[2] == ""
     assert len(calls) == 1
@@ -375,6 +365,26 @@ def test_parser_built_once_per_process(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_top_level_parser_runs_only_without_a_command(monkeypatch, capsys):
+    top = cli._parser()
+    parse = top.parse_known_args
+    calls = []
+
+    def counted(args=None, namespace=None):
+        calls.append(args)
+        return parse(args, namespace)
+
+    monkeypatch.setattr(top, "parse_known_args", counted)
+    codes = [_run(capsys, *argv)[0] for argv in (
+        ("check", "--matrix", "2 0; 0 2"),
+        ("hajos", "--cap", "3", "--matrix", "2 0; 0 2"),
+        ("bogus",),
+        (),
+    )]
+    assert codes == [0, 64, 64, 64]
+    assert calls == [["bogus"], []]
+
+
 DIAG222 = "2 0 0; 0 2 0; 0 0 2"
 
 
@@ -517,6 +527,18 @@ def test_input_errors(tmp_path, capsys):
     singular.write_text("2\n1 1\n1 1\n")
     code, _, err = _run(capsys, "check", str(singular))
     assert code == 65
+    assert err == "error: columns of the 2x2 matrix are linearly dependent\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# c; 2 0\n0 2", "inline row '2 0\\n0 2' holds a line break"),
+    ("2 0; # c", "bad matrix row '# c'"),
+])
+def test_inline_parts_are_rows_only(text, message, capsys):
+    # one row per ';' part: joined into file text and parsed again, the
+    # first read as diag(2, 2), with '# c' a comment
+    assert _run(capsys, "check", "--matrix", text) == (
+        65, "", f"error: {message}\n")
 
 
 def test_non_utf8_input_exits_65(tmp_path, capsys):

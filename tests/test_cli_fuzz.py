@@ -10,10 +10,12 @@ import json
 from pathlib import Path
 
 import jsonschema
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubiquity.cli import run
+from cubiquity import cli
+from cubiquity.cli import UsageError, run
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" /
@@ -129,3 +131,53 @@ def test_run_exit_codes_streams_and_repeatability(argv):
     assert call(argv) == (code, out, err)
     assert call(["check", "--format", "yaml"])[0] == 64
     assert call(argv) == (code, out, err)
+
+
+def parsed(parse, argv):
+    """The Namespace's fields, or the usage error's text, or the exit code
+    and printed text of help."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return vars(parse(list(argv)))
+    except UsageError as exc:
+        return f"error: {exc}"
+    except SystemExit as exc:
+        return exc.code, out.getvalue()
+
+
+def assert_dispatch_matches_full_parse(argv):
+    # run() hands argv[1:] to the subcommand's parser alone
+    assert parsed(cli._parse, argv) == parsed(cli._parser().parse_args, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["bogus"],
+    [""],
+    ["-h"],
+    ["--", "check", "--matrix", "2 0; 0 2"],
+    ["check", "--nope", "--matrix", "2 0; 0 2"],
+    ["check", "-h"],
+    ["check", "--he"],
+    ["hajos", "--cap", "3", "--matrix", "2 0; 0 2"],
+    ["torus", "--", "-4", "-4"],
+    ["torus", "-4"],
+    ["check", "--matrix", "-2 0; 0 2"],
+    ["check", "--matrix", "-1"],
+    ["check", "--matrix", "-x"],
+    ["check", "--matrix=-1 0; 0 1", "--format", "text"],
+    ["check", "--format", "text", "--matrix", "1", "--format", "json"],
+    ["wu", "--format", "text", "--format", "yaml", "--matrix", "1"],
+    ["contract", "--matrix", "1", "-i", "1"],
+    ["check", "--matrix", "1", "file"],
+    ["det4", "1", "-2", "3"],
+])
+def test_dispatch_matches_full_parse_edges(argv):
+    assert_dispatch_matches_full_parse(argv)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(argvs())
+def test_dispatch_matches_full_parse(argv):
+    assert_dispatch_matches_full_parse(argv)

@@ -1,0 +1,102 @@
+"""The row reader behind both matrix formats, against the old inline path.
+
+``parse_inline`` reads one row per ';' part.  ``parse_inline_reference``
+joins the parts into file text and parses that; on text without '#' or
+line breaks the two must give the same rows or the same error message.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cubiquity import MatrixFormatError, parse_inline, parse_matrix
+from helpers import parse_inline_reference
+
+SPACE = st.sampled_from([" ", "  ", "\t", " \t "])
+ENTRY = st.one_of(
+    st.integers(-9, 9).map(str),
+    st.integers(0, 99).map(lambda k: f"+{k}"),
+    st.integers(10 ** 24, 10 ** 25 - 1).map(
+        lambda k: str(k) if k % 2 else f"-{k}"),
+)
+TOKEN = st.one_of(ENTRY, st.sampled_from(["x", "1.5", "--", "-", "1e3"]))
+
+
+@st.composite
+def part(draw, tokens):
+    text = ""
+    for token in draw(tokens):
+        text += draw(SPACE) + token
+    return text + draw(st.sampled_from(["", " ", "\t"]))
+
+
+@st.composite
+def inline_text(draw):
+    # mostly square, so the reader is exercised past its count checks
+    n = draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        row = part(st.lists(ENTRY, min_size=n, max_size=n))
+        parts = [draw(row) for _ in range(n)]
+    else:
+        parts = draw(st.lists(part(st.lists(TOKEN, max_size=5)),
+                              max_size=5))
+    empties = draw(st.lists(st.sampled_from(["", " ", "\t"]), max_size=3))
+    for empty in empties:
+        parts.insert(draw(st.integers(0, len(parts))), empty)
+    return draw(st.sampled_from(["", ";", " ; "])) + ";".join(parts) + \
+        draw(st.sampled_from(["", ";", ";\t"]))
+
+
+def outcome(parse, text, rows_as_vectors):
+    try:
+        return parse(text, rows_as_vectors)
+    except MatrixFormatError as exc:
+        return f"error: {exc}"
+
+
+@settings(max_examples=600, deadline=None)
+@given(inline_text(), st.booleans())
+def test_inline_reader_matches_reference(text, rows_as_vectors):
+    assert outcome(parse_inline, text, rows_as_vectors) == \
+        outcome(parse_inline_reference, text, rows_as_vectors)
+
+
+def test_generated_text_reaches_every_outcome():
+    # the strategy above hits rows, each error message and both sizes
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(inline_text())
+    def collect(text):
+        result = outcome(parse_inline, text, False)
+        if isinstance(result, tuple):
+            seen.add("rows")
+            if any(abs(v) >= 10 ** 24 for row in result for v in row):
+                seen.add("long")
+        else:
+            seen.add(result.split(" ")[1])
+    collect()
+    assert {"rows", "long", "empty", "bad", "row"} <= seen
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# c; 2 0\n0 2", "inline row '2 0\\n0 2' holds a line break"),
+    ("# c; 2 0; 0 2", "bad matrix row '# c'"),
+    ("1 2\u20283 4", "inline row '1 2\\u20283 4' holds a line break"),
+    (" ; \t;", "empty inline matrix"),
+])
+def test_inline_parts_are_rows(text, message):
+    with pytest.raises(MatrixFormatError) as exc:
+        parse_inline(text)
+    assert str(exc.value) == message
+
+
+def test_file_and_inline_read_the_same_rows():
+    text = "# a comment\n\n  3\n1 0 -1\n\t# another\n+2 1 0 \n0 0 1"
+    rows = ((1, 0, -1), (2, 1, 0), (0, 0, 1))
+    assert parse_matrix(text) == rows
+    assert parse_inline("1 0 -1; +2 1 0 ;0 0 1") == rows
+    # a line break beside a ';' is stripped with its part's other space
+    assert parse_inline("\n1 0 -1;\n+2 1 0\t;0 0 1\n") == rows
+    assert parse_matrix(text, True) == parse_inline("1 0 -1;2 1 0;0 0 1",
+                                                    True) == tuple(zip(*rows))

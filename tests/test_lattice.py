@@ -59,6 +59,21 @@ def test_det_agrees_with_cofactor_expansion(rows):
         assert det(BasisMatrix(rows)) == expected
 
 
+def test_singular_message_names_the_dimension():
+    # the message must not grow with the entries: n = 64 once gave 12,448
+    # characters
+    for n in (1, 2, 64):
+        with pytest.raises(SingularMatrix) as exc:
+            BasisMatrix([[0] * n] * n)
+        message = str(exc.value)
+        assert message == f"columns of the {n}x{n} matrix are linearly " \
+            "dependent"
+        assert len(message) <= 60
+    with pytest.raises(SingularMatrix) as exc:
+        BasisMatrix([[10 ** 40, 10 ** 40], [1, 1]])
+    assert len(str(exc.value)) <= 60
+
+
 def test_basis_matrix_validation():
     with pytest.raises(SingularMatrix):
         BasisMatrix([[1, 1], [1, 1]])

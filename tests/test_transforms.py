@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-import cubiquity.transforms
 from cubiquity.subsets import _supports
 from cubiquity import (
     NotNonAcute,
@@ -26,6 +25,7 @@ from cubiquity import (
 )
 from helpers import (
     assemble_blocks,
+    count_calls,
     signed_permutation,
     trace_reduce_reference,
     wu_preserved,
@@ -181,24 +181,31 @@ def test_trace_matches_reference():
     assert kinds == {"Projection", "DoubleProjection"}
 
 
+def _count_route_work(monkeypatch):
+    return {name: count_calls(monkeypatch, "cubiquity.subsets", name)
+            for name in ("is_orthogonal", "_supports")}
+
+
 def test_trace_checks_orthogonality_once(monkeypatch):
-    calls = {"is_orthogonal": 0, "_supports": 0}
-
-    def counted(name):
-        original = getattr(cubiquity.transforms, name)
-
-        def wrapper(subset):
-            calls[name] += 1
-            return original(subset)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(cubiquity.transforms, name, counted(name))
+    calls = _count_route_work(monkeypatch)
     s = _orthogonal_block_sum(32, random.Random(71))
     reduced, steps = trace_reduce(s)
     assert len(steps) > 5 and reduced.n > 0
-    # the support index is built once at entry and plans every step
-    assert calls == {"is_orthogonal": 1, "_supports": 1}
+    # the support index is built once, by the entry check, and plans
+    # every step
+    assert {name: len(c) for name, c in calls.items()} == \
+        {"is_orthogonal": 1, "_supports": 1}
+
+
+@pytest.mark.parametrize("rewrite, at", [(project, 0), (double_project, 1)])
+def test_rewrite_builds_the_support_index_once(rewrite, at, monkeypatch):
+    vectors = [(2, 0, 0), (0, 1, 1), (0, 1, -1)]
+    expected = rewrite(Subset(vectors), at)
+    calls = _count_route_work(monkeypatch)
+    # the entry check and the precondition read one index
+    assert rewrite(Subset(vectors), at) == expected
+    assert {name: len(c) for name, c in calls.items()} == \
+        {"is_orthogonal": 1, "_supports": 1}
 
 
 def test_carried_index_matches_rebuilt_supports():
