@@ -284,7 +284,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_contract(args) -> int:
-    from .transforms import contract
+    from .transforms import CONTRACTION, contract
 
     subset = _read_subset(args)
     n = subset.n
@@ -297,7 +297,7 @@ def cmd_contract(args) -> int:
     s, t, u = (v - 1 for v in args.vectors)
     result = contract(subset, i, s, t, u)
     print(json.dumps({
-        "kind": "Contraction",
+        "kind": CONTRACTION,
         "coordinates": [args.coordinate],
         "vectors": list(args.vectors),
         "result": [list(v) for v in result.vectors],

@@ -3,6 +3,14 @@
 Everything here works with arbitrary-precision Python integers; there is no
 floating point anywhere.  A full-rank sublattice of Z^n is represented by a
 square matrix whose columns are basis vectors.
+
+Determinants use Bareiss's fraction-free elimination, whose every division
+is exact.  Below ``_PACKED_FROM`` rows, or with an entry of
+``_PACKED_BELOW`` or more in absolute value, it updates one entry at a time
+(`_det_entries`).  Otherwise it packs each row into one integer of signed
+fixed-width slots (`_det_packed`), so a step is a few big-integer
+operations per row instead of four per entry; the slot width comes from
+Hadamard's bound on the minors the elimination can produce.
 """
 
 from __future__ import annotations
@@ -39,8 +47,33 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return x, y, g
 
 
+#: `_bareiss_det` runs on packed rows from `_PACKED_FROM` rows on, when
+#: every entry is below `_PACKED_BELOW` in absolute value.  Against the
+#: per-entry kernel on dense matrices, the packed kernel took
+#: - with entries in [-2, 2]: 1.17x the time at n = 13, 1.0x at 16, 0.74x at
+#:   20, 0.66x at 24 and 0.33-0.5x at 32-96;
+#: - at n = 20-64: 0.7-0.92x with entries below 2^16, 0.74-1.0x below 2^24,
+#:   0.99-1.06x below 2^32 and 1.09-1.49x below 2^64.
+#: Packing costs a fixed amount per entry and wastes some slot width, so
+#: it pays only where the interpreter's cost per operation outweighs the
+#: digit work: many rows, small entries.  The switch sits a little above
+#: the break-even of 16 rows.  The scan (n <= 13) and hajos (n <= 9)
+#: inputs, and 16-dim dense ones, stay per-entry.
+_PACKED_FROM = 20
+_PACKED_BELOW = 1 << 16
+
+
 def _bareiss_det(rows: Sequence[Sequence[int]]) -> int:
-    """Fraction-free determinant; all intermediate divisions are exact."""
+    """Exact determinant by fraction-free elimination."""
+    if (len(rows) >= _PACKED_FROM
+            and max(map(max, rows)) < _PACKED_BELOW
+            and min(map(min, rows)) > -_PACKED_BELOW):
+        return _det_packed(rows)
+    return _det_entries(rows)
+
+
+def _det_entries(rows: Sequence[Sequence[int]]) -> int:
+    """Bareiss elimination one entry at a time."""
     n = len(rows)
     m = [list(r) for r in rows]
     sign = 1
@@ -64,6 +97,98 @@ def _bareiss_det(rows: Sequence[Sequence[int]]) -> int:
             row_i[k] = 0
         prev = pivot
     return sign * m[n - 1][n - 1]
+
+
+def _minor_bits(rows: Sequence[Sequence[int]]) -> list[int]:
+    """``bits[r]`` with every r x r minor below ``2 ** bits[r]`` in absolute
+    value.
+
+    Hadamard: a minor is at most the product of its columns' norms, so at
+    most the product of the r largest column norms of the whole matrix.  A
+    zero column counts as norm 1, which keeps the list nondecreasing, as
+    `_det_packed` needs: its slots only ever widen.
+    """
+    squares = sorted((sum(a * a for a in col) for col in zip(*rows)),
+                     reverse=True)
+    bits = [0]
+    bound = 1
+    for s in squares:
+        bound *= max(s, 1)
+        bits.append((bound.bit_length() + 1) // 2)
+    return bits
+
+
+def _slots(value: int, size: int, width: int) -> int:
+    """``value`` in each of ``size`` slots of ``width`` bytes."""
+    return int.from_bytes(value.to_bytes(width, "little") * size, "little")
+
+
+def _det_packed(rows: Sequence[Sequence[int]]) -> int:
+    """Bareiss elimination on rows packed into one integer each.
+
+    A row of entries a_j is ``sum(a_j << (w * j))``: signed slots of w bits.
+    A step is ``(v * pivot - head * top) // prev >> w`` on every row v below
+    the pivot row ``top``: the numerator's slots are the per-entry
+    numerators, each exactly prev times its next entry, so the division is
+    exact, and slot 0 is ``head * pivot - pivot * head = 0``, so the shift
+    drops the eliminated column.  The signed low slot, read as
+    ``((v & mask) ^ half) - half``, is the next pivot column.  Pivot
+    choice, row swaps and sign are those of `_det_entries`.
+
+    After K steps every entry is a (K+1)-minor, so it fits in w bits from
+    `_minor_bits`.  A stage starting at step k runs to step
+    ``k + max(k // 3, 6)`` with the width its last minors need (a whole
+    number of bytes); then the rows are spread byte-wise into the next
+    stage's wider slots.  Each slot stores entry + an offset there, so it is
+    a plain unsigned field while it moves.
+    """
+    n = len(rows)
+    bits = _minor_bits(rows)
+    sign = 1
+    prev = 1
+    k = 0
+    width = 0  # bytes per slot; 0 until the rows are first packed
+    while True:
+        end = min(k + max(k // 3, 6), n - 1)
+        size = n - k  # live rows, and slots per row
+        old, width = width, bits[end + 1] // 8 + 1
+        if old:
+            offset = 1 << (8 * old - 1)
+            lift = _slots(offset, size, old)
+            data = b"".join([(v + lift).to_bytes(size * old, "little")
+                             for v in live])
+            spread = bytearray(size * size * width)
+            for byte in range(old):
+                spread[byte::width] = data[byte::old]
+        else:
+            offset = 1 << (8 * width - 1)
+            spread = b"".join([(a + offset).to_bytes(width, "little")
+                               for row in rows for a in row])
+        bias = _slots(offset, size, width)
+        length = size * width
+        live = [int.from_bytes(spread[i:i + length], "little") - bias
+                for i in range(0, len(spread), length)]
+        w = 8 * width
+        mask = (1 << w) - 1
+        half = 1 << (w - 1)
+        for _ in range(k, end):
+            if not live[0] & mask:
+                for r, v in enumerate(live):
+                    if v & mask:
+                        live[0], live[r] = v, live[0]
+                        sign = -sign
+                        break
+                else:
+                    return 0
+            top = live[0]
+            pivot = ((top & mask) ^ half) - half
+            live = [(v * pivot - (((v & mask) ^ half) - half) * top)
+                    // prev >> w for v in live[1:]]
+            prev = pivot
+        if end == n - 1:
+            # one row of one slot: the packed value is the entry itself
+            return sign * live[0]
+        k = end
 
 
 class BasisMatrix:

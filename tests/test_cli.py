@@ -10,6 +10,7 @@ import pytest
 
 from cubiquity import BasisMatrix, MatrixFormatError, Subset, cli, parse_matrix
 from cubiquity.cli import run
+from cubiquity.lattice import _det_entries
 from helpers import count_calls, hajos_permutation_scan, unimodular_mix
 
 SCHEMA = json.loads(
@@ -65,6 +66,25 @@ def test_check_det_gate_negative(capsys):
     payload = json.loads(out)
     assert payload["status"] == "NotCubiquitous"
     assert payload["witness"] is None
+
+
+@pytest.mark.parametrize("n, lhs", [
+    (48, 13571866880261183541136436649128303416),
+    (64, 17942435594948708470105223757482945838172794952643972),
+])
+def test_check_dense_det_gate_on_packed_rows(n, lhs, capsys):
+    # check computes |det| of these seeded matrices on packed rows; the
+    # pinned line is the one the per-entry kernel gives
+    rng = random.Random(n)
+    rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+    text = "; ".join(" ".join(map(str, row)) for row in rows)
+    code, out, err = _run(capsys, "check", "--matrix", text)
+    assert code == 1 and err == ""
+    assert abs(_det_entries(rows)) == lhs
+    assert out == (
+        '{"status": "Obstructed", "witness": null, "inequality": '
+        f'{{"lhs": {lhs}, "rhs": {2 ** n}}}, "hajos_basis": null}}\n')
+    jsonschema.validate(json.loads(out), SCHEMA)
 
 
 def test_check_cap_inconclusive(capsys):

@@ -18,9 +18,17 @@ from cubiquity import (
     hnf,
 )
 from cubiquity.cosets import _diagonalize
-from cubiquity.lattice import _hnf
+from cubiquity.lattice import (
+    _PACKED_BELOW,
+    _PACKED_FROM,
+    _bareiss_det,
+    _det_entries,
+    _det_packed,
+    _hnf,
+)
 from helpers import (
     cofactor_det,
+    count_calls,
     hnf_box,
     hnf_matrices,
     hnf_reference,
@@ -72,6 +80,113 @@ def test_singular_message_names_the_dimension():
     with pytest.raises(SingularMatrix) as exc:
         BasisMatrix([[10 ** 40, 10 ** 40], [1, 1]])
     assert len(str(exc.value)) <= 60
+
+
+def _dense_rows(rng, n, low, high):
+    return [[rng.randint(low, high) for _ in range(n)] for _ in range(n)]
+
+
+def test_det_kernels_agree_at_every_size():
+    # n = 1-96 covers _PACKED_FROM +- 1 and ends the packed kernel's last
+    # stage at, before and after each stage boundary (steps 6, 12, 18, 24,
+    # 32, 42, 56 and 74)
+    rng = random.Random(16)
+    sizes = range(1, 97)
+    assert {_PACKED_FROM - 1, _PACKED_FROM, _PACKED_FROM + 1} <= set(sizes)
+    for n in sizes:
+        span = 1 + n % 2
+        rows = _dense_rows(rng, n, -span, span)
+        expected = _det_entries(rows)
+        assert _det_packed(rows) == expected
+        assert _bareiss_det(rows) == expected
+        if n <= 7:
+            assert expected == cofactor_det(rows)
+
+
+def test_det_kernels_agree_on_entries_near_2_to_100():
+    # the slot width must come from the column norms: 100-bit entries
+    # overflow any width sized for small entries
+    rng = random.Random(100)
+    for n in list(range(1, 9)) + [_PACKED_FROM - 1, _PACKED_FROM, 24]:
+        rows = _dense_rows(rng, n, 2 ** 100 - 2 ** 20, 2 ** 100 + 2 ** 20)
+        for row in rows:
+            row[rng.randrange(n)] *= -1
+        expected = _det_entries(rows)
+        assert expected != 0
+        assert _det_packed(rows) == expected
+        assert _bareiss_det(rows) == expected
+        if n <= 7:
+            assert expected == cofactor_det(rows)
+
+
+def test_det_kernel_choice(monkeypatch):
+    # packed from _PACKED_FROM rows on, unless an entry reaches
+    # _PACKED_BELOW in absolute value
+    calls = {name: count_calls(monkeypatch, "cubiquity.lattice", name)
+             for name in ("_det_entries", "_det_packed")}
+    big = _PACKED_BELOW - 1
+    for n, corner, expected in [
+            (_PACKED_FROM - 1, 1, "_det_entries"),
+            (_PACKED_FROM, 1, "_det_packed"),
+            (_PACKED_FROM, big, "_det_packed"),
+            (_PACKED_FROM, -big, "_det_packed"),
+            (_PACKED_FROM, big + 1, "_det_entries"),
+            (_PACKED_FROM, -big - 1, "_det_entries"),
+            (96, 1, "_det_packed")]:
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        rows[n - 1][0] = corner
+        for seen in calls.values():
+            seen.clear()
+        assert _bareiss_det(rows) == 1
+        assert {name: len(seen) for name, seen in calls.items()} == {
+            name: int(name == expected) for name in calls}
+
+
+def test_det_kernels_pin_the_sign_of_row_swaps():
+    # the anti-diagonal forces a row swap at each of its first n // 2
+    # steps: its det is (-1)^(n(n-1)/2) times the product of its entries
+    for n in (1, 2, 3, 5, 7, _PACKED_FROM, 33, 64):
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][n - 1 - i] = i + 2
+        expected = (-1) ** (n * (n - 1) // 2) * math.prod(range(2, n + 2))
+        assert _det_entries(rows) == expected
+        assert _det_packed(rows) == expected
+    # zero leading entries, and a zero pivot again after some steps
+    rng = random.Random(3)
+    for n in (4, 6, 7, _PACKED_FROM, 40, 64):
+        rows = _dense_rows(rng, n, -3, 3)
+        for i in range(n // 2):
+            rows[i][:i + 2] = [0] * min(i + 2, n)
+        rows[n // 2], rows[n - 1] = rows[n - 1], rows[n // 2]
+        expected = _det_entries(rows)
+        assert _det_packed(rows) == expected
+        if n <= 7:
+            assert expected == cofactor_det(rows)
+
+
+@pytest.mark.parametrize("kind", [
+    "equal rows", "zero column", "zero last column", "rank n-1"])
+def test_singular_dense_64_raises_with_dimension_message(kind):
+    # a zero column stops the elimination at its step; the last column is
+    # never a pivot column, so there the elimination runs to the end
+    rng = random.Random(64)
+    n = 64
+    rows = _dense_rows(rng, n, -2, 2)
+    if kind == "equal rows":
+        rows[41] = list(rows[7])
+    elif kind.startswith("zero"):
+        for row in rows:
+            row[n - 1 if "last" in kind else 30] = 0
+    else:
+        rows[63] = [a + 2 * b - c
+                    for a, b, c in zip(rows[0], rows[1], rows[50])]
+    assert _det_packed(rows) == 0
+    assert _det_entries(rows) == 0
+    with pytest.raises(SingularMatrix) as exc:
+        BasisMatrix(rows)
+    assert str(exc.value) == \
+        "columns of the 64x64 matrix are linearly dependent"
 
 
 def test_basis_matrix_validation():
