@@ -124,7 +124,8 @@ def _read_basis(args) -> BasisMatrix:
 def _read_subset(args) -> Subset:
     from .subsets import Subset
 
-    return Subset(zip(*_read_rows(args)))  # the columns
+    # the reader gives n rows of n ints, so the columns need no check
+    return Subset._unchecked(tuple(zip(*_read_rows(args))))
 
 
 def _one_based(indices) -> list[int]:
@@ -267,7 +268,7 @@ def _step_payload(step) -> dict:
         "kind": step.kind,
         "coordinates": _one_based(step.coordinates),
         "vectors": _one_based(step.vectors),
-        "result": [list(v) for v in step.result.vectors],
+        "result": step.result.vectors,
     }
 
 
@@ -279,7 +280,7 @@ def cmd_reduce(args) -> int:
     for step in steps:
         print(json.dumps(_step_payload(step)))
     print(json.dumps({"kind": "Reduced",
-                      "result": [list(v) for v in reduced.vectors]}))
+                      "result": reduced.vectors}))
     return EXIT_CUBIQUITOUS
 
 
@@ -300,7 +301,7 @@ def cmd_contract(args) -> int:
         "kind": CONTRACTION,
         "coordinates": [args.coordinate],
         "vectors": list(args.vectors),
-        "result": [list(v) for v in result.vectors],
+        "result": result.vectors,
     }))
     return EXIT_CUBIQUITOUS
 

@@ -21,7 +21,6 @@ Hajos route do.
 from __future__ import annotations
 
 from enum import Enum
-from math import gcd
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import NotNonAcute, NotOrthogonal, ResourceLimit
@@ -224,8 +223,18 @@ def hajos_basis(basis: BasisMatrix) -> Optional[HajosBasis]:
         return None
 
     def pick(free, rest):
-        return next((j for j in rest
-                     if gcd(*(col[j] for col in free)) == 2), None)
+        # |det| = 2^n and the k pivots so far are 2, so the free columns
+        # span a lattice of index 2^(n - k) in the coordinates left, and
+        # each gcd of their entries at j is 0 or a power of two.  Its
+        # lowest set bit is the lowest among the entries (x and -x share
+        # theirs), so the gcd is 2 iff the OR of the entries is 2 mod 4.
+        for j in rest:
+            acc = 0
+            for col in free:
+                acc |= col[j]
+            if acc & 3 == 2:
+                return j
+        return None
 
     found = _triangulate(basis, pick)
     # The HNF reduction range makes every subdiagonal entry 0 or 1.

@@ -39,7 +39,8 @@ class Subset:
     @classmethod
     def _unchecked(cls, vectors: tuple[Vector, ...]) -> "Subset":
         """Wrap n tuples of n ints, unchecked: for rewrites whose entries
-        come from a subset that was checked already."""
+        come from a subset that was checked already, and for the columns
+        of rows the matrix reader returned."""
         self = cls.__new__(cls)
         object.__setattr__(self, "vectors", vectors)
         return self

@@ -26,7 +26,7 @@ from cubiquity import (
 )
 from cubiquity.classify import OTHER, _block_kind
 from cubiquity.errors import MatrixFormatError
-from cubiquity.formats import parse_matrix
+from cubiquity.lattice import _triangulate
 
 
 def count_calls(monkeypatch, module, name):
@@ -46,14 +46,29 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def read_rows_reference(lines, rows_as_vectors=False):
+    """The row reader before its token table: int() on every token."""
+    n = len(lines)
+    rows = []
+    for line in lines:
+        try:
+            row = tuple(map(int, line.split()))
+        except ValueError as exc:
+            raise MatrixFormatError(f"bad matrix row {line!r}") from exc
+        if len(row) != n:
+            raise MatrixFormatError(
+                f"row {line!r} has {len(row)} entries, expected {n}")
+        rows.append(row)
+    return tuple(zip(*rows)) if rows_as_vectors else tuple(rows)
+
+
 def parse_inline_reference(text, rows_as_vectors=False):
-    """The inline reader as it was: the ';' parts joined into file text
-    under their count as the dimension, and that text parsed again."""
+    """Reference inline reader, for text without line breaks: the stripped
+    ';' parts that are not blank, read as rows by read_rows_reference."""
     parts = [p.strip() for p in text.split(";") if p.strip()]
     if not parts:
         raise MatrixFormatError("empty inline matrix")
-    body = "\n".join(parts)
-    return parse_matrix(f"{len(parts)}\n{body}", rows_as_vectors)
+    return read_rows_reference(parts, rows_as_vectors)
 
 
 def xgcd(a, b):
@@ -283,6 +298,21 @@ def hajos_prefix_dfs(basis):
 
     found = extend([list(c) for c in basis.columns], 0)
     return (tuple(order) if found else None), len(dead)
+
+
+def hajos_gcd_greedy(basis):
+    """Reference Hajos greedy: the Hermite form elimination of hajos_basis,
+    picking the smallest coordinate whose gcd over the free columns is 2
+    by computing that gcd.  Returns a HajosBasis or None."""
+    if abs(basis.det) != 2 ** basis.n:
+        return None
+
+    def pick(free, rest):
+        return next((j for j in rest
+                     if gcd(*(col[j] for col in free)) == 2), None)
+
+    found = _triangulate(basis, pick)
+    return None if found is None else HajosBasis(*found)
 
 
 def wu_preserved(subset, i, s, t, u):

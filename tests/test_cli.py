@@ -166,6 +166,42 @@ def test_rows_as_vectors_transposes_into_the_same_subset():
         ((1, 1, 0), (1, -1, 3), (0, 0, 2))
 
 
+@pytest.mark.parametrize("source", ["inline", "file"])
+@pytest.mark.parametrize("rows_as_vectors", [False, True])
+def test_read_subset_equals_the_checked_subset(source, rows_as_vectors,
+                                               tmp_path):
+    rows = ["+2 007 -0", "1_0 -256 255", "0 1000000000000000000000001 -3"]
+    values = [[2, 7, 0], [10, -256, 255], [0, 10 ** 24 + 1, -3]]
+    if source == "inline":
+        argv = ["stats", "--matrix", "; ".join(rows)]
+    else:
+        path = tmp_path / "m.txt"
+        path.write_text("# a subset\n3\n" + "\n".join(rows) + "\n")
+        argv = ["stats", str(path)]
+    if rows_as_vectors:
+        argv.append("--rows-as-vectors")
+    subset = cli._read_subset(cli._parser().parse_args(argv))
+    columns = values if rows_as_vectors else list(zip(*values))
+    assert subset == Subset(columns)
+    assert all(type(x) is int for v in subset.vectors for x in v)
+    assert all(type(v) is tuple for v in subset.vectors)
+
+
+@pytest.mark.parametrize("command", [
+    ["wu"], ["stats"], ["classify"], ["reduce"],
+    ["contract", "-i", "1", "--vectors", "1", "2", "3"],
+])
+@pytest.mark.parametrize("text, message", [
+    ("1 0 0; 0 1", "row '1 0 0' has 3 entries, expected 2"),
+    ("1 0; 0 1 2", "row '0 1 2' has 3 entries, expected 2"),
+    ("1 0; 0 x", "bad matrix row '0 x'"),
+    ("1 0; 0 0x1", "bad matrix row '0 0x1'"),
+])
+def test_subset_commands_refuse_bad_input(command, text, message, capsys):
+    assert _run(capsys, *command, "--matrix", text) == (
+        65, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("command, module, name", [
     ("classify", "cubiquity.classify", "decompose"),
     ("classify", "cubiquity.classify", "is_orthogonal"),

@@ -1,8 +1,9 @@
-"""The row reader behind both matrix formats, against the old inline path.
+"""The row reader behind both matrix formats, against a reference reader.
 
-``parse_inline`` reads one row per ';' part.  ``parse_inline_reference``
-joins the parts into file text and parses that; on text without '#' or
-line breaks the two must give the same rows or the same error message.
+``parse_inline`` reads one row per ';' part, and ``parse_matrix`` one row
+per line.  ``parse_inline_reference`` reads the same parts with ``int()``
+on every token; on text without '#' or line breaks both readers must give
+its rows or its error message.
 """
 
 import pytest
@@ -10,16 +11,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubiquity import MatrixFormatError, parse_inline, parse_matrix
-from helpers import parse_inline_reference
+from helpers import parse_inline_reference, read_rows_reference
 
 SPACE = st.sampled_from([" ", "  ", "\t", " \t "])
+# the reader's table holds the canonical spellings of -255..255; every
+# other spelling below must read as int() reads it
+EDGE_ENTRIES = ["255", "-255", "256", "-256", "-0", "+0", "007", "1_0",
+               "\u0663"]
+BAD_TOKENS = ["x", "1.5", "--", "-", "1e3", "++1", "+-1", "\u00b2", "1.0",
+              "0x1"]
 ENTRY = st.one_of(
     st.integers(-9, 9).map(str),
     st.integers(0, 99).map(lambda k: f"+{k}"),
+    st.integers(-300, 300).map(str),
     st.integers(10 ** 24, 10 ** 25 - 1).map(
         lambda k: str(k) if k % 2 else f"-{k}"),
+    st.sampled_from(EDGE_ENTRIES),
 )
-TOKEN = st.one_of(ENTRY, st.sampled_from(["x", "1.5", "--", "-", "1e3"]))
+TOKEN = st.one_of(ENTRY, st.sampled_from(BAD_TOKENS))
 
 
 @st.composite
@@ -59,6 +68,31 @@ def outcome(parse, text, rows_as_vectors):
 def test_inline_reader_matches_reference(text, rows_as_vectors):
     assert outcome(parse_inline, text, rows_as_vectors) == \
         outcome(parse_inline_reference, text, rows_as_vectors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(inline_text(), st.booleans())
+def test_file_reader_matches_reference(text, rows_as_vectors):
+    parts = [p.strip() for p in text.split(";") if p.strip()]
+    if not parts:
+        return
+    body = "\n".join(parts)
+    assert outcome(parse_matrix, f"{len(parts)}\n{body}", rows_as_vectors) \
+        == outcome(read_rows_reference, parts, rows_as_vectors)
+
+
+@pytest.mark.parametrize("token", EDGE_ENTRIES + BAD_TOKENS)
+def test_each_token_reads_as_int_reads_it(token):
+    text = f"{token} 1; 2 {token}"
+    expected = outcome(parse_inline_reference, text, False)
+    assert outcome(parse_inline, text, False) == expected
+    assert outcome(parse_matrix, f"2\n{token} 1\n2 {token}", False) == \
+        expected
+    if isinstance(expected, tuple):
+        assert expected == ((int(token), 1), (2, int(token)))
+        assert all(type(v) is int for row in parse_inline(text) for v in row)
+    else:
+        assert expected == f"error: bad matrix row '{token} 1'"
 
 
 def test_generated_text_reaches_every_outcome():

@@ -32,6 +32,7 @@ from helpers import (
     assemble_blocks,
     bruteforce_vertex_scan,
     coset_cover_reference,
+    hajos_gcd_greedy,
     hajos_permutation_scan,
     hajos_prefix_dfs,
     hnf_matrices,
@@ -471,6 +472,26 @@ def test_hajos_matches_permutation_scan_random():
                         for hit in (False, True)}
     # the dead-set count is live: the DFS does backtrack where none exists
     assert backtracked
+
+
+def test_hajos_bit_pick_matches_gcd_pick():
+    # hajos_basis picks by the low bits of an OR of entries, which equals
+    # the gcd test only because |det| = 2^n; compare on mixed bases, with
+    # entries of every sign, that complete and that get stuck
+    rng = random.Random(2007)
+    outcomes = set()
+    for n in range(2, 10):
+        for _ in range(120):
+            if rng.random() < 0.5:
+                b = _lower_two_diagonal(n, rng)
+            else:
+                b = random_hnf(n, 2 ** n, rng)
+            b = _signed_mix(b, rng)
+            found = hajos_basis(b)
+            assert _hajos_key(found) == _hajos_key(hajos_gcd_greedy(b)), b
+            outcomes.add((n, found is not None))
+    assert outcomes == {(n, hit) for n in range(2, 10)
+                        for hit in (False, True)}
 
 
 def test_hajos_certificate_det():
