@@ -1,14 +1,17 @@
 """The brute-force oracle's arithmetic on the cosets of Z^n modulo L.
 
-Z^n/L is written as a product of cyclic groups, and a set of cosets as
-the bits of one integer in mixed radix, so that adding an element to
-every coset of a set is one masked rotation per cyclic factor.
-``obstructions.is_cubiquitous_bruteforce`` imports this module on its
-first call, so a program that runs no brute force never compiles it.
+Z^n/L is written as a product of cyclic groups, presented straight from
+the basis modulo N = |det| (N times Z^n lies in L, so no Hermite form is
+needed), and a set of cosets as the bits of one integer in mixed radix, so
+that adding an element to every coset of a set is one masked rotation per
+cyclic factor.  ``obstructions.is_cubiquitous_bruteforce`` imports this
+module on its first call, so a program that runs no brute force never
+compiles it.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd
 from typing import Optional
 
@@ -21,24 +24,47 @@ def _diagonalize(basis: BasisMatrix) -> tuple[tuple[int, ...],
 
     Returns ``(moduli, images)``: Z^n/L is isomorphic to the product of
     Z/m over the moduli, all above 1, and ``images[k]`` is the image of
-    e_k there.  Read the columns of the HNF H as relations among the
-    generators e_k.  An HNF row whose diagonal entry is 1 is 0 elsewhere,
-    so its column gives e_k as minus the rest of that column.  One Smith
-    elimination brings the other rows to a diagonal D = U H V, and
-    x -> U x modulo D is the isomorphism, so only U is kept, beside each
-    row.  N = |det| times Z^n lies in L, so everything is reduced modulo
-    N: the steps are invertible over Z/N, and a diagonal entry d leaves
-    the factor Z/gcd(d, N).  Pivots of least gcd with N come first, so a
-    unit coefficient clears its column at once and leaves a Z/1, dropped.
+    e_k there.  The basis columns are relations among the generators e_k,
+    and N = |det| times Z^n lies in L, so with the relations N e_k they
+    present Z^n/L and everything is reduced modulo N.
+
+    * Tietze moves.  In column order, a relation whose coefficient u at a
+      live generator e_i is a unit modulo N (the first such i) gives
+      e_i = -u^-1 times the rest of the relation.  One column operation
+      clears e_i from each other live relation, and e_i and the relation
+      are dropped.
+    * The square core that is left gets one Smith elimination to a
+      diagonal D = U C V, and x -> U x modulo D is the isomorphism on the
+      live generators, so only U is kept, beside each row.  A diagonal
+      entry d leaves the factor Z/gcd(d, N).  Pivots of least gcd with N
+      come first, so a unit clears its column at once and leaves a Z/1,
+      dropped.
+    * The images of the dropped generators follow by back-substitution,
+      in reverse order.
     """
-    h = basis.hnf
-    hrows = h.rows
-    n = h.n
-    N = h.det
-    gens = [k for k in range(n) if hrows[k][k] > 1]
-    s = len(gens)
-    rows = [[hrows[i][k] for k in gens] + [int(i == g) for g in gens]
-            for i in gens]
+    n = basis.n
+    N = abs(basis.det)
+    rels = [[a % N for a in col] for col in basis.columns]
+    live = list(range(n))
+    solved = []  # (i, the terms (t, c) of e_i = sum c e_t), in order
+    core = []
+    for j, rel in enumerate(rels):
+        i = next((i for i in live if gcd(rel[i], N) == 1), None)
+        if i is None:
+            core.append(rel)
+            continue
+        live.remove(i)
+        inv = pow(rel[i], -1, N)
+        terms = [(t, rel[t]) for t in live if rel[t]]
+        solved.append((i, [(t, -inv * a % N) for t, a in terms]))
+        for other in chain(core, rels[j + 1:]):
+            q = other[i] * inv % N
+            if q:
+                for t, a in terms:
+                    other[t] = (other[t] - q * a) % N
+    s = len(live)
+    rows = [[rel[i] for rel in core] + [int(i == g) for g in live]
+            for i in live]
     for k in range(s):
         # the smaller its gcd with N, the more entries a pivot divides
         best = min(range(k, s), key=lambda i: gcd(rows[i][k], N))
@@ -79,14 +105,12 @@ def _diagonalize(basis: BasisMatrix) -> tuple[tuple[int, ...],
             ((gcd(row[k], N), row) for k, row in enumerate(rows)) if m > 1]
     moduli = tuple(m for m, _ in kept)
     images = [None] * n
-    for j, i in enumerate(gens):
-        images[i] = [u[j] for _, u in kept]
-    for k in range(n):
-        if images[k] is None:  # e_k is minus the rest of its HNF column
-            images[k] = [-sum(hrows[i][k] * images[i][c] for i in gens)
-                         for c in range(len(moduli))]
-    return moduli, tuple(tuple(x % m for x, m in zip(image, moduli))
-                         for image in images)
+    for j, i in enumerate(live):
+        images[i] = tuple(u[j] % m for m, u in kept)
+    for i, terms in reversed(solved):
+        images[i] = tuple(sum(c * images[t][f] for t, c in terms) % m
+                          for f, m in enumerate(moduli))
+    return moduli, tuple(images)
 
 
 def _translate(cosets: int, by: Vector, blocks) -> int:
@@ -102,15 +126,16 @@ def _translate(cosets: int, by: Vector, blocks) -> int:
 
 
 def first_missed_cube(basis: BasisMatrix) -> Optional[Vector]:
-    """The first x of the HNF box, in lexicographic order, whose cube
-    x + {0,1}^n misses the lattice, or None when every cube meets it.
+    """The lexicographically first x >= 0 whose cube x + {0,1}^n misses
+    the lattice, or None when every cube meets it.  It lies in the HNF
+    box, so it is also the first such point of the box.
 
     The cube meets L iff -x is congruent to a 0/1 vector, that is, iff the
     coset of -x is a sum of distinct e_k.  Those sums are reached with one
     rotation per coordinate, stopping once every coset is reached.
     """
     n = basis.n
-    order = basis.hnf.det
+    order = abs(basis.det)
     moduli, images = _diagonalize(basis)
     full = (1 << order) - 1
     blocks = []
@@ -130,13 +155,12 @@ def first_missed_cube(basis: BasisMatrix) -> Optional[Vector]:
         reached |= _translate(reached, g, blocks)
     if reached == full:
         return None
-    # -x is the sum of x_k (-e_k).  The box points that vanish before
-    # coordinate k + 1 map one to one onto the subgroup H spanned by the
-    # e_j with j > k, so a prefix ending at x_k extends to a witness iff its
-    # -x lies in missed + H.  Those sets are built by doubling, from the
-    # last coordinate back, until one is everything; then each coordinate
-    # takes its first good value.
-    diag = [row[k] for k, row in enumerate(basis.hnf.rows)]
+    # -x is the sum of x_k (-e_k).  Let H be the subgroup spanned by the
+    # e_j with j > k.  A prefix ending at x_k extends to a witness iff its
+    # -x lies in missed + H.  Those sets are built from the last coordinate
+    # back, each from the next by doubling, until a doubling adds nothing:
+    # then the union of the translates by 0, -1, ..., -(2^(t+1) - 1) times
+    # e_k equals the union up to -(2^t - 1), and so does every later one.
     saturated = [full] * n
     cosets = full ^ reached
     for k in range(n - 1, -1, -1):
@@ -144,24 +168,50 @@ def first_missed_cube(basis: BasisMatrix) -> Optional[Vector]:
             break
         saturated[k] = cosets
         step = 1
-        while k and step < diag[k]:
-            cosets |= _translate(
+        while k and cosets != full:
+            grown = cosets | _translate(
                 cosets, [-c * step % m for c, m in zip(images[k], moduli)],
                 blocks)
+            if grown == cosets:
+                break
+            cosets = grown
             step *= 2
+    # Then each coordinate takes its first good value x_k.  Whether a value
+    # is good repeats with period d_k, the HNF diagonal entry (d_k e_k lies
+    # in L + H), so x_k < d_k and the witness lies in the HNF box.  x_k is
+    # found by halving.  T_0 = saturated[k], and T_(t+1), T_t united with
+    # T_t + 2^t e_k, holds the point iff x_k < 2^(t+1).  Once x_k >= 2^t,
+    # the point minus 2^t e_k lies in T_t iff x_k < 2^(t+1); if not,
+    # T_(t+1) is built.  Then x_k is read one level down at a time, in about
+    # 2 log2 x_k rotations and bit tests.
     strides = [stride for stride, _, _ in blocks]
     point = [0] * len(moduli)
     witness = [0] * n
+
+    def holds(cosets, at):
+        return cosets >> sum(c * s for c, s in zip(at, strides)) & 1
+
     for k in range(n):
-        if diag[k] == 1 or saturated[k] == full:
+        if saturated[k] == full:
             continue  # x_k = 0 is the first good value
-        bits = saturated[k].to_bytes((order + 7) // 8, "little")
-        for x in range(diag[k]):
-            at = sum(c * s for c, s in zip(point, strides))
-            if bits[at >> 3] >> (at & 7) & 1:
-                witness[k] = x
-                break
-            point = [(c - g) % m for c, g, m in zip(point, images[k], moduli)]
-        else:
-            raise AssertionError(f"no witness at coordinate {k + 1}")
+        g = images[k]
+        levels = [saturated[k]]
+        ahead, step = point, 0  # x_k >= step, and ahead is point - step e_k
+        while not holds(levels[-1], ahead):
+            if step:  # x_k >= 2 step
+                top = levels[-1]
+                grown = top | _translate(
+                    top, [c * step % m for c, m in zip(g, moduli)], blocks)
+                if grown == top:
+                    raise AssertionError(f"no witness at coordinate {k + 1}")
+                levels.append(grown)
+            step = 1 << len(levels) - 1
+            ahead = [(c - a * step) % m for c, a, m in zip(point, g, moduli)]
+        point = ahead
+        witness[k] = step
+        for t in range(len(levels) - 2, -1, -1):
+            if not holds(levels[t], point):
+                witness[k] += 1 << t
+                point = [(c - (a << t)) % m
+                         for c, a, m in zip(point, g, moduli)]
     return tuple(witness)

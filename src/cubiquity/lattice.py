@@ -24,9 +24,10 @@ from .errors import DimensionMismatch, SingularMatrix
 
 #: Default cap on the brute-force oracle, which refuses inputs whose
 #: n * (2^n + |det|) exceeds it.  Under the cap its work is one
-#: diagonalisation of Z^n/L and at most n rotations of a |det|-bit integer
-#: (a witness adds about log2 |det| rotations and one bit test per value
-#: tried), holding about (n + 1) * |det| bits, a few MB at this default.
+#: presentation of Z^n/L from the basis modulo |det| and at most n
+#: rotations of a |det|-bit integer (a witness adds about 2n + 2 log2 |det|
+#: rotations and bit tests), holding at most about 2(n + 1) * |det| bits,
+#: a few MB at this default.
 DEFAULT_RESOURCE_CAP = 2 ** 24
 
 Vector = tuple[int, ...]
@@ -280,8 +281,10 @@ def _triangulate(basis: BasisMatrix, pick):
     coordinates chosen so far, so their gcd at p is the k-th diagonal
     entry.  ``rest`` holds the unchosen coordinates in increasing order.
     Extended-gcd column operations on the unchosen coordinates clear p from
-    the columns after k; column k then gets a positive diagonal and reduces
-    the entries at p of the columns before it into [0, diagonal).
+    the columns after k, or one subtraction of a multiple of column k where
+    its entry at p divides theirs; column k then gets a positive diagonal
+    and reduces the entries at p of the columns before it into
+    [0, diagonal).
 
     Returns (the HNF of the rows in the chosen order, that order), or None
     as soon as ``pick`` does.
@@ -303,9 +306,14 @@ def _triangulate(basis: BasisMatrix, pick):
             if b == 0:
                 continue
             a = ck[p]
+            cj = cols[j]
+            if a and b % a == 0:  # one multiple of column k clears it
+                q = b // a
+                for i in live:
+                    cj[i] -= q * ck[i]
+                continue
             x, y, g = _xgcd(a, b)
             a_g, b_g = a // g, b // g
-            cj = cols[j]
             for i in live:
                 u, v = ck[i], cj[i]
                 ck[i] = x * u + y * v

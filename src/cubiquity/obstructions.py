@@ -162,19 +162,19 @@ def is_cubiquitous_bruteforce(
 
     The cube x + {0,1}^n meets the lattice iff -x is congruent to some 0/1
     vector e, so the lattice hits every unit cube iff the 2^n vectors e
-    reach all |det| cosets.  Z^n/L is diagonalised once into a product of
-    cyclic groups, so a set of cosets is one |det|-bit integer in mixed
-    radix and adding e_k to each of them is a rotation: n rotations reach
-    every sum of distinct e_k, stopping once every coset is reached.
-    Otherwise the witness is the first x of the HNF box, in lexicographic
-    order, whose -x lies in an unreached coset, making certificates
-    reproducible.
+    reach all |det| cosets.  Z^n/L is presented once as a product of
+    cyclic groups, straight from the basis modulo |det| (no Hermite form
+    is built), so a set of cosets is one |det|-bit integer in mixed radix
+    and adding e_k to each of them is a rotation: n rotations reach every
+    sum of distinct e_k, stopping once every coset is reached.  Otherwise
+    the witness is the first x of the HNF box, in lexicographic order,
+    whose -x lies in an unreached coset, making certificates reproducible.
 
     ResourceLimit is raised when n * (2^n + |det|) exceeds ``cap``.  Under
-    that bound the work is one diagonalisation and at most n rotations of
-    a |det|-bit integer; a witness adds about log2 |det| rotations and one
-    bit test per coordinate value tried.  The sets held take about
-    (n + 1) * |det| bits.
+    that bound the work is one presentation and at most n rotations of a
+    |det|-bit integer; a witness adds about 2n + 2 log2 |det| rotations and
+    bit tests, each coordinate's value found by halving.  The sets held
+    take at most about 2(n + 1) * |det| bits.
     """
     n = basis.n
     order = abs(basis.det)

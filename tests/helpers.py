@@ -25,6 +25,7 @@ from cubiquity import (
     wu_obstruction,
 )
 from cubiquity.classify import OTHER, _block_kind
+from cubiquity.cosets import _translate
 from cubiquity.errors import MatrixFormatError
 from cubiquity.lattice import _triangulate
 
@@ -244,6 +245,149 @@ def coset_cover_reference(basis):
     box = itertools.product(*(range(d) for d in diag))
     witness = next(x for x in box if reduce([-a for a in x]) not in reached)
     return CubiquityVerdict(Status.NOT_CUBIQUITOUS, witness=witness)
+
+
+def diagonalize_reference(basis):
+    """Reference presentation of Z^n/L from the Hermite form: the
+    brute-force oracle's before it worked from the basis modulo |det|.
+
+    Returns ``(moduli, images)``: Z^n/L is isomorphic to the product of
+    Z/m over the moduli, all above 1, and ``images[k]`` is the image of
+    e_k there.  Read the columns of the HNF H as relations among the
+    generators e_k.  An HNF row whose diagonal entry is 1 is 0 elsewhere,
+    so its column gives e_k as minus the rest of that column.  One Smith
+    elimination brings the other rows to a diagonal D = U H V, and
+    x -> U x modulo D is the isomorphism, so only U is kept, beside each
+    row.  N = |det| times Z^n lies in L, so everything is reduced modulo
+    N: the steps are invertible over Z/N, and a diagonal entry d leaves
+    the factor Z/gcd(d, N).  Pivots of least gcd with N come first, so a
+    unit coefficient clears its column at once and leaves a Z/1, dropped.
+    """
+    h = basis.hnf
+    hrows = h.rows
+    n = h.n
+    N = h.det
+    gens = [k for k in range(n) if hrows[k][k] > 1]
+    s = len(gens)
+    rows = [[hrows[i][k] for k in gens] + [int(i == g) for g in gens]
+            for i in gens]
+    for k in range(s):
+        # the smaller its gcd with N, the more entries a pivot divides
+        best = min(range(k, s), key=lambda i: gcd(rows[i][k], N))
+        rows[k], rows[best] = rows[best], rows[k]
+        while True:
+            rk = rows[k]
+            for i in range(k + 1, s):
+                ri = rows[i]
+                b = ri[k]
+                if not b:
+                    continue
+                p = rk[k]
+                g = gcd(p, N)
+                if b % g == 0:
+                    q = b // g * pow(p // g, -1, N // g) % N
+                    rows[i] = [(v - q * u) % N for u, v in zip(rk, ri)]
+                    continue
+                x, y, g = xgcd(p, b)
+                p_g, b_g = p // g, b // g
+                rows[i] = [(p_g * v - b_g * u) % N for u, v in zip(rk, ri)]
+                rk = rows[k] = [(x * u + y * v) % N for u, v in zip(rk, ri)]
+            # Column k is clear below the pivot.  If the pivot divides its
+            # row, the column operations that clear the row change nothing
+            # else, and no later step reads the row; if not, one gcd step
+            # lowers the pivot and refills column k.
+            p = rk[k]
+            g = gcd(p, N)
+            j = next((j for j in range(k + 1, s) if rk[j] % g), None)
+            if j is None:
+                break
+            x, y, g = xgcd(p, rk[j])
+            p_g, b_g = p // g, rk[j] // g
+            for r in rows[k:]:
+                u, v = r[k], r[j]
+                r[k] = (x * u + y * v) % N
+                r[j] = (p_g * v - b_g * u) % N
+    kept = [(m, row[s:]) for m, row in
+            ((gcd(row[k], N), row) for k, row in enumerate(rows)) if m > 1]
+    moduli = tuple(m for m, _ in kept)
+    images = [None] * n
+    for j, i in enumerate(gens):
+        images[i] = [u[j] for _, u in kept]
+    for k in range(n):
+        if images[k] is None:  # e_k is minus the rest of its HNF column
+            images[k] = [-sum(hrows[i][k] * images[i][c] for i in gens)
+                         for c in range(len(moduli))]
+    return moduli, tuple(tuple(x % m for x, m in zip(image, moduli))
+                         for image in images)
+
+
+
+def first_missed_cube_reference(basis):
+    """Reference witness search on diagonalize_reference's presentation:
+    the first x of the HNF box, in lexicographic order, whose cube
+    x + {0,1}^n misses the lattice, or None when every cube meets it.
+    It tests the values of each coordinate one at a time, up to d_k.
+
+    The cube meets L iff -x is congruent to a 0/1 vector, that is, iff the
+    coset of -x is a sum of distinct e_k.  Those sums are reached with one
+    rotation per coordinate, stopping once every coset is reached.
+    """
+    n = basis.n
+    order = basis.hnf.det
+    moduli, images = diagonalize_reference(basis)
+    full = (1 << order) - 1
+    blocks = []
+    stride = 1
+    for m in moduli:
+        block = stride * m
+        rep, width = 1, block  # a 1 at the foot of every block
+        while width < order:
+            rep |= rep << width
+            width *= 2
+        blocks.append((stride, block, rep & full))
+        stride = block
+    reached = 1  # the coset of 0, at bit 0
+    for g in images:
+        if reached == full:
+            break
+        reached |= _translate(reached, g, blocks)
+    if reached == full:
+        return None
+    # -x is the sum of x_k (-e_k).  The box points that vanish before
+    # coordinate k + 1 map one to one onto the subgroup H spanned by the
+    # e_j with j > k, so a prefix ending at x_k extends to a witness iff its
+    # -x lies in missed + H.  Those sets are built by doubling, from the
+    # last coordinate back, until one is everything; then each coordinate
+    # takes its first good value.
+    diag = [row[k] for k, row in enumerate(basis.hnf.rows)]
+    saturated = [full] * n
+    cosets = full ^ reached
+    for k in range(n - 1, -1, -1):
+        if cosets == full:
+            break
+        saturated[k] = cosets
+        step = 1
+        while k and step < diag[k]:
+            cosets |= _translate(
+                cosets, [-c * step % m for c, m in zip(images[k], moduli)],
+                blocks)
+            step *= 2
+    strides = [stride for stride, _, _ in blocks]
+    point = [0] * len(moduli)
+    witness = [0] * n
+    for k in range(n):
+        if diag[k] == 1 or saturated[k] == full:
+            continue  # x_k = 0 is the first good value
+        bits = saturated[k].to_bytes((order + 7) // 8, "little")
+        for x in range(diag[k]):
+            at = sum(c * s for c, s in zip(point, strides))
+            if bits[at >> 3] >> (at & 7) & 1:
+                witness[k] = x
+                break
+            point = [(c - g) % m for c, g, m in zip(point, images[k], moduli)]
+        else:
+            raise AssertionError(f"no witness at coordinate {k + 1}")
+    return tuple(witness)
 
 
 def hajos_permutation_scan(basis):

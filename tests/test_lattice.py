@@ -337,20 +337,62 @@ def _unit_pivot_bases():
                        for i in range(8)], rng)
 
 
+def _presentation_edge_bases():
+    """Edge cases of the presentation modulo N = |det|: no unit entry,
+    every entry a unit, N = 1, n = 1, and 25-digit entries."""
+    for n in range(1, 5):
+        yield BasisMatrix([[2 * (i == j) for j in range(n)]
+                           for i in range(n)])  # 2 I_n: no unit mod 2^n
+        yield BasisMatrix([[int(i == j) for j in range(n)]
+                           for i in range(n)])  # N = 1
+    yield BasisMatrix([[4, 0, 0], [0, 4, 0], [0, 0, 12]])  # no unit mod 192
+    # every entry a unit: mod 5, mod 23 and mod 4
+    yield BasisMatrix([[1, 2], [3, 1]])
+    yield BasisMatrix([[3, 5], [7, 4]])
+    yield BasisMatrix([[1, 1, 1], [1, -1, 1], [1, 1, -1]])
+    yield unimodular_mix(BasisMatrix([[int(i == j) for j in range(5)]
+                                      for i in range(5)]),
+                         random.Random(3), 15)  # N = 1, mixed
+    for d in (1, 2, -7, 12):
+        yield BasisMatrix([[d]])
+    big = 10 ** 24 + 7
+    yield BasisMatrix([[2, 0, 0], [big, 3, 0], [-3 * big, big + 1, 4]])
+    cols = [[2, 0, 0], [0, 6, 0], [0, 0, 4]]
+    cols[1] = [a + big * b for a, b in zip(cols[1], cols[0])]
+    cols[2] = [a - big * b for a, b in zip(cols[2], cols[1])]
+    cols[0] = [a + (big + 2) * b for a, b in zip(cols[0], cols[2])]
+    yield BasisMatrix.from_columns(cols)
+
+
+def test_presentation_edge_bases_reach_their_cases():
+    bases = list(_presentation_edge_bases())
+    assert any(b.n > 1 and all(math.gcd(a, abs(b.det)) > 1
+                               for row in b.rows for a in row)
+               for b in bases)
+    assert any(abs(b.det) > 1 and all(math.gcd(a, abs(b.det)) == 1
+                                      for row in b.rows for a in row)
+               for b in bases)
+    assert any(abs(b.det) == 1 for b in bases)
+    assert any(b.n == 1 for b in bases)
+    assert any(len(str(abs(a))) >= 25 for b in bases
+               for row in b.rows for a in row)
+
+
 def test_diagonalize_is_an_isomorphism():
-    # the images satisfy every HNF relation and take the |det| points of
-    # the HNF box to |det| distinct elements of a group of order |det|
-    for b in itertools.chain(_small_and_mixed_bases(), _unit_pivot_bases()):
+    # the images satisfy every relation that a basis column gives, and take
+    # the |det| points of the HNF box to |det| distinct elements of a group
+    # of order |det|
+    for b in itertools.chain(_small_and_mixed_bases(), _unit_pivot_bases(),
+                             _presentation_edge_bases()):
         moduli, images = _diagonalize(b)
-        h = b.hnf
         n = b.n
         assert all(m > 1 for m in moduli)
         assert math.prod(moduli) == abs(b.det), b
         # the rotations of the cover read the images as residues
         assert all(0 <= images[k][c] < m for k in range(n)
                    for c, m in enumerate(moduli)), b
-        for j in range(n):
-            assert all(sum(h.rows[i][j] * images[i][c] for i in range(n))
+        for col in b.columns:
+            assert all(sum(a * image[c] for a, image in zip(col, images))
                        % m == 0 for c, m in enumerate(moduli)), b
         seen = {tuple(sum(x[k] * images[k][c] for k in range(n)) % m
                       for c, m in enumerate(moduli))

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 
@@ -26,12 +27,14 @@ from cubiquity import (
     wu_obstruction,
     wu_obstruction_orthogonal,
 )
-from cubiquity.cosets import _diagonalize
+from cubiquity.cosets import _diagonalize, first_missed_cube
 from helpers import (
     BLOCK_LIBRARY,
     assemble_blocks,
     bruteforce_vertex_scan,
     coset_cover_reference,
+    count_calls,
+    first_missed_cube_reference,
     hajos_gcd_greedy,
     hajos_permutation_scan,
     hajos_prefix_dfs,
@@ -323,7 +326,7 @@ def test_bruteforce_matches_coset_cover_reference_n11_16():
         statuses.add(fast.status)
         diag = [b.hnf.rows[k][k] for k in range(b.n)]
         ones += 1 in diag
-        non_cyclic += len(_diagonalize(b)[0]) > 1
+        non_cyclic += _non_cyclic(b)
         if fast.witness is not None:
             late += _box_position(b, fast.witness) >= 500
     assert statuses == {Status.CUBIQUITOUS, Status.NOT_CUBIQUITOUS}
@@ -332,34 +335,49 @@ def test_bruteforce_matches_coset_cover_reference_n11_16():
     assert late >= 10 and ones >= 60 and non_cyclic >= 40
 
 
-def test_bruteforce_late_witness_cyclic_n19():
-    # L = {x : sum c_k x_k = 0 mod N} with c = -1, -2, ..., -2^15, 0, 0, 1;
-    # the cubes reach the cosets -2^16 + 1 .. 1, so the first cube that
-    # misses L sits at 2^16 on the last coordinate, of index N = 3 * 2^16
+def _cyclic_n19(top=2 ** 15):
+    # L = {x : sum c_k x_k = 0 mod N} with c = -1, -2, ..., -2^14, -top,
+    # 0, 0, 1 and top <= 2^15; the cubes reach the cosets -(2^15 + top) + 1
+    # .. 1, so the first cube that misses L sits at 2^15 + top on the last
+    # coordinate, of index N = 3 * 2^16
     n, N = 19, 3 * 2 ** 16
-    c = [-(2 ** k) for k in range(16)] + [0, 0, 1]
+    c = [-(2 ** k) for k in range(15)] + [-top, 0, 0, 1]
     cols = [[int(i == k) if i < n - 1 else -c[k] % N for i in range(n)]
             for k in range(n - 1)]
     cols.append([0] * (n - 1) + [N])
-    b = unimodular_mix(BasisMatrix.from_columns(cols), random.Random(n), 2 * n)
-    start = time.perf_counter()
-    v = is_cubiquitous_bruteforce(b)
-    assert time.perf_counter() - start < 1
-    assert abs(b.det) == N
-    assert v == CubiquityVerdict(Status.NOT_CUBIQUITOUS,
-                                 witness=(0,) * (n - 1) + (2 ** 16,))
+    return unimodular_mix(BasisMatrix.from_columns(cols), random.Random(n),
+                          2 * n)
 
 
-@pytest.mark.parametrize("diag", [(3,) + (2,) * 16 + (1, 1),
-                                  (2 ** 23 - 5,)])
+def test_bruteforce_late_witness_cyclic_n19():
+    n, N = 19, 3 * 2 ** 16
+    for top in (2 ** 15, 12345):
+        b = _cyclic_n19(top)
+        start = time.perf_counter()
+        v = is_cubiquitous_bruteforce(b)
+        # x_19 = 2^16 takes 16 halving levels, not 65,537 bit tests
+        assert time.perf_counter() - start < 0.1
+        assert abs(b.det) == N
+        assert v == CubiquityVerdict(
+            Status.NOT_CUBIQUITOUS, witness=(0,) * (n - 1) + (2 ** 15 + top,))
+        assert first_missed_cube_reference(b) == v.witness
+
+
+NEAR_CAP = [(3,) + (2,) * 16 + (1, 1), (2 ** 23 - 5,)]
+
+
+def _near_cap(diag):
+    b = _diagonal(diag)
+    return _signed_mix(b, random.Random(b.n)) if b.n > 1 else b
+
+
+@pytest.mark.parametrize("diag", NEAR_CAP)
 def test_bruteforce_near_cap_time(diag):
     # n = 19 at index 3 * 2^16 and n = 1 at index 2^23 - 5, both under
     # the default cap: the bitset is |det| bits wide, and the witness
     # search doubles up to d_k
     n = len(diag)
-    b = _diagonal(diag)
-    if n > 1:
-        b = _signed_mix(b, random.Random(n))
+    b = _near_cap(diag)
     start = time.perf_counter()
     v = is_cubiquitous_bruteforce(b)
     assert time.perf_counter() - start < 1
@@ -369,6 +387,56 @@ def test_bruteforce_near_cap_time(diag):
     p, = [i for i, row in enumerate(b.rows) if all(a % 3 == 0 for a in row)]
     assert v.witness == tuple(int(k == p) for k in range(n))
 
+
+
+def test_bruteforce_builds_no_hermite_form(monkeypatch):
+    bases = list(_past_vertex_scan_bases())
+    bases += [_near_cap(diag) for diag in NEAR_CAP] + [_cyclic_n19()]
+    calls = count_calls(monkeypatch, "cubiquity.lattice", "_triangulate")
+    verdicts = [is_cubiquitous_bruteforce(b) for b in bases]
+    assert calls == []
+    assert {v.status for v in verdicts} == \
+        {Status.CUBIQUITOUS, Status.NOT_CUBIQUITOUS}
+
+
+def _non_cyclic(basis):
+    """Whether Z^n/L is no cyclic group: its exponent, the lcm of any
+    cyclic factors it splits into, is below its order."""
+    moduli = _diagonalize(basis)[0]
+    return math.lcm(*moduli) < math.prod(moduli)
+
+
+def _random_non_cyclic_bases():
+    rng = random.Random(53)
+    found = 0
+    while found < 300:
+        n = rng.randint(2, 8)
+        if rng.random() < 0.5:
+            # d_1 | d_2 with d_1 > 1 cannot be cyclic
+            d = rng.randint(2, 4)
+            diag = [d, d * rng.randint(1, 4)] + [rng.choice((1, 1, 2, 3))
+                                                  for _ in range(n - 2)]
+            rng.shuffle(diag)
+            b = _signed_mix(_diagonal(diag), rng)
+        else:
+            d = rng.choice((rng.randint(4, 4 * n * n), 2 ** rng.randint(2, n)))
+            b = unimodular_mix(random_hnf(n, d, rng), rng, 3 * n)
+        if _non_cyclic(b):
+            found += 1
+            yield b
+
+
+def test_first_missed_cube_matches_references_non_cyclic():
+    statuses = set()
+    for b in _random_non_cyclic_bases():
+        witness = first_missed_cube(b)
+        assert witness == first_missed_cube_reference(b), b
+        slow = coset_cover_reference(b)
+        assert (slow.status, slow.witness) == (
+            is_cubiquitous_bruteforce(b)[:2]), b
+        assert slow.witness == witness, b
+        statuses.add(slow.status)
+    assert statuses == {Status.CUBIQUITOUS, Status.NOT_CUBIQUITOUS}
 
 def test_hajos_examples():
     found = hajos_basis(BasisMatrix([[2]]))
