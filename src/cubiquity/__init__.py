@@ -30,7 +30,7 @@ _SUBMODULE = {
                     "NotOrthogonal", "PreconditionFailed", "ResourceLimit",
                     "SingularMatrix", "ZeroParameter")),
         ("lattice", ("DEFAULT_RESOURCE_CAP", "BasisMatrix", "contains",
-                     "det", "direct_sum", "gram", "hnf")),
+                     "det", "direct_sum", "hnf")),
         ("subsets", ("Subset", "SubsetStats", "check_identity",
                      "is_non_acute", "is_orthogonal", "stats")),
         ("obstructions", ("CubiquityVerdict", "HajosBasis", "Status",

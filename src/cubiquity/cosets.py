@@ -15,7 +15,22 @@ from itertools import chain
 from math import gcd
 from typing import Optional
 
-from .lattice import BasisMatrix, Vector, _xgcd
+from .lattice import BasisMatrix, Vector
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """Return (x, y, g) with x*a + y*b == g == gcd(a, b) >= 0."""
+    x, next_x = 1, 0
+    y, next_y = 0, 1
+    g, next_g = a, b
+    while next_g:
+        q = g // next_g
+        x, next_x = next_x, x - q * next_x
+        y, next_y = next_y, y - q * next_y
+        g, next_g = next_g, g - q * next_g
+    if g < 0:
+        x, y, g = -x, -y, -g
+    return x, y, g
 
 
 def _diagonalize(basis: BasisMatrix) -> tuple[tuple[int, ...],

@@ -4,13 +4,18 @@ Everything here works with arbitrary-precision Python integers; there is no
 floating point anywhere.  A full-rank sublattice of Z^n is represented by a
 square matrix whose columns are basis vectors.
 
-Determinants use Bareiss's fraction-free elimination, whose every division
-is exact.  Below ``_PACKED_FROM`` rows, or with an entry of
-``_PACKED_BELOW`` or more in absolute value, it updates one entry at a time
-(`_det_entries`).  Otherwise it packs each row into one integer of signed
-fixed-width slots (`_det_packed`), so a step is a few big-integer
-operations per row instead of four per entry; the slot width comes from
-Hadamard's bound on the minors the elimination can produce.
+Below ``_PACKED_FROM`` rows a `BasisMatrix` takes its determinant from the
+Hajos greedy (`_triangulate` with `_hajos_pick`): while its pivots are 2
+they are the diagonal of a triangular form.  Where a pivot is not 2, or
+clearing a coordinate takes more than `_EUCLID_SWAPS` column swaps, the
+block left goes to Bareiss's fraction-free elimination, one entry at a
+time (`_det_entries`).  When every pivot is 2 the form itself is the
+Hajos certificate, so an index-2^n input is eliminated once.  From ``_PACKED_FROM`` rows on,
+Bareiss's elimination runs on the whole matrix, on rows packed into one
+integer of signed fixed-width slots each (`_det_packed`) when every entry
+is below ``_PACKED_BELOW``: a step is then a few big-integer operations
+per row instead of four per entry; the slot width comes from Hadamard's
+bound on the minors the elimination can produce.
 """
 
 from __future__ import annotations
@@ -33,21 +38,6 @@ DEFAULT_RESOURCE_CAP = 2 ** 24
 Vector = tuple[int, ...]
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (x, y, g) with x*a + y*b == g == gcd(a, b) >= 0."""
-    x, next_x = 1, 0
-    y, next_y = 0, 1
-    g, next_g = a, b
-    while next_g:
-        q = g // next_g
-        x, next_x = next_x, x - q * next_x
-        y, next_y = next_y, y - q * next_y
-        g, next_g = next_g, g - q * next_g
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return x, y, g
-
-
 #: `_bareiss_det` runs on packed rows from `_PACKED_FROM` rows on, when
 #: every entry is below `_PACKED_BELOW` in absolute value.  Against the
 #: per-entry kernel on dense matrices, the packed kernel took
@@ -58,8 +48,13 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 #: Packing costs a fixed amount per entry and wastes some slot width, so
 #: it pays only where the interpreter's cost per operation outweighs the
 #: digit work: many rows, small entries.  The switch sits a little above
-#: the break-even of 16 rows.  The scan (n <= 13) and hajos (n <= 9)
-#: inputs, and 16-dim dense ones, stay per-entry.
+#: the break-even of 16 rows.  Below it `BasisMatrix` starts with the Hajos
+#: greedy, which hands the rest of the matrix to `_det_entries` where its
+#: pivots stop being 2; from it on the packed kernel runs first and the
+#: greedy only at |det| = 2^n.  On 2 * (dense) input, where every pivot is
+#: 2, a greedy first took 1-2x the per-entry kernel's time at n = 19 and
+#: 2-3x the packed kernel's at n = 24-48.  The scan (n <= 13) and hajos
+#: (n <= 9) inputs, and 16-dim dense ones, stay below the switch.
 _PACKED_FROM = 20
 _PACKED_BELOW = 1 << 16
 
@@ -195,8 +190,9 @@ def _det_packed(rows: Sequence[Sequence[int]]) -> int:
 class BasisMatrix:
     """An n x n integer matrix whose columns span a full-rank sublattice.
 
-    Immutable; rank is checked on construction.  Entries are stored row-major
-    to match the text file format, but the columns are the basis vectors.
+    Immutable; rank is checked on construction, which sets ``det``.
+    Entries are stored row-major to match the text file format, but the
+    columns are the basis vectors.
     """
 
     def __init__(self, rows: Iterable[Iterable[int]]):
@@ -208,17 +204,24 @@ class BasisMatrix:
         if any(len(row) != n for row in rows):
             raise DimensionMismatch("basis matrix must be square")
         self._rows = rows
+        if n < _PACKED_FROM:
+            self.det, self._hajos = _greedy_det(rows)
+        else:
+            self.det = _bareiss_det(rows)
         if self.det == 0:
             raise SingularMatrix(
                 f"columns of the {n}x{n} matrix are linearly dependent")
 
     @classmethod
-    def _triangular(cls, rows: tuple[Vector, ...]) -> "BasisMatrix":
-        """Wrap the rows of a triangular integer matrix with nonzero
-        diagonal, unchecked; its det is the product of the diagonal."""
+    def _triangular(cls, cols: list[list[int]],
+                    order: list[int]) -> "BasisMatrix":
+        """Wrap the columns of a completed `_triangulate`, read in its row
+        order, unchecked: triangular with positive diagonal, so the det is
+        the product of the diagonal."""
         self = cls.__new__(cls)
-        self._rows = rows
-        self.det = prod(row[i] for i, row in enumerate(rows))
+        rows = list(zip(*cols))
+        self._rows = tuple([rows[i] for i in order])
+        self.det = prod(col[i] for col, i in zip(cols, order))
         return self
 
     @classmethod
@@ -244,12 +247,15 @@ class BasisMatrix:
         return tuple(row[j] for row in self._rows)
 
     @cached_property
-    def det(self) -> int:
-        return _bareiss_det(self._rows)
-
-    @cached_property
     def hnf(self) -> "BasisMatrix":
         return _hnf(self)
+
+    @cached_property
+    def _hajos(self) -> tuple["BasisMatrix", tuple[int, ...]] | None:
+        """(Hermite form, row order) where the Hajos greedy completes, else
+        None; `__init__` sets it below `_PACKED_FROM` rows."""
+        return _hajos_form(self._rows) if abs(self.det) == 1 << self.n \
+            else None
 
     def permute_rows(self, order: Sequence[int]) -> "BasisMatrix":
         """The matrix with row order[i] as row i (a permutation)."""
@@ -273,64 +279,157 @@ def det(basis: BasisMatrix) -> int:
     return basis.det
 
 
-def _triangulate(basis: BasisMatrix, pick):
+def _hajos_pick(free, rest):
+    """The smallest coordinate left whose entries over the free columns are
+    all even with one of them 2 mod 4, or None.
+
+    Their gcd, the next pivot, is then 2 times an odd number, which
+    `_triangulate` checks.  Where |det| = 2^n and the pivots so far are 2,
+    every such gcd is 0 or a power of two, so this is exactly the smallest
+    coordinate of gcd 2: the lowest set bit of the gcd is the lowest among
+    the entries (x and -x share theirs), and the OR of the entries is 2
+    mod 4 iff that bit is 2.
+    """
+    for j in rest:
+        acc = 0
+        for col in free:
+            a = col[j]
+            if a & 1:
+                break
+            acc |= a
+        else:
+            if acc & 2:
+                return j
+    return None
+
+
+def _hajos_form(rows: Sequence[Sequence[int]]):
+    """(Hermite form, row order) of the Hajos greedy where it completes,
+    else None; for |det| = 2^n, where every pick has pivot 2."""
+    cols, order, _ = _triangulate(rows, _hajos_pick)
+    if len(order) < len(rows):
+        return None
+    return BasisMatrix._triangular(cols, order), tuple(order)
+
+
+def _greedy_det(rows: Sequence[Sequence[int]]):
+    """(det, `BasisMatrix._hajos`) from the Hajos greedy and, where it
+    stops, `_det_entries` of the block left."""
+    n = len(rows)
+    cols, order, sign = _triangulate(rows, _hajos_pick, 2)
+    k = len(order)
+    if k == n:
+        form = BasisMatrix._triangular(cols, order)
+        return sign * form.det, (form, tuple(order))
+    rest = [i for i in range(n) if i not in order]
+    if k:
+        left = _det_entries([[col[i] for i in rest] for col in cols[k:]])
+        det = sign * prod(col[p] for col, p in zip(cols, order)) * left
+    else:  # the block left is the whole matrix, so read it from the rows
+        det = _det_entries(rows)
+    if abs(det) == 1 << n and _hajos_pick(cols[k:], rest) is not None:
+        # at |det| = 2^n a pick has pivot 2, so the Euclid gave up
+        return det, _hajos_form(rows)
+    return det, None
+
+
+#: Swaps `_triangulate` makes at most per step where it runs for a det;
+#: past them the block left goes to Bareiss.  The `scan` and `hajos`
+#: workload inputs (seeds 1-5) and mixed 0/1 chains at n = 19 need at most
+#: 3.  Doubled random entries at n = 19 need up to 19 with entries in +-6
+#: and up to 158 in +-10^8, as the entries grow; there the det took 5.3 ms
+#: (+-10^4) and 9.4 ms (+-10^8) without the cap, 1.6 and 1.9 ms with it,
+#: against 1.1 and 1.5 ms for `_det_entries` alone (means of 10 seeds).
+_EUCLID_SWAPS = 4
+
+
+def _triangulate(rows: Sequence[Sequence[int]], pick, pivot: int = 0):
     """Column-style Hermite Normal Form, choosing the row order on the way.
 
     Step k takes coordinate ``p = pick(free, rest)``.  ``free`` are the
     columns from k on; they span the lattice vectors that vanish on the
-    coordinates chosen so far, so their gcd at p is the k-th diagonal
-    entry.  ``rest`` holds the unchosen coordinates in increasing order.
-    Extended-gcd column operations on the unchosen coordinates clear p from
-    the columns after k, or one subtraction of a multiple of column k where
-    its entry at p divides theirs; column k then gets a positive diagonal
-    and reduces the entries at p of the columns before it into
-    [0, diagonal).
+    coordinates taken so far, so their gcd at p is the k-th diagonal
+    entry.  ``rest`` holds the coordinates not taken, in increasing order.
+    A column Euclid clears p from the columns after k: each of them
+    subtracts, on p and ``rest``, the multiple of column k nearest to
+    clearing its entry at p, and while some entry is left the column of
+    least nonzero |entry| at p is swapped into place k.  The entries stay
+    near the input's size; extended-gcd steps let them grow to thousands
+    of bits at n = 19.  The elimination stops, with p not taken, where
+    ``pick`` returns None or, if ``pivot`` is set, where the diagonal entry
+    at p is not +-pivot or clearing p takes more than `_EUCLID_SWAPS`
+    swaps: Bareiss's elimination of the block left then costs less.
 
-    Returns (the HNF of the rows in the chosen order, that order), or None
-    as soon as ``pick`` does.
+    Returns (columns, coordinates taken, sign).  The first k = len(taken)
+    columns are triangular on the taken coordinates, where the others
+    vanish; on the coordinates not taken, those others are the block left.
+    So det(rows) = sign * (product of the diagonal) * det(block left):
+    sign is the parity of the row order taken + not taken, times -1 for
+    each column swap and negation, and the subtractions have determinant
+    1.  Once every coordinate is taken, each column gets a positive
+    diagonal and reduces the entries at its coordinate of the columns
+    before it into [0, diagonal): the columns read in the order taken are
+    the HNF of the rows in that order.
     """
-    n = basis.n
-    cols = [list(c) for c in basis.columns]
+    n = len(rows)
+    cols = [list(c) for c in zip(*rows)]
     rest = list(range(n))
     order = []
+    sign = 1
     for k in range(n):
         p = pick(cols[k:], rest)
         if p is None:
-            return None
-        rest.remove(p)
-        order.append(p)
-        live = [p] + rest
-        ck = cols[k]
-        for j in range(k + 1, n):
-            b = cols[j][p]
-            if b == 0:
-                continue
+            break
+        at = rest.index(p)
+        live = [p] + rest[:at] + rest[at + 1:]
+        swaps = 0
+        while True:
+            ck = cols[k]
             a = ck[p]
-            cj = cols[j]
-            if a and b % a == 0:  # one multiple of column k clears it
-                q = b // a
-                for i in live:
-                    cj[i] -= q * ck[i]
-                continue
-            x, y, g = _xgcd(a, b)
-            a_g, b_g = a // g, b // g
-            for i in live:
-                u, v = ck[i], cj[i]
-                ck[i] = x * u + y * v
-                cj[i] = a_g * v - b_g * u
-        if ck[p] == 0:
-            raise SingularMatrix("matrix is not full rank")
-        if ck[p] < 0:
-            ck = cols[k] = [-v for v in ck]
-        d = ck[p]
-        for j in range(k):
-            q = cols[j][p] // d
-            if q:
+            done = True
+            for j in range(k + 1, n):
                 cj = cols[j]
-                for i in live:
-                    cj[i] -= q * ck[i]
-    return BasisMatrix._triangular(
-        tuple(tuple(col[i] for col in cols) for i in order)), tuple(order)
+                b = cj[p]
+                if b and a:
+                    q = (2 * b + a) // (2 * a)  # the nearest multiple
+                    if q:
+                        for i in live:
+                            cj[i] -= q * ck[i]
+                    b = cj[p]
+                if b:
+                    done = False
+            if done or pivot and swaps == _EUCLID_SWAPS:
+                break
+            swaps += 1
+            # the column of least nonzero |entry| at p becomes column k
+            best, small = k, 0
+            for j in range(k, n):
+                b = abs(cols[j][p])
+                if b and (not small or b < small):
+                    best, small = j, b
+            cols[k], cols[best] = cols[best], ck
+            sign = -sign
+        if pivot and (not done or abs(ck[p]) != pivot):
+            break
+        del rest[at]
+        order.append(p)
+        if at & 1:
+            sign = -sign
+    else:
+        for k, p in enumerate(order):
+            ck = cols[k]
+            if ck[p] < 0:
+                ck = cols[k] = [-v for v in ck]
+                sign = -sign
+            d = ck[p]
+            live = order[k:]
+            for j in range(k):
+                q = cols[j][p] // d
+                if q:
+                    cj = cols[j]
+                    for i in live:
+                        cj[i] -= q * ck[i]
+    return cols, order, sign
 
 
 def _hnf(basis: BasisMatrix) -> BasisMatrix:
@@ -340,7 +439,8 @@ def _hnf(basis: BasisMatrix) -> BasisMatrix:
     the diagonal are reduced into [0, diagonal).  The result generates the
     same sublattice and is the unique such basis for a fixed row order.
     """
-    return _triangulate(basis, lambda free, rest: rest[0])[0]
+    cols, order, _ = _triangulate(basis.rows, lambda free, rest: rest[0])
+    return BasisMatrix._triangular(cols, order)
 
 
 def hnf(basis: BasisMatrix) -> BasisMatrix:
@@ -365,20 +465,6 @@ def contains(basis: BasisMatrix, x: Sequence[int]) -> bool:
             for i in range(j, n):
                 v[i] -= q * col[i]
     return not any(v)
-
-
-def gram(vectors) -> tuple[Vector, ...]:
-    """Symmetric matrix of pairwise dot products.
-
-    Accepts any sequence of equal-length integer vectors, or an object with
-    a ``vectors`` attribute holding one.
-    """
-    vecs = getattr(vectors, "vectors", vectors)
-    vecs = [tuple(v) for v in vecs]
-    if vecs and any(len(v) != len(vecs[0]) for v in vecs):
-        raise DimensionMismatch("vectors must share one dimension")
-    return tuple(
-        tuple(sum(a * b for a, b in zip(u, v)) for v in vecs) for u in vecs)
 
 
 def direct_sum(b1: BasisMatrix, b2: BasisMatrix) -> BasisMatrix:

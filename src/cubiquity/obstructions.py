@@ -24,12 +24,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import NotNonAcute, NotOrthogonal, ResourceLimit
-from .lattice import (
-    DEFAULT_RESOURCE_CAP,
-    BasisMatrix,
-    Vector,
-    _triangulate,
-)
+from .lattice import DEFAULT_RESOURCE_CAP, BasisMatrix, Vector
 
 if TYPE_CHECKING:
     from .classify import Block  # classify imports this module at runtime
@@ -195,9 +190,9 @@ def hajos_basis(basis: BasisMatrix) -> Optional[HajosBasis]:
     """Search for a Hajos basis of the lattice.
 
     A Hajos basis is lower triangular with 2s on the diagonal and 0/1
-    entries below, hence has determinant 2^n; anything else returns None
-    immediately.  The result carries the lexicographically first row order
-    that works (identity first), and a greedy search finds it:
+    entries below, hence has determinant 2^n; any other index has none.
+    The result carries the lexicographically first row order that works
+    (identity first), and a greedy search finds it:
 
     * Let S be a prefix of coordinates whose HNF diagonal entries are all
       2.  Then {0,1}^S is a complete set of coset representatives of Z^S
@@ -215,29 +210,14 @@ def hajos_basis(basis: BasisMatrix) -> Optional[HajosBasis]:
     The greedy path is the first branch of a depth-first search over all
     row orders, so it returns that search's first order.  It is one Hermite
     form elimination that picks, at each step, the smallest coordinate
-    whose gcd over the columns not yet pivoted is 2; the Hermite form it
-    ends with is the certificate.
+    whose gcd over the columns not yet pivoted is 2 (`lattice._hajos_pick`);
+    the Hermite form it ends with is the certificate, and the HNF
+    reduction range makes every subdiagonal entry 0 or 1.  Below
+    ``lattice._PACKED_FROM`` rows the basis ran this elimination when it
+    computed its determinant and kept the result; from there on it runs on
+    the first call, and only at |det| = 2^n.
     """
-    n = basis.n
-    if abs(basis.det) != 2 ** n:
-        return None
-
-    def pick(free, rest):
-        # |det| = 2^n and the k pivots so far are 2, so the free columns
-        # span a lattice of index 2^(n - k) in the coordinates left, and
-        # each gcd of their entries at j is 0 or a power of two.  Its
-        # lowest set bit is the lowest among the entries (x and -x share
-        # theirs), so the gcd is 2 iff the OR of the entries is 2 mod 4.
-        for j in rest:
-            acc = 0
-            for col in free:
-                acc |= col[j]
-            if acc & 3 == 2:
-                return j
-        return None
-
-    found = _triangulate(basis, pick)
-    # The HNF reduction range makes every subdiagonal entry 0 or 1.
+    found = basis._hajos
     return None if found is None else HajosBasis(*found)
 
 

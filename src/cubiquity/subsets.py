@@ -12,7 +12,7 @@ from operator import index
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DimensionMismatch
-from .lattice import BasisMatrix, Vector, gram
+from .lattice import BasisMatrix, Vector
 
 _Supports = tuple[tuple[int, ...], ...]  # by_vector or by_coordinate
 
@@ -77,9 +77,6 @@ class Subset:
     @property
     def norms(self) -> tuple[int, ...]:
         return tuple(sum(x * x for x in v) for v in self.vectors)
-
-    def gram(self) -> tuple[Vector, ...]:
-        return gram(self.vectors)
 
     def to_basis(self) -> BasisMatrix:
         """Basis matrix with these vectors as columns; raises if dependent."""

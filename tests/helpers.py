@@ -47,6 +47,14 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def gram(vectors):
+    """Symmetric matrix of pairwise dot products of equal-length integer
+    vectors, or of a subset's vectors; the dense oracles' Gram matrix."""
+    vecs = [tuple(v) for v in getattr(vectors, "vectors", vectors)]
+    return tuple(
+        tuple(sum(a * b for a, b in zip(u, v)) for v in vecs) for u in vecs)
+
+
 def read_rows_reference(lines, rows_as_vectors=False):
     """The row reader before its token table: int() on every token."""
     n = len(lines)
@@ -455,8 +463,10 @@ def hajos_gcd_greedy(basis):
         return next((j for j in rest
                      if gcd(*(col[j] for col in free)) == 2), None)
 
-    found = _triangulate(basis, pick)
-    return None if found is None else HajosBasis(*found)
+    cols, order, _ = _triangulate(basis.rows, pick)
+    if len(order) < basis.n:
+        return None
+    return HajosBasis(BasisMatrix._triangular(cols, order), tuple(order))
 
 
 def wu_preserved(subset, i, s, t, u):
@@ -515,7 +525,7 @@ def trace_reduce_reference(subset):
 
 def is_orthogonal_reference(subset):
     """Reference orthogonality: the dense Gram matrix, every pair."""
-    g = subset.gram()
+    g = gram(subset)
     n = subset.n
     if any(g[i][i] < 1 for i in range(n)):
         return False
@@ -524,7 +534,7 @@ def is_orthogonal_reference(subset):
 
 def is_non_acute_reference(subset):
     """Reference non-acuteness: the dense Gram matrix, row by row."""
-    g = subset.gram()
+    g = gram(subset)
     n = subset.n
     for i in range(n):
         if g[i][i] < 1:

@@ -27,6 +27,7 @@ from helpers import (
     decompose_reference,
     det4_quartic_scan,
     edge_subsets,
+    gram,
     random_subsets,
     signed_permutation,
 )
@@ -209,7 +210,7 @@ def test_catalog_blocks_structure():
     assert first.column(0) == (1, 1, 0, 0, 0, 0, 0, 0)
     for block in (first, second):
         s = Subset(block.columns)
-        g = s.gram()
+        g = gram(s)
         assert all(g[i][j] == 0 for i in range(8) for j in range(8)
                    if i != j)
         for row in block.rows:

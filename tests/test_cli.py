@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -10,8 +11,13 @@ import pytest
 
 from cubiquity import BasisMatrix, MatrixFormatError, Subset, cli, parse_matrix
 from cubiquity.cli import run
-from cubiquity.lattice import _det_entries
-from helpers import count_calls, hajos_permutation_scan, unimodular_mix
+from cubiquity.lattice import _PACKED_FROM, _det_entries
+from helpers import (
+    count_calls,
+    hajos_permutation_scan,
+    signed_permutation,
+    unimodular_mix,
+)
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" /
@@ -220,6 +226,59 @@ def test_subcommand_does_its_work_once(command, module, name, monkeypatch,
     assert _run(capsys, *argv) == expected
     assert expected[0] in (0, 2) and expected[2] == ""
     assert len(calls) == 1
+
+
+def _matrix_text(rows):
+    return "; ".join(" ".join(map(str, row)) for row in rows)
+
+
+@pytest.mark.parametrize("command", ["check", "hajos"])
+def test_index_2n_below_20_rows_is_eliminated_once(command, monkeypatch,
+                                                    capsys):
+    # below _PACKED_FROM rows the basis takes its determinant from the Hajos
+    # greedy, and a completed greedy is the certificate: no Bareiss pass
+    # and no second elimination
+    rng = random.Random(20)
+    for n in (1, 2, 8, _PACKED_FROM - 1):
+        chain = BasisMatrix([[2 if j == i else rng.randrange(2) if j < i
+                              else 0 for j in range(n)] for i in range(n)])
+        mixed = unimodular_mix(chain, rng, 2 * n) if n > 1 else chain
+        cols = signed_permutation(list(mixed.columns), rng)
+        text = _matrix_text(zip(*cols))
+        expected = _run(capsys, command, "--matrix", text)
+        assert expected[0] == 0 and expected[2] == ""
+        calls = {name: count_calls(monkeypatch, "cubiquity.lattice", name)
+                 for name in ("_triangulate", "_det_entries", "_det_packed")}
+        assert _run(capsys, command, "--matrix", text) == expected
+        assert {name: len(seen) for name, seen in calls.items()} == {
+            "_triangulate": 1, "_det_entries": 0, "_det_packed": 0}, n
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("command", ["check", "hajos"])
+def test_twice_dense_n48_is_fast(command, monkeypatch, capsys):
+    # from _PACKED_FROM rows on the packed Bareiss kernel runs first and the
+    # greedy only at |det| = 2^n; a greedy first took minutes here with
+    # extended-gcd steps
+    rng = random.Random(48)
+    n = 48
+    text = _matrix_text([[2 * rng.randint(-3, 3) for _ in range(n)]
+                         for _ in range(n)])
+    calls = {name: count_calls(monkeypatch, "cubiquity.lattice", name)
+             for name in ("_triangulate", "_det_packed")}
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        code, out, err = _run(capsys, command, "--matrix", text)
+        best = min(best, time.perf_counter() - start)
+    assert {name: len(seen) for name, seen in calls.items()} == {
+        "_triangulate": 0, "_det_packed": 3}
+    assert code == 1 and err == ""
+    if command == "check":
+        assert json.loads(out)["status"] == "Obstructed"
+    else:
+        assert out == '{"hajos_basis": null, "row_order": null}\n'
+    assert best < 0.1
 
 
 def test_stats_computes_norms_once(monkeypatch, capsys):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -14,21 +15,24 @@ from cubiquity import (
     contains,
     det,
     direct_sum,
-    gram,
     hnf,
 )
 from cubiquity.cosets import _diagonalize
+from cubiquity import lattice
 from cubiquity.lattice import (
     _PACKED_BELOW,
     _PACKED_FROM,
     _bareiss_det,
     _det_entries,
     _det_packed,
+    _hajos_pick,
     _hnf,
+    _triangulate,
 )
 from helpers import (
     cofactor_det,
     count_calls,
+    gram,
     hnf_box,
     hnf_matrices,
     hnf_reference,
@@ -163,6 +167,198 @@ def test_det_kernels_pin_the_sign_of_row_swaps():
         assert _det_packed(rows) == expected
         if n <= 7:
             assert expected == cofactor_det(rows)
+
+
+def _signed_mix_rows(rows, rng, permute=True):
+    """Rows of another basis of the lattice after random coordinate signs
+    and, with ``permute``, a random coordinate order: 2n signed column
+    additions."""
+    n = len(rows)
+    order = rng.sample(range(n), n) if permute else range(n)
+    signs = [rng.choice((-1, 1)) for _ in range(n)]
+    out = [[sign * a for a in rows[i]] for sign, i in zip(signs, order)]
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        for row in out:
+            row[i] += k * row[j]
+    return out
+
+
+def _diagonal_rows(diag):
+    n = len(diag)
+    return [[diag[i] if j == i else 0 for j in range(n)] for i in range(n)]
+
+
+def _greedy_det_inputs(n, rng):
+    """(kind, rows) at size n: inputs on which the Hajos greedy, which
+    gives the determinant below _PACKED_FROM rows, completes, stops
+    partway or takes nothing."""
+    twice = [[2 * a for a in row] for row in _dense_rows(rng, n, -3, 3)]
+    big = _dense_rows(rng, n, -10 ** 25, 10 ** 25)
+    chain = [[2 if j == i else rng.randrange(2) if j < i else 0
+              for j in range(n)] for i in range(n)]
+    yield "random", _dense_rows(rng, n, -3, 3)
+    yield "25 digits", big
+    yield "2 x 25 digits", [[2 * a for a in row] for row in big]
+    yield "2 x dense", twice
+    yield "chain", _signed_mix_rows(chain, rng)
+    yield "diag(4, 1, 2, ...)", _signed_mix_rows(
+        _diagonal_rows(((4, 1) + (2,) * n)[:n]), rng)
+    # the coordinates keep their order, so the greedy takes the 2s before
+    # n // 2 in turn and stops at the pivot 6
+    yield "pivot 6", _signed_mix_rows(
+        _diagonal_rows([6 if i == n // 2 else 2 for i in range(n)]), rng,
+        permute=False)
+    yield "anti-diagonal", [[(i + 2) * (j == n - 1 - i) for j in range(n)]
+                            for i in range(n)]
+    yield "anti-diagonal 2s", [
+        [rng.choice((-2, 2)) * (j == n - 1 - i) for j in range(n)]
+        for i in range(n)]
+
+
+def _record_greedy(monkeypatch):
+    """Wrap lattice._triangulate; returns the list each call appends its
+    number of coordinates taken to."""
+    seen = []
+
+    def recorded(rows, *args):
+        result = _triangulate(rows, *args)
+        seen.append(len(result[1]))
+        return result
+
+    monkeypatch.setattr(lattice, "_triangulate", recorded)
+    return seen
+
+
+def test_greedy_det_matches_bareiss_at_every_size(monkeypatch):
+    # below _PACKED_FROM rows the determinant is the signed product of the
+    # greedy's pivots times the block left; the sign counts the row order
+    # and the negated columns
+    rng = random.Random(19)
+    seen = _record_greedy(monkeypatch)
+    taken = {}
+    for n in range(1, _PACKED_FROM):
+        for kind, rows in _greedy_det_inputs(n, rng):
+            seen.clear()
+            expected = _det_entries(rows)
+            if kind in ("chain", "pivot 6"):
+                assert abs(expected) == 2 ** n * (3 if kind == "pivot 6"
+                                                  else 1)
+            if n <= 7:
+                assert expected == cofactor_det(rows), (kind, rows)
+            if expected == 0:  # a small random matrix can be singular
+                with pytest.raises(SingularMatrix):
+                    BasisMatrix(rows)
+            else:
+                assert BasisMatrix(rows).det == expected, (kind, rows)
+            taken[kind, n] = seen[0] if seen else None
+    for n in range(1, _PACKED_FROM):
+        # the greedy completes on chains, and the anti-diagonal of 2s has
+        # the sign of its row order to get right
+        assert taken["chain", n] == taken["anti-diagonal 2s", n] == n
+        # it takes the 2s before the 6 and stops there
+        assert taken["pivot 6", n] == n // 2
+    # it takes nothing where no row qualifies, and it stops partway
+    # leaving blocks of many sizes
+    assert taken["25 digits", _PACKED_FROM - 1] == 0
+    assert {n - t for (_, n), t in taken.items() if 0 < t < n} >= \
+        set(range(1, 10))
+
+
+@pytest.mark.parametrize("kind", ["equal rows", "zero column", "rank n-1"])
+def test_greedy_det_singular_raises_with_dimension_message(kind,
+                                                           monkeypatch):
+    # even entries, some 2 mod 4: the greedy runs, and a singular matrix
+    # reaches the check through the block its dead end leaves
+    rng = random.Random(23)
+    seen = _record_greedy(monkeypatch)
+    for n in range(1 if kind == "zero column" else 2, _PACKED_FROM):
+        rows = [[2 * a for a in row] for row in _dense_rows(rng, n, -3, 3)]
+        rows[0][0] = 2
+        if kind == "equal rows":
+            rows[n - 1] = list(rows[0])
+        elif kind == "zero column":
+            for row in rows:
+                row[n // 2] = 0
+        else:
+            rows[n - 1] = [a - 2 * b for a, b in zip(rows[0], rows[n - 2])]
+        assert _det_entries(rows) == 0
+        with pytest.raises(SingularMatrix) as exc:
+            BasisMatrix(rows)
+        assert str(exc.value) == \
+            f"columns of the {n}x{n} matrix are linearly dependent"
+    assert len(seen) >= _PACKED_FROM - 3
+
+
+def _mixed_chain(n, rng):
+    """2s on the diagonal, 0/1 below, 64 signed column additions and a
+    signed coordinate permutation."""
+    rows = [[2 if j == i else rng.randrange(2) if j < i else 0
+             for j in range(n)] for i in range(n)]
+    for _ in range(64):
+        i, j = rng.sample(range(n), 2)
+        k = rng.choice((-1, 1))
+        for row in rows:
+            row[i] += k * row[j]
+    signs = [rng.choice((-1, 1)) for _ in range(n)]
+    return [[sign * a for a in rows[i]]
+            for sign, i in zip(signs, rng.sample(range(n), n))]
+
+
+def _best_time(f, rows):
+    """f(rows) and its least time in seconds over three calls."""
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        value = f(rows)
+        best = min(best, time.perf_counter() - start)
+    return value, best
+
+
+def test_greedy_det_time_at_19_rows():
+    # the last size below _PACKED_FROM, where the greedy runs first: on
+    # 2 x (dense) input it stops early, on a mixed chain it completes
+    rng = random.Random(1919)
+    n = _PACKED_FROM - 1
+    twice = [[2 * a for a in row] for row in _dense_rows(rng, n, -3, 3)]
+    chain = _mixed_chain(n, rng)
+    assert abs(_det_entries(chain)) == 2 ** n
+    for rows in (twice, chain):
+        b, best = _best_time(BasisMatrix, rows)
+        assert b.det == _det_entries(rows)
+        assert best < 0.02
+
+
+@pytest.mark.parametrize("bound", [10 ** 4, 10 ** 8])
+def test_greedy_det_time_on_large_even_entries(bound):
+    # large even entries: the column Euclid needs many swaps per step, and
+    # past _EUCLID_SWAPS the block left goes to Bareiss, so the det costs
+    # about what _det_entries does (without the cap, 3-6 times as much)
+    rng = random.Random(bound)
+    n = _PACKED_FROM - 1
+    rows = [[2 * a for a in row] for row in _dense_rows(rng, n, -bound, bound)]
+    b, greedy = _best_time(BasisMatrix, rows)
+    expected, bareiss = _best_time(_det_entries, rows)
+    assert b.det == expected
+    assert greedy < 3 * bareiss
+
+
+def test_hnf_mixed_chain_n48():
+    # the column Euclid keeps entries near the input's size; extended-gcd
+    # steps took seconds on mixed chains at n = 32 and did not finish in
+    # 30 s at n = 48
+    rng = random.Random(48)
+    b = BasisMatrix(_mixed_chain(48, rng))
+    start = time.perf_counter()
+    h = b.hnf
+    assert time.perf_counter() - start < 1
+    assert h.det == abs(b.det) == 2 ** 48
+    for i, row in enumerate(h.rows):
+        assert row[i] > 0
+        assert all(0 <= a < row[i] for a in row[:i])
+        assert not any(row[i + 1:])
+    assert all(contains(b, col) for col in b.columns)
 
 
 @pytest.mark.parametrize("kind", [

@@ -28,6 +28,7 @@ from cubiquity import (
     wu_obstruction_orthogonal,
 )
 from cubiquity.cosets import _diagonalize, first_missed_cube
+from cubiquity.lattice import _PACKED_FROM
 from helpers import (
     BLOCK_LIBRARY,
     assemble_blocks,
@@ -542,6 +543,20 @@ def test_hajos_matches_permutation_scan_random():
     assert backtracked
 
 
+def _two_power_hnf(n, rng):
+    """`random_hnf(n, 2 ** n, rng)`'s distribution without its divisor
+    scan: each diagonal entry a random divisor of what is left of 2^n."""
+    rows = [[0] * n for _ in range(n)]
+    left = n
+    for i in range(n):
+        e = rng.randint(0, left) if i < n - 1 else left
+        left -= e
+        rows[i][i] = 2 ** e
+        for j in range(i):
+            rows[i][j] = rng.randrange(2 ** e)
+    return BasisMatrix(rows)
+
+
 def test_hajos_bit_pick_matches_gcd_pick():
     # hajos_basis picks by the low bits of an OR of entries, which equals
     # the gcd test only because |det| = 2^n; compare on mixed bases, with
@@ -558,8 +573,50 @@ def test_hajos_bit_pick_matches_gcd_pick():
             found = hajos_basis(b)
             assert _hajos_key(found) == _hajos_key(hajos_gcd_greedy(b)), b
             outcomes.add((n, found is not None))
-    assert outcomes == {(n, hit) for n in range(2, 10)
+    # and at every larger size the basis runs the greedy for, below
+    # _PACKED_FROM rows, where its det comes from the same elimination
+    for n in range(10, _PACKED_FROM):
+        for _ in range(100):
+            if rng.random() < 0.5:
+                b = _lower_two_diagonal(n, rng)
+            else:
+                b = _two_power_hnf(n, rng)
+            b = _signed_mix(b, rng)
+            found = hajos_basis(b)
+            assert _hajos_key(found) == _hajos_key(hajos_gcd_greedy(b)), b
+            outcomes.add((n, found is not None))
+    assert outcomes == {(n, hit) for n in range(2, _PACKED_FROM)
                         for hit in (False, True)}
+
+
+def test_hajos_certificate_when_the_euclid_gives_up(monkeypatch):
+    # large multiples mixed into a chain: clearing a coordinate can take
+    # more than _EUCLID_SWAPS swaps, and then the det's greedy stops and
+    # hands the block to Bareiss; at |det| = 2^n the certificate comes from
+    # a second greedy without the cap, still the lexicographically first
+    rng = random.Random(606)
+    calls = count_calls(monkeypatch, "cubiquity.lattice", "_triangulate")
+    gave_up = set()
+    for n in (3, 6, 10, _PACKED_FROM - 1):
+        for _ in range(8):
+            rows = [[2 if j == i else rng.randrange(2) if j < i else 0
+                     for j in range(n)] for i in range(n)]
+            for _ in range(3 * n):
+                i, j = rng.sample(range(n), 2)
+                k = rng.choice((-1, 1)) * rng.randint(1, 10 ** 6)
+                for row in rows:
+                    row[i] += k * row[j]
+            calls.clear()
+            b = BasisMatrix(rows)
+            found = hajos_basis(b)
+            assert abs(b.det) == 2 ** n
+            assert found is not None
+            assert _hajos_key(found) == _hajos_key(hajos_gcd_greedy(b)), b
+            if len(calls) == 2:
+                gave_up.add(n)
+            else:
+                assert len(calls) == 1
+    assert gave_up == {3, 6, 10, _PACKED_FROM - 1}
 
 
 def test_hajos_certificate_det():

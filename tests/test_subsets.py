@@ -15,6 +15,7 @@ from cubiquity import (
 )
 from helpers import (
     edge_subsets,
+    gram,
     is_non_acute_reference,
     is_orthogonal_reference,
     random_subsets,
@@ -162,7 +163,7 @@ def test_negate_rejects_indices_outside_range(indices):
 def test_norms_and_gram():
     s = Subset([(1, 1, 0), (0, -1, 3), (-1, 1, 0)])
     assert s.norms == (2, 10, 2)
-    assert s.gram() == ((2, -1, 0), (-1, 10, -1), (0, -1, 2))
+    assert gram(s) == ((2, -1, 0), (-1, 10, -1), (0, -1, 2))
 
 
 def test_predicates_match_dense_reference():
