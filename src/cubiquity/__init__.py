@@ -38,8 +38,7 @@ _SUBMODULE = {
                           "is_cubiquitous_bruteforce", "wu_element",
                           "wu_obstruction", "wu_obstruction_orthogonal")),
         ("transforms", ("RewriteStep", "contract", "double_project",
-                        "length_three_family", "project", "reduce",
-                        "trace_reduce")),
+                        "project", "reduce", "trace_reduce")),
         ("classify", ("Block", "BlockDecomposition", "catalog_blocks",
                       "classify_orthogonal", "decompose", "det4_formula",
                       "det4_zero_solutions", "torus_sum_bounds_qball")),

@@ -10,12 +10,20 @@ they are the diagonal of a triangular form.  Where a pivot is not 2, or
 clearing a coordinate takes more than `_EUCLID_SWAPS` column swaps, the
 block left goes to Bareiss's fraction-free elimination, one entry at a
 time (`_det_entries`).  When every pivot is 2 the form itself is the
-Hajos certificate, so an index-2^n input is eliminated once.  From ``_PACKED_FROM`` rows on,
-Bareiss's elimination runs on the whole matrix, on rows packed into one
-integer of signed fixed-width slots each (`_det_packed`) when every entry
-is below ``_PACKED_BELOW``: a step is then a few big-integer operations
-per row instead of four per entry; the slot width comes from Hadamard's
-bound on the minors the elimination can produce.
+Hajos certificate, so an index-2^n input is eliminated once.  From
+``_PACKED_FROM`` rows on, Bareiss's elimination runs on the whole matrix,
+on rows packed into one integer of signed fixed-width slots each
+(`_det_packed`) when every entry is below ``_PACKED_BELOW``: a step is
+then a few big-integer operations per row instead of four per entry; the
+slot width comes from Hadamard's bound on the minors the elimination can
+produce.  Once a row takes ``_PAIRS_FROM`` bytes, one pass eliminates two
+columns (Bareiss's two-step method): by Sylvester's identity the row two
+steps on is ``(p2 * v - f * sec + e * top) / p0``, where top and sec are
+the two pivot rows, p0 is the pivot before them, p2 the second pivot, and
+f and e are 2 x 2 minors of v's and the pivot rows' first two slots,
+divided by p0.  Every one of these divisions is exact, and the row update
+needs one exact division by p0 per pair of columns instead of one per
+column; that division is the dearest part of a step.
 """
 
 from __future__ import annotations
@@ -40,23 +48,36 @@ Vector = tuple[int, ...]
 
 #: `_bareiss_det` runs on packed rows from `_PACKED_FROM` rows on, when
 #: every entry is below `_PACKED_BELOW` in absolute value.  Against the
-#: per-entry kernel on dense matrices, the packed kernel took
-#: - with entries in [-2, 2]: 1.17x the time at n = 13, 1.0x at 16, 0.74x at
-#:   20, 0.66x at 24 and 0.33-0.5x at 32-96;
-#: - at n = 20-64: 0.7-0.92x with entries below 2^16, 0.74-1.0x below 2^24,
-#:   0.99-1.06x below 2^32 and 1.09-1.49x below 2^64.
-#: Packing costs a fixed amount per entry and wastes some slot width, so
-#: it pays only where the interpreter's cost per operation outweighs the
-#: digit work: many rows, small entries.  The switch sits a little above
-#: the break-even of 16 rows.  Below it `BasisMatrix` starts with the Hajos
-#: greedy, which hands the rest of the matrix to `_det_entries` where its
-#: pivots stop being 2; from it on the packed kernel runs first and the
-#: greedy only at |det| = 2^n.  On 2 * (dense) input, where every pivot is
-#: 2, a greedy first took 1-2x the per-entry kernel's time at n = 19 and
-#: 2-3x the packed kernel's at n = 24-48.  The scan (n <= 13) and hajos
-#: (n <= 9) inputs, and 16-dim dense ones, stay below the switch.
+#: per-entry kernel on dense matrices (three per size, best of 15 at
+#: n <= 32 and of 3-5 above), the packed kernel took
+#: - with entries in [-2, 2]: 0.92x the time at n = 16, 0.82x at 20, 0.64x
+#:   at 24, 0.49x at 32, 0.39x at 48 and 0.32x at 64;
+#: - at n = 20-64: 0.61-0.69x with entries below 2^16, 0.68-0.80x below
+#:   2^24, 0.70-0.93x below 2^32, 0.72-0.96x below 2^48 and 0.76-1.07x
+#:   below 2^64.
+#: So it wins at every size from the switch with entries below 2^32;
+#: below 2^48 its lead at n = 20 is only 2-4%, and below 2^64 it loses
+#: there.  Packing costs a fixed amount per entry and wastes some slot
+#: width, so it pays only where the interpreter's cost per operation
+#: outweighs the digit work: many rows, small entries.  With small entries
+#: it wins from 16 rows; the switch stays at 20 because below it
+#: `BasisMatrix` starts with the Hajos greedy, which hands the rest of the
+#: matrix to `_det_entries` where its pivots stop being 2; from it on the
+#: packed kernel runs first and the greedy only at |det| = 2^n.  On 2 *
+#: (dense) input, where every pivot is 2, a greedy first took 1-2x the
+#: per-entry kernel's time at n = 19 and 2-3x the packed kernel's at
+#: n = 24-48.  The scan (n <= 13) and hajos (n <= 9) inputs, and 16-dim
+#: dense ones, stay below the switch.
 _PACKED_FROM = 20
-_PACKED_BELOW = 1 << 16
+_PACKED_BELOW = 1 << 32
+
+#: `_det_packed` eliminates two columns per pass once a row takes this many
+#: bytes.  Against single steps on dense matrices with entries in [-2, 2]
+#: (three per size, best of 30 at n < 50 and of 10 above), two columns per
+#: pass on every stage took 1.13x the time at n = 20, 1.07x at 24 and 1.06x
+#: at 28.  With this switch it took 0.99-1.0x at n = 20-32, 0.92-0.99x at
+#: 36-44, 0.86-0.87x at 48-52 and 0.76-0.81x at 56-64.
+_PAIRS_FROM = 128
 
 
 def _bareiss_det(rows: Sequence[Sequence[int]]) -> int:
@@ -119,6 +140,16 @@ def _slots(value: int, size: int, width: int) -> int:
     return int.from_bytes(value.to_bytes(width, "little") * size, "little")
 
 
+def _swap_lead(live: list[int], mask: int) -> bool:
+    """Swap the first row of ``live`` whose low slot is nonzero to the
+    front; False if there is none, and the determinant is then 0."""
+    for r, v in enumerate(live):
+        if v & mask:
+            live[0], live[r] = v, live[0]
+            return True
+    return False
+
+
 def _det_packed(rows: Sequence[Sequence[int]]) -> int:
     """Bareiss elimination on rows packed into one integer each.
 
@@ -131,12 +162,40 @@ def _det_packed(rows: Sequence[Sequence[int]]) -> int:
     ``((v & mask) ^ half) - half``, is the next pivot column.  Pivot
     choice, row swaps and sign are those of `_det_entries`.
 
+    Where a row is at least `_PAIRS_FROM` bytes long, one pass eliminates
+    two columns (Bareiss's two-step method).  With p0 = prev, ``top`` =
+    (p1, a01, ...) and a row v = (a0, a1, ...), the one-step entry of v at
+    the second column is ``f = (p1 * a1 - a0 * a01) / p0``.  The second
+    pivot row ``sec`` = (b0, b1, ...) is the first row after ``top`` with
+    f != 0, swapped into second place (with a sign flip, as a one-step
+    swap would); its f is the second pivot p2.  Then, with ``e = (b0 * a1
+    - b1 * a0) / p0``, ``(p2 * v - f * sec + e * top) / p0 >> 2w`` is v
+    two steps on.  This is Sylvester's identity: expanding the 3 x 3 minor
+    of top, sec and v along v's column gives p0 * (p2 * v - f * sec + e *
+    top), and that minor is p0 ** 2 times the entry two steps on.  So each
+    slot of the numerator is exactly p0 times its new entry, the first two
+    are 0, and f, e and p2 are minors of the input too: every division is
+    exact.  Per row a pass costs three products, two sums, one division
+    and one shift, where two steps cost four products, two sums, two
+    divisions and two shifts, and the exact division is the dearest.
+
+    The three coefficients come from the low two slots, read at once as
+    the signed 2w-bit number ``x = a0 + (a1 << w)``.  Modulo 2^(2w), a
+    negative a0 borrows 1 from slot 1; the signed read undoes the borrow,
+    since |x| < 2^(2w - 1), and a0 is x's signed low slot.  With ``t = p1
+    + (a01 << w)`` and ``s = b0 + (b1 << w)``, slot 0 cancels in ``p1 * x
+    - a0 * t = (p1 * a1 - a0 * a01) << w``, so ``f = (p1 * x - a0 * t) //
+    (p0 << w)`` and ``e = (b0 * x - a0 * s) // (p0 << w)`` need no read of
+    a1.  On shorter rows these small-integer operations cost more than the
+    division they save, and every step is a single one.
+
     After K steps every entry is a (K+1)-minor, so it fits in w bits from
     `_minor_bits`.  A stage starting at step k runs to step
     ``k + max(k // 3, 6)`` with the width its last minors need (a whole
     number of bytes); then the rows are spread byte-wise into the next
     stage's wider slots.  Each slot stores entry + an offset there, so it is
-    a plain unsigned field while it moves.
+    a plain unsigned field while it moves.  A stage of odd length ends with
+    a single step.
     """
     n = len(rows)
     bits = _minor_bits(rows)
@@ -167,15 +226,46 @@ def _det_packed(rows: Sequence[Sequence[int]]) -> int:
         w = 8 * width
         mask = (1 << w) - 1
         half = 1 << (w - 1)
-        for _ in range(k, end):
-            if not live[0] & mask:
-                for r, v in enumerate(live):
-                    if v & mask:
-                        live[0], live[r] = v, live[0]
-                        sign = -sign
+        steps = end - k
+        if length >= _PAIRS_FROM:
+            w2 = 2 * w
+            mask2 = (1 << w2) - 1
+            half2 = 1 << (w2 - 1)
+            for _ in range(steps // 2):
+                if not live[0] & mask:
+                    if not _swap_lead(live, mask):
+                        return 0
+                    sign = -sign
+                top = live[0]
+                t = ((top & mask2) ^ half2) - half2
+                p1 = ((t & mask) ^ half) - half
+                p0w = prev << w
+                for r in range(1, len(live)):
+                    s = ((live[r] & mask2) ^ half2) - half2
+                    b0 = ((s & mask) ^ half) - half
+                    p2 = (p1 * s - b0 * t) // p0w
+                    if p2:
                         break
                 else:
                     return 0
+                if r > 1:
+                    live[1], live[r] = live[r], live[1]
+                    sign = -sign
+                sec = live[1]
+                # for each v: x and a0, f * sec, then e * top from them
+                live = [(p2 * v
+                         - (p1 * (x := ((v & mask2) ^ half2) - half2)
+                            - (a0 := ((x & mask) ^ half) - half) * t)
+                         // p0w * sec
+                         + (b0 * x - a0 * s) // p0w * top)
+                        // prev >> w2 for v in live[2:]]
+                prev = p2
+            steps &= 1
+        for _ in range(steps):
+            if not live[0] & mask:
+                if not _swap_lead(live, mask):
+                    return 0
+                sign = -sign
             top = live[0]
             pivot = ((top & mask) ^ half) - half
             live = [(v * pivot - (((v & mask) ^ half) - half) * top)

@@ -203,14 +203,3 @@ def contract(subset: Subset, i: int, s: int, t: int, u: int) -> Subset:
     return Subset._unchecked(tuple(
         tuple(compress(v, keep)) for v in survivors + [merged, vecs[u]]))
 
-
-def length_three_family(x: int) -> Subset:
-    """The one-parameter subset {e1+e2, -e2+x*e3, e2-e1} in Z^3.
-
-    Every member is non-acute, and the Wu obstruction fires exactly when
-    |x| >= 3.  Larger subsets contract down to this family, which makes it
-    a convenient probe for contraction experiments.
-    """
-    if x == 0:
-        raise ValueError("the family needs a nonzero parameter")
-    return Subset([(1, 1, 0), (0, -1, x), (-1, 1, 0)])

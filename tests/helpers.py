@@ -27,7 +27,7 @@ from cubiquity import (
 from cubiquity.classify import OTHER, _block_kind
 from cubiquity.cosets import _translate
 from cubiquity.errors import MatrixFormatError
-from cubiquity.lattice import _triangulate
+from cubiquity.lattice import _minor_bits, _slots, _triangulate
 
 
 def count_calls(monkeypatch, module, name):
@@ -53,6 +53,19 @@ def gram(vectors):
     vecs = [tuple(v) for v in getattr(vectors, "vectors", vectors)]
     return tuple(
         tuple(sum(a * b for a, b in zip(u, v)) for v in vecs) for u in vecs)
+
+
+def length_three_family(x):
+    """The one-parameter subset {e1+e2, -e2+x*e3, e2-e1} in Z^3.
+
+    Every member is non-acute, and the Wu obstruction fires exactly when
+    |x| >= 3.  Larger subsets contract down to this family, which makes it
+    a convenient probe for contraction experiments; no library or CLI path
+    uses it.
+    """
+    if x == 0:
+        raise ValueError("the family needs a nonzero parameter")
+    return Subset([(1, 1, 0), (0, -1, x), (-1, 1, 0)])
 
 
 def read_rows_reference(lines, rows_as_vectors=False):
@@ -185,6 +198,75 @@ def cofactor_det(rows):
         minor = [row[:j] + row[j + 1:] for row in rows[1:]]
         total += (-1) ** j * rows[0][j] * cofactor_det(minor)
     return total
+
+
+def det_packed_reference(rows):
+    """The packed Bareiss kernel before it eliminated two columns per pass:
+    one step, and one exact division, per column.
+
+    A row of entries a_j is ``sum(a_j << (w * j))``: signed slots of w bits.
+    A step is ``(v * pivot - head * top) // prev >> w`` on every row v below
+    the pivot row ``top``: the numerator's slots are the per-entry
+    numerators, each exactly prev times its next entry, so the division is
+    exact, and slot 0 is ``head * pivot - pivot * head = 0``, so the shift
+    drops the eliminated column.  The signed low slot, read as
+    ``((v & mask) ^ half) - half``, is the next pivot column.  Pivot
+    choice, row swaps and sign are those of `lattice._det_entries`.
+
+    After K steps every entry is a (K+1)-minor, so it fits in w bits from
+    `lattice._minor_bits`.  A stage starting at step k runs to step
+    ``k + max(k // 3, 6)`` with the width its last minors need (a whole
+    number of bytes); then the rows are spread byte-wise into the next
+    stage's wider slots.  Each slot stores entry + an offset there, so it is
+    a plain unsigned field while it moves.
+    """
+    n = len(rows)
+    bits = _minor_bits(rows)
+    sign = 1
+    prev = 1
+    k = 0
+    width = 0  # bytes per slot; 0 until the rows are first packed
+    while True:
+        end = min(k + max(k // 3, 6), n - 1)
+        size = n - k  # live rows, and slots per row
+        old, width = width, bits[end + 1] // 8 + 1
+        if old:
+            offset = 1 << (8 * old - 1)
+            lift = _slots(offset, size, old)
+            data = b"".join([(v + lift).to_bytes(size * old, "little")
+                             for v in live])
+            spread = bytearray(size * size * width)
+            for byte in range(old):
+                spread[byte::width] = data[byte::old]
+        else:
+            offset = 1 << (8 * width - 1)
+            spread = b"".join([(a + offset).to_bytes(width, "little")
+                               for row in rows for a in row])
+        bias = _slots(offset, size, width)
+        length = size * width
+        live = [int.from_bytes(spread[i:i + length], "little") - bias
+                for i in range(0, len(spread), length)]
+        w = 8 * width
+        mask = (1 << w) - 1
+        half = 1 << (w - 1)
+        for _ in range(k, end):
+            if not live[0] & mask:
+                for r, v in enumerate(live):
+                    if v & mask:
+                        live[0], live[r] = v, live[0]
+                        sign = -sign
+                        break
+                else:
+                    return 0
+            top = live[0]
+            pivot = ((top & mask) ^ half) - half
+            live = [(v * pivot - (((v & mask) ^ half) - half) * top)
+                    // prev >> w for v in live[1:]]
+            prev = pivot
+        if end == n - 1:
+            # one row of one slot: the packed value is the entry itself
+            return sign * live[0]
+        k = end
 
 
 def bruteforce_vertex_scan(basis):

@@ -1,6 +1,8 @@
+import inspect
 import itertools
 import math
 import random
+import sys
 import time
 
 import pytest
@@ -22,16 +24,19 @@ from cubiquity import lattice
 from cubiquity.lattice import (
     _PACKED_BELOW,
     _PACKED_FROM,
+    _PAIRS_FROM,
     _bareiss_det,
     _det_entries,
     _det_packed,
     _hajos_pick,
     _hnf,
+    _minor_bits,
     _triangulate,
 )
 from helpers import (
     cofactor_det,
     count_calls,
+    det_packed_reference,
     gram,
     hnf_box,
     hnf_matrices,
@@ -107,9 +112,10 @@ def test_det_kernels_agree_at_every_size():
             assert expected == cofactor_det(rows)
 
 
-def test_det_kernels_agree_on_entries_near_2_to_100():
+def test_det_kernels_agree_on_entries_near_2_to_100(monkeypatch):
     # the slot width must come from the column norms: 100-bit entries
-    # overflow any width sized for small entries
+    # overflow any width sized for small entries; such rows are long
+    # enough for two columns per pass, and run with one too
     rng = random.Random(100)
     for n in list(range(1, 9)) + [_PACKED_FROM - 1, _PACKED_FROM, 24]:
         rows = _dense_rows(rng, n, 2 ** 100 - 2 ** 20, 2 ** 100 + 2 ** 20)
@@ -117,8 +123,11 @@ def test_det_kernels_agree_on_entries_near_2_to_100():
             row[rng.randrange(n)] *= -1
         expected = _det_entries(rows)
         assert expected != 0
-        assert _det_packed(rows) == expected
         assert _bareiss_det(rows) == expected
+        assert det_packed_reference(rows) == expected
+        for pairs_from in (_PAIRS_FROM, 0):
+            monkeypatch.setattr(lattice, "_PAIRS_FROM", pairs_from)
+            assert _det_packed(rows) == expected
         if n <= 7:
             assert expected == cofactor_det(rows)
 
@@ -146,7 +155,14 @@ def test_det_kernel_choice(monkeypatch):
             name: int(name == expected) for name in calls}
 
 
-def test_det_kernels_pin_the_sign_of_row_swaps():
+def test_det_kernels_pin_the_sign_of_row_swaps(monkeypatch):
+    # with two columns per pass on long rows only, and on every stage
+    for pairs_from in (_PAIRS_FROM, 0):
+        monkeypatch.setattr(lattice, "_PAIRS_FROM", pairs_from)
+        _pin_the_sign_of_row_swaps()
+
+
+def _pin_the_sign_of_row_swaps():
     # the anti-diagonal forces a row swap at each of its first n // 2
     # steps: its det is (-1)^(n(n-1)/2) times the product of its entries
     for n in (1, 2, 3, 5, 7, _PACKED_FROM, 33, 64):
@@ -167,6 +183,181 @@ def test_det_kernels_pin_the_sign_of_row_swaps():
         assert _det_packed(rows) == expected
         if n <= 7:
             assert expected == cofactor_det(rows)
+
+
+def _stages(n):
+    """(first step, end) of each of `_det_packed`'s stages on an n x n
+    matrix."""
+    stages, k = [], 0
+    while k < n - 1:
+        end = min(k + max(k // 3, 6), n - 1)
+        stages.append((k, end))
+        k = end
+    return stages
+
+
+def _stage_steps(n):
+    """The step counts of `_det_packed`'s stages on an n x n matrix."""
+    return [end - k for k, end in _stages(n)]
+
+
+def _pair_passes(rows):
+    """The two-column passes `_det_packed` makes on rows, counted by
+    tracing the line that starts each one."""
+    lines, first = inspect.getsourcelines(_det_packed)
+    target = first + next(i for i, line in enumerate(lines)
+                          if "p0w = prev << w" in line)
+    hits = []
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == target:
+            hits.append(target)
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code is _det_packed.__code__ else None
+
+    sys.settrace(tracer)
+    try:
+        _det_packed(rows)
+    finally:
+        sys.settrace(None)
+    return len(hits)
+
+
+def _packed_kernels_agree(rows):
+    """The det of rows, after checking that the packed kernel, its
+    one-step reference and the per-entry kernel agree on it."""
+    expected = _det_entries(rows)
+    assert _det_packed(rows) == expected
+    assert det_packed_reference(rows) == expected
+    return expected
+
+
+@pytest.fixture(params=["every stage", "long rows"])
+def pairs(request, monkeypatch):
+    """`_det_packed` eliminates two columns per pass on rows of
+    `_PAIRS_FROM` bytes and up; "every stage" lowers that to 0, so that
+    small inputs reach every branch of the pair update too."""
+    if request.param == "every stage":
+        monkeypatch.setattr(lattice, "_PAIRS_FROM", 0)
+
+
+def test_pair_update_at_every_size(monkeypatch):
+    # every stage but the last has an even number of steps; the last one
+    # is odd at some sizes and even at others, and an odd one ends with a
+    # single step
+    monkeypatch.setattr(lattice, "_PAIRS_FROM", 0)
+    rng = random.Random(20)
+    sizes = range(1, 80)
+    assert all(s % 2 == 0 for n in sizes for s in _stage_steps(n)[:-1])
+    assert {_stage_steps(n)[-1] % 2 for n in sizes if n > 1} == {0, 1}
+    for n in sizes:
+        span = 1 + n % 2
+        rows = _dense_rows(rng, n, -span, span)
+        expected = _packed_kernels_agree(rows)
+        if n <= 7:
+            assert expected == cofactor_det(rows)
+
+
+def test_pair_passes_run_on_long_rows_only(monkeypatch):
+    # a stage pairs its steps where its rows take _PAIRS_FROM bytes: the
+    # slot width its last minors need, times the live slots
+    rng = random.Random(128)
+    for n, bound in [(24, 2), (32, 2), (64, 2), (_PACKED_FROM, 2),
+                     (_PACKED_FROM, _PACKED_BELOW - 1)]:
+        rows = _dense_rows(rng, n, -bound, bound)
+        bits = _minor_bits(rows)
+        long_rows = [(n - k) * (bits[end + 1] // 8 + 1) >= _PAIRS_FROM
+                     for k, end in _stages(n)]
+        expected = sum((end - k) // 2 for (k, end), pair
+                       in zip(_stages(n), long_rows) if pair)
+        assert _pair_passes(rows) == expected
+        # n = 24 pairs nowhere, n = 64 and wide entries from the start
+        assert long_rows[0] == (n == 64 or bound > 2)
+        assert any(long_rows) == (n != 24 and (n, bound) != (20, 2))
+    monkeypatch.setattr(lattice, "_PAIRS_FROM", 0)
+    assert _pair_passes(_dense_rows(rng, 24, -2, 2)) == sum(
+        steps // 2 for steps in _stage_steps(24))
+
+def test_pair_update_swaps_in_the_second_pivot(pairs):
+    # row k + 1 agrees with row k on columns 0 to k + 1, so its one-step
+    # entry at column k + 1 is 0: the pair starting at step k must swap a
+    # later row into second place, and flip the sign; the two rows differ
+    # at column k + 2
+    rng = random.Random(2)
+    for n in (8, 21, 33, 48, 64):
+        for k in range(0, n - 2, 6):
+            rows = _dense_rows(rng, n, -2, 2)
+            rows[k + 1][:k + 3] = rows[k][:k + 2] + [rows[k][k + 2] + 1]
+            assert _packed_kernels_agree(rows) != 0
+
+
+def test_pair_update_dead_ends(pairs):
+    # column d is a sum of earlier columns, so the pivot column is 0 in
+    # every row at step d: pairs start at even steps, so an even d ends
+    # the elimination at a pair's first pivot and an odd d at its second;
+    # the last column is never a pivot column
+    rng = random.Random(5)
+    for n in (7, 21, 48, 64):
+        for d in sorted({*range(0, n, 3), *range(1, n, 5), n - 1}):
+            rows = _dense_rows(rng, n, -2, 2)
+            for row in rows:
+                row[d] = row[d - 1] + row[0] if d else 0
+            assert _packed_kernels_agree(rows) == 0
+
+
+def test_pair_update_without_any_second_pivot(pairs):
+    # column 1 is three times column 0, so after the first step every
+    # row's entry at column 1 is 0: the first pair finds no second pivot
+    rng = random.Random(6)
+    for n in (3, 20, 64):
+        rows = _dense_rows(rng, n, -2, 2)
+        for row in rows:
+            row[1] = 3 * row[0]
+        assert _packed_kernels_agree(rows) == 0
+
+
+def test_pair_update_at_the_packed_bound(pairs):
+    # the largest entries _bareiss_det packs: +-(_PACKED_BELOW - 1), alone
+    # and mixed with small ones, on both sides of the pair switch
+    rng = random.Random(16)
+    big = _PACKED_BELOW - 1
+    for n in (_PACKED_FROM, _PACKED_FROM + 1, 33, 48):
+        signs = [[rng.choice((-big, big)) for _ in range(n)]
+                 for _ in range(n)]
+        mixed = _dense_rows(rng, n, -2, 2)
+        for row in mixed:
+            row[rng.randrange(n)] = rng.choice((-big, big))
+        for rows in (signs, mixed):
+            assert _packed_kernels_agree(rows) == _bareiss_det(rows)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_pair_update_at_128_rows(seed):
+    # ten stages, the last of them with 29 steps
+    rng = random.Random(seed)
+    assert _stage_steps(128)[-1] == 29
+    assert _packed_kernels_agree(_dense_rows(rng, 128, -2, 2)) != 0
+
+
+def test_pair_update_beats_one_step_at_96_rows():
+    # the pair update saves one exact division per row and pair; at n = 96
+    # it took 0.53-0.93x the one-step kernel's time (best of 3, on a host
+    # whose timings vary by about 20%); the calls alternate, so a slow
+    # spell of the host hits both kernels
+    rows = _dense_rows(random.Random(96), 96, -2, 2)
+    # the first stage's rows are long enough to pair
+    assert 96 * (_minor_bits(rows)[7] // 8 + 1) >= _PAIRS_FROM
+    best = {det_packed_reference: math.inf, _det_packed: math.inf}
+    values = set()
+    for _ in range(3):
+        for kernel in best:
+            start = time.perf_counter()
+            values.add(kernel(rows))
+            best[kernel] = min(best[kernel], time.perf_counter() - start)
+    assert len(values) == 1
+    assert best[_det_packed] < best[det_packed_reference]
 
 
 def _signed_mix_rows(rows, rng, permute=True):

@@ -22,7 +22,6 @@ from cubiquity import (
     hajos_basis,
     is_cubiquitous_bruteforce,
     is_orthogonal,
-    length_three_family,
     wu_element,
     wu_obstruction,
     wu_obstruction_orthogonal,
@@ -41,6 +40,7 @@ from helpers import (
     hajos_prefix_dfs,
     hnf_matrices,
     hnf_reference,
+    length_three_family,
     random_hnf,
     signed_permutation,
     unimodular_mix,

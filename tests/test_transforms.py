@@ -15,7 +15,6 @@ from cubiquity import (
     double_project,
     is_non_acute,
     is_orthogonal,
-    length_three_family,
     project,
     reduce,
     stats,
@@ -26,6 +25,7 @@ from cubiquity import (
 from helpers import (
     assemble_blocks,
     count_calls,
+    length_three_family,
     signed_permutation,
     trace_reduce_reference,
     wu_preserved,
