@@ -32,6 +32,11 @@ subcommand that reads a subset), ``classify`` for ``classify``, ``torus``,
 In text mode every informational line starts with '#', so any matrix the
 command prints can be re-parsed from the full output stream.  Indices in
 JSON output are 1-based.
+
+``reduce`` streams its lines: the library plans the whole trace first, so
+an input it refuses prints nothing, then replays the steps over rows of
+``str(entry)`` text, each line splicing in the surviving rows; ``str`` of
+an int is its JSON text.
 """
 
 from __future__ import annotations
@@ -263,24 +268,23 @@ def cmd_torus(args) -> int:
     return EXIT_CUBIQUITOUS if bounds else EXIT_NEGATIVE
 
 
-def _step_payload(step) -> dict:
-    return {
-        "kind": step.kind,
-        "coordinates": _one_based(step.coordinates),
-        "vectors": _one_based(step.vectors),
-        "result": step.result.vectors,
-    }
+def _json_rows(rows) -> str:
+    # rows of str(int) tokens, which are the ints' JSON text
+    return "[" + ", ".join(["[" + ", ".join(r) + "]" for r in rows]) + "]"
 
 
 def cmd_reduce(args) -> int:
-    from .transforms import trace_reduce
+    from .transforms import _reduce_plan, _replay
 
     subset = _read_subset(args)
-    reduced, steps = trace_reduce(subset)
-    for step in steps:
-        print(json.dumps(_step_payload(step)))
-    print(json.dumps({"kind": "Reduced",
-                      "result": reduced.vectors}))
+    plan = _reduce_plan(subset)
+    rows = [list(map(str, v)) for v in subset.vectors]
+    for kind, coordinates, vectors in _replay(plan, rows):
+        head = json.dumps({"kind": kind,
+                           "coordinates": _one_based(coordinates),
+                           "vectors": _one_based(vectors)})
+        print(f'{head[:-1]}, "result": {_json_rows(rows)}}}')
+    print(f'{{"kind": "Reduced", "result": {_json_rows(rows)}}}')
     return EXIT_CUBIQUITOUS
 
 

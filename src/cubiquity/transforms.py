@@ -9,9 +9,8 @@ trace can be replayed.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from itertools import compress
 from operator import add, index
-from typing import Container, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import NotOrthogonal, PreconditionFailed
 from .subsets import Subset, _Supports, _support_index, is_orthogonal
@@ -19,6 +18,9 @@ from .subsets import Subset, _Supports, _support_index, is_orthogonal
 PROJECTION = "Projection"
 DOUBLE_PROJECTION = "DoubleProjection"
 CONTRACTION = "Contraction"
+
+# (kind, coordinates, vectors), the order of a RewriteStep's fields
+_Step = tuple[str, tuple[int, ...], tuple[int, ...]]
 
 
 class RewriteStep(NamedTuple):
@@ -28,12 +30,23 @@ class RewriteStep(NamedTuple):
     result: Subset
 
 
-def _delete(subset: Subset, vector_indices: Container[int],
-            coordinate_indices: Container[int]) -> Subset:
-    keep = [j not in coordinate_indices for j in range(subset.n)]
-    return Subset._unchecked(tuple(
-        tuple(compress(v, keep))
-        for i, v in enumerate(subset.vectors) if i not in vector_indices))
+def _delete_rows(rows: list[list], vector_indices: Iterable[int],
+                 coordinate_indices: Iterable[int]) -> None:
+    """Delete the given vectors and coordinates from rows, in place: the
+    one routine that removes either."""
+    for s in sorted(vector_indices, reverse=True):
+        del rows[s]
+    coordinates = sorted(coordinate_indices, reverse=True)
+    for row in rows:
+        for j in coordinates:
+            del row[j]
+
+
+def _delete(vectors: Iterable[Sequence[int]], vector_indices: Iterable[int],
+            coordinate_indices: Iterable[int]) -> Subset:
+    rows = list(map(list, vectors))
+    _delete_rows(rows, vector_indices, coordinate_indices)
+    return Subset._unchecked(tuple(map(tuple, rows)))
 
 
 def _projection_failure(by_vector: _Supports, s: int) -> str | None:
@@ -75,7 +88,7 @@ def project(subset: Subset, s: int) -> Subset:
     failure = _projection_failure(by_vector, s)
     if failure is not None:
         raise PreconditionFailed(failure)
-    return _delete(subset, (s,), by_vector[s])
+    return _delete(subset.vectors, (s,), by_vector[s])
 
 
 def double_project(subset: Subset, i: int) -> Subset:
@@ -95,7 +108,43 @@ def double_project(subset: Subset, i: int) -> Subset:
     if failure is not None:
         raise PreconditionFailed(failure)
     s, t = by_coordinate[i]
-    return _delete(subset, (s, t), by_vector[s])
+    return _delete(subset.vectors, (s, t), by_vector[s])
+
+
+def _reduce_plan(subset: Subset) -> list[_Step]:
+    """The steps of trace_reduce, indexed in the input subset; raises
+    before any step runs."""
+    if not is_orthogonal(subset):
+        raise NotOrthogonal("reduce requires an orthogonal subset")
+    by_vector, by_coordinate = _support_index(subset)
+    # the rewrites' own precondition checks, on the entry index
+    plan = [(PROJECTION, by_vector[s], (s,)) for s in range(subset.n)
+            if _projection_failure(by_vector, s) is None]
+    plan += [(DOUBLE_PROJECTION, by_vector[by_coordinate[i][0]],
+              by_coordinate[i]) for i in range(subset.n)
+             if _double_projection_failure(subset, by_vector, by_coordinate,
+                                           i) is None
+             and by_vector[by_coordinate[i][0]][0] == i]
+    return plan
+
+
+def _replay(plan: list[_Step], rows: list[list]) -> Iterator[_Step]:
+    """Delete each planned step's vectors and coordinates from rows, one
+    list per vector, in place; after each step yield (kind, coordinates,
+    vectors), relabelled downward past the earlier steps' deletions."""
+    gone_vectors: list[int] = []
+    gone_coordinates: list[int] = []
+    for kind, coordinates, vectors in plan:
+        now_vectors = tuple(s - bisect_left(gone_vectors, s)
+                            for s in vectors)
+        now_coordinates = tuple(j - bisect_left(gone_coordinates, j)
+                                for j in coordinates)
+        _delete_rows(rows, now_vectors, now_coordinates)
+        yield kind, now_coordinates, now_vectors
+        for s in vectors:
+            insort(gone_vectors, s)
+        for j in coordinates:
+            insort(gone_coordinates, j)
 
 
 def trace_reduce(subset: Subset) -> tuple[Subset, tuple[RewriteStep, ...]]:
@@ -124,38 +173,19 @@ def trace_reduce(subset: Subset) -> tuple[Subset, tuple[RewriteStep, ...]]:
     relabelled downward past those already deleted.
 
     Cost: one orthogonality check, from the products of the vectors that
-    share a coordinate, and one support index, both at entry; then one
-    deletion per step, copying the surviving rows at C speed.
-    ``project`` and ``double_project`` still check orthogonality on every
-    call.
+    share a coordinate, and one support index, both at entry.  The steps
+    then delete their vectors and coordinates from one list of rows in
+    place, a few list deletions per surviving row, and each step's result
+    is a snapshot of those rows taken at C speed.  ``project`` and
+    ``double_project`` still check orthogonality on every call.
     """
-    if not is_orthogonal(subset):
-        raise NotOrthogonal("reduce requires an orthogonal subset")
-    by_vector, by_coordinate = _support_index(subset)
-    # the rewrites' own precondition checks, on the entry index
-    plan = [(PROJECTION, (s,), by_vector[s]) for s in range(subset.n)
-            if _projection_failure(by_vector, s) is None]
-    plan += [(DOUBLE_PROJECTION, by_coordinate[i],
-              by_vector[by_coordinate[i][0]]) for i in range(subset.n)
-             if _double_projection_failure(subset, by_vector, by_coordinate,
-                                           i) is None
-             and by_vector[by_coordinate[i][0]][0] == i]
-    gone_vectors: list[int] = []
-    gone_coordinates: list[int] = []
-    steps = []
-    current = subset
-    for kind, vectors, coordinates in plan:
-        now_vectors = tuple(s - bisect_left(gone_vectors, s)
-                            for s in vectors)
-        now_coordinates = tuple(j - bisect_left(gone_coordinates, j)
-                                for j in coordinates)
-        current = _delete(current, now_vectors, now_coordinates)
-        steps.append(RewriteStep(kind, now_coordinates, now_vectors, current))
-        for s in vectors:
-            insort(gone_vectors, s)
-        for j in coordinates:
-            insort(gone_coordinates, j)
-    return current, tuple(steps)
+    plan = _reduce_plan(subset)
+    rows = list(map(list, subset.vectors))
+    steps = tuple(
+        RewriteStep(kind, coordinates, vectors,
+                    Subset._unchecked(tuple(map(tuple, rows))))
+        for kind, coordinates, vectors in _replay(plan, rows))
+    return (steps[-1].result if steps else subset), steps
 
 
 def reduce(subset: Subset) -> Subset:
@@ -199,7 +229,5 @@ def contract(subset: Subset, i: int, s: int, t: int, u: int) -> Subset:
     # deleting coordinate i from every vector also truncates u
     merged = tuple(map(add, vecs[s], vecs[t]))
     survivors = [v for k, v in enumerate(vecs) if k not in (s, t, u)]
-    keep = [j != i for j in range(n)]
-    return Subset._unchecked(tuple(
-        tuple(compress(v, keep)) for v in survivors + [merged, vecs[u]]))
+    return _delete(survivors + [merged, vecs[u]], (), (i,))
 

@@ -2,6 +2,7 @@
 
 import importlib
 import itertools
+import json
 import sys
 from math import gcd
 
@@ -605,6 +606,20 @@ def trace_reduce_reference(subset):
         current = step.result
 
 
+def reduce_lines_reference(subset):
+    """The stdout of ``cubiquity reduce`` on the subset: each step of
+    ``trace_reduce_reference``, then the reduced subset, as one
+    ``json.dumps`` line each, with 1-based indices."""
+    reduced, steps = trace_reduce_reference(subset)
+    lines = [json.dumps({"kind": step.kind,
+                         "coordinates": [j + 1 for j in step.coordinates],
+                         "vectors": [s + 1 for s in step.vectors],
+                         "result": step.result.vectors})
+             for step in steps]
+    lines.append(json.dumps({"kind": "Reduced", "result": reduced.vectors}))
+    return "".join(line + "\n" for line in lines)
+
+
 def is_orthogonal_reference(subset):
     """Reference orthogonality: the dense Gram matrix, every pair."""
     g = gram(subset)
@@ -786,6 +801,34 @@ def assemble_blocks(names):
                            + (0,) * (total - offset - d))
         offset += d
     return vectors
+
+
+# Orthogonal blocks by kind, each in its own coordinates.
+ORTHOGONAL_BLOCKS = {
+    "Unit": [(1,)],
+    "TwoTimes": [(2,)],
+    "Three": [(3,)],
+    "Hyper2x2": [(1, 1), (1, -1)],
+    "Skew2": [(1, 2), (2, -1)],
+    "Norm9": [(1, 2, 2), (2, 1, -2), (2, -2, 1)],
+    "Hadamard4": [(1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1),
+                  (1, -1, -1, 1)],
+}
+
+
+def orthogonal_block_sum(n, rng):
+    """Signed-permuted direct sum of random blocks, n coordinates in all."""
+    vectors = []
+    used = 0
+    while used < n:
+        block = ORTHOGONAL_BLOCKS[rng.choice(sorted(ORTHOGONAL_BLOCKS))]
+        d = len(block)
+        if used + d > n:
+            continue
+        vectors = ([v + (0,) * d for v in vectors]
+                   + [(0,) * used + v for v in block])
+        used += d
+    return Subset(signed_permutation(vectors, rng))
 
 
 def subset_from_columns(columns):

@@ -15,6 +15,8 @@ from cubiquity.lattice import _PACKED_FROM, _det_entries
 from helpers import (
     count_calls,
     hajos_permutation_scan,
+    orthogonal_block_sum,
+    reduce_lines_reference,
     signed_permutation,
     unimodular_mix,
 )
@@ -212,6 +214,8 @@ def test_subset_commands_refuse_bad_input(command, text, message, capsys):
     ("classify", "cubiquity.classify", "decompose"),
     ("classify", "cubiquity.classify", "is_orthogonal"),
     ("classify", "cubiquity.subsets", "_supports"),
+    ("reduce", "cubiquity.transforms", "is_orthogonal"),
+    ("reduce", "cubiquity.subsets", "_supports"),
     ("stats", "cubiquity.subsets", "stats"),
     ("stats", "cubiquity.subsets", "_supports"),
     ("wu", "cubiquity.obstructions", "wu_element"),
@@ -406,6 +410,64 @@ def test_reduce_step_log(capsys):
     # indices are 1-based in the log
     assert lines[0]["vectors"] == [3]
     assert lines[0]["coordinates"] == [3]
+
+
+WIDE = 10 ** 24 + 1  # 25 digits, outside the reader's table
+
+
+def _spell(x, rng):
+    """A token int() reads as x: plain, with a plus sign or leading zeros,
+    or '-0' for zero."""
+    plain = str(x)
+    if x == 0:
+        return rng.choice((plain, "-0", "+0", "000"))
+    if x > 0:
+        return rng.choice((plain, "+" + plain, "00" + plain))
+    return rng.choice((plain, "-00" + plain[1:]))
+
+
+def _reduce_argvs(subset, rng):
+    """reduce argv for the subset as columns, and as rows with
+    --rows-as-vectors, every entry spelled by _spell."""
+    for rows_as_vectors in (False, True):
+        rows = subset.vectors if rows_as_vectors else zip(*subset.vectors)
+        text = "; ".join(" ".join(_spell(x, rng) for x in row)
+                         for row in rows)
+        yield ["reduce", "--matrix", text] + (
+            ["--rows-as-vectors"] if rows_as_vectors else [])
+
+
+def test_reduce_lines_match_reference(capsys):
+    # the CLI renders every entry from the parsed ints, so its bytes are
+    # the json.dumps lines of the reference trace
+    rng = random.Random(89)
+    subsets = [orthogonal_block_sum(n, rng) for n in range(1, 97)]
+    # whole vectors scaled by +-WIDE stay orthogonal; a scaled pair is no
+    # longer hyperbolic, so wide entries reach the Reduced line too
+    for n in (3, 7, 12, 24):
+        s = orthogonal_block_sum(n, rng)
+        factors = [rng.choice((1, WIDE, -WIDE)) for _ in range(n)]
+        subsets.append(Subset(tuple(c * x for x in v)
+                              for c, v in zip(factors, s.vectors)))
+    subsets.append(Subset([(2, 0, 0, 0, 0, 0), (0, 7, 0, 0, 0, 0),
+                           (0, 0, WIDE, WIDE, 0, 0),
+                           (0, 0, WIDE, -WIDE, 0, 0),
+                           (0, 0, 0, 0, 1, 1), (0, 0, 0, 0, 1, -1)]))
+    for s in subsets:
+        expected = reduce_lines_reference(s)
+        for argv in _reduce_argvs(s, rng):
+            assert _run(capsys, *argv) == (0, expected, ""), argv
+    # the last input's wide block is printed on every line
+    assert "1000000000000000000000001, -1000000000000000000000001" in \
+        expected
+
+
+def test_reduce_prints_nothing_before_an_error(capsys):
+    # vector 3 could be projected first, but the input is not orthogonal
+    for argv in _reduce_argvs(Subset([(1, 1, 0), (0, 1, 0), (0, 0, 5)]),
+                              random.Random(97)):
+        assert _run(capsys, *argv) == (
+            65, "", "error: reduce requires an orthogonal subset\n")
 
 
 def test_contract_cli(capsys):

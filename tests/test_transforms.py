@@ -8,11 +8,13 @@ from cubiquity import (
     NotNonAcute,
     NotOrthogonal,
     PreconditionFailed,
+    SingularMatrix,
     Status,
     Subset,
     catalog_blocks,
     contract,
     double_project,
+    is_cubiquitous_bruteforce,
     is_non_acute,
     is_orthogonal,
     project,
@@ -26,6 +28,7 @@ from helpers import (
     assemble_blocks,
     count_calls,
     length_three_family,
+    orthogonal_block_sum,
     signed_permutation,
     trace_reduce_reference,
     wu_preserved,
@@ -140,41 +143,13 @@ def test_projection_preserves_orthogonality():
                 break
 
 
-# Orthogonal blocks by kind, each in its own coordinates.
-ORTHOGONAL_BLOCKS = {
-    "Unit": [(1,)],
-    "TwoTimes": [(2,)],
-    "Three": [(3,)],
-    "Hyper2x2": [(1, 1), (1, -1)],
-    "Skew2": [(1, 2), (2, -1)],
-    "Norm9": [(1, 2, 2), (2, 1, -2), (2, -2, 1)],
-    "Hadamard4": [(1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1),
-                  (1, -1, -1, 1)],
-}
-
-
-def _orthogonal_block_sum(n, rng):
-    """Signed-permuted direct sum of random blocks, n coordinates in all."""
-    vectors = []
-    used = 0
-    while used < n:
-        block = ORTHOGONAL_BLOCKS[rng.choice(sorted(ORTHOGONAL_BLOCKS))]
-        d = len(block)
-        if used + d > n:
-            continue
-        vectors = ([v + (0,) * d for v in vectors]
-                   + [(0,) * used + v for v in block])
-        used += d
-    return Subset(signed_permutation(vectors, rng))
-
-
 def test_trace_matches_reference():
     rng = random.Random(67)
     sizes = [rng.randint(1, 63) for _ in range(30)]
     sizes += [64] * 3 + [128] * 3
     kinds = set()
     for n in sizes:
-        s = _orthogonal_block_sum(n, rng)
+        s = orthogonal_block_sum(n, rng)
         reduced, steps = trace_reduce(s)
         assert (reduced, steps) == trace_reduce_reference(s), s
         kinds.update(step.kind for step in steps)
@@ -188,7 +163,7 @@ def _count_route_work(monkeypatch):
 
 def test_trace_checks_orthogonality_once(monkeypatch):
     calls = _count_route_work(monkeypatch)
-    s = _orthogonal_block_sum(32, random.Random(71))
+    s = orthogonal_block_sum(32, random.Random(71))
     reduced, steps = trace_reduce(s)
     assert len(steps) > 5 and reduced.n > 0
     # the support index is built once, by the entry check, and plans
@@ -214,7 +189,7 @@ def test_carried_index_matches_rebuilt_supports():
     rng = random.Random(73)
     total = 0
     for n in list(range(65)) + [64] * 3:
-        s = _orthogonal_block_sum(n, rng)
+        s = orthogonal_block_sum(n, rng)
         reduced, steps = trace_reduce(s)
         assert (reduced, steps) == trace_reduce_reference(s), s
         for step in steps:
@@ -358,6 +333,77 @@ def test_wu_preserved_propagates_non_acute_failure():
     assert not is_non_acute(s)
     with pytest.raises(NotNonAcute):
         wu_preserved(s, 0, 0, 1, 2)
+
+
+def _verdict(subset):
+    """Brute force's status, or None for a dependent subset."""
+    try:
+        basis = subset.to_basis()
+    except SingularMatrix:
+        return None
+    return is_cubiquitous_bruteforce(basis).status
+
+
+def _non_acute_contractible(rng):
+    """Random non-acute, full-rank subsets at n = 3-6, with their brute
+    force verdicts, whose coordinate 0 carries the unit entries +1, -1,
+    +-1 of vectors 0, 1, 2 and no other entry, signed-permuted: the shape
+    a contraction needs."""
+    while True:
+        n = rng.randint(3, 6)
+        vectors = [[rng.choice((0, 0, 0, 1, -1, 1, -1, 2, -2))
+                    for _ in range(n)] for _ in range(n)]
+        units = (1, -1, rng.choice((1, -1)))
+        for k, v in enumerate(vectors):
+            v[0] = units[k] if k < 3 else 0
+        s = Subset(signed_permutation(vectors, rng))
+        verdict = _verdict(s) if is_non_acute(s) else None
+        if verdict is not None:
+            yield s, verdict
+
+
+def _contractions(s):
+    for i, users in enumerate(_supports(s)[1]):
+        if len(users) != 3:
+            continue
+        for args in itertools.permutations(users):
+            try:
+                yield contract(s, i, *args)
+            except PreconditionFailed:
+                continue
+
+
+def test_contraction_keeps_the_verdict_between_non_acute_subsets():
+    # brute force decides both sides; a contraction can leave u's row one
+    # short of dominance, and then the verdict may change
+    rng = random.Random(101)
+    same = 0
+    sources = _non_acute_contractible(rng)
+    while same < 300:
+        s, verdict = next(sources)
+        for out in _contractions(s):
+            after = _verdict(out) if is_non_acute(out) else None
+            if after is not None:
+                assert after == verdict, (s, out)
+                same += 1
+
+
+def test_contraction_verdict_flips():
+    # a non-acute source whose contraction is not non-acute
+    s = Subset([(1, -1, -1, -1), (-1, 0, -1, 1), (1, 1, 0, 0),
+                (0, -1, 2, 2)])
+    out = contract(s, 0, 1, 2, 0)
+    assert is_non_acute(s) and not is_non_acute(out)
+    assert out.vectors == ((-1, 2, 2), (1, -1, 1), (-1, -1, -1))
+    assert (_verdict(s), _verdict(out)) == \
+        (Status.NOT_CUBIQUITOUS, Status.CUBIQUITOUS)
+    # a source that is not non-acute: vectors 1 and 2 have product 3
+    s = Subset([(-1, -1, 0), (0, 1, 1), (2, 1, 2)])
+    out = contract(s, 1, 0, 1, 2)
+    assert not is_non_acute(s)
+    assert out.vectors == ((-1, 1), (2, 2))
+    assert (_verdict(s), _verdict(out)) == \
+        (Status.CUBIQUITOUS, Status.NOT_CUBIQUITOUS)
 
 
 def test_contract_wu_bookkeeping():
