@@ -10,8 +10,10 @@ to stderr, never mixed.
 ``check`` prints the verdict of the library's ``decide``.  Its brute-force
 oracle is bounded by a resource cap (``--cap``, else
 ``$CUBIQUITY_RESOURCE_CAP``, else the library default); past it ``check``
-exits 2.  The Hajos search takes at most n eliminations and has no cap, so
-``hajos`` takes no ``--cap``.
+exits 2.  The cap meters brute force only: the determinant gate and the
+1-2 triangle at a power-of-two index decide at any size.  The Hajos
+search takes at most n eliminations and has no cap, so ``hajos`` takes no
+``--cap``.
 
 The argument parser is built once per process, on the first call to
 ``run``, and reused by every later call; ``build_parser`` returns a fresh
@@ -23,7 +25,8 @@ command, and prints what it always has.
 A subcommand loads only the modules it runs.  Importing this module loads
 ``errors``, ``lattice``, ``formats`` and ``obstructions``, which is all
 that ``check`` and ``hajos`` need, except that brute force imports
-``cosets`` on its first call.  The other subcommands import their
+``cosets`` on its first call; an input that the determinant gate or the
+1-2 triangle decides never loads it.  The other subcommands import their
 module when called: ``subsets`` for ``wu`` and ``stats`` (and for every
 subcommand that reads a subset), ``classify`` for ``classify``, ``torus``,
 ``det4`` and ``catalog``, and ``transforms`` for ``reduce`` and
@@ -369,10 +372,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("check", parents=[src, fmt_json],
                        help="determinant gate (Hajos search at index 2^n), "
-                            "then brute force within the cap")
+                            "1-2 triangle at a power-of-two index, then "
+                            "brute force within the cap")
     p.add_argument("--cap", type=int, default=None,
-                   help="brute-force resource cap: refuse when "
-                        "n * (2^n + |det|) exceeds it "
+                   help="brute-force resource cap: refuse brute force when "
+                        "n * (2^n + |det|) exceeds it; the other routes "
+                        "are not metered "
                         f"(default ${CAP_ENV_VAR} or {DEFAULT_RESOURCE_CAP})")
 
     sub.add_parser("wu", parents=[src, fmt_json],

@@ -11,7 +11,6 @@ compiles it.
 
 from __future__ import annotations
 
-from itertools import chain
 from math import gcd
 from typing import Optional
 
@@ -55,34 +54,40 @@ def _diagonalize(basis: BasisMatrix) -> tuple[tuple[int, ...],
       come first, so a unit clears its column at once and leaves a Z/1,
       dropped.
     * The images of the dropped generators follow by back-substitution,
-      in reverse order.
+      in reverse order, one pass over the generators per cyclic factor.
     """
     n = basis.n
     N = abs(basis.det)
     rels = [[a % N for a in col] for col in basis.columns]
     live = list(range(n))
-    solved = []  # (i, the terms (t, c) of e_i = sum c e_t), in order
+    solved = []  # (i, ts, cs): e_i = sum of c e_t over zip(ts, cs), in order
     core = []
     for j, rel in enumerate(rels):
-        i = next((i for i in live if gcd(rel[i], N) == 1), None)
-        if i is None:
+        for i in live:
+            if gcd(rel[i], N) == 1:
+                break
+        else:
             core.append(rel)
             continue
         live.remove(i)
         inv = pow(rel[i], -1, N)
-        terms = [(t, rel[t]) for t in live if rel[t]]
-        solved.append((i, [(t, -inv * a % N) for t, a in terms]))
-        for other in chain(core, rels[j + 1:]):
+        ts = [t for t in live if rel[t]]
+        solved.append((i, ts, [-inv * rel[t] % N for t in ts]))
+        for other in core + rels[j + 1:]:
             q = other[i] * inv % N
             if q:
-                for t, a in terms:
-                    other[t] = (other[t] - q * a) % N
+                for t in ts:
+                    other[t] = (other[t] - q * rel[t]) % N
     s = len(live)
     rows = [[rel[i] for rel in core] + [int(i == g) for g in live]
             for i in live]
     for k in range(s):
         # the smaller its gcd with N, the more entries a pivot divides
-        best = min(range(k, s), key=lambda i: gcd(rows[i][k], N))
+        best, least = k, N + 1
+        for i in range(k, s):
+            g = gcd(rows[i][k], N)
+            if g < least:
+                best, least = i, g
         rows[k], rows[best] = rows[best], rows[k]
         while True:
             rk = rows[k]
@@ -107,8 +112,10 @@ def _diagonalize(basis: BasisMatrix) -> tuple[tuple[int, ...],
             # lowers the pivot and refills column k.
             p = rk[k]
             g = gcd(p, N)
-            j = next((j for j in range(k + 1, s) if rk[j] % g), None)
-            if j is None:
+            for j in range(k + 1, s):
+                if rk[j] % g:
+                    break
+            else:
                 break
             x, y, g = _xgcd(p, rk[j])
             p_g, b_g = p // g, rk[j] // g
@@ -116,16 +123,24 @@ def _diagonalize(basis: BasisMatrix) -> tuple[tuple[int, ...],
                 u, v = r[k], r[j]
                 r[k] = (x * u + y * v) % N
                 r[j] = (p_g * v - b_g * u) % N
-    kept = [(m, row[s:]) for m, row in
-            ((gcd(row[k], N), row) for k, row in enumerate(rows)) if m > 1]
-    moduli = tuple(m for m, _ in kept)
-    images = [None] * n
-    for j, i in enumerate(live):
-        images[i] = tuple(u[j] % m for m, u in kept)
-    for i, terms in reversed(solved):
-        images[i] = tuple(sum(c * images[t][f] for t, c in terms) % m
-                          for f, m in enumerate(moduli))
-    return moduli, tuple(images)
+    moduli = []
+    factors = []  # per modulus, the component of every e_k's image
+    for k, row in enumerate(rows):
+        m = gcd(row[k], N)
+        if m == 1:
+            continue
+        image = [0] * n
+        for j, i in enumerate(live):
+            image[i] = row[s + j] % m
+        for i, ts, cs in reversed(solved):
+            total = 0
+            for t, c in zip(ts, cs):
+                total += c * image[t]
+            image[i] = total % m
+        moduli.append(m)
+        factors.append(image)
+    images = tuple(zip(*factors)) if factors else ((),) * n
+    return tuple(moduli), images
 
 
 def _translate(cosets: int, by: Vector, blocks) -> int:

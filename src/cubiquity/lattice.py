@@ -393,6 +393,24 @@ def _hajos_pick(free, rest):
     return None
 
 
+def _cube_pick(free, rest):
+    """`_hajos_pick`, else the smallest coordinate left with an odd entry
+    over the free columns, or None.
+
+    At an index that is a power of two every gcd over the free columns is
+    a power of two, so an odd entry makes it 1, and `_triangulate` with
+    pivots (1, 2) takes every coordinate only through a triangular form
+    with 1s and 2s on its diagonal.
+    """
+    p = _hajos_pick(free, rest)
+    if p is None:
+        for j in rest:
+            for col in free:
+                if col[j] & 1:
+                    return j
+    return p
+
+
 def _hajos_form(rows: Sequence[Sequence[int]]):
     """(Hermite form, row order) of the Hajos greedy where it completes,
     else None; for |det| = 2^n, where every pick has pivot 2."""
@@ -406,7 +424,7 @@ def _greedy_det(rows: Sequence[Sequence[int]]):
     """(det, `BasisMatrix._hajos`) from the Hajos greedy and, where it
     stops, `_det_entries` of the block left."""
     n = len(rows)
-    cols, order, sign = _triangulate(rows, _hajos_pick, 2)
+    cols, order, sign = _triangulate(rows, _hajos_pick, (2,))
     k = len(order)
     if k == n:
         form = BasisMatrix._triangular(cols, order)
@@ -423,17 +441,20 @@ def _greedy_det(rows: Sequence[Sequence[int]]):
     return det, None
 
 
-#: Swaps `_triangulate` makes at most per step where it runs for a det;
-#: past them the block left goes to Bareiss.  The `scan` and `hajos`
-#: workload inputs (seeds 1-5) and mixed 0/1 chains at n = 19 need at most
-#: 3.  Doubled random entries at n = 19 need up to 19 with entries in +-6
-#: and up to 158 in +-10^8, as the entries grow; there the det took 5.3 ms
-#: (+-10^4) and 9.4 ms (+-10^8) without the cap, 1.6 and 1.9 ms with it,
-#: against 1.1 and 1.5 ms for `_det_entries` alone (means of 10 seeds).
+#: Swaps `_triangulate` makes at most per step where it runs with a set of
+#: pivots: past them, for a det, the block left goes to Bareiss, and
+#: `decide`'s 1-2 triangle leaves the input to brute force.  The `scan` and
+#: `hajos` workload inputs (seeds 1-5) and mixed 0/1 chains at n = 19 need
+#: at most 3.  Doubled random entries at n = 19 need up to 19 with entries
+#: in +-6 and up to 158 in +-10^8, as the entries grow; there the det took
+#: 5.3 ms (+-10^4) and 9.4 ms (+-10^8) without the cap, 1.6 and 1.9 ms
+#: with it, against 1.1 and 1.5 ms for `_det_entries` alone (means of 10
+#: seeds).
 _EUCLID_SWAPS = 4
 
 
-def _triangulate(rows: Sequence[Sequence[int]], pick, pivot: int = 0):
+def _triangulate(rows: Sequence[Sequence[int]], pick,
+                 pivot: tuple[int, ...] = ()):
     """Column-style Hermite Normal Form, choosing the row order on the way.
 
     Step k takes coordinate ``p = pick(free, rest)``.  ``free`` are the
@@ -446,9 +467,10 @@ def _triangulate(rows: Sequence[Sequence[int]], pick, pivot: int = 0):
     least nonzero |entry| at p is swapped into place k.  The entries stay
     near the input's size; extended-gcd steps let them grow to thousands
     of bits at n = 19.  The elimination stops, with p not taken, where
-    ``pick`` returns None or, if ``pivot`` is set, where the diagonal entry
-    at p is not +-pivot or clearing p takes more than `_EUCLID_SWAPS`
-    swaps: Bareiss's elimination of the block left then costs less.
+    ``pick`` returns None or, if ``pivot`` (a set of allowed diagonal
+    entries) is given, where the diagonal entry at p is not +- one of them
+    or clearing p takes more than `_EUCLID_SWAPS` swaps: Bareiss's
+    elimination of the block left then costs less.
 
     Returns (columns, coordinates taken, sign).  The first k = len(taken)
     columns are triangular on the taken coordinates, where the others
@@ -499,7 +521,7 @@ def _triangulate(rows: Sequence[Sequence[int]], pick, pivot: int = 0):
                     best, small = j, b
             cols[k], cols[best] = cols[best], ck
             sign = -sign
-        if pivot and (not done or abs(ck[p]) != pivot):
+        if pivot and (not done or abs(ck[p]) not in pivot):
             break
         del rest[at]
         order.append(p)

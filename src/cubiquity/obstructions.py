@@ -11,11 +11,13 @@ unit cube x + {0,1}^n.  This module provides
 * the brute-force oracle that decides cubiquity outright by covering the
   cosets with cube vertices, which grounds every structural criterion in
   the tests,
-* ``decide``, the determinant gate followed by the oracle, which alone is
-  metered by a resource cap.
+* ``decide``: the determinant gate, then at a power-of-two index below
+  2^n a triangular form with 1s and 2s on its diagonal, then the oracle,
+  which alone is metered by a resource cap.  The oracle imports
+  ``cosets`` on its first call, so the other routes never load it.
 
-Obstructions never claim a lattice IS cubiquitous; only the oracle and the
-Hajos route do.
+Obstructions never claim a lattice IS cubiquitous; only the oracle, the
+Hajos route and the 1-2 triangle do.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import NotNonAcute, NotOrthogonal, ResourceLimit
-from .lattice import DEFAULT_RESOURCE_CAP, BasisMatrix, Vector
+from .lattice import (DEFAULT_RESOURCE_CAP, BasisMatrix, Vector, _cube_pick,
+                      _triangulate)
 
 if TYPE_CHECKING:
     from .classify import Block  # classify imports this module at runtime
@@ -243,14 +246,28 @@ def det_gate(basis: BasisMatrix) -> CubiquityVerdict:
 
 def decide(basis: BasisMatrix,
            cap: int = DEFAULT_RESOURCE_CAP) -> CubiquityVerdict:
-    """Decide cubiquity: the determinant gate, then the coset-cover oracle.
+    """Decide cubiquity: the determinant gate, a 1-2 triangle, then the
+    coset-cover oracle.
 
-    Only an Inconclusive gate (index below 2^n) reaches the oracle, and
-    only the oracle is metered: past ``cap`` the verdict is Inconclusive.
+    Only an Inconclusive gate (index below 2^n) goes on.  At an index that
+    is a power of two, the Hajos greedy runs with pivots 1 and 2 allowed
+    (`lattice._cube_pick`: a coordinate of gcd 2 first, else the first of
+    gcd 1).  Where it takes every coordinate the lattice is Cubiquitous:
+    doubling the columns of pivot 1 gives a sublattice of index 2^n whose
+    Hermite form in that row order has 2s on the diagonal and 0s and 1s
+    below, a Hajos basis, so the sublattice is cubiquitous, and so is
+    every lattice that contains it.  The verdict carries no certificate,
+    as the oracle's Cubiquitous does not.  Otherwise the oracle decides,
+    and only the oracle is metered: past ``cap`` the verdict is
+    Inconclusive.
     """
     verdict = det_gate(basis)
     if verdict.status is not Status.INCONCLUSIVE:
         return verdict
+    d = abs(basis.det)
+    if not d & d - 1 and len(
+            _triangulate(basis.rows, _cube_pick, (1, 2))[1]) == basis.n:
+        return CubiquityVerdict(Status.CUBIQUITOUS)
     try:
         return is_cubiquitous_bruteforce(basis, cap=cap)
     except ResourceLimit:

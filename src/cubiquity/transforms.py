@@ -189,8 +189,15 @@ def trace_reduce(subset: Subset) -> tuple[Subset, tuple[RewriteStep, ...]]:
 
 
 def reduce(subset: Subset) -> Subset:
-    """Fully reduced form of the subset (see trace_reduce)."""
-    return trace_reduce(subset)[0]
+    """Fully reduced form of the subset (see trace_reduce): the same plan,
+    replayed over one list of rows, with one snapshot at the end."""
+    plan = _reduce_plan(subset)
+    if not plan:
+        return subset
+    rows = list(map(list, subset.vectors))
+    for _ in _replay(plan, rows):
+        pass
+    return Subset._unchecked(tuple(map(tuple, rows)))
 
 
 def contract(subset: Subset, i: int, s: int, t: int, u: int) -> Subset:

@@ -5,6 +5,7 @@ import itertools
 import json
 import sys
 from math import gcd
+from pathlib import Path
 
 from cubiquity import (
     BasisMatrix,
@@ -37,15 +38,24 @@ def count_calls(monkeypatch, module, name):
     original = getattr(importlib.import_module(module), name)
     calls = []
 
-    def counted(first, *args):
+    def counted(first, *args, **kwargs):
         calls.append(first)
-        return original(first, *args)
+        return original(first, *args, **kwargs)
 
     for module_name, mod in list(sys.modules.items()):
         if (module_name.partition(".")[0] == "cubiquity"
                 and getattr(mod, name, None) is original):
             monkeypatch.setattr(mod, name, counted)
     return calls
+
+
+def bench_plan(workload, seed):
+    """The benchmark's seeded inputs for one workload, from
+    bench/workloads.py, which imports only the benchmark's own oracle."""
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    if bench not in sys.path:
+        sys.path.append(bench)
+    return importlib.import_module("workloads").plan(workload, seed)
 
 
 def gram(vectors):
@@ -411,6 +421,102 @@ def diagonalize_reference(basis):
     return moduli, tuple(tuple(x % m for x, m in zip(image, moduli))
                          for image in images)
 
+
+def diagonalize_tietze_reference(basis):
+    """Reference presentation of Z^n/L straight from the basis modulo
+    |det|: the brute-force oracle's before its loops were flattened, with
+    one generator sum per (generator, cyclic factor).  Its output equals
+    ``cosets._diagonalize``'s exactly.
+
+    Returns ``(moduli, images)``: Z^n/L is isomorphic to the product of
+    Z/m over the moduli, all above 1, and ``images[k]`` is the image of
+    e_k there.  The basis columns are relations among the generators e_k,
+    and N = |det| times Z^n lies in L, so with the relations N e_k they
+    present Z^n/L and everything is reduced modulo N.
+
+    * Tietze moves.  In column order, a relation whose coefficient u at a
+      live generator e_i is a unit modulo N (the first such i) gives
+      e_i = -u^-1 times the rest of the relation.  One column operation
+      clears e_i from each other live relation, and e_i and the relation
+      are dropped.
+    * The square core that is left gets one Smith elimination to a
+      diagonal D = U C V, and x -> U x modulo D is the isomorphism on the
+      live generators, so only U is kept, beside each row.  A diagonal
+      entry d leaves the factor Z/gcd(d, N).  Pivots of least gcd with N
+      come first, so a unit clears its column at once and leaves a Z/1,
+      dropped.
+    * The images of the dropped generators follow by back-substitution,
+      in reverse order.
+    """
+    n = basis.n
+    N = abs(basis.det)
+    rels = [[a % N for a in col] for col in basis.columns]
+    live = list(range(n))
+    solved = []  # (i, the terms (t, c) of e_i = sum c e_t), in order
+    core = []
+    for j, rel in enumerate(rels):
+        i = next((i for i in live if gcd(rel[i], N) == 1), None)
+        if i is None:
+            core.append(rel)
+            continue
+        live.remove(i)
+        inv = pow(rel[i], -1, N)
+        terms = [(t, rel[t]) for t in live if rel[t]]
+        solved.append((i, [(t, -inv * a % N) for t, a in terms]))
+        for other in itertools.chain(core, rels[j + 1:]):
+            q = other[i] * inv % N
+            if q:
+                for t, a in terms:
+                    other[t] = (other[t] - q * a) % N
+    s = len(live)
+    rows = [[rel[i] for rel in core] + [int(i == g) for g in live]
+            for i in live]
+    for k in range(s):
+        # the smaller its gcd with N, the more entries a pivot divides
+        best = min(range(k, s), key=lambda i: gcd(rows[i][k], N))
+        rows[k], rows[best] = rows[best], rows[k]
+        while True:
+            rk = rows[k]
+            for i in range(k + 1, s):
+                ri = rows[i]
+                b = ri[k]
+                if not b:
+                    continue
+                p = rk[k]
+                g = gcd(p, N)
+                if b % g == 0:
+                    q = b // g * pow(p // g, -1, N // g) % N
+                    rows[i] = [(v - q * u) % N for u, v in zip(rk, ri)]
+                    continue
+                x, y, g = xgcd(p, b)
+                p_g, b_g = p // g, b // g
+                rows[i] = [(p_g * v - b_g * u) % N for u, v in zip(rk, ri)]
+                rk = rows[k] = [(x * u + y * v) % N for u, v in zip(rk, ri)]
+            # Column k is clear below the pivot.  If the pivot divides its
+            # row, the column operations that clear the row change nothing
+            # else, and no later step reads the row; if not, one gcd step
+            # lowers the pivot and refills column k.
+            p = rk[k]
+            g = gcd(p, N)
+            j = next((j for j in range(k + 1, s) if rk[j] % g), None)
+            if j is None:
+                break
+            x, y, g = xgcd(p, rk[j])
+            p_g, b_g = p // g, rk[j] // g
+            for r in rows[k:]:
+                u, v = r[k], r[j]
+                r[k] = (x * u + y * v) % N
+                r[j] = (p_g * v - b_g * u) % N
+    kept = [(m, row[s:]) for m, row in
+            ((gcd(row[k], N), row) for k, row in enumerate(rows)) if m > 1]
+    moduli = tuple(m for m, _ in kept)
+    images = [None] * n
+    for j, i in enumerate(live):
+        images[i] = tuple(u[j] % m for m, u in kept)
+    for i, terms in reversed(solved):
+        images[i] = tuple(sum(c * images[t][f] for t, c in terms) % m
+                          for f, m in enumerate(moduli))
+    return moduli, tuple(images)
 
 
 def first_missed_cube_reference(basis):

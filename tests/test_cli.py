@@ -140,6 +140,46 @@ def test_check_decides_past_old_vertex_cap(capsys):
     assert json.loads(out)["witness"] == [1] + [0] * 12
 
 
+CERTIFIED = ('{"status": "Cubiquitous", "witness": null, "inequality": '
+             'null, "hajos_basis": null}\n')
+
+
+def _block_diagonal_text(block, count):
+    size = len(block)
+    n = size * count
+    return "; ".join(
+        " ".join(str(block[i % size][j % size] if i // size == j // size
+                     else 0) for j in range(n))
+        for i in range(n))
+
+
+@pytest.mark.parametrize("matrix, cap", [
+    ("1 0; 0 2", ["--cap", "1"]),
+    (_block_diagonal_text([[1]], 20), []),
+    (_block_diagonal_text([[1, 1], [1, -1]], 32), []),
+], ids=["1 0; 0 2", "identity 20", "hyperbolic pairs 64"])
+def test_check_certifies_a_1_2_triangle_past_the_cap(matrix, cap, capsys):
+    # a power-of-two index below 2^n whose greedy triangle has 1s and 2s on
+    # its diagonal is cubiquitous without brute force, so the cap that
+    # meters brute force does not apply: these exited 2 before
+    start = time.perf_counter()
+    assert _run(capsys, "check", "--matrix", matrix, *cap) == \
+        (0, CERTIFIED, "")
+    assert time.perf_counter() - start < 2
+
+
+def test_check_certificate_leaves_the_witness_to_bruteforce(capsys):
+    # index 4 < 2^3, but the greedy stops at the 4: brute force decides,
+    # with the first witness, and the cap refuses it as before
+    code, out, _ = _run(capsys, "check", "--matrix", "4 0 0; 0 1 0; 0 0 1")
+    assert code == 1
+    assert json.loads(out)["witness"] == [1, 0, 0]
+    code, out, _ = _run(capsys, "check", "--matrix", "4 0 0; 0 1 0; 0 0 1",
+                        "--cap", "1")
+    assert code == 2
+    assert json.loads(out)["status"] == "Inconclusive"
+
+
 def test_check_rows_as_vectors(capsys):
     # rows (1,2), (0,3) span {y = 2x mod 3}, which hits every unit square;
     # the columns (1,0), (2,3) span Z + 3Z, which does not
@@ -798,7 +838,8 @@ start = set(sys.modules)
 from cubiquity import cli
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.run(["check", "--matrix", "2 0; 1 2"]),
-             cli.run(["hajos", "--matrix", "2 0; 1 2"])]
+             cli.run(["hajos", "--matrix", "2 0; 1 2"]),
+             cli.run(["check", "--matrix", "2 0 0; 1 1 0; 0 1 2"])]
 loaded = sorted(set(sys.modules) - start)
 with contextlib.redirect_stdout(io.StringIO()) as out:
     codes.append(cli.run(["classify", "--matrix", "1 0; 0 2"]))
@@ -811,11 +852,12 @@ def test_check_and_hajos_load_only_what_they_run():
     proc = _child("-c", COLD_IMPORTS, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0, 0, 0]
+    assert result["codes"] == [0, 0, 0, 0]
     # measured against the interpreter's own start, so a module that a
-    # site hook already loaded does not count
+    # site hook already loaded does not count; index 4 < 2^3 is certified
+    # by its 1-2 triangle, so brute force never loads cosets
     for module in ("dataclasses", "cubiquity.subsets", "cubiquity.classify",
-                   "cubiquity.transforms"):
+                   "cubiquity.transforms", "cubiquity.cosets"):
         assert module not in result["loaded"]
     assert "cubiquity.obstructions" in result["loaded"]
     assert json.loads(result["classify"])["verdict"]["status"] == \

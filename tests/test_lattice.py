@@ -34,9 +34,11 @@ from cubiquity.lattice import (
     _triangulate,
 )
 from helpers import (
+    bench_plan,
     cofactor_det,
     count_calls,
     det_packed_reference,
+    diagonalize_tietze_reference,
     gram,
     hnf_box,
     hnf_matrices,
@@ -785,6 +787,34 @@ def test_diagonalize_is_an_isomorphism():
                       for c, m in enumerate(moduli))
                 for x in hnf_box(b)}
         assert len(seen) == abs(b.det), b
+
+
+def _tietze_cases():
+    """The `scan` plan inputs of seeds 1-3 and the presentation's shapes:
+    N = 1, a cyclic quotient and a core of 6 generators."""
+    for seed in (1, 2, 3):
+        for case in bench_plan("scan", seed):
+            yield BasisMatrix(case.rows)
+    yield BasisMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])  # N = 1
+    # Z/360, cyclic: the first relation solves e_1 and leaves one
+    yield unimodular_mix(BasisMatrix([[1, 0, 0], [5, 1, 0], [7, 11, 360]]),
+                         random.Random(5), 9)
+    # every entry even, so none is a unit modulo N = 1920 and all six
+    # generators stay live into the Smith elimination
+    diag = (2, 2, 2, 4, 6, 10)
+    yield unimodular_mix(BasisMatrix([[d * (i == j) for j in range(6)]
+                                      for i, d in enumerate(diag)]),
+                         random.Random(6), 18)
+
+
+def test_diagonalize_matches_tietze_reference():
+    shapes = set()
+    for b in itertools.chain(_tietze_cases(), _small_and_mixed_bases(),
+                             _unit_pivot_bases(), _presentation_edge_bases()):
+        moduli, images = _diagonalize(b)
+        assert (moduli, images) == diagonalize_tietze_reference(b), b
+        shapes.add(len(moduli))
+    assert shapes >= {0, 1, 2, 3, 4, 6}
 
 
 @pytest.mark.parametrize("order", [[-1, 0], [5, 0], [0, 0], [0], [0, 1, 2]])

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -12,6 +13,7 @@ from cubiquity import (
     NotNonAcute,
     NotOrthogonal,
     ResourceLimit,
+    SingularMatrix,
     Status,
     Subset,
     catalog_blocks,
@@ -27,10 +29,11 @@ from cubiquity import (
     wu_obstruction_orthogonal,
 )
 from cubiquity.cosets import _diagonalize, first_missed_cube
-from cubiquity.lattice import _PACKED_FROM
+from cubiquity.lattice import _PACKED_FROM, _cube_pick, _triangulate
 from helpers import (
     BLOCK_LIBRARY,
     assemble_blocks,
+    bench_plan,
     bruteforce_vertex_scan,
     coset_cover_reference,
     count_calls,
@@ -260,6 +263,81 @@ def test_decide_hajos_route_ignores_cap(n):
                      for i in range(n)])
     assert decide(b, cap=1) == CubiquityVerdict(
         Status.CUBIQUITOUS, hajos=HajosBasis(b, tuple(range(n))))
+
+
+def _certified(basis):
+    """Whether the greedy with pivots 1 and 2 takes every coordinate, the
+    certificate that `decide` runs at a power-of-two index below 2^n."""
+    return len(_triangulate(basis.rows, _cube_pick, (1, 2))[1]) == basis.n
+
+
+def test_decide_matches_bruteforce_below_2n_random():
+    # below 2^n decide is the 1-2 certificate, then brute force; the
+    # certificate is tried on every input here, power of two or not
+    rng = random.Random(83)
+    seen = collections.Counter()
+    while sum(seen.values()) < 5000:
+        n = rng.randint(1, 7)
+        zero = rng.choice((0.5, 0.6, 0.7, 0.8))  # keeps |det| small
+        rows = [[0 if rng.random() < zero else rng.randint(-3, 3)
+                 for _ in range(n)] for _ in range(n)]
+        try:
+            b = BasisMatrix(rows)
+        except SingularMatrix:
+            continue
+        d = abs(b.det)
+        if d >= 2 ** n:
+            continue
+        oracle = is_cubiquitous_bruteforce(b, cap=2 ** 30)
+        assert decide(b, cap=2 ** 30) == oracle, b
+        certified = _certified(b)
+        if certified:
+            assert oracle.status is Status.CUBIQUITOUS, b
+            assert d & d - 1 == 0, b
+        seen[oracle.status, d & d - 1 == 0, certified] += 1
+    # the certificate decides most power-of-two indices, and brute force
+    # still runs on cubiquitous and non-cubiquitous ones
+    assert seen[Status.CUBIQUITOUS, True, True] > 1000
+    assert seen[Status.CUBIQUITOUS, True, False] > 0
+    assert seen[Status.NOT_CUBIQUITOUS, True, False] > 0
+
+
+def test_certified_scan_inputs_run_no_bruteforce(monkeypatch):
+    # the cubiquitous `scan` inputs below 2^n (seed 1): the certificate
+    # decides 22 of the 30, and brute force the other 8
+    cases = [c for c in bench_plan("scan", 1)
+             if c.label in ("full7", "full8", "full9")]
+    assert len(cases) == 30
+    calls = count_calls(monkeypatch, "cubiquity.obstructions",
+                        "is_cubiquitous_bruteforce")
+    certified = collections.Counter()
+    for case in cases:
+        b = BasisMatrix(case.rows)
+        before = len(calls)
+        assert decide(b).status is Status.CUBIQUITOUS, case.rows
+        if len(calls) == before:
+            certified[case.label] += 1
+    assert certified == {"full9": 14, "full8": 3, "full7": 5}
+    assert len(calls) == 8
+
+
+@pytest.mark.parametrize("rows, n", [
+    ([[1, 0], [0, 2]], 2),
+    ([[int(i == j) for j in range(20)] for i in range(20)], 20),
+])
+def test_decide_certificate_ignores_cap(rows, n):
+    # only brute force is metered: the 1-2 triangle decides past any cap
+    assert decide(BasisMatrix(rows), cap=1) == \
+        CubiquityVerdict(Status.CUBIQUITOUS)
+
+
+def test_decide_certificate_leaves_witnesses_to_bruteforce():
+    # index 4 < 8: the greedy takes the two 1s and stops at the 4, so
+    # brute force gives the first witness
+    b = BasisMatrix([[4, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert not _certified(b)
+    assert decide(b) == is_cubiquitous_bruteforce(b) == CubiquityVerdict(
+        Status.NOT_CUBIQUITOUS, witness=(1, 0, 0))
 
 
 def test_bruteforce_matches_vertex_scan_catalog():
