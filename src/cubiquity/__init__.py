@@ -4,8 +4,10 @@ A full-rank sublattice of Z^n is cubiquitous when it meets every translated
 unit cube x + {0,1}^n.  The package provides exact lattice arithmetic, the
 Wu obstruction, the determinant/Hajos criteria, subset rewrites, the
 classification of orthogonal sublattices, a brute-force oracle that
-grounds all of them, and ``decide``, which runs the determinant gate and
-then the oracle under a resource cap.
+grounds all of them, and ``decide``, which runs the determinant gate,
+then at a power-of-two index below 2^n a triangular form with 1s and 2s
+on its diagonal, then the oracle.  A resource cap on n * |det| meters
+the oracle only.
 
 Importing the package loads none of its submodules.  Each name in
 ``__all__`` is imported from its submodule on first use, so a program

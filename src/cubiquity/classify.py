@@ -41,20 +41,19 @@ class BlockDecomposition(NamedTuple):
         return tuple(b.kind for b in self.blocks)
 
 
+_ONE_BY_ONE = {1: UNIT, 2: TWO_TIMES}  # |entry| of a 1x1 block
+
+
 def _block_kind(subset: Subset, coords: tuple[int, ...],
                 vectors: tuple[int, ...]) -> str:
-    vecs = [subset.vectors[i] for i in vectors]
-    if len(vectors) == 1 and len(coords) == 1:
-        entry = abs(vecs[0][coords[0]])
-        if entry == 1:
-            return UNIT
-        if entry == 2:
-            return TWO_TIMES
-        return OTHER
-    if len(vectors) == 2 and len(coords) == 2:
+    vecs = subset.vectors
+    if len(vectors) == len(coords) == 1:
+        return _ONE_BY_ONE.get(abs(vecs[vectors[0]][coords[0]]), OTHER)
+    if len(vectors) == len(coords) == 2:
         # both vectors vanish off the block's two coordinates
-        entries = a, b, c, d = [v[j] for v in vecs for j in coords]
-        if all(abs(e) == 1 for e in entries) and a * c + b * d == 0:
+        (i, j), (s, t) = coords, vectors
+        a, b, c, d = vecs[s][i], vecs[s][j], vecs[t][i], vecs[t][j]
+        if abs(a) == abs(b) == abs(c) == abs(d) == 1 and a * c + b * d == 0:
             return HYPER_2X2
     return OTHER
 
@@ -65,25 +64,32 @@ def decompose(subset: Subset) -> BlockDecomposition:
     Connected components of the bipartite graph joining each vector to the
     coordinates where it is nonzero.  Blocks are listed by their smallest
     coordinate; vectors with empty support trail as singleton blocks.
+    Each block grows one list of coordinates, read while it grows, with a
+    flag per coordinate and per vector, so every nonzero entry is visited
+    once from its coordinate and once from its vector.
     """
     by_vector, by_coordinate = _support_index(subset)
-    seen: set[int] = set()
+    reached = [False] * subset.n  # per coordinate
+    taken = [False] * subset.n  # per vector
     blocks = []
     for start in range(subset.n):
-        if start in seen:
+        if reached[start]:
             continue
-        coords = {start}
-        vectors: set[int] = set()
-        frontier = [start]
-        while frontier:
-            for i in by_coordinate[frontier.pop()]:
-                if i not in vectors:
-                    vectors.add(i)
-                    fresh = set(by_vector[i]) - coords
-                    coords |= fresh
-                    frontier.extend(fresh)
-        seen |= coords
-        c, v = tuple(sorted(coords)), tuple(sorted(vectors))
+        reached[start] = True
+        coords = [start]
+        vectors = []
+        for j in coords:  # visits the coordinates appended below too
+            for i in by_coordinate[j]:
+                if not taken[i]:
+                    taken[i] = True
+                    vectors.append(i)
+                    for k in by_vector[i]:
+                        if not reached[k]:
+                            reached[k] = True
+                            coords.append(k)
+        coords.sort()
+        vectors.sort()
+        c, v = tuple(coords), tuple(vectors)
         blocks.append(Block(c, v, _block_kind(subset, c, v)))
     blocks.extend(Block((), (i,), OTHER)
                   for i, support in enumerate(by_vector) if not support)

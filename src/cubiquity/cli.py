@@ -376,7 +376,7 @@ def build_parser() -> _Parser:
                             "brute force within the cap")
     p.add_argument("--cap", type=int, default=None,
                    help="brute-force resource cap: refuse brute force when "
-                        "n * (2^n + |det|) exceeds it; the other routes "
+                        "n * |det| exceeds it; the other routes "
                         "are not metered "
                         f"(default ${CAP_ENV_VAR} or {DEFAULT_RESOURCE_CAP})")
 

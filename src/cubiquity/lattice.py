@@ -36,11 +36,11 @@ from typing import Iterable, Sequence
 from .errors import DimensionMismatch, SingularMatrix
 
 #: Default cap on the brute-force oracle, which refuses inputs whose
-#: n * (2^n + |det|) exceeds it.  Under the cap its work is one
-#: presentation of Z^n/L from the basis modulo |det| and at most n
+#: n * |det| exceeds it.  Under the cap its work is one presentation of
+#: Z^n/L from the basis modulo |det|, polynomial in n, and at most n
 #: rotations of a |det|-bit integer (a witness adds about 2n + 2 log2 |det|
 #: rotations and bit tests), holding at most about 2(n + 1) * |det| bits,
-#: a few MB at this default.
+#: a few MB at this default.  Nothing in it grows with 2^n.
 DEFAULT_RESOURCE_CAP = 2 ** 24
 
 Vector = tuple[int, ...]

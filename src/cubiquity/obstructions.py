@@ -13,8 +13,9 @@ unit cube x + {0,1}^n.  This module provides
   the tests,
 * ``decide``: the determinant gate, then at a power-of-two index below
   2^n a triangular form with 1s and 2s on its diagonal, then the oracle,
-  which alone is metered by a resource cap.  The oracle imports
-  ``cosets`` on its first call, so the other routes never load it.
+  which alone is metered by a resource cap: it refuses an input whose
+  n * |det| exceeds the cap.  The oracle imports ``cosets`` on its first
+  call, so the other routes never load it.
 
 Obstructions never claim a lattice IS cubiquitous; only the oracle, the
 Hajos route and the 1-2 triangle do.
@@ -103,12 +104,20 @@ def _hajos_rows(found: Optional[HajosBasis]) -> Optional[list[list[int]]]:
 
 
 def wu_element(subset: Subset) -> WuData:
-    """Sum of the subset's vectors and the parity partition of its entries."""
-    total = tuple(map(sum, zip(*subset.vectors)))
+    """Sum of the subset's vectors and the parity partition of its entries.
+
+    Each vector is added over its support, so only nonzero entries are
+    read."""
+    from .subsets import _support_index
+
+    total = [0] * subset.n
+    for v, support in zip(subset.vectors, _support_index(subset)[0]):
+        for j in support:
+            total[j] += v[j]
     odd = tuple(j for j, k in enumerate(total) if k % 2)
     even_nonzero = tuple(j for j, k in enumerate(total) if k and k % 2 == 0)
     zero = tuple(j for j, k in enumerate(total) if k == 0)
-    return WuData(total, odd, even_nonzero, zero)
+    return WuData(tuple(total), odd, even_nonzero, zero)
 
 
 def wu_obstruction(subset: Subset) -> CubiquityVerdict:
@@ -168,19 +177,18 @@ def is_cubiquitous_bruteforce(
     the witness is the first x of the HNF box, in lexicographic order,
     whose -x lies in an unreached coset, making certificates reproducible.
 
-    ResourceLimit is raised when n * (2^n + |det|) exceeds ``cap``.  Under
-    that bound the work is one presentation and at most n rotations of a
+    ResourceLimit is raised when n * |det| exceeds ``cap``.  The work is
+    one presentation, polynomial in n, and at most n rotations of a
     |det|-bit integer; a witness adds about 2n + 2 log2 |det| rotations and
     bit tests, each coordinate's value found by halving.  The sets held
-    take at most about 2(n + 1) * |det| bits.
+    take at most about 2(n + 1) * |det| bits.  Nothing grows with 2^n.
     """
     n = basis.n
     order = abs(basis.det)
-    reductions = 2 ** n + order
-    if n * reductions > cap:
+    if n * order > cap:
         raise ResourceLimit(
-            f"brute force counts n * (2^n + |det|) = {n} * (2^{n} + {order})"
-            f" = {n * reductions} steps, cap is {cap}")
+            f"brute force counts n * |det| = {n} * {order} = {n * order} "
+            f"steps, cap is {cap}")
     from .cosets import first_missed_cube  # compiled on first use
 
     witness = first_missed_cube(basis)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import compress
 from operator import index
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatch
 from .lattice import BasisMatrix, Vector
@@ -76,7 +76,14 @@ class Subset:
 
     @property
     def norms(self) -> tuple[int, ...]:
-        return tuple(sum(x * x for x in v) for v in self.vectors)
+        """Squared lengths, from the nonzero entries only."""
+        vecs = self.vectors
+        norms = [0] * len(vecs)
+        for j, users in enumerate(_support_index(self)[1]):
+            for i in users:
+                x = vecs[i][j]
+                norms[i] += x * x
+        return tuple(norms)
 
     def to_basis(self) -> BasisMatrix:
         """Basis matrix with these vectors as columns; raises if dependent."""
@@ -143,23 +150,29 @@ def _support_index(subset: Subset) -> tuple[_Supports, _Supports]:
 
 
 def stats(subset: Subset) -> SubsetStats:
-    """Compute all support statistics of the subset."""
+    """Compute all support statistics of the subset, in one pass over the
+    nonzero entries by coordinate."""
     n = subset.n
     vecs = subset.vectors
     by_vector, by_coordinate = _support_index(subset)
     by_count: list[list[int]] = [[] for _ in range(n + 1)]
+    heavy: list[list[int]] = [[] for _ in range(n + 1)]
+    squares = 0
     for j, users in enumerate(by_coordinate):
         by_count[len(users)].append(j)
+        big = False
+        for i in users:
+            x = vecs[i][j]
+            square = x * x
+            squares += square
+            if square >= 4:  # an entry of magnitude >= 2
+                big = True
+        if big:
+            heavy[len(users)].append(j)
     classes = tuple(map(tuple, by_count))
-    counts = tuple(map(len, classes))
-    heavy = tuple(
-        tuple(j for j in cls if any(abs(vecs[i][j]) >= 2
-                                    for i in by_coordinate[j]))
-        for cls in classes)
-    excess = sum(vecs[i][j] ** 2 for i, support in enumerate(by_vector)
-                 for j in support) - 3 * n
-    return SubsetStats(by_coordinate, by_vector, classes, counts, heavy,
-                       excess)
+    return SubsetStats(by_coordinate, by_vector, classes,
+                       tuple(map(len, classes)), tuple(map(tuple, heavy)),
+                       squares - 3 * n)
 
 
 def check_identity(subset: Subset) -> bool:
@@ -176,35 +189,53 @@ def check_identity(subset: Subset) -> bool:
 
 
 def _identity_holds(subset: Subset, st: SubsetStats) -> bool:
-    """check_identity given the subset's stats."""
+    """check_identity given the subset's stats.  The entries are read
+    again through by_vector; stats reads them by coordinate."""
 
     def count(m: int) -> int:
         return st.counts[m] if m < len(st.counts) else 0
 
     lhs = 3 * count(0) + 2 * count(1) + count(2) + st.excess
     rhs = sum((m - 3) * count(m) for m in range(4, subset.n + 1))
-    rhs += sum(x * x - 1 for v in subset.vectors for x in v if x != 0)
+    rhs += sum(v[j] * v[j] for v, support in zip(subset.vectors, st.by_vector)
+               for j in support) - sum(map(len, st.by_vector))
     return lhs == rhs
 
 
-def _gram_rows(subset: Subset) -> Iterator[tuple[int, list[int]]]:
-    """Per vector, its norm and its products with the vectors that share a
-    coordinate with it; every product left out is 0."""
+def _gram_sums(
+        subset: Subset) -> tuple[list[int], dict[tuple[int, int], int]]:
+    """(norms, products): one pass over the coordinates adds each nonzero
+    entry's square to its vector's norm and, for each pair a < b of
+    vectors that share the coordinate, the entries' product to
+    products[a, b].  A pair that shares no coordinate has product 0 and
+    no key."""
     vecs = subset.vectors
-    by_vector, by_coordinate = _support_index(subset)
-    for i, support in enumerate(by_vector):
-        near = {k for j in support for k in by_coordinate[j]} - {i}
-        yield (sum(vecs[i][j] ** 2 for j in support),
-               [sum(vecs[i][j] * vecs[k][j] for j in support) for k in near])
+    norms = [0] * len(vecs)
+    products: dict[tuple[int, int], int] = {}
+    get = products.get
+    for j, users in enumerate(_support_index(subset)[1]):
+        for p, a in enumerate(users, 1):
+            x = vecs[a][j]
+            norms[a] += x * x
+            for b in users[p:]:
+                key = a, b
+                products[key] = get(key, 0) + x * vecs[b][j]
+    return norms, products
 
 
 def is_orthogonal(subset: Subset) -> bool:
     """True iff the vectors are pairwise orthogonal with norms >= 1."""
-    return all(norm >= 1 and not any(row) for norm, row in _gram_rows(subset))
+    norms, products = _gram_sums(subset)
+    return min(norms, default=1) >= 1 and not any(products.values())
 
 
 def is_non_acute(subset: Subset) -> bool:
     """True iff norms are positive, pairwise products are non-positive,
     and each norm dominates the negated off-diagonal sum of its row."""
-    return all(norm >= 1 and all(p <= 0 for p in row) and norm >= -sum(row)
-               for norm, row in _gram_rows(subset))
+    norms, products = _gram_sums(subset)
+    if min(norms, default=1) < 1 or max(products.values(), default=0) > 0:
+        return False
+    for (a, b), product in products.items():  # norms become row sums
+        norms[a] += product
+        norms[b] += product
+    return min(norms, default=0) >= 0

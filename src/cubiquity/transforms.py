@@ -172,8 +172,11 @@ def trace_reduce(subset: Subset) -> tuple[Subset, tuple[RewriteStep, ...]]:
     it first, and the larger one goes with it).  Each step's indices are
     relabelled downward past those already deleted.
 
-    Cost: one orthogonality check, from the products of the vectors that
-    share a coordinate, and one support index, both at entry.  The steps
+    Cost: one support index and one orthogonality check, both at entry.
+    The check is one pass over the coordinates: each nonzero entry's
+    square goes to its vector's norm and each product of two vectors
+    that share coordinate j to that pair's sum, so it forms
+    sum_j |users_j| (|users_j| + 1) / 2 products.  The steps
     then delete their vectors and coordinates from one list of rows in
     place, a few list deletions per surviving row, and each step's result
     is a snapshot of those rows taken at C speed.  ``project`` and

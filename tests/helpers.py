@@ -17,6 +17,8 @@ from cubiquity import (
     RewriteStep,
     Status,
     Subset,
+    SubsetStats,
+    WuData,
     catalog_blocks,
     contract,
     det4_formula,
@@ -26,7 +28,7 @@ from cubiquity import (
     stats,
     wu_obstruction,
 )
-from cubiquity.classify import OTHER, _block_kind
+from cubiquity.classify import HYPER_2X2, OTHER, TWO_TIMES, UNIT
 from cubiquity.cosets import _translate
 from cubiquity.errors import MatrixFormatError
 from cubiquity.lattice import _minor_bits, _slots, _triangulate
@@ -780,11 +782,66 @@ def decompose_reference(subset):
         seen_c |= coords
         seen_v |= vectors
         c, v = tuple(sorted(coords)), tuple(sorted(vectors))
-        blocks.append(Block(c, v, _block_kind(subset, c, v)))
+        blocks.append(Block(c, v, block_kind_reference(subset, c, v)))
     for i in range(n):
         if i not in seen_v:
             blocks.append(Block((), (i,), OTHER))
     return BlockDecomposition(tuple(blocks))
+
+
+def block_kind_reference(subset, coords, vectors):
+    """Reference block shape: the block's entries, read as a list."""
+    vecs = [subset.vectors[i] for i in vectors]
+    if len(vectors) == 1 and len(coords) == 1:
+        entry = abs(vecs[0][coords[0]])
+        if entry == 1:
+            return UNIT
+        if entry == 2:
+            return TWO_TIMES
+        return OTHER
+    if len(vectors) == 2 and len(coords) == 2:
+        entries = a, b, c, d = [v[j] for v in vecs for j in coords]
+        if all(abs(e) == 1 for e in entries) and a * c + b * d == 0:
+            return HYPER_2X2
+    return OTHER
+
+
+def wu_element_reference(subset):
+    """Reference Wu element: the transposed vectors, summed by column."""
+    total = tuple(map(sum, zip(*subset.vectors)))
+    return WuData(total,
+                  tuple(j for j, k in enumerate(total) if k % 2),
+                  tuple(j for j, k in enumerate(total) if k and k % 2 == 0),
+                  tuple(j for j, k in enumerate(total) if k == 0))
+
+
+def stats_reference(subset):
+    """Reference support statistics: every entry of the dense matrix."""
+    n = subset.n
+    vecs = subset.vectors
+    by_vector = tuple(tuple(j for j in range(n) if vecs[i][j])
+                      for i in range(n))
+    by_coordinate = tuple(tuple(i for i in range(n) if vecs[i][j])
+                          for j in range(n))
+    classes = tuple(tuple(j for j in range(n) if len(by_coordinate[j]) == m)
+                    for m in range(n + 1))
+    heavy = tuple(tuple(j for j in cls
+                        if any(abs(vecs[i][j]) >= 2 for i in range(n)))
+                  for cls in classes)
+    excess = sum(x * x for v in vecs for x in v) - 3 * n
+    return SubsetStats(by_coordinate, by_vector, classes,
+                       tuple(map(len, classes)), heavy, excess)
+
+
+def identity_reference(subset):
+    """(lhs, rhs) of check_identity, from stats_reference and every entry
+    of the dense matrix."""
+    st = stats_reference(subset)
+    count = list(st.counts) + [0] * 3
+    lhs = 3 * count[0] + 2 * count[1] + count[2] + st.excess
+    rhs = sum((m - 3) * count[m] for m in range(4, subset.n + 1))
+    rhs += sum(x * x - 1 for v in subset.vectors for x in v if x != 0)
+    return lhs, rhs
 
 
 def det4_quartic_scan(bound):

@@ -118,26 +118,39 @@ def test_check_cap_env_var_invalid(capsys, monkeypatch):
 
 
 def test_check_cap_boundary(capsys):
-    # brute force on Z + 3Z costs n * (2^n + |det|) = 14 steps
+    # brute force on Z + 3Z costs n * |det| = 6 steps
     code, out, _ = _run(capsys, "check", "--matrix", "1 0; 0 3",
-                        "--cap", "14")
+                        "--cap", "6")
     assert code == 1
     assert json.loads(out)["witness"] == [0, 1]
     code, out, _ = _run(capsys, "check", "--matrix", "1 0; 0 3",
-                        "--cap", "13")
+                        "--cap", "5")
     assert code == 2
     assert json.loads(out)["status"] == "Inconclusive"
 
 
 def test_check_decides_past_old_vertex_cap(capsys):
     # index 3 * 2^10 at n = 13: |det| * 2^n is past the default cap of
-    # 2^24, n * (2^n + |det|) is not
+    # 2^24, n * |det| is not
     diag = [6] + [2] * 9 + [1] * 3
     matrix = "; ".join(" ".join(str(d if i == j else 0) for j in range(13))
                        for i, d in enumerate(diag))
     code, out, _ = _run(capsys, "check", "--matrix", matrix)
     assert code == 1
     assert json.loads(out)["witness"] == [1] + [0] * 12
+
+
+def test_check_decides_past_old_exponential_cap(capsys):
+    # diag(3, 1, ..., 1) at n = 20: n * |det| = 60, while the former count
+    # n * (2^n + |det|) was past the default cap of 2^24
+    matrix = "; ".join(" ".join(str(3 if i == j == 0 else int(i == j))
+                                for j in range(20)) for i in range(20))
+    assert _run(capsys, "check", "--matrix", matrix) == (
+        1, '{"status": "NotCubiquitous", "witness": [1' + ', 0' * 19
+        + '], "inequality": null, "hajos_basis": null}\n', "")
+    code, out, _ = _run(capsys, "check", "--matrix", matrix, "--cap", "59")
+    assert code == 2
+    assert json.loads(out)["status"] == "Inconclusive"
 
 
 CERTIFIED = ('{"status": "Cubiquitous", "witness": null, "inequality": '

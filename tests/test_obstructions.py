@@ -17,6 +17,7 @@ from cubiquity import (
     Status,
     Subset,
     catalog_blocks,
+    classify_orthogonal,
     contains,
     decide,
     det_gate,
@@ -251,9 +252,50 @@ def test_decide_matches_gate_and_bruteforce_random():
 
 
 def test_decide_inconclusive_past_cap():
-    # Z + 3Z: brute force costs 14 steps
-    assert decide(BasisMatrix([[1, 0], [0, 3]]), cap=13) == \
+    # Z + 3Z: brute force costs n * |det| = 6 steps
+    assert decide(BasisMatrix([[1, 0], [0, 3]]), cap=5) == \
         CubiquityVerdict(Status.INCONCLUSIVE)
+
+
+def _block_sum_below(n, bound, pool, rng):
+    """Block names from ``pool`` filling n coordinates: random blocks
+    while their index stays at most ``bound``, then units, shuffled."""
+    names, used, index = [], 0, 1
+    for _ in range(12):
+        name = rng.choice(pool)
+        block = BLOCK_LIBRARY[name]
+        d = abs(BasisMatrix.from_columns(block).det)
+        if used + len(block) <= n and index * d <= bound:
+            names.append(name)
+            used += len(block)
+            index *= d
+    names += ["unit"] * (n - used)
+    rng.shuffle(names)
+    return names, index
+
+
+def test_decide_matches_classification_at_large_n(monkeypatch):
+    # the cap counts n * |det|, so at the default cap brute force decides
+    # mixed orthogonal block sums at n = 20-128 with |det| <= 2^16
+    calls = count_calls(monkeypatch, "cubiquity.obstructions",
+                        "is_cubiquitous_bruteforce")
+    rng = random.Random(41)
+    seen = collections.Counter()
+    for n in (20, 24, 32, 48, 64, 128):
+        for pool in (("double", "hyper", "unit"), sorted(BLOCK_LIBRARY)) * 2:
+            names, index = _block_sum_below(n, 2 ** 16, pool, rng)
+            subset = Subset(signed_permutation(assemble_blocks(names), rng))
+            expected = classify_orthogonal(subset).status
+            b = unimodular_mix(BasisMatrix.from_columns(subset.vectors), rng,
+                               3 * n)
+            assert abs(b.det) == index and n * index <= 2 ** 24
+            assert decide(b).status is expected, names
+            seen[expected, index & index - 1 == 0] += 1
+    # the 1-2 triangle certifies the cubiquitous ones, all of index 2^k,
+    # and brute force decides the others
+    assert seen.keys() == {(Status.CUBIQUITOUS, True),
+                           (Status.NOT_CUBIQUITOUS, False)}
+    assert len(calls) == seen[Status.NOT_CUBIQUITOUS, False] == 12
 
 
 @pytest.mark.parametrize("n", [3, 20])
@@ -346,11 +388,11 @@ def test_bruteforce_matches_vertex_scan_catalog():
 
 
 def test_bruteforce_cap_boundary():
-    # n * (2^n + |det|) = 2 * (4 + 3) steps
+    # n * |det| = 2 * 3 steps
     b = BasisMatrix([[1, 0], [0, 3]])
-    assert is_cubiquitous_bruteforce(b, cap=14).witness == (0, 1)
-    with pytest.raises(ResourceLimit):
-        is_cubiquitous_bruteforce(b, cap=13)
+    assert is_cubiquitous_bruteforce(b, cap=6).witness == (0, 1)
+    with pytest.raises(ResourceLimit, match=r"n \* \|det\| = 2 \* 3 = 6 "):
+        is_cubiquitous_bruteforce(b, cap=5)
 
 
 def _scaled_triangle(n, twos, rng, scale=3):

@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -9,16 +10,24 @@ from cubiquity import (
     Subset,
     catalog_blocks,
     check_identity,
+    decompose,
     is_non_acute,
     is_orthogonal,
     stats,
+    wu_element,
 )
+from cubiquity.subsets import _identity_holds
 from helpers import (
+    bench_plan,
+    decompose_reference,
     edge_subsets,
     gram,
+    identity_reference,
     is_non_acute_reference,
     is_orthogonal_reference,
     random_subsets,
+    stats_reference,
+    wu_element_reference,
 )
 
 
@@ -166,11 +175,57 @@ def test_norms_and_gram():
     assert gram(s) == ((2, -1, 0), (-1, 10, -1), (0, -1, 2))
 
 
+def _same_as_references(s):
+    """The support-list routes of s against the dense references; returns
+    the predicates' answers."""
+    orthogonal, non_acute = is_orthogonal(s), is_non_acute(s)
+    assert orthogonal == is_orthogonal_reference(s), s
+    assert non_acute == is_non_acute_reference(s), s
+    assert decompose(s) == decompose_reference(s), s
+    assert wu_element(s) == wu_element_reference(s), s
+    st_ = stats(s)
+    assert st_ == stats_reference(s), s
+    assert s.norms == tuple(sum(x * x for x in v) for v in s.vectors), s
+    lhs, rhs = identity_reference(s)
+    assert lhs == rhs and _identity_holds(s, st_), s
+    assert not _identity_holds(s, st_._replace(excess=st_.excess + 1)), s
+    return orthogonal, non_acute
+
+
 def test_predicates_match_dense_reference():
-    outcomes = set()
-    for s in random_subsets(random.Random(83), 400) + edge_subsets():
-        assert is_orthogonal(s) == is_orthogonal_reference(s), s
-        assert is_non_acute(s) == is_non_acute_reference(s), s
-        outcomes.add((is_orthogonal(s), is_non_acute(s)))
+    # and the other subset routes, on small and edge-case subsets
+    outcomes = {_same_as_references(s)
+                for s in random_subsets(random.Random(83), 400)
+                + edge_subsets()}
     # both answers of each predicate, and non-acute without orthogonal
     assert outcomes == {(True, True), (False, True), (False, False)}
+
+
+def _perturbed(subset, rng):
+    """The subset with one entry, chosen at random, moved by 1."""
+    rows = [list(v) for v in subset.vectors]
+    i, j = rng.randrange(subset.n), rng.randrange(subset.n)
+    rows[i][j] += rng.choice((-1, 1))
+    return Subset(rows)
+
+
+def test_subset_routes_match_references_on_structure_plan():
+    # every subset input of the benchmark's structure plan (seeds 1-3,
+    # n = 16-64), and each with one entry moved, so that both answers of
+    # each predicate occur at those sizes
+    rng = random.Random(23)
+    outcomes = collections.Counter()
+    for seed in (1, 2, 3):
+        for case in bench_plan("structure", seed):
+            if case.command not in ("classify", "wu", "stats", "reduce"):
+                continue
+            s = Subset(zip(*case.rows))  # the columns are the vectors
+            outcomes[case.command, _same_as_references(s)] += 1
+            outcomes["moved", _same_as_references(_perturbed(s, rng))] += 1
+    assert sum(outcomes.values()) == 2 * 249
+    # (is_orthogonal, is_non_acute): only wu's inputs are not orthogonal
+    assert {key for key in outcomes if key[0] != "moved"} == {
+        ("classify", (True, True)), ("stats", (True, True)),
+        ("reduce", (True, True)), ("wu", (False, True))}
+    assert {answers for kind, answers in outcomes if kind == "moved"} == {
+        (True, True), (False, True), (False, False)}
