@@ -23,14 +23,18 @@ the two pivot rows, p0 is the pivot before them, p2 the second pivot, and
 f and e are 2 x 2 minors of v's and the pivot rows' first two slots,
 divided by p0.  Every one of these divisions is exact, and the row update
 needs one exact division by p0 per pair of columns instead of one per
-column; that division is the dearest part of a step.
+column; that division is the dearest part of a step.  Around the
+elimination no pass of the packed kernel touches an entry in bytecode:
+the column norms are ``sum(map(mul, col, col))``, the first pack is one
+`struct` call per row, and a widening moves bytes by strided slices.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from math import prod
-from operator import index
+from operator import index, mul
+from struct import Struct
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, SingularMatrix
@@ -49,25 +53,27 @@ Vector = tuple[int, ...]
 #: `_bareiss_det` runs on packed rows from `_PACKED_FROM` rows on, when
 #: every entry is below `_PACKED_BELOW` in absolute value.  Against the
 #: per-entry kernel on dense matrices (three per size, best of 15 at
-#: n <= 32 and of 3-5 above), the packed kernel took
-#: - with entries in [-2, 2]: 0.92x the time at n = 16, 0.82x at 20, 0.64x
-#:   at 24, 0.49x at 32, 0.39x at 48 and 0.32x at 64;
-#: - at n = 20-64: 0.61-0.69x with entries below 2^16, 0.68-0.80x below
-#:   2^24, 0.70-0.93x below 2^32, 0.72-0.96x below 2^48 and 0.76-1.07x
-#:   below 2^64.
+#: n <= 32 and of 5 above, CPython 3.11 on a 2-core x86-64 host), the
+#: packed kernel took
+#: - with entries in [-2, 2]: 0.66-0.71x the time at n = 16, 0.53-0.56x at
+#:   20, 0.45-0.48x at 24, 0.38-0.39x at 32 and 0.30-0.32x at 48-64;
+#: - at n = 20-64: 0.59-0.70x with entries below 2^16, 0.62-0.77x below
+#:   2^24, 0.70-0.85x below 2^32 and 0.63-0.98x below 2^48;
+#: - at n = 16: 0.74x below 2^16, 0.80-0.83x below 2^24, 0.82-0.95x below
+#:   2^32 and 1.02-1.04x below 2^48.
 #: So it wins at every size from the switch with entries below 2^32;
-#: below 2^48 its lead at n = 20 is only 2-4%, and below 2^64 it loses
-#: there.  Packing costs a fixed amount per entry and wastes some slot
-#: width, so it pays only where the interpreter's cost per operation
-#: outweighs the digit work: many rows, small entries.  With small entries
-#: it wins from 16 rows; the switch stays at 20 because below it
-#: `BasisMatrix` starts with the Hajos greedy, which hands the rest of the
-#: matrix to `_det_entries` where its pivots stop being 2; from it on the
-#: packed kernel runs first and the greedy only at |det| = 2^n.  On 2 *
-#: (dense) input, where every pivot is 2, a greedy first took 1-2x the
-#: per-entry kernel's time at n = 19 and 2-3x the packed kernel's at
-#: n = 24-48.  The scan (n <= 13) and hajos (n <= 9) inputs, and 16-dim
-#: dense ones, stay below the switch.
+#: below 2^48 its lead at n = 20 is only 2-6%, and its struct codes hold
+#: no entry of 2^63 or more.  Packing costs a fixed amount per row and
+#: wastes some slot width, so it pays only where the interpreter's cost
+#: per operation outweighs the digit work: many rows, small entries.  With
+#: small entries it wins from 16 rows; the switch stays at 20 because
+#: below it `BasisMatrix` starts with the Hajos greedy, which hands the
+#: rest of the matrix to `_det_entries` where its pivots stop being 2;
+#: from it on the packed kernel runs first and the greedy only at
+#: |det| = 2^n.  On 2 * (dense) input, where every pivot is 2, a greedy
+#: first took 1-2x the per-entry kernel's time at n = 19 and 2-3x the
+#: packed kernel's at n = 24-48.  The scan (n <= 13) and hajos (n <= 9)
+#: inputs, and 16-dim dense ones, stay below the switch.
 _PACKED_FROM = 20
 _PACKED_BELOW = 1 << 32
 
@@ -79,13 +85,18 @@ _PACKED_BELOW = 1 << 32
 #: 36-44, 0.86-0.87x at 48-52 and 0.76-0.81x at 56-64.
 _PAIRS_FROM = 128
 
+#: The struct codes `_det_packed` first packs an entry with, narrowest
+#: first, and their sizes in bytes.
+_CODES = (("b", 1), ("h", 2), ("i", 4), ("q", 8))
+
 
 def _bareiss_det(rows: Sequence[Sequence[int]]) -> int:
     """Exact determinant by fraction-free elimination."""
-    if (len(rows) >= _PACKED_FROM
-            and max(map(max, rows)) < _PACKED_BELOW
-            and min(map(min, rows)) > -_PACKED_BELOW):
-        return _det_packed(rows)
+    if len(rows) >= _PACKED_FROM:
+        top = max(map(max, rows))
+        low = min(map(min, rows))
+        if top < _PACKED_BELOW and low > -_PACKED_BELOW:
+            return _det_packed(rows, max(top, ~low))
     return _det_entries(rows)
 
 
@@ -125,7 +136,7 @@ def _minor_bits(rows: Sequence[Sequence[int]]) -> list[int]:
     zero column counts as norm 1, which keeps the list nondecreasing, as
     `_det_packed` needs: its slots only ever widen.
     """
-    squares = sorted((sum(a * a for a in col) for col in zip(*rows)),
+    squares = sorted((sum(map(mul, col, col)) for col in zip(*rows)),
                      reverse=True)
     bits = [0]
     bound = 1
@@ -150,7 +161,8 @@ def _swap_lead(live: list[int], mask: int) -> bool:
     return False
 
 
-def _det_packed(rows: Sequence[Sequence[int]]) -> int:
+def _det_packed(rows: Sequence[Sequence[int]],
+                peak: int | None = None) -> int:
     """Bareiss elimination on rows packed into one integer each.
 
     A row of entries a_j is ``sum(a_j << (w * j))``: signed slots of w bits.
@@ -192,22 +204,46 @@ def _det_packed(rows: Sequence[Sequence[int]]) -> int:
     After K steps every entry is a (K+1)-minor, so it fits in w bits from
     `_minor_bits`.  A stage starting at step k runs to step
     ``k + max(k // 3, 6)`` with the width its last minors need (a whole
-    number of bytes); then the rows are spread byte-wise into the next
-    stage's wider slots.  Each slot stores entry + an offset there, so it is
-    a plain unsigned field while it moves.  A stage of odd length ends with
-    a single step.
+    number of bytes), or the stage before's if that is wider: slots only
+    widen.  A stage of odd length ends with a single step.
+
+    The first pack is one struct call per row.  Each entry takes the
+    narrowest code of ``_CODES`` (c = 1, 2, 4 or 8 bytes) that holds every
+    entry, followed by width - c zero bytes, so the first width is at
+    least c.  Read as one unsigned number, the row holds each entry's
+    c-byte two's complement; flipping bit 8c - 1 of every slot turns that
+    into entry + 2^(8c - 1), a field below 2^(8c) with no borrow, and
+    subtracting the flipped bits leaves the signed slots.  So every entry
+    must lie in [-2^63, 2^63); ``peak``, the largest of a and ~a = -a - 1
+    over the entries a, picks the code, and `_bareiss_det` passes the one
+    its own bound check found.  Where a stage widens the slots, the rows
+    are spread byte-wise into the wider ones, each slot holding entry + an
+    offset so that it is a plain unsigned field while it moves; the rows
+    are read back from one bytes copy of the spread, since int.from_bytes
+    copies any other buffer before it reads it.
     """
     n = len(rows)
     bits = _minor_bits(rows)
+    if peak is None:
+        peak = max(max(map(max, rows)), ~min(map(min, rows)))
+    for code, c in _CODES:
+        if peak < 1 << (8 * c - 1):
+            break
     sign = 1
     prev = 1
     k = 0
-    width = 0  # bytes per slot; 0 until the rows are first packed
+    width = c  # bytes per slot
     while True:
         end = min(k + max(k // 3, 6), n - 1)
         size = n - k  # live rows, and slots per row
-        old, width = width, bits[end + 1] // 8 + 1
-        if old:
+        old, width = width, max(width, bits[end + 1] // 8 + 1)
+        length = size * width
+        if not k:
+            pack = Struct("<" + (code + "x" * (width - c)) * n).pack
+            flip = _slots(1 << (8 * c - 1), n, width)
+            live = [(int.from_bytes(pack(*row), "little") ^ flip) - flip
+                    for row in rows]
+        elif width > old:
             offset = 1 << (8 * old - 1)
             lift = _slots(offset, size, old)
             data = b"".join([(v + lift).to_bytes(size * old, "little")
@@ -215,14 +251,10 @@ def _det_packed(rows: Sequence[Sequence[int]]) -> int:
             spread = bytearray(size * size * width)
             for byte in range(old):
                 spread[byte::width] = data[byte::old]
-        else:
-            offset = 1 << (8 * width - 1)
-            spread = b"".join([(a + offset).to_bytes(width, "little")
-                               for row in rows for a in row])
-        bias = _slots(offset, size, width)
-        length = size * width
-        live = [int.from_bytes(spread[i:i + length], "little") - bias
-                for i in range(0, len(spread), length)]
+            spread = bytes(spread)
+            bias = _slots(offset, size, width)
+            live = [int.from_bytes(spread[i:i + length], "little") - bias
+                    for i in range(0, len(spread), length)]
         w = 8 * width
         mask = (1 << w) - 1
         half = 1 << (w - 1)

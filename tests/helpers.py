@@ -31,7 +31,7 @@ from cubiquity import (
 from cubiquity.classify import HYPER_2X2, OTHER, TWO_TIMES, UNIT
 from cubiquity.cosets import _translate
 from cubiquity.errors import MatrixFormatError
-from cubiquity.lattice import _minor_bits, _slots, _triangulate
+from cubiquity.lattice import _slots, _triangulate
 
 
 def count_calls(monkeypatch, module, name):
@@ -213,9 +213,26 @@ def cofactor_det(rows):
     return total
 
 
+def minor_bits_reference(rows):
+    """`lattice._minor_bits` with the squares summed in a generator, before
+    it summed them with ``map(mul, col, col)``: ``bits[r]`` with every r x r
+    minor below ``2 ** bits[r]`` in absolute value, by Hadamard's bound."""
+    squares = sorted((sum(a * a for a in col) for col in zip(*rows)),
+                     reverse=True)
+    bits = [0]
+    bound = 1
+    for s in squares:
+        bound *= max(s, 1)
+        bits.append((bound.bit_length() + 1) // 2)
+    return bits
+
+
 def det_packed_reference(rows):
-    """The packed Bareiss kernel before it eliminated two columns per pass:
-    one step, and one exact division, per column.
+    """The packed Bareiss kernel before it eliminated two columns per pass
+    or packed its rows with struct: one step, and one exact division, per
+    column, and one ``to_bytes`` call per entry in the first pack.  So it
+    is the oracle for both: for the pair update, and for the struct codes,
+    their sign flip and the widths they force.
 
     A row of entries a_j is ``sum(a_j << (w * j))``: signed slots of w bits.
     A step is ``(v * pivot - head * top) // prev >> w`` on every row v below
@@ -227,14 +244,14 @@ def det_packed_reference(rows):
     choice, row swaps and sign are those of `lattice._det_entries`.
 
     After K steps every entry is a (K+1)-minor, so it fits in w bits from
-    `lattice._minor_bits`.  A stage starting at step k runs to step
+    `minor_bits_reference`.  A stage starting at step k runs to step
     ``k + max(k // 3, 6)`` with the width its last minors need (a whole
     number of bytes); then the rows are spread byte-wise into the next
     stage's wider slots.  Each slot stores entry + an offset there, so it is
     a plain unsigned field while it moves.
     """
     n = len(rows)
-    bits = _minor_bits(rows)
+    bits = minor_bits_reference(rows)
     sign = 1
     prev = 1
     k = 0

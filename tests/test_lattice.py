@@ -2,6 +2,7 @@ import inspect
 import itertools
 import math
 import random
+import struct
 import sys
 import time
 
@@ -44,6 +45,7 @@ from helpers import (
     hnf_matrices,
     hnf_reference,
     membership_reference,
+    minor_bits_reference,
     random_hnf,
     signed_permutation,
     unimodular_mix,
@@ -114,24 +116,133 @@ def test_det_kernels_agree_at_every_size():
             assert expected == cofactor_det(rows)
 
 
+def _near_rows(rng, n, scale):
+    """Dense rows of entries within 2^20 of scale, one per row negated."""
+    rows = _dense_rows(rng, n, scale - 2 ** 20, scale + 2 ** 20)
+    for row in rows:
+        row[rng.randrange(n)] *= -1
+    return rows
+
+
 def test_det_kernels_agree_on_entries_near_2_to_100(monkeypatch):
     # the slot width must come from the column norms: 100-bit entries
-    # overflow any width sized for small entries; such rows are long
-    # enough for two columns per pass, and run with one too
+    # overflow any width sized for small entries.  _bareiss_det hands them
+    # to _det_entries, and the one-step reference packs them byte-wise;
+    # the packed kernel's struct codes hold entries below 2^63, so it runs
+    # on entries near 2^62, whose code's 8 bytes still fall short of the
+    # width their column norms ask for.  Its rows are long enough for two
+    # columns per pass, and run with one too
     rng = random.Random(100)
     for n in list(range(1, 9)) + [_PACKED_FROM - 1, _PACKED_FROM, 24]:
-        rows = _dense_rows(rng, n, 2 ** 100 - 2 ** 20, 2 ** 100 + 2 ** 20)
-        for row in rows:
-            row[rng.randrange(n)] *= -1
+        rows = _near_rows(rng, n, 2 ** 100)
         expected = _det_entries(rows)
         assert expected != 0
         assert _bareiss_det(rows) == expected
         assert det_packed_reference(rows) == expected
+        if n <= 7:
+            assert expected == cofactor_det(rows)
+        rows = _near_rows(rng, n, 2 ** 62)
+        assert 8 < _minor_bits(rows)[min(7, n)] // 8 + 1 or n == 1
+        expected = _det_entries(rows)
+        assert expected != 0
+        assert det_packed_reference(rows) == expected
         for pairs_from in (_PAIRS_FROM, 0):
             monkeypatch.setattr(lattice, "_PAIRS_FROM", pairs_from)
             assert _det_packed(rows) == expected
-        if n <= 7:
-            assert expected == cofactor_det(rows)
+
+
+def test_minor_bits_match_reference():
+    rng = random.Random(8)
+    for n, bound in [(1, 2), (5, 2), (20, 2), (20, 2 ** 31), (33, 2 ** 62)]:
+        rows = _dense_rows(rng, n, -bound, bound)
+        rows[0] = [0] * n  # a zero row, and below it a zero column
+        for row in rows:
+            row[n - 1] = 0
+        assert _minor_bits(rows) == minor_bits_reference(rows)
+
+
+#: each end of the ranges of the struct codes b, h and i, and the widest
+#: entries _bareiss_det packs, with the narrowest code that holds them
+CODE_BOUNDARIES = [
+    (127, "b"), (-127, "b"), (-128, "b"), (128, "h"), (-129, "h"),
+    (32767, "h"), (-32767, "h"), (-32768, "h"), (32768, "i"), (-32769, "i"),
+    (-2 ** 31, "i"), (2 ** 31 - 1, "i"), (2 ** 31, "q"), (-2 ** 31 - 1, "q"),
+    (2 ** 32 - 1, "q"), (-(2 ** 32 - 1), "q")]
+
+
+def _first_pack_codes(monkeypatch):
+    """The list each of `_det_packed`'s first packs from now on appends its
+    struct code to."""
+    codes = []
+
+    def recorded(layout):
+        codes.append(layout[1])
+        return struct.Struct(layout)
+
+    monkeypatch.setattr(lattice, "Struct", recorded)
+    return codes
+
+
+def test_first_pack_at_code_boundaries(monkeypatch):
+    # each boundary entry alone on an identity's diagonal, and in every
+    # eighth row of a dense [-2, 2] matrix: the first pack takes the
+    # narrowest code that holds it, called directly and through
+    # _bareiss_det, and the determinant matches the byte-wise reference
+    # with one step and with two columns per pass
+    codes = _first_pack_codes(monkeypatch)
+    rng = random.Random(31)
+    for n in (_PACKED_FROM, _PACKED_FROM + 1, 32, 64):
+        for value, code in CODE_BOUNDARIES:
+            lone = [[int(i == j) for j in range(n)] for i in range(n)]
+            lone[n // 2][n // 2] = value
+            mixed = _dense_rows(rng, n, -2, 2)
+            for row in mixed[::8]:
+                row[rng.randrange(n)] = value
+            for rows, expected in ((lone, value), (mixed, None)):
+                if expected is None:
+                    expected = _det_entries(rows)
+                assert det_packed_reference(rows) == expected
+                for pairs_from in (_PAIRS_FROM, 0):
+                    monkeypatch.setattr(lattice, "_PAIRS_FROM", pairs_from)
+                    codes.clear()
+                    assert _det_packed(rows) == expected
+                    assert _bareiss_det(rows) == expected
+                    assert codes == [code, code], (n, value)
+
+
+def test_first_pack_keeps_the_width_of_its_code(monkeypatch):
+    # the n = 20 identity with one entry 2^20: Hadamard's bound asks for
+    # 3-byte slots at every stage, but 2^20 needs the 4 bytes of i (h holds
+    # up to 2^15 - 1), so every stage keeps 4-byte slots
+    n = _PACKED_FROM
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    rows[3][3] = 2 ** 20
+    bits = _minor_bits(rows)
+    assert {bits[end + 1] // 8 + 1 for _, end in _stages(n)} == {3}
+    assert [c for _, c in lattice._CODES if 2 ** 20 < 1 << (8 * c - 1)][0] == 4
+    codes = _first_pack_codes(monkeypatch)
+    assert det_packed_reference(rows) == 2 ** 20
+    for pairs_from in (_PAIRS_FROM, 0):
+        monkeypatch.setattr(lattice, "_PAIRS_FROM", pairs_from)
+        assert _det_packed(rows) == 2 ** 20
+        rows[3][0] = -1  # a negative entry in the 4-byte slots too
+        assert _det_packed(rows) == 2 ** 20
+        rows[3][0] = 0
+    assert codes == ["i"] * 4
+
+
+def test_packed_kernel_takes_what_q_holds():
+    # the widest code holds [-2^63, 2^63): the kernel packs both ends and
+    # refuses an entry past them rather than pack it wrong
+    n = _PACKED_FROM
+    for value in (-2 ** 63, 2 ** 63 - 1, 2 ** 63):
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        rows[0][0] = value
+        if value < 2 ** 63:
+            assert _det_packed(rows) == value
+        else:
+            with pytest.raises(struct.error):
+                _det_packed(rows)
 
 
 def test_det_kernel_choice(monkeypatch):
