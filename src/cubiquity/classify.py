@@ -142,9 +142,10 @@ def torus_sum_bounds_qball(params: Sequence[int]) -> bool:
 
 def det4_formula(a: int, b: int, c: int, d: int) -> int:
     """Closed form for det of the 4x4 matrix with diagonal (a, b, c, d)
-    and every off-diagonal entry -1."""
-    return (-2 * a - a * b - 2 * b - a * c - b * c - 2 * c - a * d - b * d
-            + a * b * c * d - c * d - 2 * d - 3)
+    and every off-diagonal entry -1, which is affine in d."""
+    # index() rejects floats, as BasisMatrix does
+    coef, rhs = _det4_affine(index(a), index(b), index(c))
+    return index(d) * coef - rhs
 
 
 def det4_zero_solutions(bound: int = 50) -> list[tuple[int, int, int, int]]:
@@ -186,7 +187,8 @@ def det4_zero_solutions(bound: int = 50) -> list[tuple[int, int, int, int]]:
 
 
 def _det4_affine(a: int, b: int, c: int) -> tuple[int, int]:
-    """(coef, rhs) with det4_formula(a, b, c, d) == d * coef - rhs."""
+    """(coef, rhs) with det4_formula(a, b, c, d) == d * coef - rhs: coef
+    is the 3x3 minor of (a, b, c), from the expansion along the last row."""
     return (a * b * c - a - b - c - 2,
             2 * a + a * b + 2 * b + a * c + b * c + 2 * c + 3)
 

@@ -281,6 +281,7 @@ def cmd_reduce(args) -> int:
 
     subset = _read_subset(args)
     plan = _reduce_plan(subset)
+    # the steps stream over rows of entry text: each entry is rendered once
     rows = [list(map(str, v)) for v in subset.vectors]
     for kind, coordinates, vectors in _replay(plan, rows):
         head = json.dumps({"kind": kind,

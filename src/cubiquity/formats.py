@@ -58,7 +58,9 @@ def _read_rows(lines: list[str], rows_as_vectors: bool) -> Rows:
 
 def parse_matrix(text: str, rows_as_vectors: bool = False) -> Rows:
     """Parse the text format into row tuples (transposed when the rows are
-    declared to be the vectors)."""
+    declared to be the vectors).  One leading U+FEFF, the byte-order mark
+    some editors write, is dropped; anywhere else it is a bad token."""
+    text = text.removeprefix("\ufeff")
     lines = [line for line in map(str.strip, text.splitlines())
              if line and not line.startswith("#")]
     if not lines:

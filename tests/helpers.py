@@ -29,9 +29,7 @@ from cubiquity import (
     wu_obstruction,
 )
 from cubiquity.classify import HYPER_2X2, OTHER, TWO_TIMES, UNIT
-from cubiquity.cosets import _translate
 from cubiquity.errors import MatrixFormatError
-from cubiquity.lattice import _slots, _triangulate
 
 
 def count_calls(monkeypatch, module, name):
@@ -250,6 +248,9 @@ def det_packed_reference(rows):
     stage's wider slots.  Each slot stores entry + an offset there, so it is
     a plain unsigned field while it moves.
     """
+    def slots(value, size, width):  # value in each of size slots
+        return sum(value << (8 * width * i) for i in range(size))
+
     n = len(rows)
     bits = minor_bits_reference(rows)
     sign = 1
@@ -262,7 +263,7 @@ def det_packed_reference(rows):
         old, width = width, bits[end + 1] // 8 + 1
         if old:
             offset = 1 << (8 * old - 1)
-            lift = _slots(offset, size, old)
+            lift = slots(offset, size, old)
             data = b"".join([(v + lift).to_bytes(size * old, "little")
                              for v in live])
             spread = bytearray(size * size * width)
@@ -272,7 +273,7 @@ def det_packed_reference(rows):
             offset = 1 << (8 * width - 1)
             spread = b"".join([(a + offset).to_bytes(width, "little")
                                for row in rows for a in row])
-        bias = _slots(offset, size, width)
+        bias = slots(offset, size, width)
         length = size * width
         live = [int.from_bytes(spread[i:i + length], "little") - bias
                 for i in range(0, len(spread), length)]
@@ -538,6 +539,18 @@ def diagonalize_tietze_reference(basis):
     return moduli, tuple(images)
 
 
+def translate_reference(cosets, by, blocks):
+    """The coset set ``cosets + by`` on first_missed_cube_reference's
+    bitset, where component i has a (stride, block, rep) of ``blocks``:
+    in each block of ``block`` bits, the bits below ``cut`` move up by
+    ``by[i] * stride`` and the rest wrap round to the foot of the block."""
+    for (stride, block, rep), t in zip(blocks, by):
+        cut = block - t * stride
+        low = rep * ((1 << cut) - 1)
+        cosets = (cosets & low) << (block - cut) | (cosets & ~low) >> cut
+    return cosets
+
+
 def first_missed_cube_reference(basis):
     """Reference witness search on diagonalize_reference's presentation:
     the first x of the HNF box, in lexicographic order, whose cube
@@ -566,7 +579,7 @@ def first_missed_cube_reference(basis):
     for g in images:
         if reached == full:
             break
-        reached |= _translate(reached, g, blocks)
+        reached |= translate_reference(reached, g, blocks)
     if reached == full:
         return None
     # -x is the sum of x_k (-e_k).  The box points that vanish before
@@ -584,7 +597,7 @@ def first_missed_cube_reference(basis):
         saturated[k] = cosets
         step = 1
         while k and step < diag[k]:
-            cosets |= _translate(
+            cosets |= translate_reference(
                 cosets, [-c * step % m for c, m in zip(images[k], moduli)],
                 blocks)
             step *= 2
@@ -661,20 +674,23 @@ def hajos_prefix_dfs(basis):
 
 
 def hajos_gcd_greedy(basis):
-    """Reference Hajos greedy: the Hermite form elimination of hajos_basis,
-    picking the smallest coordinate whose gcd over the free columns is 2
-    by computing that gcd.  Returns a HajosBasis or None."""
-    if abs(basis.det) != 2 ** basis.n:
+    """Reference Hajos greedy, the first branch of hajos_prefix_dfs: take
+    the smallest coordinate whose gcd over the free columns is 2, computing
+    that gcd, and clear it with `eliminate`.  Returns a HajosBasis with
+    hnf_reference's form in the order taken, or None."""
+    n = basis.n
+    if abs(basis.det) != 2 ** n:
         return None
-
-    def pick(free, rest):
-        return next((j for j in rest
-                     if gcd(*(col[j] for col in free)) == 2), None)
-
-    cols, order, _ = _triangulate(basis.rows, pick)
-    if len(order) < basis.n:
-        return None
-    return HajosBasis(BasisMatrix._triangular(cols, order), tuple(order))
+    free = [list(c) for c in basis.columns]
+    order = []
+    while free:
+        j = next((j for j in range(n) if j not in order
+                  and gcd(*(col[j] for col in free)) == 2), None)
+        if j is None:
+            return None
+        order.append(j)
+        free = eliminate(free, j)
+    return HajosBasis(hnf_reference(basis.permute_rows(order)), tuple(order))
 
 
 def wu_preserved(subset, i, s, t, u):
@@ -1009,10 +1025,6 @@ def orthogonal_block_sum(n, rng):
                    + [(0,) * used + v for v in block])
         used += d
     return Subset(signed_permutation(vectors, rng))
-
-
-def subset_from_columns(columns):
-    return Subset(tuple(c) for c in columns)
 
 
 def edge_subsets():

@@ -158,6 +158,13 @@ def test_det4_formula_examples():
     assert det4_formula(3, 3, 3, 3) == 0
     assert det4_formula(1, 5, 5, 5) == 0
     assert det4_formula(1, 1, 1, 1) == -16
+    # exact integers only, as BasisMatrix and Subset take
+    for bad in (1.5, "2"):
+        for at in range(4):
+            values = [3, 3, 3, 3]
+            values[at] = bad
+            with pytest.raises(TypeError):
+                det4_formula(*values)
 
 
 def test_det4_formula_matches_exact_determinant_sample():

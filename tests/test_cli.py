@@ -780,6 +780,16 @@ def test_non_utf8_input_exits_65(tmp_path, capsys):
     assert err.startswith("error: ") and "internal error" not in err
 
 
+def test_file_with_a_byte_order_mark(tmp_path, capsys):
+    # an editor's UTF-8 byte-order mark before the dimension is dropped
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(b"2\r\n2 0\r\n1 2\r\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    first = _run(capsys, "check", str(plain))
+    assert first[0] == 0 and '"hajos_basis": [[2, 0], [1, 2]]' in first[1]
+    assert _run(capsys, "check", str(marked)) == first
+
+
 def test_byte_identical_output(capsys):
     first = _run(capsys, "check", "--matrix", "1 0; 0 3")
     second = _run(capsys, "check", "--matrix", "1 0; 0 3")

@@ -1,0 +1,31 @@
+"""Every row of tests/cli_cases.py, run in process through cli.run."""
+
+import ast
+import io
+from pathlib import Path
+
+import pytest
+
+from cli_cases import CASES, mismatch
+from cubiquity.cli import run
+
+
+@pytest.mark.parametrize("case", CASES, ids=[case.name for case in CASES])
+def test_cli_case(case, capsys, monkeypatch):
+    if case.stdin is not None:
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+            io.BytesIO(case.stdin), encoding="utf-8"))
+    code = run(list(case.argv))
+    out, err = capsys.readouterr()
+    assert mismatch(case, code, out, err) is None
+
+
+def test_table_imports_nothing_from_the_package():
+    # so the installed script is checked against the table alone
+    tree = ast.parse((Path(__file__).parent / "cli_cases.py").read_text())
+    modules = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names]
+    modules += [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    assert modules and not [m for m in modules
+                            if m.partition(".")[0] == "cubiquity"]

@@ -134,3 +134,19 @@ def test_file_and_inline_read_the_same_rows():
     assert parse_inline("\n1 0 -1;\n+2 1 0\t;0 0 1\n") == rows
     assert parse_matrix(text, True) == parse_inline("1 0 -1;2 1 0;0 0 1",
                                                     True) == tuple(zip(*rows))
+    # one leading byte-order mark is dropped, before any comment
+    assert parse_matrix("\ufeff" + text) == rows
+    assert parse_matrix("\ufeff2\r\n2 0\r\n1 2\r\n") == ((2, 0), (1, 2))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("\ufeff\ufeff2\n2 0\n1 2", "first data line must be the dimension, "
+     "got '\\ufeff2'"),
+    ("2\n\ufeff2 0\n1 2", "bad matrix row '\\ufeff2 0'"),
+    ("2\n2 0\ufeff\n1 2", "bad matrix row '2 0\\ufeff'"),
+])
+def test_byte_order_mark_past_the_first_is_a_bad_token(text, message):
+    # U+FEFF is no white space to str.split, so it sticks to a token
+    with pytest.raises(MatrixFormatError) as exc:
+        parse_matrix(text)
+    assert str(exc.value) == message

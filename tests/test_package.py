@@ -1,5 +1,6 @@
 """The package's lazy public API and the value semantics of its records."""
 
+import ast
 import copy
 import importlib
 import os
@@ -61,6 +62,25 @@ from cubiquity import cli
 assert cli.run is sys.modules["cubiquity.cli"].run
 assert cubiquity.Subset is sys.modules["cubiquity.subsets"].Subset
 """
+
+
+def test_oracles_share_no_code_with_the_library():
+    # tests/helpers.py holds the independent oracles: each has its own few
+    # lines, so it imports no private name of the package and reads no
+    # private attribute (dunders aside)
+    tree = ast.parse((Path(__file__).parent / "helpers.py").read_text())
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")
+            if module[0] == "cubiquity":
+                private += [name for name in module + [a.name for a in
+                                                      node.names]
+                            if name.startswith("_")]
+        elif (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+              and not node.attr.endswith("__")):
+            private.append(node.attr)
+    assert private == []
 
 
 def test_fresh_import_loads_no_submodule_and_submodules_still_import():
