@@ -32,9 +32,10 @@ subcommand that reads a subset), ``classify`` for ``classify``, ``torus``,
 ``det4`` and ``catalog``, and ``transforms`` for ``reduce`` and
 ``contract``.
 
-In text mode every informational line starts with '#', so any matrix the
-command prints can be re-parsed from the full output stream.  Indices in
-JSON output are 1-based.
+The text output of ``check``, ``wu``, ``stats``, ``hajos``, ``classify``
+and ``catalog`` starts every informational line with '#', so any matrix
+they print re-parses from the full output stream; ``torus`` and ``det4``
+print a bare answer.  Indices in JSON output are 1-based.
 
 ``reduce`` streams its lines: the library plans the whole trace first, so
 an input it refuses prints nothing, then replays the steps over rows of
@@ -321,13 +322,16 @@ def cmd_det4(args) -> int:
         if args.values:
             raise UsageError("--zeros takes no diagonal values")
         try:
-            solutions = det4_zero_solutions(args.bound)
+            solutions = det4_zero_solutions(
+                50 if args.bound is None else args.bound)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
         print("a,b,c,d")
         for sol in solutions:
             print(",".join(str(v) for v in sol))
         return EXIT_CUBIQUITOUS
+    if args.bound is not None:
+        raise UsageError("--bound applies to --zeros only")
     if len(args.values) != 4:
         raise UsageError("det4 needs exactly four diagonal values")
     print(det4_formula(*args.values))
@@ -413,7 +417,8 @@ def build_parser() -> _Parser:
     p.add_argument("values", nargs="*", type=int)
     p.add_argument("--zeros", action="store_true",
                    help="print the zero-solution table as CSV")
-    p.add_argument("--bound", type=int, default=50)
+    p.add_argument("--bound", type=int,
+                   help="largest entry of the --zeros table (default 50)")
 
     p = sub.add_parser("catalog", help="print the 8x8 catalog blocks")
     p.add_argument("--index", type=int, choices=(1, 2), default=None)

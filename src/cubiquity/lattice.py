@@ -9,8 +9,9 @@ Hajos greedy (`_triangulate` with `_hajos_pick`): while its pivots are 2
 they are the diagonal of a triangular form.  Where a pivot is not 2, or
 clearing a coordinate takes more than `_EUCLID_SWAPS` column swaps, the
 block left goes to Bareiss's fraction-free elimination, one entry at a
-time (`_det_entries`).  When every pivot is 2 the form itself is the
-Hajos certificate, so an index-2^n input is eliminated once.  From
+time (`_det_entries`).  The basis keeps its power-of-two certificate,
+`BasisMatrix._triangle`, from that elimination wherever it settles it,
+so an index-2^n input whose greedy completes is eliminated once.  From
 ``_PACKED_FROM`` rows on, Bareiss's elimination runs on the whole matrix,
 on rows packed into one integer of signed fixed-width slots each
 (`_det_packed`) when every entry is below ``_PACKED_BELOW``: a step is
@@ -69,9 +70,9 @@ Vector = tuple[int, ...]
 #: small entries it wins from 16 rows; the switch stays at 20 because
 #: below it `BasisMatrix` starts with the Hajos greedy, which hands the
 #: rest of the matrix to `_det_entries` where its pivots stop being 2;
-#: from it on the packed kernel runs first and the greedy only at
-#: |det| = 2^n.  On 2 * (dense) input, where every pivot is 2, a greedy
-#: first took 1-2x the per-entry kernel's time at n = 19 and 2-3x the
+#: from it on the packed kernel runs first and a greedy only where
+#: `_triangle` is read.  On 2 * (dense) input, where every pivot is 2, a
+#: greedy first took 1-2x the per-entry kernel's time at n = 19 and 2-3x the
 #: packed kernel's at n = 24-48.  The scan (n <= 13) and hajos (n <= 9)
 #: inputs, and 16-dim dense ones, stay below the switch.
 _PACKED_FROM = 20
@@ -326,10 +327,8 @@ class BasisMatrix:
         if any(len(row) != n for row in rows):
             raise DimensionMismatch("basis matrix must be square")
         self._rows = rows
-        if n < _PACKED_FROM:
-            self.det, self._hajos = _greedy_det(rows)
-        else:
-            self.det = _bareiss_det(rows)
+        self.det = (_greedy_det(self, rows) if n < _PACKED_FROM
+                    else _bareiss_det(rows))
         if self.det == 0:
             raise SingularMatrix(
                 f"columns of the {n}x{n} matrix are linearly dependent")
@@ -373,11 +372,19 @@ class BasisMatrix:
         return _hnf(self)
 
     @cached_property
-    def _hajos(self) -> tuple["BasisMatrix", tuple[int, ...]] | None:
-        """(Hermite form, row order) where the Hajos greedy completes, else
-        None; `__init__` sets it below `_PACKED_FROM` rows."""
-        return _hajos_form(self._rows) if abs(self.det) == 1 << self.n \
-            else None
+    def _triangle(self) -> tuple[list[list[int]], list[int]] | None:
+        """(columns, row order) of a completed `_triangulate` at a
+        power-of-two index up to 2^n, else None: at 2^n the uncapped Hajos
+        greedy, whose form is the Hajos basis, and below it the capped 1-2
+        triangle.  `_greedy_det` sets it where it settles it."""
+        d = abs(self.det)
+        top = 1 << self.n
+        if d & d - 1 or d > top:
+            return None
+        below = d < top
+        cols, order, rest, _ = _triangulate(
+            self._rows, _cube_pick if below else _hajos_pick, below)
+        return None if rest else (cols, order)
 
     def permute_rows(self, order: Sequence[int]) -> "BasisMatrix":
         """The matrix with row order[i] as row i (a permutation)."""
@@ -405,12 +412,12 @@ def _hajos_pick(free, rest):
     """The smallest coordinate left whose entries over the free columns are
     all even with one of them 2 mod 4, or None.
 
-    Their gcd, the next pivot, is then 2 times an odd number, which
-    `_triangulate` checks.  Where |det| = 2^n and the pivots so far are 2,
-    every such gcd is 0 or a power of two, so this is exactly the smallest
-    coordinate of gcd 2: the lowest set bit of the gcd is the lowest among
-    the entries (x and -x share theirs), and the OR of the entries is 2
-    mod 4 iff that bit is 2.
+    Their gcd, the next pivot, is then 2 times an odd number, so a capped
+    `_triangulate` takes only pivot 2.  Where |det| = 2^n and the pivots
+    so far are 2, every such gcd is 0 or a power of two, so this is
+    exactly the smallest coordinate of gcd 2: the lowest set bit of the
+    gcd is the lowest among the entries (x and -x share theirs), and the
+    OR of the entries is 2 mod 4 iff that bit is 2.
     """
     for j in rest:
         acc = 0
@@ -430,9 +437,9 @@ def _cube_pick(free, rest):
     over the free columns, or None.
 
     At an index that is a power of two every gcd over the free columns is
-    a power of two, so an odd entry makes it 1, and `_triangulate` with
-    pivots (1, 2) takes every coordinate only through a triangular form
-    with 1s and 2s on its diagonal.
+    a power of two, so an odd entry makes it 1 (elsewhere the gcd is
+    odd), and a capped `_triangulate` takes every coordinate only through
+    a triangular form with 1s and 2s on its diagonal.
     """
     p = _hajos_pick(free, rest)
     if p is None:
@@ -443,50 +450,42 @@ def _cube_pick(free, rest):
     return p
 
 
-def _hajos_form(rows: Sequence[Sequence[int]]):
-    """(Hermite form, row order) of the Hajos greedy where it completes,
-    else None; for |det| = 2^n, where every pick has pivot 2."""
-    cols, order, _ = _triangulate(rows, _hajos_pick)
-    if len(order) < len(rows):
-        return None
-    return BasisMatrix._triangular(cols, order), tuple(order)
-
-
-def _greedy_det(rows: Sequence[Sequence[int]]):
-    """(det, `BasisMatrix._hajos`) from the Hajos greedy and, where it
-    stops, `_det_entries` of the block left."""
+def _greedy_det(basis: BasisMatrix, rows: Sequence[Sequence[int]]) -> int:
+    """The determinant from the capped Hajos greedy and, where it stops,
+    `_det_entries` of the block left; sets ``basis._triangle`` where this
+    elimination settles it."""
     n = len(rows)
-    cols, order, sign = _triangulate(rows, _hajos_pick, (2,))
-    k = len(order)
-    if k == n:
-        form = BasisMatrix._triangular(cols, order)
-        return sign * form.det, (form, tuple(order))
-    rest = [i for i in range(n) if i not in order]
-    if k:
-        left = _det_entries([[col[i] for i in rest] for col in cols[k:]])
+    cols, order, rest, sign = _triangulate(rows, _hajos_pick, True)
+    if not rest:
+        basis._triangle = cols, order
+        return sign << n  # every pivot is 2
+    free = cols[len(order):]
+    if order:
+        left = _det_entries([[col[i] for i in rest] for col in free])
         det = sign * prod(col[p] for col, p in zip(cols, order)) * left
     else:  # the block left is the whole matrix, so read it from the rows
         det = _det_entries(rows)
-    if abs(det) == 1 << n and _hajos_pick(cols[k:], rest) is not None:
-        # at |det| = 2^n a pick has pivot 2, so the Euclid gave up
-        return det, _hajos_form(rows)
-    return det, None
+    d = abs(det)
+    top = 1 << n
+    # no form off the powers of two up to 2^n, nor at a dead end at 2^n;
+    # there every pick has pivot 2, so a pick left means the swap cap
+    if d & d - 1 or d > top or d == top and _hajos_pick(free, rest) is None:
+        basis._triangle = None
+    return det
 
 
-#: Swaps `_triangulate` makes at most per step where it runs with a set of
-#: pivots: past them, for a det, the block left goes to Bareiss, and
-#: `decide`'s 1-2 triangle leaves the input to brute force.  The `scan` and
-#: `hajos` workload inputs (seeds 1-5) and mixed 0/1 chains at n = 19 need
-#: at most 3.  Doubled random entries at n = 19 need up to 19 with entries
-#: in +-6 and up to 158 in +-10^8, as the entries grow; there the det took
-#: 5.3 ms (+-10^4) and 9.4 ms (+-10^8) without the cap, 1.6 and 1.9 ms
-#: with it, against 1.1 and 1.5 ms for `_det_entries` alone (means of 10
-#: seeds).
+#: Swaps `_triangulate` makes at most per step where it runs capped: past
+#: them, for a det, the block left goes to Bareiss, and the 1-2 triangle
+#: leaves the input to brute force.  The `scan` and `hajos` workload inputs
+#: (seeds 1-5) and mixed 0/1 chains at n = 19 need at most 3.  Doubled
+#: random entries at n = 19 need up to 19 with entries in +-6 and up to 158
+#: in +-10^8, as the entries grow; there the det took 5.3 ms (+-10^4) and
+#: 9.4 ms (+-10^8) without the cap, 1.6 and 1.9 ms with it, against 1.1 and
+#: 1.5 ms for `_det_entries` alone (means of 10 seeds).
 _EUCLID_SWAPS = 4
 
 
-def _triangulate(rows: Sequence[Sequence[int]], pick,
-                 pivot: tuple[int, ...] = ()):
+def _triangulate(rows: Sequence[Sequence[int]], pick, capped: bool = False):
     """Column-style Hermite Normal Form, choosing the row order on the way.
 
     Step k takes coordinate ``p = pick(free, rest)``.  ``free`` are the
@@ -499,21 +498,21 @@ def _triangulate(rows: Sequence[Sequence[int]], pick,
     least nonzero |entry| at p is swapped into place k.  The entries stay
     near the input's size; extended-gcd steps let them grow to thousands
     of bits at n = 19.  The elimination stops, with p not taken, where
-    ``pick`` returns None or, if ``pivot`` (a set of allowed diagonal
-    entries) is given, where the diagonal entry at p is not +- one of them
-    or clearing p takes more than `_EUCLID_SWAPS` swaps: Bareiss's
-    elimination of the block left then costs less.
+    ``pick`` returns None or, if ``capped``, where the diagonal entry at p
+    is above 2 in absolute value or clearing p takes more than
+    `_EUCLID_SWAPS` swaps: Bareiss's elimination of the block left then
+    costs less.
 
-    Returns (columns, coordinates taken, sign).  The first k = len(taken)
-    columns are triangular on the taken coordinates, where the others
-    vanish; on the coordinates not taken, those others are the block left.
-    So det(rows) = sign * (product of the diagonal) * det(block left):
-    sign is the parity of the row order taken + not taken, times -1 for
-    each column swap and negation, and the subtractions have determinant
-    1.  Once every coordinate is taken, each column gets a positive
-    diagonal and reduces the entries at its coordinate of the columns
-    before it into [0, diagonal): the columns read in the order taken are
-    the HNF of the rows in that order.
+    Returns (columns, coordinates taken, coordinates left, sign).  The
+    first k = len(taken) columns are triangular on the taken coordinates,
+    where the others vanish; on the coordinates left, those others are the
+    block left.  So det(rows) = sign * (product of the diagonal) *
+    det(block left): sign is the parity of the row order taken + left,
+    times -1 for each column swap and negation, and the subtractions have
+    determinant 1.  Once every coordinate is taken, each column gets a
+    positive diagonal and reduces the entries at its coordinate of the
+    columns before it into [0, diagonal): the columns read in the order
+    taken are the HNF of the rows in that order.
     """
     n = len(rows)
     cols = [list(c) for c in zip(*rows)]
@@ -542,7 +541,7 @@ def _triangulate(rows: Sequence[Sequence[int]], pick,
                     b = cj[p]
                 if b:
                     done = False
-            if done or pivot and swaps == _EUCLID_SWAPS:
+            if done or capped and swaps == _EUCLID_SWAPS:
                 break
             swaps += 1
             # the column of least nonzero |entry| at p becomes column k
@@ -553,7 +552,7 @@ def _triangulate(rows: Sequence[Sequence[int]], pick,
                     best, small = j, b
             cols[k], cols[best] = cols[best], ck
             sign = -sign
-        if pivot and (not done or abs(ck[p]) not in pivot):
+        if capped and (not done or abs(ck[p]) > 2):
             break
         del rest[at]
         order.append(p)
@@ -573,7 +572,7 @@ def _triangulate(rows: Sequence[Sequence[int]], pick,
                     cj = cols[j]
                     for i in live:
                         cj[i] -= q * ck[i]
-    return cols, order, sign
+    return cols, order, rest, sign
 
 
 def _hnf(basis: BasisMatrix) -> BasisMatrix:
@@ -583,7 +582,8 @@ def _hnf(basis: BasisMatrix) -> BasisMatrix:
     the diagonal are reduced into [0, diagonal).  The result generates the
     same sublattice and is the unique such basis for a fixed row order.
     """
-    cols, order, _ = _triangulate(basis.rows, lambda free, rest: rest[0])
+    cols, order, _, _ = _triangulate(basis.rows,
+                                     lambda free, rest: rest[0])
     return BasisMatrix._triangular(cols, order)
 
 

@@ -27,8 +27,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import NotNonAcute, NotOrthogonal, ResourceLimit
-from .lattice import (DEFAULT_RESOURCE_CAP, BasisMatrix, Vector, _cube_pick,
-                      _triangulate)
+from .lattice import DEFAULT_RESOURCE_CAP, BasisMatrix, Vector
 
 if TYPE_CHECKING:
     from .classify import Block  # classify imports this module at runtime
@@ -223,13 +222,13 @@ def hajos_basis(basis: BasisMatrix) -> Optional[HajosBasis]:
     form elimination that picks, at each step, the smallest coordinate
     whose gcd over the columns not yet pivoted is 2 (`lattice._hajos_pick`);
     the Hermite form it ends with is the certificate, and the HNF
-    reduction range makes every subdiagonal entry 0 or 1.  Below
-    ``lattice._PACKED_FROM`` rows the basis ran this elimination when it
-    computed its determinant and kept the result; from there on it runs on
-    the first call, and only at |det| = 2^n.
+    reduction range makes every subdiagonal entry 0 or 1.  The basis owns
+    that form (`BasisMatrix._triangle`); this wraps it.
     """
-    found = basis._hajos
-    return None if found is None else HajosBasis(*found)
+    if abs(basis.det) != 1 << basis.n or basis._triangle is None:
+        return None
+    cols, order = basis._triangle
+    return HajosBasis(BasisMatrix._triangular(cols, order), tuple(order))
 
 
 def det_gate(basis: BasisMatrix) -> CubiquityVerdict:
@@ -258,23 +257,21 @@ def decide(basis: BasisMatrix,
     coset-cover oracle.
 
     Only an Inconclusive gate (index below 2^n) goes on.  At an index that
-    is a power of two, the Hajos greedy runs with pivots 1 and 2 allowed
-    (`lattice._cube_pick`: a coordinate of gcd 2 first, else the first of
-    gcd 1).  Where it takes every coordinate the lattice is Cubiquitous:
-    doubling the columns of pivot 1 gives a sublattice of index 2^n whose
-    Hermite form in that row order has 2s on the diagonal and 0s and 1s
-    below, a Hajos basis, so the sublattice is cubiquitous, and so is
-    every lattice that contains it.  The verdict carries no certificate,
-    as the oracle's Cubiquitous does not.  Otherwise the oracle decides,
-    and only the oracle is metered: past ``cap`` the verdict is
-    Inconclusive.
+    is a power of two, the basis's `_triangle` is the Hajos greedy with
+    pivots 1 and 2 allowed (`lattice._cube_pick`: a coordinate of gcd 2
+    first, else the first of gcd 1).  Where it takes every coordinate the
+    lattice is Cubiquitous: doubling the columns of pivot 1 gives a
+    sublattice of index 2^n whose Hermite form in that row order has 2s on
+    the diagonal and 0s and 1s below, a Hajos basis, so the sublattice is
+    cubiquitous, and so is every lattice that contains it.  The verdict
+    carries no certificate, as the oracle's Cubiquitous does not.
+    Otherwise the oracle decides, and only the oracle is metered: past
+    ``cap`` the verdict is Inconclusive.
     """
     verdict = det_gate(basis)
     if verdict.status is not Status.INCONCLUSIVE:
         return verdict
-    d = abs(basis.det)
-    if not d & d - 1 and len(
-            _triangulate(basis.rows, _cube_pick, (1, 2))[1]) == basis.n:
+    if basis._triangle is not None:
         return CubiquityVerdict(Status.CUBIQUITOUS)
     try:
         return is_cubiquitous_bruteforce(basis, cap=cap)

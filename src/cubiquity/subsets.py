@@ -66,10 +66,6 @@ class Subset:
         # copy and pickle rebuild through __init__, as __setattr__ refuses
         return Subset, (self.vectors,)
 
-    @classmethod
-    def from_basis(cls, basis: BasisMatrix) -> "Subset":
-        return cls(basis.columns)
-
     @property
     def n(self) -> int:
         return len(self.vectors)

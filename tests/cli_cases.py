@@ -176,6 +176,10 @@ CASES = [
                                         ", ".join(_COMMANDS)))),
     Case("check --nope", ("check", "--nope", "--matrix", "2 0; 0 2"), 64, "",
          "error: unrecognized arguments: --nope\n"),
+    # --bound sizes the --zeros table and means nothing to the formula
+    Case("det4 1 2 3 4 --bound 7",
+         ("det4", "1", "2", "3", "4", "--bound", "7"), 64, "",
+         "error: --bound applies to --zeros only\n"),
     # one leading UTF-8 byte-order mark is dropped, and CRLF line ends read
     # as line ends
     Case("check - with a byte-order mark", ("check", "-"), 0,

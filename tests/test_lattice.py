@@ -29,7 +29,6 @@ from cubiquity.lattice import (
     _bareiss_det,
     _det_entries,
     _det_packed,
-    _hajos_pick,
     _hnf,
     _minor_bits,
     _triangulate,
@@ -593,6 +592,51 @@ def test_greedy_det_singular_raises_with_dimension_message(kind,
         assert str(exc.value) == \
             f"columns of the {n}x{n} matrix are linearly dependent"
     assert len(seen) >= _PACKED_FROM - 3
+
+
+def _swap_capped_chain(n, rng):
+    """A 0/1 chain with 2s on the diagonal, mixed by large multiples:
+    index 2^n, and clearing a coordinate can take more than _EUCLID_SWAPS
+    swaps."""
+    rows = [[2 if j == i else rng.randrange(2) if j < i else 0
+             for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        k = rng.choice((-1, 1)) * rng.randint(1, 10 ** 6)
+        for row in rows:
+            row[i] += k * row[j]
+    return rows
+
+
+def test_greedy_det_settles_the_triangle_as_the_property_would():
+    # the det's greedy sets _triangle where its elimination settles it,
+    # without the property's own run; where it leaves it unset (a power
+    # of two below 2^n, or the swap cap at 2^n) the property runs on first
+    # use, and everywhere the two agree
+    rng = random.Random(26)
+    outcomes = set()
+    for n in range(2, 10):
+        inputs = [rows for _, rows in _greedy_det_inputs(n, rng)]
+        inputs.append(_signed_mix_rows(_diagonal_rows(
+            [1 if i == n // 2 else 2 for i in range(n)]), rng))
+        inputs.append(_swap_capped_chain(n, rng))
+        for rows in inputs:
+            try:
+                b = BasisMatrix(rows)
+            except SingularMatrix:
+                continue
+            d = abs(b.det)
+            settled = "_triangle" in vars(b)
+            kept = vars(b).pop("_triangle", None)
+            fresh = b._triangle
+            if settled:
+                assert kept == fresh, rows
+            else:
+                assert d & d - 1 == 0 and d <= 2 ** n, rows
+            outcomes.add((settled, d == 2 ** n, fresh is not None))
+    assert outcomes == {(True, True, True), (True, True, False),
+                        (True, False, False), (False, False, True),
+                        (False, True, True)}
 
 
 def _mixed_chain(n, rng):

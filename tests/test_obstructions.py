@@ -310,7 +310,7 @@ def test_decide_hajos_route_ignores_cap(n):
 def _certified(basis):
     """Whether the greedy with pivots 1 and 2 takes every coordinate, the
     certificate that `decide` runs at a power-of-two index below 2^n."""
-    return len(_triangulate(basis.rows, _cube_pick, (1, 2))[1]) == basis.n
+    return len(_triangulate(basis.rows, _cube_pick, True)[1]) == basis.n
 
 
 def test_decide_matches_bruteforce_below_2n_random():
@@ -380,6 +380,48 @@ def test_decide_certificate_leaves_witnesses_to_bruteforce():
     assert not _certified(b)
     assert decide(b) == is_cubiquitous_bruteforce(b) == CubiquityVerdict(
         Status.NOT_CUBIQUITOUS, witness=(1, 0, 0))
+
+
+def _below_2n_bases():
+    """The `scan` check inputs of seeds 1-3, then random bases at n <= 7
+    with a power-of-two index below 2^n."""
+    for seed in (1, 2, 3):
+        for case in bench_plan("scan", seed):
+            if case.command == "check":
+                yield BasisMatrix(case.rows)
+    rng = random.Random(26)
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        b = random_hnf(n, 2 ** rng.randrange(n), rng)
+        cols = signed_permutation(list(b.columns), rng)
+        yield unimodular_mix(BasisMatrix.from_columns(cols), rng, 3 * n)
+
+
+def test_triangle_below_2n_is_a_checkable_certificate():
+    # README's step-2 argument, re-checked with the oracles alone on each
+    # 1-2 triangle the basis keeps: the form is triangular in its row
+    # order with 1s and 2s on the diagonal, it is the Hermite form of the
+    # input in that order (so it spans the same lattice), and doubling its
+    # pivot-1 columns gives a sublattice whose Hermite form is a Hajos
+    # basis
+    checked = 0
+    for b in _below_2n_bases():
+        n = b.n
+        if abs(b.det) >= 2 ** n or b._triangle is None:
+            continue
+        cols, order = b._triangle
+        form = tuple(tuple(col[i] for col in cols) for i in order)
+        assert all(form[i][j] == 0 for i in range(n)
+                   for j in range(i + 1, n)), b
+        assert {form[i][i] for i in range(n)} <= {1, 2}, b
+        assert hnf_reference(b.permute_rows(order)).rows == form, b
+        doubled = [[a * (3 - form[j][j]) for j, a in enumerate(row)]
+                   for row in form]
+        h = hnf_reference(BasisMatrix(doubled)).rows
+        assert all(h[i][i] == 2 and set(h[i][:i]) <= {0, 1}
+                   for i in range(n)), b
+        checked += 1
+    assert checked >= 250  # 69 of them from the scan plans
 
 
 def test_bruteforce_matches_vertex_scan_catalog():

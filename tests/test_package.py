@@ -83,11 +83,44 @@ def test_oracles_share_no_code_with_the_library():
     assert private == []
 
 
+def test_only_lattice_names_the_elimination():
+    # the triangular forms have one owner: every other module reads them
+    # through BasisMatrix, so no other module of src/ names the greedy
+    owned = {"_triangulate", "_hajos_pick", "_cube_pick"}
+    naming = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names |= {alias.name for alias in node.names}
+            if names & owned:
+                naming.add(path.name)
+    assert naming == {"lattice.py"}
+
+
 def test_fresh_import_loads_no_submodule_and_submodules_still_import():
     proc = subprocess.run(
         [sys.executable, "-c", FRESH], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_plan_digest_covers_every_workload():
+    # tests/plan_digest.py compares two trees' CLI output byte for byte; on
+    # seed 1 it prints one line per workload and one for all, whose calls
+    # add up, and it counts the eliminations each workload runs
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).parent / "plan_digest.py"),
+         str(SRC), "1", "--count", "_triangulate"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    assert [line[0] for line in lines] == [
+        "scan", "hajos", "structure", "cold_cli", "all"]
+    fields = [dict(f.split("=") for f in line[1:]) for line in lines]
+    assert sum(int(f["calls"]) for f in fields[:4]) == int(fields[4]["calls"])
+    assert [f["_triangulate"] for f in fields[:4]] == [
+        "264", "118", "6", "112"]
 
 
 SUBSET = Subset([(1, 1), (1, -1)])
