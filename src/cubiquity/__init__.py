@@ -13,8 +13,9 @@ Importing the package loads none of its submodules.  Each name in
 ``__all__`` is imported from its submodule on first use, so a program
 pays only for the parts it calls: ``check`` and ``hajos`` on the command
 line load ``errors``, ``lattice``, ``formats`` and ``obstructions``
-(brute force adds ``cosets``), and the other subcommands add the module
-they run (see ``cubiquity.cli``).
+(brute force adds ``cosets``, and a determinant from 20 rows on adds
+``packed``), and the other subcommands add the module they run (see
+``cubiquity.cli``).
 """
 
 import importlib

@@ -15,22 +15,25 @@ exits 2.  The cap meters brute force only: the determinant gate and the
 search takes at most n eliminations and has no cap, so ``hajos`` takes no
 ``--cap``.
 
-The argument parser is built once per process, on the first call to
-``run``, and reused by every later call; ``build_parser`` returns a fresh
-one.  Each subcommand has its own parser, and ``run`` hands the arguments
-after the command name straight to it, so a call runs one argparse pass.
-The top-level parser runs only for help and for a missing or unknown
-command, and prints what it always has.
+A call builds only what it runs.  ``run`` builds the called subcommand's
+parser alone (``_add_arguments``), once per process, and hands it the
+arguments after the command name, so a call runs one argparse pass.  The
+full tree, which ``build_parser`` builds from the same function, is built
+only for help and for a missing or unknown command, and prints what it
+always has.
 
 A subcommand loads only the modules it runs.  Importing this module loads
 ``errors``, ``lattice``, ``formats`` and ``obstructions``, which is all
-that ``check`` and ``hajos`` need, except that brute force imports
-``cosets`` on its first call; an input that the determinant gate or the
-1-2 triangle decides never loads it.  The other subcommands import their
-module when called: ``subsets`` for ``wu`` and ``stats`` (and for every
-subcommand that reads a subset), ``classify`` for ``classify``, ``torus``,
-``det4`` and ``catalog``, and ``transforms`` for ``reduce`` and
-``contract``.
+that ``check`` and ``hajos`` need on small inputs: brute force imports
+``cosets`` on its first call, so an input that the determinant gate or
+the 1-2 triangle decides never loads it, and a determinant from
+``lattice._PACKED_FROM`` rows on imports ``packed``.  The other
+subcommands import their module when called: ``subsets`` for ``wu`` and
+``stats`` (and for every subcommand that reads a subset), ``classify``
+for ``classify``, ``torus``, ``det4`` and ``catalog``, and ``transforms``
+for ``reduce`` and ``contract``.  No command imports ``json``: ``_json``
+writes the payloads, whose ``str`` is mostly their JSON text already, and
+``classify`` and ``reduce`` write each block or step with one f-string.
 
 The text output of ``check``, ``wu``, ``stats``, ``hajos``, ``classify``
 and ``catalog`` starts every informational line with '#', so any matrix
@@ -47,7 +50,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -84,9 +86,6 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    # set on the top-level parser only: the subcommand parsers, by name
-    _commands: dict[str, _Parser]
-
     def error(self, message):
         raise UsageError(message)
 
@@ -137,6 +136,30 @@ def _read_subset(args) -> Subset:
     return Subset._unchecked(tuple(zip(*_read_rows(args))))
 
 
+#: The characters of ``str`` of an int, or of a list of ints or of such
+#: lists, which is then already its JSON text.
+_INT_LIST_TEXT = str.maketrans("", "", "0123456789-[], ")
+
+
+def _json(value) -> str:
+    """``json.dumps(value)`` for what the commands print: dicts with str
+    keys, the fixed names they print (which need no escape), None, bools,
+    ints, and lists and tuples of these."""
+    if isinstance(value, dict):
+        return "{" + ", ".join([f'"{key}": {_json(item)}'
+                                for key, item in value.items()]) + "}"
+    if isinstance(value, str):
+        return f'"{value}"'
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    text = str(value)
+    if isinstance(value, (list, tuple)) and text.translate(_INT_LIST_TEXT):
+        return "[" + ", ".join(map(_json, value)) + "]"
+    return text
+
+
 def _one_based(indices) -> list[int]:
     return [i + 1 for i in indices]
 
@@ -151,7 +174,7 @@ def _status_exit(status: Status) -> int:
 
 def _emit_verdict(verdict: CubiquityVerdict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(verdict.to_json_dict()))
+        print(_json(verdict.to_json_dict()))
         return
     print(f"# status: {verdict.status.value}")
     if verdict.witness is not None:
@@ -188,7 +211,7 @@ def cmd_wu(args) -> int:
         "status": verdict.status.value,
     }
     if args.format == "json":
-        print(json.dumps(payload))
+        print(_json(payload))
     else:
         print("# W: " + " ".join(str(k) for k in wu.vector))
         print("# R_o: " + " ".join(str(i) for i in payload["R_o"]))
@@ -213,7 +236,7 @@ def cmd_stats(args) -> int:
         "identity_holds": _identity_holds(subset, st),
     }
     if args.format == "json":
-        print(json.dumps(payload))
+        print(_json(payload))
     else:
         for key, value in payload.items():
             print(f"# {key}: {value}")
@@ -228,7 +251,7 @@ def cmd_hajos(args) -> int:
             "hajos_basis": _hajos_rows(found),
             "row_order": _one_based(found.row_order) if found else None,
         }
-        print(json.dumps(payload))
+        print(_json(payload))
     elif found:
         _print_hajos(found)
     else:
@@ -241,18 +264,13 @@ def cmd_classify(args) -> int:
 
     verdict, blocks = _classify_blocks(_read_subset(args))
     if args.format == "json":
-        payload = {
-            "blocks": [
-                {
-                    "coordinates": _one_based(b.coordinates),
-                    "vectors": _one_based(b.vectors),
-                    "kind": b.kind,
-                }
-                for b in blocks.blocks
-            ],
-            "verdict": verdict.to_json_dict(),
-        }
-        print(json.dumps(payload))
+        # one f-string per block: on a list of small dicts _json takes two
+        # to four times what json.dumps does, and this about as much
+        text = ", ".join([f'{{"coordinates": {_one_based(b.coordinates)}, '
+                          f'"vectors": {_one_based(b.vectors)}, '
+                          f'"kind": "{b.kind}"}}' for b in blocks.blocks])
+        print(f'{{"blocks": [{text}], '
+              f'"verdict": {_json(verdict.to_json_dict())}}}')
     else:
         for b in blocks.blocks:
             print(f"# block kind={b.kind} coordinates="
@@ -266,7 +284,7 @@ def cmd_torus(args) -> int:
 
     bounds = torus_sum_bounds_qball(args.params)
     if args.format == "json":
-        print(json.dumps({"bounds": bounds}))
+        print(_json({"bounds": bounds}))
     else:
         print(f"bounds: {'true' if bounds else 'false'}")
     return EXIT_CUBIQUITOUS if bounds else EXIT_NEGATIVE
@@ -285,10 +303,9 @@ def cmd_reduce(args) -> int:
     # the steps stream over rows of entry text: each entry is rendered once
     rows = [list(map(str, v)) for v in subset.vectors]
     for kind, coordinates, vectors in _replay(plan, rows):
-        head = json.dumps({"kind": kind,
-                           "coordinates": _one_based(coordinates),
-                           "vectors": _one_based(vectors)})
-        print(f'{head[:-1]}, "result": {_json_rows(rows)}}}')
+        print(f'{{"kind": "{kind}", "coordinates": {_one_based(coordinates)}, '
+              f'"vectors": {_one_based(vectors)}, '
+              f'"result": {_json_rows(rows)}}}')
     print(f'{{"kind": "Reduced", "result": {_json_rows(rows)}}}')
     return EXIT_CUBIQUITOUS
 
@@ -306,7 +323,7 @@ def cmd_contract(args) -> int:
     i = args.coordinate - 1
     s, t, u = (v - 1 for v in args.vectors)
     result = contract(subset, i, s, t, u)
-    print(json.dumps({
+    print(_json({
         "kind": CONTRACTION,
         "coordinates": [args.coordinate],
         "vectors": list(args.vectors),
@@ -318,8 +335,16 @@ def cmd_contract(args) -> int:
 def cmd_det4(args) -> int:
     from .classify import det4_formula, det4_zero_solutions
 
+    values = []
+    for token in args.values:
+        try:
+            values.append(int(token))
+        except ValueError:
+            # argparse's own words for a bad value of type int
+            raise UsageError(f"argument values: invalid int value: "
+                             f"{token!r}") from None
     if args.zeros:
-        if args.values:
+        if values:
             raise UsageError("--zeros takes no diagonal values")
         try:
             solutions = det4_zero_solutions(
@@ -332,9 +357,9 @@ def cmd_det4(args) -> int:
         return EXIT_CUBIQUITOUS
     if args.bound is not None:
         raise UsageError("--bound applies to --zeros only")
-    if len(args.values) != 4:
+    if len(values) != 4:
         raise UsageError("det4 needs exactly four diagonal values")
-    print(det4_formula(*args.values))
+    print(det4_formula(*values))
     return EXIT_CUBIQUITOUS
 
 
@@ -354,6 +379,61 @@ def cmd_catalog(args) -> int:
     return EXIT_CUBIQUITOUS
 
 
+#: Each subcommand's help line, in the order of the top-level help.
+_COMMANDS = {
+    "check": "determinant gate (Hajos search at index 2^n), 1-2 triangle at "
+             "a power-of-two index, then brute force within the cap",
+    "wu": "Wu element and Wu obstruction",
+    "stats": "subset support statistics",
+    "hajos": "search for a Hajos basis",
+    "classify": "block decomposition of an orthogonal subset",
+    "torus": "rational-ball rule for torus-link sums",
+    "reduce": "projection/double-projection trace as JSON lines",
+    "contract": "apply one contraction (1-based indices)",
+    "det4": "4x4 determinant formula / zero-solution table",
+    "catalog": "print the 8x8 catalog blocks",
+}
+
+
+def _add_arguments(p: _Parser, name: str) -> None:
+    """Add subcommand ``name``'s arguments to its parser ``p``."""
+    if name not in ("torus", "det4", "catalog"):
+        p.add_argument("file", nargs="?", default=None,
+                       help="matrix file ('-' for stdin)")
+        p.add_argument("--matrix", default=None,
+                       help="inline matrix, rows separated by ';'")
+        p.add_argument("--rows-as-vectors", action="store_true",
+                       help="treat input rows (not columns) as basis vectors")
+    if name in ("check", "wu", "stats", "hajos", "classify"):
+        p.add_argument("--format", choices=("json", "text"), default="json")
+    if name == "check":
+        p.add_argument("--cap", type=int, default=None,
+                       help="brute-force resource cap: refuse brute force "
+                            "when n * |det| exceeds it; the other routes "
+                            "are not metered "
+                            f"(default ${CAP_ENV_VAR} or "
+                            f"{DEFAULT_RESOURCE_CAP})")
+    elif name == "torus":
+        p.add_argument("params", nargs="+", type=int,
+                       help="half-twist counts (use -- before negatives)")
+        p.add_argument("--format", choices=("json", "text"), default="text")
+    elif name == "contract":
+        p.add_argument("-i", "--coordinate", type=int, required=True)
+        p.add_argument("--vectors", type=int, nargs=3, required=True,
+                       metavar=("S", "T", "U"))
+    elif name == "det4":
+        # read as text and converted by cmd_det4: argparse hands the word
+        # after an unknown option to this positional, and an int type would
+        # report that word rather than the option
+        p.add_argument("values", nargs="*")
+        p.add_argument("--zeros", action="store_true",
+                       help="print the zero-solution table as CSV")
+        p.add_argument("--bound", type=int,
+                       help="largest entry of the --zeros table (default 50)")
+    elif name == "catalog":
+        p.add_argument("--index", type=int, choices=(1, 2), default=None)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="cubiquity",
@@ -361,77 +441,24 @@ def build_parser() -> _Parser:
                     "sublattices of Z^n.")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
-    parser._commands = sub.choices  # filled in by add_parser below
-
-    src = _Parser(add_help=False)
-    src.add_argument("file", nargs="?", default=None,
-                     help="matrix file ('-' for stdin)")
-    src.add_argument("--matrix", default=None,
-                     help="inline matrix, rows separated by ';'")
-    src.add_argument("--rows-as-vectors", action="store_true",
-                     help="treat input rows (not columns) as basis vectors")
-
-    fmt_json = _Parser(add_help=False)
-    fmt_json.add_argument("--format", choices=("json", "text"),
-                          default="json")
-
-    p = sub.add_parser("check", parents=[src, fmt_json],
-                       help="determinant gate (Hajos search at index 2^n), "
-                            "1-2 triangle at a power-of-two index, then "
-                            "brute force within the cap")
-    p.add_argument("--cap", type=int, default=None,
-                   help="brute-force resource cap: refuse brute force when "
-                        "n * |det| exceeds it; the other routes "
-                        "are not metered "
-                        f"(default ${CAP_ENV_VAR} or {DEFAULT_RESOURCE_CAP})")
-
-    sub.add_parser("wu", parents=[src, fmt_json],
-                   help="Wu element and Wu obstruction")
-
-    sub.add_parser("stats", parents=[src, fmt_json],
-                   help="subset support statistics")
-
-    sub.add_parser("hajos", parents=[src, fmt_json],
-                   help="search for a Hajos basis")
-
-    sub.add_parser("classify", parents=[src, fmt_json],
-                   help="block decomposition of an orthogonal subset")
-
-    p = sub.add_parser("torus",
-                       help="rational-ball rule for torus-link sums")
-    p.add_argument("params", nargs="+", type=int,
-                   help="half-twist counts (use -- before negatives)")
-    p.add_argument("--format", choices=("json", "text"), default="text")
-
-    sub.add_parser("reduce", parents=[src],
-                   help="projection/double-projection trace as JSON lines")
-
-    p = sub.add_parser("contract", parents=[src],
-                       help="apply one contraction (1-based indices)")
-    p.add_argument("-i", "--coordinate", type=int, required=True)
-    p.add_argument("--vectors", type=int, nargs=3, required=True,
-                   metavar=("S", "T", "U"))
-
-    p = sub.add_parser("det4",
-                       help="4x4 determinant formula / zero-solution table")
-    p.add_argument("values", nargs="*", type=int)
-    p.add_argument("--zeros", action="store_true",
-                   help="print the zero-solution table as CSV")
-    p.add_argument("--bound", type=int,
-                   help="largest entry of the --zeros table (default 50)")
-
-    p = sub.add_parser("catalog", help="print the 8x8 catalog blocks")
-    p.add_argument("--index", type=int, choices=(1, 2), default=None)
-
+    for name, text in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=text), name)
     return parser
 
 
 @functools.cache
 def _parser() -> _Parser:
-    # built on the first run, so importing the module stays cheap;
-    # argparse keeps no state between parse_args calls, so one tree
-    # serves every call
+    # built only for help and for a missing or unknown command; argparse
+    # keeps no state between parse_args calls, so one tree serves them all
     return build_parser()
+
+
+@functools.cache
+def _command_parser(name: str) -> _Parser:
+    """The parser ``build_parser`` gives subcommand ``name``, alone."""
+    parser = _Parser(prog=f"cubiquity {name}")
+    _add_arguments(parser, name)
+    return parser
 
 
 def _parse(argv: Sequence[str]) -> argparse.Namespace:
@@ -439,11 +466,9 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
     from the subcommand's parser alone when argv[0] names one.  The
     top-level parser would pass that parser everything after argv[0]
     anyway, '--' included, and its own options never match there."""
-    parser = _parser()
-    command = parser._commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args = command.parse_args(argv[1:])
+    if not argv or argv[0] not in _COMMANDS:
+        return _parser().parse_args(argv)
+    args = _command_parser(argv[0]).parse_args(argv[1:])
     args.command = argv[0]
     return args
 

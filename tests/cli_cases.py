@@ -12,10 +12,11 @@ with ``PYTHONPATH=src``; the path of an installed ``cubiquity`` script
 checks that installation.  The module imports nothing from ``cubiquity``,
 so the table cannot borrow from the code it checks.
 
-The rows load every lazily imported module: cosets (brute force), subsets,
-transforms (reduce, contract) and classify.  ``wu`` and ``stats`` run the
-non-acute predicate and the support lists, and ``hajos`` and ``contract``
-are the other two subcommands that read a matrix.
+The rows load every lazily imported module: cosets (brute force), packed
+(a determinant from 20 rows on), subsets, transforms (reduce, contract)
+and classify.  ``wu`` and ``stats`` run the non-acute predicate and the
+support lists, and ``hajos`` and ``contract`` are the other two
+subcommands that read a matrix.
 """
 
 import subprocess
@@ -180,6 +181,12 @@ CASES = [
     Case("det4 1 2 3 4 --bound 7",
          ("det4", "1", "2", "3", "4", "--bound", "7"), 64, "",
          "error: --bound applies to --zeros only\n"),
+    # argparse hands the word after an unknown option to det4's values, so
+    # the error names the option, not the word
+    Case("det4 --zeros --format text", ("det4", "--zeros", "--format", "text"),
+         64, "", "error: unrecognized arguments: --format\n"),
+    Case("det4 1 2 3 x", ("det4", "1", "2", "3", "x"), 64, "",
+         "error: argument values: invalid int value: 'x'\n"),
     # one leading UTF-8 byte-order mark is dropped, and CRLF line ends read
     # as line ends
     Case("check - with a byte-order mark", ("check", "-"), 0,

@@ -212,7 +212,7 @@ def cofactor_det(rows):
 
 
 def minor_bits_reference(rows):
-    """`lattice._minor_bits` with the squares summed in a generator, before
+    """`packed._minor_bits` with the squares summed in a generator, before
     it summed them with ``map(mul, col, col)``: ``bits[r]`` with every r x r
     minor below ``2 ** bits[r]`` in absolute value, by Hadamard's bound."""
     squares = sorted((sum(a * a for a in col) for col in zip(*rows)),

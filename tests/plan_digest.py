@@ -8,9 +8,9 @@ workloads and the given seeds (default 1-5).  A command that reads a
 matrix runs a second time with ``--rows-as-vectors``.  Per workload it
 prints the number of calls and the sha256 of each call's argv, exit code,
 stdout and stderr, in plan order; the last line does the same over every
-workload.  ``--count NAME`` also prints how many times
-``cubiquity.lattice.NAME`` ran per workload, under every name a module of
-the package binds it to.
+workload.  ``--count NAME`` also prints how many times the function NAME
+ran per workload: it is found in the module of the package that defines
+it and counted under every name a module of the package binds it to.
 
 Two trees answer alike, byte for byte, on these inputs iff they print the
 same lines.  To compare a change with its parent, export the parent into
@@ -28,6 +28,7 @@ import contextlib
 import hashlib
 import importlib
 import io
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -35,18 +36,24 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def counted(name):
-    """Wrap cubiquity.lattice.name wherever the package binds it; returns
-    the one-element list its calls add to."""
-    original = getattr(sys.modules["cubiquity.lattice"], name)
+    """Wrap the package's function ``name`` wherever the package binds it;
+    returns the one-element list its calls add to."""
+    modules = [(module_name, mod) for module_name, mod in sys.modules.items()
+               if module_name.partition(".")[0] == "cubiquity"]
+    for module_name, mod in modules:
+        original = getattr(mod, name, None)
+        if getattr(original, "__module__", None) == module_name:
+            break
+    else:
+        sys.exit(f"plan_digest.py: no module of cubiquity defines {name}")
     seen = [0]
 
     def wrapper(*args, **kwargs):
         seen[0] += 1
         return original(*args, **kwargs)
 
-    for module_name, mod in list(sys.modules.items()):
-        if (module_name.partition(".")[0] == "cubiquity"
-                and getattr(mod, name, None) is original):
+    for _, mod in modules:
+        if getattr(mod, name, None) is original:
             setattr(mod, name, wrapper)
     return seen
 
@@ -67,18 +74,21 @@ def main(argv=None):
     parser.add_argument("seeds", nargs="*", type=int,
                         default=[1, 2, 3, 4, 5])
     parser.add_argument("--count", nargs="+", default=[], metavar="NAME",
-                        help="cubiquity.lattice functions to count")
+                        help="functions of the package to count")
     args = parser.parse_args(argv)
     sys.path[:0] = [str(Path(args.src).resolve()), str(BENCH)]
-    from cubiquity import cli  # loads lattice, which --count patches
+    import cubiquity
+    from cubiquity import cli
 
+    dont_write = sys.dont_write_bytecode
     sys.dont_write_bytecode = True  # leave bench/ as it is
     import workloads
-    sys.dont_write_bytecode = False
+    sys.dont_write_bytecode = dont_write
 
-    # import what the commands load lazily, so --count patches it too
-    for module in ("classify", "cosets", "subsets", "transforms"):
-        importlib.import_module(f"cubiquity.{module}")
+    # import every module, those the commands load lazily too, so --count
+    # patches them all
+    for module in pkgutil.iter_modules(cubiquity.__path__):
+        importlib.import_module(f"cubiquity.{module.name}")
     counts = {name: counted(name) for name in args.count}
     total, total_calls = hashlib.sha256(), 0
     for workload in workloads.WORKLOADS:

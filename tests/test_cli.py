@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import random
@@ -9,9 +10,18 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from cubiquity import BasisMatrix, MatrixFormatError, Subset, cli, parse_matrix
+from cubiquity import (
+    BasisMatrix,
+    MatrixFormatError,
+    Status,
+    Subset,
+    cli,
+    parse_matrix,
+)
+from cubiquity.classify import HYPER_2X2, OTHER, TWO_TIMES, UNIT
 from cubiquity.cli import run
 from cubiquity.lattice import _PACKED_FROM, _det_entries
+from cubiquity.transforms import CONTRACTION, DOUBLE_PROJECTION, PROJECTION
 from helpers import (
     count_calls,
     hajos_permutation_scan,
@@ -304,8 +314,10 @@ def test_index_2n_below_20_rows_is_eliminated_once(command, monkeypatch,
         text = _matrix_text(zip(*cols))
         expected = _run(capsys, command, "--matrix", text)
         assert expected[0] == 0 and expected[2] == ""
-        calls = {name: count_calls(monkeypatch, "cubiquity.lattice", name)
-                 for name in ("_triangulate", "_det_entries", "_det_packed")}
+        calls = {name: count_calls(monkeypatch, f"cubiquity.{module}", name)
+                 for module, name in (("lattice", "_triangulate"),
+                                      ("lattice", "_det_entries"),
+                                      ("packed", "_det_packed"))}
         assert _run(capsys, command, "--matrix", text) == expected
         assert {name: len(seen) for name, seen in calls.items()} == {
             "_triangulate": 1, "_det_entries": 0, "_det_packed": 0}, n
@@ -321,8 +333,9 @@ def test_twice_dense_n48_is_fast(command, monkeypatch, capsys):
     n = 48
     text = _matrix_text([[2 * rng.randint(-3, 3) for _ in range(n)]
                          for _ in range(n)])
-    calls = {name: count_calls(monkeypatch, "cubiquity.lattice", name)
-             for name in ("_triangulate", "_det_packed")}
+    calls = {name: count_calls(monkeypatch, f"cubiquity.{module}", name)
+             for module, name in (("lattice", "_triangulate"),
+                                  ("packed", "_det_packed"))}
     best = float("inf")
     for _ in range(3):
         start = time.perf_counter()
@@ -561,6 +574,62 @@ def test_contract_index_out_of_range(capsys, indices, message):
     assert err == f"error: {message} is outside 1..3\n"
 
 
+# one call per payload shape the CLI prints as JSON: every verdict status,
+# every block kind and every reduce step kind
+JSON_CALLS = [
+    ("check", "--matrix", "2 0; 1 2"),
+    ("check", "--matrix", "3 0; 0 1"),
+    ("check", "--matrix", "3 0; 0 3"),
+    ("check", "--matrix", "3 0; 0 1", "--cap", "1"),
+    ("hajos", "--matrix", "2 0; 1 2"),
+    ("hajos", "--matrix", "2 0; 0 6"),
+    ("classify", "--matrix", "1 1 0 0; 1 -1 0 0; 0 0 2 0; 0 0 0 1"),
+    ("classify", "--matrix", "3 0; 0 1"),
+    ("stats", "--matrix", "1 0 -1; 1 -1 1; 0 3 0"),
+    ("wu", "--matrix", "1 0 -1; 1 -1 1; 0 3 0"),
+    ("wu", "--matrix", "1 0; 0 1"),
+    ("torus", "2", "2", "--format", "json"),
+    ("torus", "3", "5", "--format", "json"),
+    ("contract", "--matrix", "1 -1 1; 1 0 -1; 0 1 -1", "-i", "1",
+     "--vectors", "1", "2", "3"),
+    ("reduce", "--matrix", "0 1 1 0; 2 0 0 0; 0 1 -1 0; 0 0 0 1"),
+]
+
+
+def test_json_writer_matches_json_dumps(monkeypatch, capsys):
+    # the writer is checked on every value it is handed, nested ones
+    # included, as the CLI prints them and on values no command prints
+    write = cli._json
+
+    def checked(value):
+        text = write(value)
+        assert text == json.dumps(value), value
+        return text
+
+    monkeypatch.setattr(cli, "_json", checked)
+    printed = ""
+    for argv in JSON_CALLS:
+        code, out, err = _run(capsys, *argv)
+        assert err == "" and code in (0, 1, 2), argv
+        # each line as json.dumps writes it, including the parts, such as
+        # classify's blocks, that the commands write without the writer
+        for line in out.splitlines():
+            assert json.dumps(json.loads(line)) == line
+        printed += out
+    kinds = [UNIT, TWO_TIMES, HYPER_2X2, OTHER, PROJECTION,
+             DOUBLE_PROJECTION, CONTRACTION]
+    for status in Status:
+        assert f'"status": "{status.value}"' in printed
+    for kind in kinds:
+        assert f'"kind": "{kind}"' in printed
+    for value in [0, -1, 10 ** 100, -2 ** 200, [], (), [[]], [(), []],
+                  None, True, False, [True, None, False], [-3, 10 ** 40],
+                  ((1, -2), (3,)), [(1, 1), (-1, -1)], (((),),),
+                  {"a": [()], "b": {"c": None}}, [{"kind": UNIT}],
+                  *Status, list(Status), *kinds, [CONTRACTION, [1, (2,)]]]:
+        assert checked(value) == json.dumps(value)
+
+
 def test_internal_error_exits_70(monkeypatch, capsys):
     def broken(args):
         raise RuntimeError("boom")
@@ -573,6 +642,8 @@ def test_internal_error_exits_70(monkeypatch, capsys):
 
 
 def test_parser_built_once_per_process(monkeypatch, capsys):
+    # a command builds its own parser on its first call and reuses it; the
+    # full tree is built once, for the first unknown command
     calls = []
     build = cli.build_parser
 
@@ -582,16 +653,22 @@ def test_parser_built_once_per_process(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "build_parser", counting_build)
     cli._parser.cache_clear()
+    cli._command_parser.cache_clear()
     try:
         codes = [_run(capsys, *argv)[0] for argv in (
             ("check", "--matrix", "2 0; 0 2"),
             ("hajos", "--matrix", "2 0; 0 2"),
             ("check", "--format", "yaml"),
             ("classify", "--matrix", "1 0; 0 1"),
+            ("bogus",),
+            ("bogus",),
         )]
+        built = cli._command_parser.cache_info()
     finally:
         cli._parser.cache_clear()
-    assert codes == [0, 0, 64, 0]
+        cli._command_parser.cache_clear()
+    assert codes == [0, 0, 64, 0, 64, 64]
+    assert (built.misses, built.currsize) == (3, 3)
     assert len(calls) == 1
 
 
@@ -856,32 +933,58 @@ def test_broken_pipe_process_exits_74_silently(unbuffered):
 
 
 COLD_IMPORTS = """
-import contextlib, io, json, sys
-start = set(sys.modules)
+import sys
+start = set(sys.modules)  # before this script imports anything
+import contextlib, io
 from cubiquity import cli
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [cli.run(["check", "--matrix", "2 0; 1 2"]),
-             cli.run(["hajos", "--matrix", "2 0; 1 2"]),
-             cli.run(["check", "--matrix", "2 0 0; 1 1 0; 0 1 2"])]
-loaded = sorted(set(sys.modules) - start)
-with contextlib.redirect_stdout(io.StringIO()) as out:
-    codes.append(cli.run(["classify", "--matrix", "1 0; 0 2"]))
-print(json.dumps({"codes": codes, "loaded": loaded,
-                  "classify": out.getvalue()}))
+
+
+def call(*argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.run(list(argv))
+    return code, out.getvalue()
+
+
+def loaded():
+    return sorted(set(sys.modules) - start)
+
+
+small = [call("check", "--matrix", "2 0; 1 2"),
+         call("hajos", "--matrix", "2 0; 1 2"),
+         call("check", "--matrix", "2 0 0; 1 1 0; 0 1 2")]
+result = {"check_and_hajos": loaded()}
+small.append(call("classify", "--matrix", "1 0; 0 2"))
+result.update(small=small, after_classify=loaded(),
+              parser_built=cli._parser.cache_info().currsize)
+identity = "; ".join(" ".join("1" if i == j else "0" for j in range(20))
+                     for i in range(20))
+result.update(large=call("check", "--matrix", identity), after_large=loaded())
+print(repr(result))
 """
 
 
 def test_check_and_hajos_load_only_what_they_run():
     proc = _child("-c", COLD_IMPORTS, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout)
-    assert result["codes"] == [0, 0, 0, 0]
+    result = ast.literal_eval(proc.stdout)
+    assert [code for code, _ in result["small"]] == [0, 0, 0, 0]
     # measured against the interpreter's own start, so a module that a
     # site hook already loaded does not count; index 4 < 2^3 is certified
     # by its 1-2 triangle, so brute force never loads cosets
-    for module in ("dataclasses", "cubiquity.subsets", "cubiquity.classify",
-                   "cubiquity.transforms", "cubiquity.cosets"):
-        assert module not in result["loaded"]
-    assert "cubiquity.obstructions" in result["loaded"]
-    assert json.loads(result["classify"])["verdict"]["status"] == \
+    for module in ("dataclasses", "json", "cubiquity.subsets",
+                   "cubiquity.classify", "cubiquity.transforms",
+                   "cubiquity.cosets", "cubiquity.packed"):
+        assert module not in result["check_and_hajos"]
+    assert "cubiquity.obstructions" in result["check_and_hajos"]
+    # no 2 x 2 call writes with json, takes a packed determinant or builds
+    # the full parser tree
+    assert "cubiquity.classify" in result["after_classify"]
+    assert not [module for module in result["after_classify"]
+                if module in ("json", "_json", "cubiquity.packed")
+                or module.startswith("json.")]
+    assert result["parser_built"] == 0
+    assert json.loads(result["small"][3][1])["verdict"]["status"] == \
         "Cubiquitous"
+    # a 20-row determinant is the packed kernel's
+    assert result["large"][0] == 0
+    assert "cubiquity.packed" in result["after_large"]

@@ -172,6 +172,8 @@ def assert_dispatch_matches_full_parse(argv):
     ["contract", "--matrix", "1", "-i", "1"],
     ["check", "--matrix", "1", "file"],
     ["det4", "1", "-2", "3"],
+    ["det4", "--zeros", "--format", "text"],
+    ["det4", "1", "2", "3", "x"],
 ])
 def test_dispatch_matches_full_parse_edges(argv):
     assert_dispatch_matches_full_parse(argv)

@@ -21,18 +21,16 @@ from cubiquity import (
     hnf,
 )
 from cubiquity.cosets import _diagonalize
-from cubiquity import lattice
+from cubiquity import lattice, packed
 from cubiquity.lattice import (
     _PACKED_BELOW,
     _PACKED_FROM,
-    _PAIRS_FROM,
     _bareiss_det,
     _det_entries,
-    _det_packed,
     _hnf,
-    _minor_bits,
     _triangulate,
 )
+from cubiquity.packed import _PAIRS_FROM, _det_packed, _minor_bits
 from helpers import (
     bench_plan,
     cofactor_det,
@@ -146,7 +144,7 @@ def test_det_kernels_agree_on_entries_near_2_to_100(monkeypatch):
         assert expected != 0
         assert det_packed_reference(rows) == expected
         for pairs_from in (_PAIRS_FROM, 0):
-            monkeypatch.setattr(lattice, "_PAIRS_FROM", pairs_from)
+            monkeypatch.setattr(packed, "_PAIRS_FROM", pairs_from)
             assert _det_packed(rows) == expected
 
 
@@ -178,7 +176,7 @@ def _first_pack_codes(monkeypatch):
         codes.append(layout[1])
         return struct.Struct(layout)
 
-    monkeypatch.setattr(lattice, "Struct", recorded)
+    monkeypatch.setattr(packed, "Struct", recorded)
     return codes
 
 
@@ -202,7 +200,7 @@ def test_first_pack_at_code_boundaries(monkeypatch):
                     expected = _det_entries(rows)
                 assert det_packed_reference(rows) == expected
                 for pairs_from in (_PAIRS_FROM, 0):
-                    monkeypatch.setattr(lattice, "_PAIRS_FROM", pairs_from)
+                    monkeypatch.setattr(packed, "_PAIRS_FROM", pairs_from)
                     codes.clear()
                     assert _det_packed(rows) == expected
                     assert _bareiss_det(rows) == expected
@@ -218,11 +216,11 @@ def test_first_pack_keeps_the_width_of_its_code(monkeypatch):
     rows[3][3] = 2 ** 20
     bits = _minor_bits(rows)
     assert {bits[end + 1] // 8 + 1 for _, end in _stages(n)} == {3}
-    assert [c for _, c in lattice._CODES if 2 ** 20 < 1 << (8 * c - 1)][0] == 4
+    assert [c for _, c in packed._CODES if 2 ** 20 < 1 << (8 * c - 1)][0] == 4
     codes = _first_pack_codes(monkeypatch)
     assert det_packed_reference(rows) == 2 ** 20
     for pairs_from in (_PAIRS_FROM, 0):
-        monkeypatch.setattr(lattice, "_PAIRS_FROM", pairs_from)
+        monkeypatch.setattr(packed, "_PAIRS_FROM", pairs_from)
         assert _det_packed(rows) == 2 ** 20
         rows[3][0] = -1  # a negative entry in the 4-byte slots too
         assert _det_packed(rows) == 2 ** 20
@@ -247,8 +245,9 @@ def test_packed_kernel_takes_what_q_holds():
 def test_det_kernel_choice(monkeypatch):
     # packed from _PACKED_FROM rows on, unless an entry reaches
     # _PACKED_BELOW in absolute value
-    calls = {name: count_calls(monkeypatch, "cubiquity.lattice", name)
-             for name in ("_det_entries", "_det_packed")}
+    calls = {name: count_calls(monkeypatch, f"cubiquity.{module}", name)
+             for module, name in (("lattice", "_det_entries"),
+                                  ("packed", "_det_packed"))}
     big = _PACKED_BELOW - 1
     for n, corner, expected in [
             (_PACKED_FROM - 1, 1, "_det_entries"),
@@ -270,7 +269,7 @@ def test_det_kernel_choice(monkeypatch):
 def test_det_kernels_pin_the_sign_of_row_swaps(monkeypatch):
     # with two columns per pass on long rows only, and on every stage
     for pairs_from in (_PAIRS_FROM, 0):
-        monkeypatch.setattr(lattice, "_PAIRS_FROM", pairs_from)
+        monkeypatch.setattr(packed, "_PAIRS_FROM", pairs_from)
         _pin_the_sign_of_row_swaps()
 
 
@@ -352,14 +351,14 @@ def pairs(request, monkeypatch):
     `_PAIRS_FROM` bytes and up; "every stage" lowers that to 0, so that
     small inputs reach every branch of the pair update too."""
     if request.param == "every stage":
-        monkeypatch.setattr(lattice, "_PAIRS_FROM", 0)
+        monkeypatch.setattr(packed, "_PAIRS_FROM", 0)
 
 
 def test_pair_update_at_every_size(monkeypatch):
     # every stage but the last has an even number of steps; the last one
     # is odd at some sizes and even at others, and an odd one ends with a
     # single step
-    monkeypatch.setattr(lattice, "_PAIRS_FROM", 0)
+    monkeypatch.setattr(packed, "_PAIRS_FROM", 0)
     rng = random.Random(20)
     sizes = range(1, 80)
     assert all(s % 2 == 0 for n in sizes for s in _stage_steps(n)[:-1])
@@ -388,7 +387,7 @@ def test_pair_passes_run_on_long_rows_only(monkeypatch):
         # n = 24 pairs nowhere, n = 64 and wide entries from the start
         assert long_rows[0] == (n == 64 or bound > 2)
         assert any(long_rows) == (n != 24 and (n, bound) != (20, 2))
-    monkeypatch.setattr(lattice, "_PAIRS_FROM", 0)
+    monkeypatch.setattr(packed, "_PAIRS_FROM", 0)
     assert _pair_passes(_dense_rows(rng, 24, -2, 2)) == sum(
         steps // 2 for steps in _stage_steps(24))
 
