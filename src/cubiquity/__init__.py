@@ -14,8 +14,8 @@ Importing the package loads none of its submodules.  Each name in
 pays only for the parts it calls: ``check`` and ``hajos`` on the command
 line load ``errors``, ``lattice``, ``formats`` and ``obstructions``
 (brute force adds ``cosets``, and a determinant from 20 rows on adds
-``packed``), and the other subcommands add the module they run (see
-``cubiquity.cli``).
+``packed``), and the other subcommands add ``_commands``, which holds
+their code, and the module they run (see ``cubiquity.cli``).
 """
 
 import importlib

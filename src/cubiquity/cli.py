@@ -3,9 +3,9 @@
 Exit codes: 0 the lattice is cubiquitous (or the query succeeded),
 1 not cubiquitous / obstructed / negative answer, 2 inconclusive (resource
 cap exceeded, or the obstruction did not fire), 64 usage error, 65 input
-error, 70 internal error (a bug), 74 output error (stdout closed, as when
-piped into ``head``, or not writable).  Verdicts go to stdout; errors go
-to stderr, never mixed.
+error, 70 internal error (a bug), 74 output error (stdout closed, at the
+start or by a reader that left early as ``head`` does, or not writable).
+Verdicts go to stdout; errors go to stderr, never mixed.
 
 ``check`` prints the verdict of the library's ``decide``.  Its brute-force
 oracle is bounded by a resource cap (``--cap``, else
@@ -22,28 +22,28 @@ full tree, which ``build_parser`` builds from the same function, is built
 only for help and for a missing or unknown command, and prints what it
 always has.
 
-A subcommand loads only the modules it runs.  Importing this module loads
-``errors``, ``lattice``, ``formats`` and ``obstructions``, which is all
-that ``check`` and ``hajos`` need on small inputs: brute force imports
-``cosets`` on its first call, so an input that the determinant gate or
-the 1-2 triangle decides never loads it, and a determinant from
-``lattice._PACKED_FROM`` rows on imports ``packed``.  The other
-subcommands import their module when called: ``subsets`` for ``wu`` and
-``stats`` (and for every subcommand that reads a subset), ``classify``
-for ``classify``, ``torus``, ``det4`` and ``catalog``, and ``transforms``
-for ``reduce`` and ``contract``.  No command imports ``json``: ``_json``
-writes the payloads, whose ``str`` is mostly their JSON text already, and
+A call compiles and loads only the code it runs.  This module holds the
+parsers, the dispatch, the shared readers and writers, ``check`` and
+``hajos``, and importing it loads ``errors``, ``lattice``, ``formats`` and
+``obstructions``, which is all that ``check`` and ``hajos`` need on small
+inputs: brute force imports ``cosets`` on its first call, so an input
+that the determinant gate or the 1-2 triangle decides never loads it, and
+a determinant from ``lattice._PACKED_FROM`` rows on imports ``packed``.
+The other eight subcommands live in ``_commands``, which ``run`` imports
+on the first call of one of them, and each imports its module when
+called: ``subsets`` for ``wu`` and ``stats`` (and for every subcommand
+that reads a subset), ``classify`` for ``classify``, ``torus``, ``det4``
+and ``catalog``, and ``transforms`` for ``reduce`` and ``contract``.  Run
+as ``python -m cubiquity.cli``, this module is ``__main__`` and registers
+itself as ``cubiquity.cli`` too, so ``_commands`` imports it rather than
+a second copy.  No command imports ``json``: ``_json`` writes the
+payloads, whose ``str`` is mostly their JSON text already, and
 ``classify`` and ``reduce`` write each block or step with one f-string.
 
 The text output of ``check``, ``wu``, ``stats``, ``hajos``, ``classify``
 and ``catalog`` starts every informational line with '#', so any matrix
 they print re-parses from the full output stream; ``torus`` and ``det4``
 print a bare answer.  Indices in JSON output are 1-based.
-
-``reduce`` streams its lines: the library plans the whole trace first, so
-an input it refuses prints nothing, then replays the steps over rows of
-``str(entry)`` text, each line splicing in the surviving rows; ``str`` of
-an int is its JSON text.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ import argparse
 import functools
 import os
 import sys
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import CubiquityError
 from .formats import format_matrix, parse_inline, parse_matrix
@@ -62,13 +62,9 @@ from .obstructions import (
     HajosBasis,
     Status,
     _hajos_rows,
-    _wu_obstruction,
     decide,
     hajos_basis,
 )
-
-if TYPE_CHECKING:
-    from .subsets import Subset
 
 EXIT_CUBIQUITOUS = 0
 EXIT_NEGATIVE = 1
@@ -114,7 +110,8 @@ def _read_rows(args):
         raise UsageError("an input file or --matrix is required")
     try:
         if args.file == "-":
-            text = sys.stdin.read()
+            # a stdin closed at start holds no data lines, as an empty one
+            text = "" if sys.stdin is None else sys.stdin.read()
         else:
             with open(args.file, "r", encoding="utf-8") as handle:
                 text = handle.read()
@@ -127,13 +124,6 @@ def _read_rows(args):
 
 def _read_basis(args) -> BasisMatrix:
     return BasisMatrix(_read_rows(args))
-
-
-def _read_subset(args) -> Subset:
-    from .subsets import Subset
-
-    # the reader gives n rows of n ints, so the columns need no check
-    return Subset._unchecked(tuple(zip(*_read_rows(args))))
 
 
 #: The characters of ``str`` of an int, or of a list of ints or of such
@@ -199,50 +189,6 @@ def cmd_check(args) -> int:
     return _status_exit(verdict.status)
 
 
-def cmd_wu(args) -> int:
-    subset = _read_subset(args)
-    wu, verdict = _wu_obstruction(subset)
-    lhs, rhs = verdict.inequality
-    payload = {
-        "W": list(wu.vector),
-        "R_o": _one_based(wu.odd),
-        "lhs": lhs,
-        "rhs": rhs,
-        "status": verdict.status.value,
-    }
-    if args.format == "json":
-        print(_json(payload))
-    else:
-        print("# W: " + " ".join(str(k) for k in wu.vector))
-        print("# R_o: " + " ".join(str(i) for i in payload["R_o"]))
-        print(f"# inequality: lhs={lhs} rhs={rhs}")
-        print(f"# status: {verdict.status.value}")
-    return _status_exit(verdict.status)
-
-
-def cmd_stats(args) -> int:
-    from .subsets import _identity_holds, stats
-
-    subset = _read_subset(args)
-    st = stats(subset)
-    payload = {
-        "dimension": subset.n,
-        "norms": list(subset.norms),
-        "excess": st.excess,
-        "counts": list(st.counts),
-        "by_coordinate": [_one_based(e) for e in st.by_coordinate],
-        "by_vector": [_one_based(v) for v in st.by_vector],
-        "heavy": [_one_based(q) for q in st.heavy],
-        "identity_holds": _identity_holds(subset, st),
-    }
-    if args.format == "json":
-        print(_json(payload))
-    else:
-        for key, value in payload.items():
-            print(f"# {key}: {value}")
-    return EXIT_CUBIQUITOUS
-
-
 def cmd_hajos(args) -> int:
     basis = _read_basis(args)
     found = hajos_basis(basis)
@@ -257,126 +203,6 @@ def cmd_hajos(args) -> int:
     else:
         print("# absent")
     return EXIT_CUBIQUITOUS if found else EXIT_NEGATIVE
-
-
-def cmd_classify(args) -> int:
-    from .classify import _classify_blocks
-
-    verdict, blocks = _classify_blocks(_read_subset(args))
-    if args.format == "json":
-        # one f-string per block: on a list of small dicts _json takes two
-        # to four times what json.dumps does, and this about as much
-        text = ", ".join([f'{{"coordinates": {_one_based(b.coordinates)}, '
-                          f'"vectors": {_one_based(b.vectors)}, '
-                          f'"kind": "{b.kind}"}}' for b in blocks.blocks])
-        print(f'{{"blocks": [{text}], '
-              f'"verdict": {_json(verdict.to_json_dict())}}}')
-    else:
-        for b in blocks.blocks:
-            print(f"# block kind={b.kind} coordinates="
-                  f"{_one_based(b.coordinates)} vectors={_one_based(b.vectors)}")
-        print(f"# status: {verdict.status.value}")
-    return _status_exit(verdict.status)
-
-
-def cmd_torus(args) -> int:
-    from .classify import torus_sum_bounds_qball
-
-    bounds = torus_sum_bounds_qball(args.params)
-    if args.format == "json":
-        print(_json({"bounds": bounds}))
-    else:
-        print(f"bounds: {'true' if bounds else 'false'}")
-    return EXIT_CUBIQUITOUS if bounds else EXIT_NEGATIVE
-
-
-def _json_rows(rows) -> str:
-    # rows of str(int) tokens, which are the ints' JSON text
-    return "[" + ", ".join(["[" + ", ".join(r) + "]" for r in rows]) + "]"
-
-
-def cmd_reduce(args) -> int:
-    from .transforms import _reduce_plan, _replay
-
-    subset = _read_subset(args)
-    plan = _reduce_plan(subset)
-    # the steps stream over rows of entry text: each entry is rendered once
-    rows = [list(map(str, v)) for v in subset.vectors]
-    for kind, coordinates, vectors in _replay(plan, rows):
-        print(f'{{"kind": "{kind}", "coordinates": {_one_based(coordinates)}, '
-              f'"vectors": {_one_based(vectors)}, '
-              f'"result": {_json_rows(rows)}}}')
-    print(f'{{"kind": "Reduced", "result": {_json_rows(rows)}}}')
-    return EXIT_CUBIQUITOUS
-
-
-def cmd_contract(args) -> int:
-    from .transforms import CONTRACTION, contract
-
-    subset = _read_subset(args)
-    n = subset.n
-    if not 1 <= args.coordinate <= n:
-        raise UsageError(f"coordinate {args.coordinate} is outside 1..{n}")
-    for v in args.vectors:
-        if not 1 <= v <= n:
-            raise UsageError(f"vector {v} is outside 1..{n}")
-    i = args.coordinate - 1
-    s, t, u = (v - 1 for v in args.vectors)
-    result = contract(subset, i, s, t, u)
-    print(_json({
-        "kind": CONTRACTION,
-        "coordinates": [args.coordinate],
-        "vectors": list(args.vectors),
-        "result": result.vectors,
-    }))
-    return EXIT_CUBIQUITOUS
-
-
-def cmd_det4(args) -> int:
-    from .classify import det4_formula, det4_zero_solutions
-
-    values = []
-    for token in args.values:
-        try:
-            values.append(int(token))
-        except ValueError:
-            # argparse's own words for a bad value of type int
-            raise UsageError(f"argument values: invalid int value: "
-                             f"{token!r}") from None
-    if args.zeros:
-        if values:
-            raise UsageError("--zeros takes no diagonal values")
-        try:
-            solutions = det4_zero_solutions(
-                50 if args.bound is None else args.bound)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        print("a,b,c,d")
-        for sol in solutions:
-            print(",".join(str(v) for v in sol))
-        return EXIT_CUBIQUITOUS
-    if args.bound is not None:
-        raise UsageError("--bound applies to --zeros only")
-    if len(values) != 4:
-        raise UsageError("det4 needs exactly four diagonal values")
-    print(det4_formula(*values))
-    return EXIT_CUBIQUITOUS
-
-
-def cmd_catalog(args) -> int:
-    from .classify import catalog_blocks
-
-    first, second = catalog_blocks()
-    if args.index == 1:
-        print(format_matrix(first))
-    elif args.index == 2:
-        print(format_matrix(second))
-    else:
-        print("# catalog block 1")
-        print(format_matrix(first))
-        print("# catalog block 2")
-        print(format_matrix(second))
-    return EXIT_CUBIQUITOUS
 
 
 #: Each subcommand's help line, in the order of the top-level help.
@@ -473,13 +299,28 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
     return args
 
 
+@functools.cache
+def _other_commands():
+    """The module of every subcommand but check and hajos, compiled and
+    loaded on the first call of one of them.  Cached, since an import
+    statement walks the import machinery on every call."""
+    from . import _commands
+
+    return _commands
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
         # looked up at call time, so a rebound cmd_<name> takes effect
-        code = globals()[f"cmd_{args.command}"](args)
-        if sys.stdout is not None:
-            sys.stdout.flush()  # a closed pipe raises here, not at exit
+        name = f"cmd_{args.command}"
+        command = globals().get(name) or getattr(_other_commands(), name)
+        code = command(args)
+        if sys.stdout is None:
+            # the process started with file descriptor 1 closed, so print
+            # wrote nothing
+            raise OSError("stdout is closed")
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -502,7 +343,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 def main() -> None:
     code = run(sys.argv[1:])
-    if code == EXIT_IOERR:
+    if code == EXIT_IOERR and sys.stdout is not None:
         # stdout is unusable: send what is left in its buffer to devnull,
         # so the flush at interpreter exit neither fails nor reports
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -510,4 +351,8 @@ def main() -> None:
 
 
 if __name__ == "__main__":
+    # run as ``python -m cubiquity.cli``: this module is also cubiquity.cli,
+    # so _commands, which imports that, shares its UsageError and helpers
+    # rather than compiling and running a second copy of this file
+    sys.modules.setdefault(__spec__.name, sys.modules[__name__])
     main()

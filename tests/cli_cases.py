@@ -2,8 +2,9 @@
 
 A row holds the arguments, the bytes on stdin if any, and the exact exit
 code, stdout and stderr.  ``tests/test_cli_cases.py`` runs every row in
-process through ``cubiquity.cli.run``.  Run as a script, this module runs
-every row as a subprocess of a command and reports each row that differs:
+process through ``cubiquity.cli.run``, and through ``main`` below.  Run as
+a script, this module runs every row as a subprocess of a command and
+reports each row that differs:
 
     python tests/cli_cases.py [COMMAND ...]
 
@@ -13,10 +14,13 @@ checks that installation.  The module imports nothing from ``cubiquity``,
 so the table cannot borrow from the code it checks.
 
 The rows load every lazily imported module: cosets (brute force), packed
-(a determinant from 20 rows on), subsets, transforms (reduce, contract)
-and classify.  ``wu`` and ``stats`` run the non-acute predicate and the
-support lists, and ``hajos`` and ``contract`` are the other two
-subcommands that read a matrix.
+(a determinant from 20 rows on), _commands (every subcommand but check
+and hajos), subsets, transforms (reduce, contract) and classify.  ``wu``
+and ``stats`` run the non-acute predicate and the support lists, and
+``hajos`` and ``contract`` are the other two subcommands that read a
+matrix.  Through ``python -m cubiquity.cli`` the CLI module runs as
+``__main__``, and the ``det4`` usage errors show that _commands raises
+the ``UsageError`` class that module catches.
 """
 
 import subprocess

@@ -15,6 +15,7 @@ from cubiquity import (
     MatrixFormatError,
     Status,
     Subset,
+    _commands,
     cli,
     parse_matrix,
 )
@@ -227,9 +228,9 @@ def test_bad_token_keeps_its_message(text, capsys):
 
 def test_rows_as_vectors_transposes_into_the_same_subset():
     rows = "1 1 0; 1 -1 0; 0 3 2"
-    as_rows = cli._read_subset(cli._parser().parse_args(
+    as_rows = _commands._read_subset(cli._parser().parse_args(
         ["stats", "--matrix", rows, "--rows-as-vectors"]))
-    as_columns = cli._read_subset(cli._parser().parse_args(
+    as_columns = _commands._read_subset(cli._parser().parse_args(
         ["stats", "--matrix", rows]))
     assert as_rows == Subset([(1, 1, 0), (1, -1, 0), (0, 3, 2)])
     assert as_columns == Subset([(1, 1, 0), (1, -1, 3), (0, 0, 2)])
@@ -251,7 +252,7 @@ def test_read_subset_equals_the_checked_subset(source, rows_as_vectors,
         argv = ["stats", str(path)]
     if rows_as_vectors:
         argv.append("--rows-as-vectors")
-    subset = cli._read_subset(cli._parser().parse_args(argv))
+    subset = _commands._read_subset(cli._parser().parse_args(argv))
     columns = values if rows_as_vectors else list(zip(*values))
     assert subset == Subset(columns)
     assert all(type(x) is int for v in subset.vectors for x in v)
@@ -932,6 +933,38 @@ def test_broken_pipe_process_exits_74_silently(unbuffered):
     assert proc.stderr == b""
 
 
+def _closed(fd):
+    # closes one of the child's standard descriptors before it starts, as
+    # `<&-` and `>&-` do in a shell
+    return lambda: os.close(fd)
+
+
+def test_closed_stdin_is_an_input_error():
+    # the interpreter sets sys.stdin to None; an empty stdin exits the same
+    proc = _child("-m", "cubiquity.cli", "check", "-", capture_output=True,
+                  preexec_fn=_closed(0))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        65, b"", b"error: no data lines\n")
+
+
+@pytest.mark.parametrize("argv, code, stderr", [
+    (("catalog",), 74, b"error: stdout is closed\n"),
+    (("check", "--matrix", "3 0; 0 1"), 74, b"error: stdout is closed\n"),
+    (("classify", "--matrix", "1 1; 1 -1"), 74,
+     b"error: stdout is closed\n"),
+    # nothing was printed, so the error that stopped the call still names it
+    (("check", "--nope"), 64, b"error: unrecognized arguments: --nope\n"),
+    (("check", "--matrix", "2 2; 2 2"), 65,
+     b"error: columns of the 2x2 matrix are linearly dependent\n"),
+])
+def test_closed_stdout_is_an_output_error(argv, code, stderr):
+    # print writes nothing when sys.stdout is None, so the verdict's exit
+    # code would claim an answer no one could read
+    proc = _child("-m", "cubiquity.cli", *argv, stderr=subprocess.PIPE,
+                  preexec_fn=_closed(1))
+    assert (proc.returncode, proc.stderr) == (code, stderr)
+
+
 COLD_IMPORTS = """
 import sys
 start = set(sys.modules)  # before this script imports anything
@@ -973,12 +1006,14 @@ def test_check_and_hajos_load_only_what_they_run():
     # by its 1-2 triangle, so brute force never loads cosets
     for module in ("dataclasses", "json", "cubiquity.subsets",
                    "cubiquity.classify", "cubiquity.transforms",
-                   "cubiquity.cosets", "cubiquity.packed"):
+                   "cubiquity.cosets", "cubiquity.packed",
+                   "cubiquity._commands"):
         assert module not in result["check_and_hajos"]
     assert "cubiquity.obstructions" in result["check_and_hajos"]
     # no 2 x 2 call writes with json, takes a packed determinant or builds
-    # the full parser tree
+    # the full parser tree; classify is run from the other commands' module
     assert "cubiquity.classify" in result["after_classify"]
+    assert "cubiquity._commands" in result["after_classify"]
     assert not [module for module in result["after_classify"]
                 if module in ("json", "_json", "cubiquity.packed")
                 or module.startswith("json.")]

@@ -1,11 +1,14 @@
-"""Every row of tests/cli_cases.py, run in process through cli.run."""
+"""Every row of tests/cli_cases.py, run in process through cli.run and
+through ``python -m cubiquity.cli``."""
 
 import ast
 import io
+import sys
 from pathlib import Path
 
 import pytest
 
+import cli_cases
 from cli_cases import CASES, mismatch
 from cubiquity.cli import run
 
@@ -29,3 +32,12 @@ def test_table_imports_nothing_from_the_package():
                 if isinstance(node, ast.ImportFrom)]
     assert modules and not [m for m in modules
                             if m.partition(".")[0] == "cubiquity"]
+
+
+def test_table_through_python_m(monkeypatch, capsys):
+    # run as __main__, cli must stay the one module that the lazily loaded
+    # subcommands import, or a second UsageError class would exit 70
+    src = Path(__file__).resolve().parent.parent / "src"
+    monkeypatch.setenv("PYTHONPATH", str(src))
+    code = cli_cases.main([sys.executable, "-m", "cubiquity.cli"])
+    assert code == 0, capsys.readouterr().err
