@@ -16,8 +16,6 @@ an int is its JSON text.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from . import cli
 from .cli import (
     EXIT_CUBIQUITOUS,
@@ -29,14 +27,10 @@ from .cli import (
 )
 from .formats import format_matrix
 from .obstructions import _wu_obstruction
-
-if TYPE_CHECKING:
-    from .subsets import Subset
+from .subsets import Subset, _identity_holds, stats
 
 
 def _read_subset(args) -> Subset:
-    from .subsets import Subset
-
     # the reader gives n rows of n ints, so the columns need no check
     return Subset._unchecked(tuple(zip(*_read_rows(args))))
 
@@ -63,8 +57,6 @@ def cmd_wu(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    from .subsets import _identity_holds, stats
-
     subset = _read_subset(args)
     st = stats(subset)
     payload = {

@@ -5,7 +5,9 @@ Exit codes: 0 the lattice is cubiquitous (or the query succeeded),
 cap exceeded, or the obstruction did not fire), 64 usage error, 65 input
 error, 70 internal error (a bug), 74 output error (stdout closed, at the
 start or by a reader that left early as ``head`` does, or not writable).
-Verdicts go to stdout; errors go to stderr, never mixed.
+Verdicts and help go to stdout; errors go to stderr, never mixed.  Help
+ends in ``run`` as a command does, so it exits 0, or 74 where stdout is
+closed or not writable.
 
 ``check`` prints the verdict of the library's ``decide``.  Its brute-force
 oracle is bounded by a resource cap (``--cap``, else
@@ -30,15 +32,15 @@ inputs: brute force imports ``cosets`` on its first call, so an input
 that the determinant gate or the 1-2 triangle decides never loads it, and
 a determinant from ``lattice._PACKED_FROM`` rows on imports ``packed``.
 The other eight subcommands live in ``_commands``, which ``run`` imports
-on the first call of one of them, and each imports its module when
-called: ``subsets`` for ``wu`` and ``stats`` (and for every subcommand
-that reads a subset), ``classify`` for ``classify``, ``torus``, ``det4``
-and ``catalog``, and ``transforms`` for ``reduce`` and ``contract``.  Run
-as ``python -m cubiquity.cli``, this module is ``__main__`` and registers
-itself as ``cubiquity.cli`` too, so ``_commands`` imports it rather than
-a second copy.  No command imports ``json``: ``_json`` writes the
-payloads, whose ``str`` is mostly their JSON text already, and
-``classify`` and ``reduce`` write each block or step with one f-string.
+on the first call of one of them.  It imports ``subsets``, which each of
+them uses, directly or through ``classify``; each imports ``classify``
+(``classify``, ``torus``, ``det4`` and ``catalog``) or ``transforms``
+(``reduce`` and ``contract``) when called.  Run as ``python -m
+cubiquity.cli``, this module is ``__main__`` and registers itself as
+``cubiquity.cli`` too, so ``_commands`` imports it rather than a second
+copy.  No command imports ``json``: ``_json`` writes the payloads, whose
+``str`` is mostly their JSON text already, and ``classify`` and
+``reduce`` write each block or step with one f-string.
 
 The text output of ``check``, ``wu``, ``stats``, ``hajos``, ``classify``
 and ``catalog`` starts every informational line with '#', so any matrix
@@ -81,9 +83,22 @@ class UsageError(Exception):
     pass
 
 
+class _HelpShown(SystemExit):
+    """What argparse's exit raises once help is printed; ``run`` returns
+    its code after the same stdout checks as any other call."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+    def exit(self, status=0, message=None):
+        raise _HelpShown(status)  # only help exits; errors raise above
+
+    def print_help(self, file=None):
+        # argparse's own writer falls back to stderr when stdout is closed
+        # and swallows a failed write
+        print(self.format_help(), end="", file=file)
 
 
 def _resource_cap(args) -> int:
@@ -311,11 +326,15 @@ def _other_commands():
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _parse(sys.argv[1:] if argv is None else argv)
-        # looked up at call time, so a rebound cmd_<name> takes effect
-        name = f"cmd_{args.command}"
-        command = globals().get(name) or getattr(_other_commands(), name)
-        code = command(args)
+        try:
+            args = _parse(sys.argv[1:] if argv is None else argv)
+        except _HelpShown as shown:
+            code = shown.code
+        else:
+            # looked up at call time, so a rebound cmd_<name> takes effect
+            name = f"cmd_{args.command}"
+            command = globals().get(name) or getattr(_other_commands(), name)
+            code = command(args)
         if sys.stdout is None:
             # the process started with file descriptor 1 closed, so print
             # wrote nothing

@@ -9,14 +9,16 @@ Hajos greedy (`_triangulate` with `_hajos_pick`): while its pivots are 2
 they are the diagonal of a triangular form.  Where a pivot is not 2, or
 clearing a coordinate takes more than `_EUCLID_SWAPS` column swaps, the
 block left goes to Bareiss's fraction-free elimination, one entry at a
-time (`_det_entries`).  The basis keeps its power-of-two certificate,
-`BasisMatrix._triangle`, from that elimination wherever it settles it,
-so an index-2^n input whose greedy completes is eliminated once.  From
-``_PACKED_FROM`` rows on, Bareiss's elimination runs on the whole matrix,
-on rows packed into one integer each when every entry is below
-``_PACKED_BELOW``: that kernel, `packed._det_packed`, is imported on its
-first call, so a program whose matrices stay below ``_PACKED_FROM`` rows
-never compiles it.
+time (`_det_entries`).  That swap cap is the determinant's alone.  The
+power-of-two certificate, `BasisMatrix._triangle`, is one greedy at every
+power-of-two index up to 2^n: gcd 2 first, else gcd 1, no cap; at 2^n its
+form is the Hajos basis.  The basis keeps it from the determinant's
+elimination wherever that settles it, so an index-2^n input whose greedy
+completes is eliminated once.  From ``_PACKED_FROM`` rows on, Bareiss's
+elimination runs on the whole matrix, on rows packed into one integer
+each when every entry is below ``_PACKED_BELOW``: that kernel,
+`packed._det_packed`, is imported on its first call, so a program whose
+matrices stay below ``_PACKED_FROM`` rows never compiles it.
 """
 
 from __future__ import annotations
@@ -171,17 +173,15 @@ class BasisMatrix:
 
     @cached_property
     def _triangle(self) -> tuple[list[list[int]], list[int]] | None:
-        """(columns, row order) of a completed `_triangulate` at a
-        power-of-two index up to 2^n, else None: at 2^n the uncapped Hajos
-        greedy, whose form is the Hajos basis, and below it the capped 1-2
-        triangle.  `_greedy_det` sets it where it settles it."""
+        """(columns, row order) of a completed `_triangulate` with
+        `_cube_pick` and no cap at a power-of-two index up to 2^n, else
+        None: one greedy, gcd 2 first, else gcd 1.  Its pivots are 1 and
+        2, so at 2^n they are all 2 and its form is the Hajos basis.
+        `_greedy_det` sets it where it settles it."""
         d = abs(self.det)
-        top = 1 << self.n
-        if d & d - 1 or d > top:
+        if d & d - 1 or d > 1 << self.n:
             return None
-        below = d < top
-        cols, order, rest, _ = _triangulate(
-            self._rows, _cube_pick if below else _hajos_pick, below)
+        cols, order, rest, _ = _triangulate(self._rows, _cube_pick)
         return None if rest else (cols, order)
 
     def permute_rows(self, order: Sequence[int]) -> "BasisMatrix":
@@ -235,9 +235,11 @@ def _cube_pick(free, rest):
     over the free columns, or None.
 
     At an index that is a power of two every gcd over the free columns is
-    a power of two, so an odd entry makes it 1 (elsewhere the gcd is
-    odd), and a capped `_triangulate` takes every coordinate only through
-    a triangular form with 1s and 2s on its diagonal.
+    a power of two, so this takes only pivots 1 and 2: an odd entry makes
+    the gcd 1 (elsewhere the gcd is odd).  `_triangulate` with this pick
+    and no cap thus takes every coordinate only through a triangular form
+    with 1s and 2s on its diagonal, and at 2^n, where those must all be 2,
+    it takes the coordinates `_hajos_pick` would.
     """
     p = _hajos_pick(free, rest)
     if p is None:
@@ -272,14 +274,15 @@ def _greedy_det(basis: BasisMatrix, rows: Sequence[Sequence[int]]) -> int:
     return det
 
 
-#: Swaps `_triangulate` makes at most per step where it runs capped: past
-#: them, for a det, the block left goes to Bareiss, and the 1-2 triangle
-#: leaves the input to brute force.  The `scan` and `hajos` workload inputs
-#: (seeds 1-5) and mixed 0/1 chains at n = 19 need at most 3.  Doubled
-#: random entries at n = 19 need up to 19 with entries in +-6 and up to 158
-#: in +-10^8, as the entries grow; there the det took 5.3 ms (+-10^4) and
-#: 9.4 ms (+-10^8) without the cap, 1.6 and 1.9 ms with it, against 1.1 and
-#: 1.5 ms for `_det_entries` alone (means of 10 seeds).
+#: Swaps `_triangulate` makes at most per step where it runs capped, as
+#: `_greedy_det` runs it: past them the block left goes to Bareiss.  The
+#: power-of-two form, `BasisMatrix._triangle`, runs with no cap.  The
+#: `scan` and `hajos` workload inputs (seeds 1-5) and mixed 0/1 chains at
+#: n = 19 need at most 3.  Doubled random entries at n = 19 need up to 19
+#: with entries in +-6 and up to 158 in +-10^8, as the entries grow; there
+#: the det took 5.3 ms (+-10^4) and 9.4 ms (+-10^8) without the cap, 1.6
+#: and 1.9 ms with it, against 1.1 and 1.5 ms for `_det_entries` alone
+#: (means of 10 seeds).
 _EUCLID_SWAPS = 4
 
 

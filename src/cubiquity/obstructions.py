@@ -218,12 +218,15 @@ def hajos_basis(basis: BasisMatrix) -> Optional[HajosBasis]:
       proves that no Hajos basis exists.
 
     The greedy path is the first branch of a depth-first search over all
-    row orders, so it returns that search's first order.  It is one Hermite
-    form elimination that picks, at each step, the smallest coordinate
-    whose gcd over the columns not yet pivoted is 2 (`lattice._hajos_pick`);
-    the Hermite form it ends with is the certificate, and the HNF
-    reduction range makes every subdiagonal entry 0 or 1.  The basis owns
-    that form (`BasisMatrix._triangle`); this wraps it.
+    row orders, so it returns that search's first order.  It is the one
+    greedy the basis runs at every power-of-two index, with no cap
+    (`BasisMatrix._triangle`): one Hermite form elimination that picks, at
+    each step, the smallest coordinate whose gcd over the columns not yet
+    pivoted is 2, else one of gcd 1 (`lattice._cube_pick`).  At 2^n a
+    pivot of 1 leaves a dead end, so a form it completes has only 2s on
+    its diagonal and took the coordinates of gcd 2 in the order above.
+    That form is the certificate, and the HNF reduction range makes every
+    subdiagonal entry 0 or 1; this wraps it.
     """
     if abs(basis.det) != 1 << basis.n or basis._triangle is None:
         return None
@@ -257,16 +260,16 @@ def decide(basis: BasisMatrix,
     coset-cover oracle.
 
     Only an Inconclusive gate (index below 2^n) goes on.  At an index that
-    is a power of two, the basis's `_triangle` is the Hajos greedy with
-    pivots 1 and 2 allowed (`lattice._cube_pick`: a coordinate of gcd 2
-    first, else the first of gcd 1).  Where it takes every coordinate the
-    lattice is Cubiquitous: doubling the columns of pivot 1 gives a
-    sublattice of index 2^n whose Hermite form in that row order has 2s on
-    the diagonal and 0s and 1s below, a Hajos basis, so the sublattice is
-    cubiquitous, and so is every lattice that contains it.  The verdict
-    carries no certificate, as the oracle's Cubiquitous does not.
-    Otherwise the oracle decides, and only the oracle is metered: past
-    ``cap`` the verdict is Inconclusive.
+    is a power of two, the basis's `_triangle` is the one greedy that also
+    gives the Hajos basis at 2^n (`lattice._cube_pick`: a coordinate of
+    gcd 2 first, else the first of gcd 1, with no cap).  Where it takes
+    every coordinate the lattice is Cubiquitous: doubling the columns of
+    pivot 1 gives a sublattice of index 2^n whose Hermite form in that row
+    order has 2s on the diagonal and 0s and 1s below, a Hajos basis, so
+    the sublattice is cubiquitous, and so is every lattice that contains
+    it.  The verdict carries no certificate, as the oracle's Cubiquitous
+    does not.  Otherwise the oracle decides, and only the oracle is
+    metered: past ``cap`` the verdict is Inconclusive.
     """
     verdict = det_gate(basis)
     if verdict.status is not Status.INCONCLUSIVE:

@@ -76,6 +76,11 @@ CASES = [
     # not refuse it
     Case("check 1 0; 0 2 --cap 1", ("check", "--matrix", "1 0; 0 2", "--cap",
                                      "1"), 0, _verdict("Cubiquitous")),
+    # a basis of Z^2 whose first coordinate takes five column swaps to
+    # clear: the triangle's greedy has no swap cap, so it certifies this too
+    Case("check 259 55; 113 24 --cap 1",
+         ("check", "--matrix", "259 55; 113 24", "--cap", "1"), 0,
+         _verdict("Cubiquitous")),
     # index 4 < 2^3, but the greedy stops at the 4: brute force gives the
     # first witness
     Case("check 4 0 0; 0 1 0; 0 0 1", ("check", "--matrix",

@@ -952,6 +952,9 @@ def test_closed_stdin_is_an_input_error():
     (("check", "--matrix", "3 0; 0 1"), 74, b"error: stdout is closed\n"),
     (("classify", "--matrix", "1 1; 1 -1"), 74,
      b"error: stdout is closed\n"),
+    # help goes through the same check: argparse would fall back to stderr
+    (("check", "--help"), 74, b"error: stdout is closed\n"),
+    (("--help",), 74, b"error: stdout is closed\n"),
     # nothing was printed, so the error that stopped the call still names it
     (("check", "--nope"), 64, b"error: unrecognized arguments: --nope\n"),
     (("check", "--matrix", "2 2; 2 2"), 65,
@@ -963,6 +966,26 @@ def test_closed_stdout_is_an_output_error(argv, code, stderr):
     proc = _child("-m", "cubiquity.cli", *argv, stderr=subprocess.PIPE,
                   preexec_fn=_closed(1))
     assert (proc.returncode, proc.stderr) == (code, stderr)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a device that refuses every write")
+@pytest.mark.parametrize("argv", [("check", "--help"), ("--help",)])
+def test_help_into_a_full_device_is_an_output_error(argv):
+    with open("/dev/full", "wb") as full:
+        proc = _child("-m", "cubiquity.cli", *argv, stdout=full,
+                      stderr=subprocess.PIPE)
+    assert proc.returncode == 74
+    assert proc.stderr.startswith(b"error: ")
+
+
+def test_help_returns_from_run(capsys):
+    # help ends in run, as a command does, instead of raising SystemExit
+    assert run(["check", "--help"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: cubiquity check") and err == ""
+    assert run(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: cubiquity ")
 
 
 COLD_IMPORTS = """

@@ -307,10 +307,15 @@ def test_decide_hajos_route_ignores_cap(n):
         Status.CUBIQUITOUS, hajos=HajosBasis(b, tuple(range(n))))
 
 
-def _certified(basis):
-    """Whether the greedy with pivots 1 and 2 takes every coordinate, the
-    certificate that `decide` runs at a power-of-two index below 2^n."""
-    return len(_triangulate(basis.rows, _cube_pick, True)[1]) == basis.n
+def _certified(basis, capped=False):
+    """Whether the greedy with pivots 1 and 2 takes every coordinate with
+    1s and 2s on its diagonal, the certificate that `decide` runs, with no
+    cap, at a power-of-two index below 2^n; with the swap cap of the
+    determinant's greedy where ``capped``.  Elsewhere the greedy can
+    complete with a pivot of 2 times an odd number."""
+    cols, order, _, _ = _triangulate(basis.rows, _cube_pick, capped)
+    return len(order) == basis.n and all(
+        cols[k][p] <= 2 for k, p in enumerate(order))
 
 
 def test_decide_matches_bruteforce_below_2n_random():
@@ -397,31 +402,74 @@ def _below_2n_bases():
         yield unimodular_mix(BasisMatrix.from_columns(cols), rng, 3 * n)
 
 
+def _assert_checkable_triangle(b):
+    """README's step-2 argument, re-checked with the oracles alone on the
+    1-2 triangle the basis keeps: the form is triangular in its row order
+    with 1s and 2s on the diagonal, it is the Hermite form of the input in
+    that order (so it spans the same lattice), and doubling its pivot-1
+    columns gives a sublattice whose Hermite form is a Hajos basis."""
+    n = b.n
+    cols, order = b._triangle
+    form = tuple(tuple(col[i] for col in cols) for i in order)
+    assert all(form[i][j] == 0 for i in range(n)
+               for j in range(i + 1, n)), b
+    assert {form[i][i] for i in range(n)} <= {1, 2}, b
+    assert hnf_reference(b.permute_rows(order)).rows == form, b
+    doubled = [[a * (3 - form[j][j]) for j, a in enumerate(row)]
+               for row in form]
+    h = hnf_reference(BasisMatrix(doubled)).rows
+    assert all(h[i][i] == 2 and set(h[i][:i]) <= {0, 1}
+               for i in range(n)), b
+
+
 def test_triangle_below_2n_is_a_checkable_certificate():
-    # README's step-2 argument, re-checked with the oracles alone on each
-    # 1-2 triangle the basis keeps: the form is triangular in its row
-    # order with 1s and 2s on the diagonal, it is the Hermite form of the
-    # input in that order (so it spans the same lattice), and doubling its
-    # pivot-1 columns gives a sublattice whose Hermite form is a Hajos
-    # basis
     checked = 0
     for b in _below_2n_bases():
-        n = b.n
-        if abs(b.det) >= 2 ** n or b._triangle is None:
-            continue
-        cols, order = b._triangle
-        form = tuple(tuple(col[i] for col in cols) for i in order)
-        assert all(form[i][j] == 0 for i in range(n)
-                   for j in range(i + 1, n)), b
-        assert {form[i][i] for i in range(n)} <= {1, 2}, b
-        assert hnf_reference(b.permute_rows(order)).rows == form, b
-        doubled = [[a * (3 - form[j][j]) for j, a in enumerate(row)]
-                   for row in form]
-        h = hnf_reference(BasisMatrix(doubled)).rows
-        assert all(h[i][i] == 2 and set(h[i][:i]) <= {0, 1}
-                   for i in range(n)), b
-        checked += 1
+        if abs(b.det) < 2 ** b.n and b._triangle is not None:
+            _assert_checkable_triangle(b)
+            checked += 1
     assert checked >= 250  # 69 of them from the scan plans
+
+
+def _large_mix(b, rng, steps):
+    """Another basis of b's lattice, adding multiples up to 1000 in
+    absolute value of one column to another."""
+    cols = [list(c) for c in b.columns]
+    for _ in range(steps):
+        i, j = rng.sample(range(b.n), 2)
+        k = rng.choice((-1, 1)) * rng.randint(1, 1000)
+        cols[i] = [x + k * y for x, y in zip(cols[i], cols[j])]
+    return BasisMatrix.from_columns(cols)
+
+
+def test_triangle_has_no_swap_cap():
+    # cubiquitous lattices of power-of-two index below 2^n at n = 3-10,
+    # half 1-2 triangles and half filtered random Hermite forms, with
+    # large multipliers mixed in; clearing a coordinate then often takes
+    # more swaps than the determinant's greedy allows
+    rng = random.Random(2029)
+    total = certified = capped = 0
+    for n in range(3, 11):
+        kept = 0
+        while kept < 40:
+            k = rng.randrange(n)
+            if rng.random() < 0.5:
+                b = _scaled_triangle(n, k, rng, scale=1)
+            else:
+                b = _signed_mix(random_hnf(n, 2 ** k, rng), rng)
+            if is_cubiquitous_bruteforce(b).status is not Status.CUBIQUITOUS:
+                continue
+            kept += 1
+            b = _large_mix(b, rng, 3 * n)
+            total += 1
+            capped += _certified(b, capped=True)
+            if b._triangle is not None:
+                _assert_checkable_triangle(b)
+                assert decide(b, cap=1) == CubiquityVerdict(
+                    Status.CUBIQUITOUS), b
+                certified += 1
+    # the swap cap alone would leave most of them to brute force
+    assert (total, certified, capped) == (320, 293, 73)
 
 
 def test_bruteforce_matches_vertex_scan_catalog():
@@ -736,9 +784,10 @@ def test_hajos_bit_pick_matches_gcd_pick():
             assert _hajos_key(found) == _hajos_key(hajos_gcd_greedy(b)), b
             outcomes.add((n, found is not None))
     # and at every larger size the basis runs the greedy for, below
-    # _PACKED_FROM rows, where its det comes from the same elimination
-    for n in range(10, _PACKED_FROM):
-        for _ in range(100):
+    # _PACKED_FROM rows, where its det comes from the same elimination,
+    # and past it, where only the `_triangle` property builds the form
+    for n in range(10, 25):
+        for _ in range(100 if n < _PACKED_FROM else 12):
             if rng.random() < 0.5:
                 b = _lower_two_diagonal(n, rng)
             else:
@@ -747,7 +796,7 @@ def test_hajos_bit_pick_matches_gcd_pick():
             found = hajos_basis(b)
             assert _hajos_key(found) == _hajos_key(hajos_gcd_greedy(b)), b
             outcomes.add((n, found is not None))
-    assert outcomes == {(n, hit) for n in range(2, _PACKED_FROM)
+    assert outcomes == {(n, hit) for n in range(2, 25)
                         for hit in (False, True)}
 
 
