@@ -952,13 +952,13 @@ def test_closed_stdin_is_an_input_error():
     (("check", "--matrix", "3 0; 0 1"), 74, b"error: stdout is closed\n"),
     (("classify", "--matrix", "1 1; 1 -1"), 74,
      b"error: stdout is closed\n"),
-    # help goes through the same check: argparse would fall back to stderr
-    (("check", "--help"), 74, b"error: stdout is closed\n"),
-    (("--help",), 74, b"error: stdout is closed\n"),
     # nothing was printed, so the error that stopped the call still names it
     (("check", "--nope"), 64, b"error: unrecognized arguments: --nope\n"),
     (("check", "--matrix", "2 2; 2 2"), 65,
      b"error: columns of the 2x2 matrix are linearly dependent\n"),
+    # help goes through the same check: argparse would fall back to stderr
+    (("check", "--help"), 74, b"error: stdout is closed\n"),
+    (("--help",), 74, b"error: stdout is closed\n"),
 ])
 def test_closed_stdout_is_an_output_error(argv, code, stderr):
     # print writes nothing when sys.stdout is None, so the verdict's exit
