@@ -15,7 +15,11 @@ pays only for the parts it calls: ``check`` and ``hajos`` on the command
 line load ``errors``, ``lattice``, ``formats`` and ``obstructions``
 (brute force adds ``cosets``, and a determinant from 20 rows on adds
 ``packed``), and the other subcommands add ``_commands``, which holds
-their code, and the module they run (see ``cubiquity.cli``).
+their code, and the module they run (see ``cubiquity.cli``).  The Wu
+obstruction lives in ``wu``, and ``hnf``, ``contains`` and ``direct_sum``
+in ``membership``, which no ``check`` or ``hajos`` call loads; their
+names also resolve in ``obstructions`` and ``lattice``, as the same
+objects.
 """
 
 import importlib
@@ -32,14 +36,15 @@ _SUBMODULE = {
                     "MatrixFormatError", "MixedSigns", "NotNonAcute",
                     "NotOrthogonal", "PreconditionFailed", "ResourceLimit",
                     "SingularMatrix", "ZeroParameter")),
-        ("lattice", ("DEFAULT_RESOURCE_CAP", "BasisMatrix", "contains",
-                     "det", "direct_sum", "hnf")),
+        ("lattice", ("DEFAULT_RESOURCE_CAP", "BasisMatrix", "det")),
+        ("membership", ("contains", "direct_sum", "hnf")),
         ("subsets", ("Subset", "SubsetStats", "check_identity",
                      "is_non_acute", "is_orthogonal", "stats")),
         ("obstructions", ("CubiquityVerdict", "HajosBasis", "Status",
-                          "WuData", "decide", "det_gate", "hajos_basis",
-                          "is_cubiquitous_bruteforce", "wu_element",
-                          "wu_obstruction", "wu_obstruction_orthogonal")),
+                          "decide", "det_gate", "hajos_basis",
+                          "is_cubiquitous_bruteforce")),
+        ("wu", ("WuData", "wu_element", "wu_obstruction",
+                "wu_obstruction_orthogonal")),
         ("transforms", ("RewriteStep", "contract", "double_project",
                         "project", "reduce", "trace_reduce")),
         ("classify", ("Block", "BlockDecomposition", "catalog_blocks",

@@ -1,12 +1,17 @@
-"""The subcommands other than ``check`` and ``hajos``.
+"""The subcommands other than ``check`` and ``hajos``, and the help tree.
 
-``cubiquity.cli`` keeps the parsers, the dispatch, the shared readers and
-writers, ``check`` and ``hajos``, and ``cli.run`` imports this module the
-first time one of these commands is called, so a ``check`` or ``hajos``
-call neither compiles nor loads it.  Each command reads and writes through
-the helpers of ``cli``, and ``cli.run`` turns what it raises into an exit
-code.  ``cli._json`` is looked up at call time, as ``cli.run`` looks up
-each ``cmd_<name>``.
+``cubiquity.cli`` keeps the dispatch, the shared readers and writers,
+``check`` and ``hajos`` and their arguments.  This module holds the other
+eight commands and their arguments, every command's help line and
+``build_parser``, the full parser tree that help and a missing or unknown
+command print from.  ``cli.run`` imports it the first time one of these
+commands, help or a missing or unknown command is called, so a ``check``
+or ``hajos`` call neither compiles nor loads it.  Each command reads and
+writes through the helpers of ``cli``, and ``cli.run`` turns what it
+raises into an exit code.  ``cli._json`` is looked up at call time, as
+``cli.run`` looks up each ``cmd_<name>``.  ``wu`` imports module ``wu``,
+the paper's Wu obstruction, when called, as ``classify`` and ``reduce``
+import theirs.
 
 ``reduce`` streams its lines: the library plans the whole trace first, so
 an input it refuses prints nothing, then replays the steps over rows of
@@ -26,8 +31,63 @@ from .cli import (
     _status_exit,
 )
 from .formats import format_matrix
-from .obstructions import _wu_obstruction
 from .subsets import Subset, _identity_holds, stats
+
+#: Each subcommand's help line, for the top-level help.
+_HELP = {
+    "check": "determinant gate (Hajos search at index 2^n), 1-2 triangle at "
+             "a power-of-two index, then brute force within the cap",
+    "wu": "Wu element and Wu obstruction",
+    "stats": "subset support statistics",
+    "hajos": "search for a Hajos basis",
+    "classify": "block decomposition of an orthogonal subset",
+    "torus": "rational-ball rule for torus-link sums",
+    "reduce": "projection/double-projection trace as JSON lines",
+    "contract": "apply one contraction (1-based indices)",
+    "det4": "4x4 determinant formula / zero-solution table",
+    "catalog": "print the 8x8 catalog blocks",
+}
+
+
+def _add_arguments(p: cli._Parser, name: str) -> None:
+    """Add the arguments of ``name``, one of this module's subcommands, to
+    its parser ``p``."""
+    if name in ("wu", "stats", "classify", "reduce", "contract"):
+        cli._add_matrix_arguments(
+            p, formats=name not in ("reduce", "contract"))
+    if name == "torus":
+        p.add_argument("params", nargs="+", type=int,
+                       help="half-twist counts (use -- before negatives)")
+        p.add_argument("--format", choices=("json", "text"), default="text")
+    elif name == "contract":
+        p.add_argument("-i", "--coordinate", type=int, required=True)
+        p.add_argument("--vectors", type=int, nargs=3, required=True,
+                       metavar=("S", "T", "U"))
+    elif name == "det4":
+        # read as text and converted by cmd_det4: argparse hands the word
+        # after an unknown option to this positional, and an int type would
+        # report that word rather than the option
+        p.add_argument("values", nargs="*")
+        p.add_argument("--zeros", action="store_true",
+                       help="print the zero-solution table as CSV")
+        p.add_argument("--bound", type=int,
+                       help="largest entry of the --zeros table (default 50)")
+    elif name == "catalog":
+        p.add_argument("--index", type=int, choices=(1, 2), default=None)
+
+
+def build_parser() -> cli._Parser:
+    """The full parser tree, which ``cli._parser`` builds for help and for a
+    missing or unknown command."""
+    parser = cli._Parser(
+        prog="cubiquity",
+        description="Decide, obstruct, and certify cubiquity of full-rank "
+                    "sublattices of Z^n.")
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=cli._Parser)
+    for name in cli._COMMANDS:
+        cli._add_arguments(sub.add_parser(name, help=_HELP[name]), name)
+    return parser
 
 
 def _read_subset(args) -> Subset:
@@ -36,6 +96,8 @@ def _read_subset(args) -> Subset:
 
 
 def cmd_wu(args) -> int:
+    from .wu import _wu_obstruction
+
     subset = _read_subset(args)
     wu, verdict = _wu_obstruction(subset)
     lhs, rhs = verdict.inequality

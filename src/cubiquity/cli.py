@@ -20,22 +20,25 @@ search takes at most n eliminations and has no cap, so ``hajos`` takes no
 A call builds only what it runs.  ``run`` builds the called subcommand's
 parser alone (``_add_arguments``), once per process, and hands it the
 arguments after the command name, so a call runs one argparse pass.  The
-full tree, which ``build_parser`` builds from the same function, is built
-only for help and for a missing or unknown command, and prints what it
-always has.
+full tree, which ``_commands.build_parser`` builds from the same
+function, is built only for help and for a missing or unknown command
+(``_parser``), and prints what it always has.
 
 A call compiles and loads only the code it runs.  This module holds the
-parsers, the dispatch, the shared readers and writers, ``check`` and
-``hajos``, and importing it loads ``errors``, ``lattice``, ``formats`` and
-``obstructions``, which is all that ``check`` and ``hajos`` need on small
-inputs: brute force imports ``cosets`` on its first call, so an input
-that the determinant gate or the 1-2 triangle decides never loads it, and
-a determinant from ``lattice._PACKED_FROM`` rows on imports ``packed``.
-The other eight subcommands live in ``_commands``, which ``run`` imports
-on the first call of one of them.  It imports ``subsets``, which each of
-them uses, directly or through ``classify``; each imports ``classify``
+dispatch, the shared readers and writers, ``check`` and ``hajos`` and
+their arguments, and importing it loads ``errors``, ``lattice``,
+``formats`` and ``obstructions``, which is all that ``check`` and
+``hajos`` need on small inputs: brute force imports ``cosets`` on its
+first call, so an input that the determinant gate or the 1-2 triangle
+decides never loads it, and a determinant from ``lattice._PACKED_FROM``
+rows on imports ``packed``.  The other eight subcommands, their help
+lines and arguments and the full parser tree live in ``_commands``,
+which ``run`` imports on the first call of one of them, or for help or a
+missing or unknown command.  It imports ``subsets``, which each of them
+uses, directly or through ``classify``, and each imports the module it
+runs when called: ``wu`` (the ``wu`` command), ``classify``
 (``classify``, ``torus``, ``det4`` and ``catalog``) or ``transforms``
-(``reduce`` and ``contract``) when called.  Run as ``python -m
+(``reduce`` and ``contract``).  Run as ``python -m
 cubiquity.cli``, this module is ``__main__`` and registers itself as
 ``cubiquity.cli`` too, so ``_commands`` imports it rather than a second
 copy.  No command imports ``json``: ``_json`` writes the payloads, whose
@@ -220,33 +223,31 @@ def cmd_hajos(args) -> int:
     return EXIT_CUBIQUITOUS if found else EXIT_NEGATIVE
 
 
-#: Each subcommand's help line, in the order of the top-level help.
-_COMMANDS = {
-    "check": "determinant gate (Hajos search at index 2^n), 1-2 triangle at "
-             "a power-of-two index, then brute force within the cap",
-    "wu": "Wu element and Wu obstruction",
-    "stats": "subset support statistics",
-    "hajos": "search for a Hajos basis",
-    "classify": "block decomposition of an orthogonal subset",
-    "torus": "rational-ball rule for torus-link sums",
-    "reduce": "projection/double-projection trace as JSON lines",
-    "contract": "apply one contraction (1-based indices)",
-    "det4": "4x4 determinant formula / zero-solution table",
-    "catalog": "print the 8x8 catalog blocks",
-}
+#: The subcommands, in the order of the top-level help.
+_COMMANDS = ("check", "wu", "stats", "hajos", "classify", "torus", "reduce",
+             "contract", "det4", "catalog")
+
+
+def _add_matrix_arguments(p: _Parser, formats: bool = True) -> None:
+    """Add the arguments of a subcommand that reads a matrix to its parser
+    ``p``: the input and, with ``formats``, ``--format``."""
+    p.add_argument("file", nargs="?", default=None,
+                   help="matrix file ('-' for stdin)")
+    p.add_argument("--matrix", default=None,
+                   help="inline matrix, rows separated by ';'")
+    p.add_argument("--rows-as-vectors", action="store_true",
+                   help="treat input rows (not columns) as basis vectors")
+    if formats:
+        p.add_argument("--format", choices=("json", "text"), default="json")
 
 
 def _add_arguments(p: _Parser, name: str) -> None:
-    """Add subcommand ``name``'s arguments to its parser ``p``."""
-    if name not in ("torus", "det4", "catalog"):
-        p.add_argument("file", nargs="?", default=None,
-                       help="matrix file ('-' for stdin)")
-        p.add_argument("--matrix", default=None,
-                       help="inline matrix, rows separated by ';'")
-        p.add_argument("--rows-as-vectors", action="store_true",
-                       help="treat input rows (not columns) as basis vectors")
-    if name in ("check", "wu", "stats", "hajos", "classify"):
-        p.add_argument("--format", choices=("json", "text"), default="json")
+    """Add subcommand ``name``'s arguments to its parser ``p``: check's and
+    hajos's from here, the others' from ``_commands``."""
+    if name not in ("check", "hajos"):
+        _other_commands()._add_arguments(p, name)
+        return
+    _add_matrix_arguments(p)
     if name == "check":
         p.add_argument("--cap", type=int, default=None,
                        help="brute-force resource cap: refuse brute force "
@@ -254,49 +255,19 @@ def _add_arguments(p: _Parser, name: str) -> None:
                             "are not metered "
                             f"(default ${CAP_ENV_VAR} or "
                             f"{DEFAULT_RESOURCE_CAP})")
-    elif name == "torus":
-        p.add_argument("params", nargs="+", type=int,
-                       help="half-twist counts (use -- before negatives)")
-        p.add_argument("--format", choices=("json", "text"), default="text")
-    elif name == "contract":
-        p.add_argument("-i", "--coordinate", type=int, required=True)
-        p.add_argument("--vectors", type=int, nargs=3, required=True,
-                       metavar=("S", "T", "U"))
-    elif name == "det4":
-        # read as text and converted by cmd_det4: argparse hands the word
-        # after an unknown option to this positional, and an int type would
-        # report that word rather than the option
-        p.add_argument("values", nargs="*")
-        p.add_argument("--zeros", action="store_true",
-                       help="print the zero-solution table as CSV")
-        p.add_argument("--bound", type=int,
-                       help="largest entry of the --zeros table (default 50)")
-    elif name == "catalog":
-        p.add_argument("--index", type=int, choices=(1, 2), default=None)
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(
-        prog="cubiquity",
-        description="Decide, obstruct, and certify cubiquity of full-rank "
-                    "sublattices of Z^n.")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_Parser)
-    for name, text in _COMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=text), name)
-    return parser
 
 
 @functools.cache
 def _parser() -> _Parser:
     # built only for help and for a missing or unknown command; argparse
     # keeps no state between parse_args calls, so one tree serves them all
-    return build_parser()
+    return _other_commands().build_parser()
 
 
 @functools.cache
 def _command_parser(name: str) -> _Parser:
-    """The parser ``build_parser`` gives subcommand ``name``, alone."""
+    """The parser the full tree (``_parser``) gives subcommand ``name``,
+    alone."""
     parser = _Parser(prog=f"cubiquity {name}")
     _add_arguments(parser, name)
     return parser
@@ -316,9 +287,10 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
 
 @functools.cache
 def _other_commands():
-    """The module of every subcommand but check and hajos, compiled and
-    loaded on the first call of one of them.  Cached, since an import
-    statement walks the import machinery on every call."""
+    """The module of every subcommand but check and hajos, and of the full
+    parser tree, compiled and loaded on the first call of one of those
+    commands, or on the first help or unknown command.  Cached, since an
+    import statement walks the import machinery on every call."""
     from . import _commands
 
     return _commands

@@ -19,6 +19,11 @@ elimination runs on the whole matrix, on rows packed into one integer
 each when every entry is below ``_PACKED_BELOW``: that kernel,
 `packed._det_packed`, is imported on its first call, so a program whose
 matrices stay below ``_PACKED_FROM`` rows never compiles it.
+
+``hnf``, ``contains`` and ``direct_sum``, which the CLI never runs, live in
+``membership``; their names still resolve here, as the same objects: the
+first lookup of one imports that module (PEP 562).  The Hermite form
+itself, ``BasisMatrix.hnf`` and `_hnf`, stays here.
 """
 
 from __future__ import annotations
@@ -29,6 +34,25 @@ from operator import index
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, SingularMatrix
+
+#: The names of module ``membership`` that resolve here too.
+_MEMBERSHIP = ("contains", "direct_sum", "hnf")
+
+
+def __getattr__(name: str):
+    if name not in _MEMBERSHIP:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    from . import membership
+
+    value = getattr(membership, name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_MEMBERSHIP))
+
 
 #: Default cap on the brute-force oracle, which refuses inputs whose
 #: n * |det| exceeds it.  Under the cap its work is one presentation of
@@ -386,35 +410,3 @@ def _hnf(basis: BasisMatrix) -> BasisMatrix:
     cols, order, _, _ = _triangulate(basis.rows,
                                      lambda free, rest: rest[0])
     return BasisMatrix._triangular(cols, order)
-
-
-def hnf(basis: BasisMatrix) -> BasisMatrix:
-    """Hermite Normal Form of the basis (cached on the matrix)."""
-    return basis.hnf
-
-
-def contains(basis: BasisMatrix, x: Sequence[int]) -> bool:
-    """True iff x lies in the sublattice spanned by the columns of basis.
-
-    Subtracts multiples of the HNF columns, one coordinate at a time, to
-    reach the HNF-box representative of x, which is 0 iff x is in L.
-    """
-    v = [index(a) for a in x]  # rejects floats, as BasisMatrix does
-    n = basis.n
-    if len(v) != n:
-        raise DimensionMismatch(
-            f"vector has dimension {len(v)}, lattice has dimension {n}")
-    for j, col in enumerate(basis.hnf.columns):
-        q = v[j] // col[j]
-        if q:
-            for i in range(j, n):
-                v[i] -= q * col[i]
-    return not any(v)
-
-
-def direct_sum(b1: BasisMatrix, b2: BasisMatrix) -> BasisMatrix:
-    """Block-diagonal basis of the direct sum of the two lattices."""
-    m, n = b1.n, b2.n
-    rows = [list(row) + [0] * n for row in b1.rows]
-    rows += [[0] * m + list(row) for row in b2.rows]
-    return BasisMatrix(rows)

@@ -1,11 +1,8 @@
-"""Cubiquity obstructions, the brute-force oracle and the decision pipeline.
+"""Cubiquity verdicts, the brute-force oracle and the decision pipeline.
 
 A full-rank sublattice of Z^n is cubiquitous when it meets every translated
 unit cube x + {0,1}^n.  This module provides
 
-* the Wu obstruction for non-acute subsets (sum of squared Wu coordinates
-  against 4n - 3|odd coordinates|), and its restatement for orthogonal
-  subsets in terms of the norm excess,
 * the determinant gate: index above 2^n rules cubiquity out, index exactly
   2^n reduces it to the existence of a Hajos basis,
 * the brute-force oracle that decides cubiquity outright by covering the
@@ -17,6 +14,12 @@ unit cube x + {0,1}^n.  This module provides
   n * |det| exceeds the cap.  The oracle imports ``cosets`` on its first
   call, so the other routes never load it.
 
+The paper's Wu obstruction for non-acute subsets (``WuData``,
+``wu_element``, ``wu_obstruction``, ``wu_obstruction_orthogonal``) lives in
+``wu``, which only the ``wu`` subcommand runs, so ``check`` and ``hajos``
+neither compile nor load it.  Its names still resolve here, as the same
+objects: the first lookup of one imports ``wu`` (PEP 562).
+
 Obstructions never claim a lattice IS cubiquitous; only the oracle, the
 Hajos route and the 1-2 triangle do.
 """
@@ -26,12 +29,30 @@ from __future__ import annotations
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .errors import NotNonAcute, NotOrthogonal, ResourceLimit
+from .errors import ResourceLimit
 from .lattice import DEFAULT_RESOURCE_CAP, BasisMatrix, Vector
 
 if TYPE_CHECKING:
     from .classify import Block  # classify imports this module at runtime
-    from .subsets import Subset  # loaded by the Wu functions that need it
+
+#: The names of module ``wu`` that resolve here too.
+_WU = ("WuData", "_wu_obstruction", "wu_element", "wu_obstruction",
+       "wu_obstruction_orthogonal")
+
+
+def __getattr__(name: str):
+    if name not in _WU:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    from . import wu
+
+    value = getattr(wu, name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_WU))
 
 
 class Status(str, Enum):
@@ -42,20 +63,6 @@ class Status(str, Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
-
-
-class WuData(NamedTuple):
-    """The Wu element (sum of the subset's vectors) and its parity pattern.
-
-    ``vector`` holds the coordinates of the sum; ``odd``, ``even_nonzero``
-    and ``zero`` partition the coordinate indices by the parity of the
-    corresponding entry.
-    """
-
-    vector: Vector
-    odd: tuple[int, ...]
-    even_nonzero: tuple[int, ...]
-    zero: tuple[int, ...]
 
 
 class HajosBasis(NamedTuple):
@@ -100,65 +107,6 @@ class CubiquityVerdict(NamedTuple):
 def _hajos_rows(found: Optional[HajosBasis]) -> Optional[list[list[int]]]:
     """The JSON ``hajos_basis`` value: the certificate's rows, or null."""
     return None if found is None else [list(r) for r in found.matrix.rows]
-
-
-def wu_element(subset: Subset) -> WuData:
-    """Sum of the subset's vectors and the parity partition of its entries.
-
-    Each vector is added over its support, so only nonzero entries are
-    read."""
-    from .subsets import _support_index
-
-    total = [0] * subset.n
-    for v, support in zip(subset.vectors, _support_index(subset)[0]):
-        for j in support:
-            total[j] += v[j]
-    odd = tuple(j for j, k in enumerate(total) if k % 2)
-    even_nonzero = tuple(j for j, k in enumerate(total) if k and k % 2 == 0)
-    zero = tuple(j for j, k in enumerate(total) if k == 0)
-    return WuData(tuple(total), odd, even_nonzero, zero)
-
-
-def wu_obstruction(subset: Subset) -> CubiquityVerdict:
-    """Obstruct cubiquity of a non-acute subset via its Wu element.
-
-    Obstructed when the squared length of the Wu element strictly exceeds
-    4n - 3*(number of odd coordinates); Inconclusive otherwise.  The
-    obstruction is one-directional, so Cubiquitous is never returned.
-    """
-    return _wu_obstruction(subset)[1]
-
-
-def _wu_obstruction(subset: Subset) -> tuple[WuData, CubiquityVerdict]:
-    from .subsets import is_non_acute
-
-    if not is_non_acute(subset):
-        raise NotNonAcute("wu_obstruction requires a non-acute subset")
-    wu = wu_element(subset)
-    lhs = sum(k * k for k in wu.vector)
-    rhs = 4 * subset.n - 3 * len(wu.odd)
-    status = Status.OBSTRUCTED if lhs > rhs else Status.INCONCLUSIVE
-    return wu, CubiquityVerdict(status, inequality=(lhs, rhs))
-
-
-def wu_obstruction_orthogonal(subset: Subset) -> CubiquityVerdict:
-    """Wu obstruction specialised to orthogonal subsets.
-
-    Fires when the norm excess strictly exceeds n - 3*(number of odd Wu
-    coordinates).  For orthogonal subsets the squared length of the Wu
-    element equals the sum of the norms, so this agrees with
-    wu_obstruction on every orthogonal input.
-    """
-    from .subsets import is_orthogonal
-
-    if not is_orthogonal(subset):
-        raise NotOrthogonal(
-            "wu_obstruction_orthogonal requires an orthogonal subset")
-    wu = wu_element(subset)
-    lhs = sum(subset.norms) - 3 * subset.n
-    rhs = subset.n - 3 * len(wu.odd)
-    status = Status.OBSTRUCTED if lhs > rhs else Status.INCONCLUSIVE
-    return CubiquityVerdict(status, inequality=(lhs, rhs))
 
 
 def is_cubiquitous_bruteforce(

@@ -646,13 +646,13 @@ def test_parser_built_once_per_process(monkeypatch, capsys):
     # a command builds its own parser on its first call and reuses it; the
     # full tree is built once, for the first unknown command
     calls = []
-    build = cli.build_parser
+    build = _commands.build_parser
 
     def counting_build():
         calls.append(None)
         return build()
 
-    monkeypatch.setattr(cli, "build_parser", counting_build)
+    monkeypatch.setattr(_commands, "build_parser", counting_build)
     cli._parser.cache_clear()
     cli._command_parser.cache_clear()
     try:
@@ -1012,6 +1012,8 @@ result = {"check_and_hajos": loaded()}
 small.append(call("classify", "--matrix", "1 0; 0 2"))
 result.update(small=small, after_classify=loaded(),
               parser_built=cli._parser.cache_info().currsize)
+result.update(wu=call("wu", "--matrix", "1 1 0; 1 -1 0; 0 0 2"),
+              after_wu=loaded())
 identity = "; ".join(" ".join("1" if i == j else "0" for j in range(20))
                      for i in range(20))
 result.update(large=call("check", "--matrix", identity), after_large=loaded())
@@ -1030,7 +1032,8 @@ def test_check_and_hajos_load_only_what_they_run():
     for module in ("dataclasses", "json", "cubiquity.subsets",
                    "cubiquity.classify", "cubiquity.transforms",
                    "cubiquity.cosets", "cubiquity.packed",
-                   "cubiquity._commands"):
+                   "cubiquity._commands", "cubiquity.wu",
+                   "cubiquity.membership"):
         assert module not in result["check_and_hajos"]
     assert "cubiquity.obstructions" in result["check_and_hajos"]
     # no 2 x 2 call writes with json, takes a packed determinant or builds
@@ -1043,6 +1046,12 @@ def test_check_and_hajos_load_only_what_they_run():
     assert result["parser_built"] == 0
     assert json.loads(result["small"][3][1])["verdict"]["status"] == \
         "Cubiquitous"
+    # the Wu obstruction is the wu command's alone, and no command runs
+    # the membership functions
+    assert "cubiquity.wu" not in result["after_classify"]
+    assert result["wu"][0] == 2
+    assert "cubiquity.wu" in result["after_wu"]
+    assert "cubiquity.membership" not in result["after_wu"]
     # a 20-row determinant is the packed kernel's
     assert result["large"][0] == 0
     assert "cubiquity.packed" in result["after_large"]

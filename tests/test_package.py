@@ -64,6 +64,52 @@ assert cubiquity.Subset is sys.modules["cubiquity.subsets"].Subset
 """
 
 
+# module ``wu`` and module ``membership`` took these names out of the
+# modules that every CLI call loads; each still resolves at its old path
+MOVED = """
+import sys
+import cubiquity
+from cubiquity import lattice, obstructions
+
+moved = {obstructions: ("WuData", "wu_element", "wu_obstruction",
+                        "wu_obstruction_orthogonal"),
+         lattice: ("contains", "direct_sum", "hnf")}
+assert "cubiquity.wu" not in sys.modules
+assert "cubiquity.membership" not in sys.modules
+for module, names in moved.items():
+    listed = dir(module)
+    assert set(names) <= set(listed), (module, listed)
+    for name in names:
+        value = getattr(module, name)  # before the package's name
+        assert value is getattr(cubiquity, name), name
+        new_home = "cubiquity." + cubiquity._SUBMODULE[name]
+        assert value.__module__ == new_home, (name, value.__module__)
+        assert value is getattr(sys.modules[new_home], name), name
+    assert dir(module) == listed, module
+    try:
+        module.no_such_name
+    except AttributeError as exc:
+        assert str(exc) == (f"module {module.__name__!r} has no attribute "
+                            "'no_such_name'"), exc
+    else:
+        raise AssertionError(module)
+    assert not hasattr(module, "wu_preserved")
+from cubiquity.obstructions import _wu_obstruction, wu_element
+from cubiquity.lattice import contains
+assert _wu_obstruction is sys.modules["cubiquity.wu"]._wu_obstruction
+assert contains is cubiquity.contains
+"""
+
+
+def test_moved_names_resolve_at_their_old_paths():
+    # in a fresh interpreter, so the first lookup runs the module's
+    # __getattr__ rather than finding a name an earlier test bound
+    proc = subprocess.run(
+        [sys.executable, "-c", MOVED], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_oracles_share_no_code_with_the_library():
     # tests/helpers.py holds the independent oracles: each has its own few
     # lines, so it imports no private name of the package and reads no
