@@ -9,9 +9,13 @@ commands, help or a missing or unknown command is called, so a ``check``
 or ``hajos`` call neither compiles nor loads it.  Each command reads and
 writes through the helpers of ``cli``, and ``cli.run`` turns what it
 raises into an exit code.  ``cli._json`` is looked up at call time, as
-``cli.run`` looks up each ``cmd_<name>``.  ``wu`` imports module ``wu``,
-the paper's Wu obstruction, when called, as ``classify`` and ``reduce``
-import theirs.
+``cli.run`` looks up each ``cmd_<name>``.  The module a command runs is
+loaded on its first call and then bound, by a cached accessor as
+``cli._other_commands`` binds this one: ``wu`` (the paper's Wu
+obstruction) for ``wu``, ``classify`` for ``classify``, ``torus``,
+``det4`` and ``catalog``, ``transforms`` for ``reduce`` and
+``contract``.  Each accessor holds an import statement, not an
+``importlib`` call, so ``python -X importtime`` lists what it loads.
 
 ``reduce`` streams its lines: the library plans the whole trace first, so
 an input it refuses prints nothing, then replays the steps over rows of
@@ -20,6 +24,8 @@ an int is its JSON text.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from . import cli
 from .cli import (
@@ -90,16 +96,43 @@ def build_parser() -> cli._Parser:
     return parser
 
 
+@cache
+def _wu():
+    """Module ``wu``, loaded on the ``wu`` command's first call, then
+    bound, as `cli._other_commands` binds this module: an import statement
+    in a command would walk the import machinery on every call."""
+    from . import wu
+
+    return wu
+
+
+@cache
+def _classify():
+    """Module ``classify``, loaded on the first call of a command that
+    runs it (``classify``, ``torus``, ``det4`` and ``catalog``), then
+    bound."""
+    from . import classify
+
+    return classify
+
+
+@cache
+def _transforms():
+    """Module ``transforms``, loaded on the first ``reduce`` or
+    ``contract`` call, then bound."""
+    from . import transforms
+
+    return transforms
+
+
 def _read_subset(args) -> Subset:
     # the reader gives n rows of n ints, so the columns need no check
     return Subset._unchecked(tuple(zip(*_read_rows(args))))
 
 
 def cmd_wu(args) -> int:
-    from .wu import _wu_obstruction
-
     subset = _read_subset(args)
-    wu, verdict = _wu_obstruction(subset)
+    wu, verdict = _wu()._wu_obstruction(subset)
     lhs, rhs = verdict.inequality
     payload = {
         "W": list(wu.vector),
@@ -140,9 +173,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    from .classify import _classify_blocks
-
-    verdict, blocks = _classify_blocks(_read_subset(args))
+    classify = _classify()
+    verdict, blocks = classify._classify_blocks(_read_subset(args))
     if args.format == "json":
         # one f-string per block: on a list of small dicts _json takes two
         # to four times what json.dumps does, and this about as much
@@ -150,7 +182,7 @@ def cmd_classify(args) -> int:
                           f'"vectors": {_one_based(b.vectors)}, '
                           f'"kind": "{b.kind}"}}' for b in blocks.blocks])
         print(f'{{"blocks": [{text}], '
-              f'"verdict": {cli._json(verdict.to_json_dict())}}}')
+              f'"verdict": {cli._verdict_json(verdict)}}}')
     else:
         for b in blocks.blocks:
             print(f"# block kind={b.kind} coordinates="
@@ -160,9 +192,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_torus(args) -> int:
-    from .classify import torus_sum_bounds_qball
-
-    bounds = torus_sum_bounds_qball(args.params)
+    bounds = _classify().torus_sum_bounds_qball(args.params)
     if args.format == "json":
         print(cli._json({"bounds": bounds}))
     else:
@@ -176,13 +206,12 @@ def _json_rows(rows) -> str:
 
 
 def cmd_reduce(args) -> int:
-    from .transforms import _reduce_plan, _replay
-
+    transforms = _transforms()
     subset = _read_subset(args)
-    plan = _reduce_plan(subset)
+    plan = transforms._reduce_plan(subset)
     # the steps stream over rows of entry text: each entry is rendered once
     rows = [list(map(str, v)) for v in subset.vectors]
-    for kind, coordinates, vectors in _replay(plan, rows):
+    for kind, coordinates, vectors in transforms._replay(plan, rows):
         print(f'{{"kind": "{kind}", "coordinates": {_one_based(coordinates)}, '
               f'"vectors": {_one_based(vectors)}, '
               f'"result": {_json_rows(rows)}}}')
@@ -191,8 +220,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_contract(args) -> int:
-    from .transforms import CONTRACTION, contract
-
+    transforms = _transforms()
     subset = _read_subset(args)
     n = subset.n
     if not 1 <= args.coordinate <= n:
@@ -202,9 +230,9 @@ def cmd_contract(args) -> int:
             raise UsageError(f"vector {v} is outside 1..{n}")
     i = args.coordinate - 1
     s, t, u = (v - 1 for v in args.vectors)
-    result = contract(subset, i, s, t, u)
+    result = transforms.contract(subset, i, s, t, u)
     print(cli._json({
-        "kind": CONTRACTION,
+        "kind": transforms.CONTRACTION,
         "coordinates": [args.coordinate],
         "vectors": list(args.vectors),
         "result": result.vectors,
@@ -213,8 +241,7 @@ def cmd_contract(args) -> int:
 
 
 def cmd_det4(args) -> int:
-    from .classify import det4_formula, det4_zero_solutions
-
+    classify = _classify()
     values = []
     for token in args.values:
         try:
@@ -227,7 +254,7 @@ def cmd_det4(args) -> int:
         if values:
             raise UsageError("--zeros takes no diagonal values")
         try:
-            solutions = det4_zero_solutions(
+            solutions = classify.det4_zero_solutions(
                 50 if args.bound is None else args.bound)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
@@ -239,14 +266,12 @@ def cmd_det4(args) -> int:
         raise UsageError("--bound applies to --zeros only")
     if len(values) != 4:
         raise UsageError("det4 needs exactly four diagonal values")
-    print(det4_formula(*values))
+    print(classify.det4_formula(*values))
     return EXIT_CUBIQUITOUS
 
 
 def cmd_catalog(args) -> int:
-    from .classify import catalog_blocks
-
-    first, second = catalog_blocks()
+    first, second = _classify().catalog_blocks()
     if args.index == 1:
         print(format_matrix(first))
     elif args.index == 2:

@@ -24,26 +24,32 @@ full tree, which ``_commands.build_parser`` builds from the same
 function, is built only for help and for a missing or unknown command
 (``_parser``), and prints what it always has.
 
-A call compiles and loads only the code it runs.  This module holds the
-dispatch, the shared readers and writers, ``check`` and ``hajos`` and
-their arguments, and importing it loads ``errors``, ``lattice``,
-``formats`` and ``obstructions``, which is all that ``check`` and
-``hajos`` need on small inputs: brute force imports ``cosets`` on its
-first call, so an input that the determinant gate or the 1-2 triangle
-decides never loads it, and a determinant from ``lattice._PACKED_FROM``
-rows on imports ``packed``.  The other eight subcommands, their help
-lines and arguments and the full parser tree live in ``_commands``,
-which ``run`` imports on the first call of one of them, or for help or a
-missing or unknown command.  It imports ``subsets``, which each of them
-uses, directly or through ``classify``, and each imports the module it
-runs when called: ``wu`` (the ``wu`` command), ``classify``
-(``classify``, ``torus``, ``det4`` and ``catalog``) or ``transforms``
-(``reduce`` and ``contract``).  Run as ``python -m
+A call compiles and loads only the code it runs, and pays for a lazy
+load once per process.  This module holds the dispatch, the shared
+readers and writers, ``check`` and ``hajos`` and their arguments, and
+importing it loads ``errors``, ``lattice``, ``formats`` and
+``obstructions``, which is all that ``check`` and ``hajos`` need on
+small inputs: brute force loads ``cosets`` on its first call, so an
+input that the determinant gate or the 1-2 triangle decides never loads
+it, and a determinant from ``lattice._PACKED_FROM`` rows on loads
+``packed``.  The other eight subcommands, their help lines and arguments
+and the full parser tree live in ``_commands``, which ``run`` loads on
+the first call of one of them, or for help or a missing or unknown
+command.  It imports ``subsets``, which each of them uses, directly or
+through ``classify``, and each loads the module it runs on its first
+call: ``wu`` (the ``wu`` command), ``classify`` (``classify``,
+``torus``, ``det4`` and ``catalog``) or ``transforms`` (``reduce`` and
+``contract``).  Each such module is bound by a cached accessor
+(`_other_commands` here, ``obstructions._cosets``, ``lattice._packed``
+and the accessors of ``_commands``), since an import statement in a
+function walks the import machinery on every call.  Run as ``python -m
 cubiquity.cli``, this module is ``__main__`` and registers itself as
 ``cubiquity.cli`` too, so ``_commands`` imports it rather than a second
-copy.  No command imports ``json``: ``_json`` writes the payloads, whose
-``str`` is mostly their JSON text already, and ``classify`` and
-``reduce`` write each block or step with one f-string.
+copy.  No command imports ``json``: a verdict, ``hajos``'s payload and
+each ``classify`` block or ``reduce`` step is one f-string, since ``str``
+of a list of ints is its JSON text, and ``_json`` writes the other
+payloads.  The matrix reader's rows go to ``BasisMatrix`` unchecked, as
+the reader has checked them.
 
 The text output of ``check``, ``wu``, ``stats``, ``hajos``, ``classify``
 and ``catalog`` starts every informational line with '#', so any matrix
@@ -141,7 +147,9 @@ def _read_rows(args):
 
 
 def _read_basis(args) -> BasisMatrix:
-    return BasisMatrix(_read_rows(args))
+    # the reader gives a tuple of n tuples of n ints, so the rows need no
+    # second check
+    return BasisMatrix(_read_rows(args), _trusted=True)
 
 
 #: The characters of ``str`` of an int, or of a list of ints or of such
@@ -180,9 +188,26 @@ def _status_exit(status: Status) -> int:
     return EXIT_NEGATIVE
 
 
+def _verdict_json(verdict: CubiquityVerdict) -> str:
+    """``json.dumps(verdict.to_json_dict())`` in one f-string, with no dict
+    for `_json` to walk: ``str`` of a list of ints, or of lists of ints,
+    is its JSON text already."""
+    if verdict.inequality is None:
+        inequality = "null"
+    else:
+        lhs, rhs = verdict.inequality
+        inequality = f'{{"lhs": {lhs}, "rhs": {rhs}}}'
+    witness = verdict.witness
+    rows = _hajos_rows(verdict.hajos)
+    return (f'{{"status": "{verdict.status.value}", '
+            f'"witness": {"null" if witness is None else list(witness)}, '
+            f'"inequality": {inequality}, '
+            f'"hajos_basis": {"null" if rows is None else rows}}}')
+
+
 def _emit_verdict(verdict: CubiquityVerdict, fmt: str) -> None:
     if fmt == "json":
-        print(_json(verdict.to_json_dict()))
+        print(_verdict_json(verdict))
         return
     print(f"# status: {verdict.status.value}")
     if verdict.witness is not None:
@@ -211,11 +236,12 @@ def cmd_hajos(args) -> int:
     basis = _read_basis(args)
     found = hajos_basis(basis)
     if args.format == "json":
-        payload = {
-            "hajos_basis": _hajos_rows(found),
-            "row_order": _one_based(found.row_order) if found else None,
-        }
-        print(_json(payload))
+        # one f-string, as _verdict_json writes a verdict
+        if found:
+            print(f'{{"hajos_basis": {_hajos_rows(found)}, '
+                  f'"row_order": {_one_based(found.row_order)}}}')
+        else:
+            print('{"hajos_basis": null, "row_order": null}')
     elif found:
         _print_hajos(found)
     else:

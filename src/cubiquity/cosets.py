@@ -4,8 +4,9 @@ Z^n/L is written as a product of cyclic groups, presented straight from
 the basis modulo N = |det| (N times Z^n lies in L, so no Hermite form is
 needed), and a set of cosets as the bits of one integer in mixed radix, so
 that adding an element to every coset of a set is one masked rotation per
-cyclic factor.  ``obstructions.is_cubiquitous_bruteforce`` imports this
-module on its first call, so a program that runs no brute force never
+cyclic factor.  ``obstructions.is_cubiquitous_bruteforce`` loads this
+module on its first call and binds it for the calls after
+(``obstructions._cosets``), so a program that runs no brute force never
 compiles it.
 """
 

@@ -88,9 +88,13 @@ def parse_inline(text: str, rows_as_vectors: bool = False) -> Rows:
     parts = [part for part in map(str.strip, text.split(";")) if part]
     if not parts:
         raise MatrixFormatError("empty inline matrix")
-    for part in parts:
-        if len(part.splitlines()) > 1:
-            raise MatrixFormatError(f"inline row {part!r} holds a line break")
+    # a part holds a line break only where the whole text splits into
+    # lines, so the parts are searched only then
+    if len(text.splitlines()) > 1:
+        for part in parts:
+            if len(part.splitlines()) > 1:
+                raise MatrixFormatError(
+                    f"inline row {part!r} holds a line break")
     return _read_rows(parts, rows_as_vectors)
 
 

@@ -14,11 +14,13 @@ power-of-two certificate, `BasisMatrix._triangle`, is one greedy at every
 power-of-two index up to 2^n: gcd 2 first, else gcd 1, no cap; at 2^n its
 form is the Hajos basis.  The basis keeps it from the determinant's
 elimination wherever that settles it, so an index-2^n input whose greedy
-completes is eliminated once.  From ``_PACKED_FROM`` rows on, Bareiss's
-elimination runs on the whole matrix, on rows packed into one integer
-each when every entry is below ``_PACKED_BELOW``: that kernel,
-`packed._det_packed`, is imported on its first call, so a program whose
-matrices stay below ``_PACKED_FROM`` rows never compiles it.
+completes is eliminated once; where that elimination stops short at a
+power-of-two index, the form resumes from where it stopped.  From
+``_PACKED_FROM`` rows on, Bareiss's elimination runs on the whole
+matrix, on rows packed into one integer each when every entry is below
+``_PACKED_BELOW``: that kernel, `packed._det_packed`, is loaded on its
+first call and then bound (`_packed`), so a program whose matrices stay
+below ``_PACKED_FROM`` rows never compiles it.
 
 ``hnf``, ``contains`` and ``direct_sum``, which the CLI never runs, live in
 ``membership``; their names still resolve here, as the same objects: the
@@ -28,7 +30,7 @@ itself, ``BasisMatrix.hnf`` and `_hnf`, stays here.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from math import prod
 from operator import index
 from typing import Iterable, Sequence
@@ -99,10 +101,18 @@ def _bareiss_det(rows: Sequence[Sequence[int]]) -> int:
         top = max(map(max, rows))
         low = min(map(min, rows))
         if top < _PACKED_BELOW and low > -_PACKED_BELOW:
-            from .packed import _det_packed  # compiled on first use
-
-            return _det_packed(rows, max(top, ~low))
+            return _packed()._det_packed(rows, max(top, ~low))
     return _det_entries(rows)
+
+
+@cache
+def _packed():
+    """Module ``packed``, compiled and loaded on the first determinant from
+    `_PACKED_FROM` rows on, then bound: an import statement inside
+    `_bareiss_det` would walk the import machinery on every call."""
+    from . import packed
+
+    return packed
 
 
 def _det_entries(rows: Sequence[Sequence[int]]) -> int:
@@ -142,14 +152,21 @@ class BasisMatrix:
     columns are the basis vectors.
     """
 
-    def __init__(self, rows: Iterable[Iterable[int]]):
-        # operator.index rejects floats; this library is exact
-        rows = tuple(tuple(map(index, row)) for row in rows)
+    def __init__(self, rows: Iterable[Iterable[int]], *,
+                 _trusted: bool = False):
+        # ``_trusted`` rows are a tuple of n >= 1 tuples of n ints already,
+        # as the matrix reader returns them, so they skip the checks; the
+        # flag rides on __init__ rather than on a second constructor so
+        # that whatever wraps __init__ sees every basis
+        if not _trusted:
+            # operator.index rejects floats; this library is exact
+            rows = tuple(tuple(map(index, row)) for row in rows)
+            if not rows:
+                raise DimensionMismatch(
+                    "a basis matrix needs at least one row")
+            if any(len(row) != len(rows) for row in rows):
+                raise DimensionMismatch("basis matrix must be square")
         n = len(rows)
-        if n == 0:
-            raise DimensionMismatch("a basis matrix needs at least one row")
-        if any(len(row) != n for row in rows):
-            raise DimensionMismatch("basis matrix must be square")
         self._rows = rows
         self.det = (_greedy_det(self, rows) if n < _PACKED_FROM
                     else _bareiss_det(rows))
@@ -201,11 +218,21 @@ class BasisMatrix:
         `_cube_pick` and no cap at a power-of-two index up to 2^n, else
         None: one greedy, gcd 2 first, else gcd 1.  Its pivots are 1 and
         2, so at 2^n they are all 2 and its form is the Hajos basis.
-        `_greedy_det` sets it where it settles it."""
+
+        `_greedy_det` sets it where it settles it.  Where its capped
+        greedy stopped short at a power-of-two index, this resumes from
+        the state it stopped in (`_stopped`) rather than from the rows:
+        that greedy's steps are a prefix of this one's, since each pick
+        reads only gcds over the lattice left, which its column swaps and
+        subtractions keep; and the Hermite form is unique for a fixed row
+        order.  So the form is the one a run from the rows gives."""
         d = abs(self.det)
         if d & d - 1 or d > 1 << self.n:
             return None
-        cols, order, rest, _ = _triangulate(self._rows, _cube_pick)
+        # the run takes the stopped state's lists over, so it is dropped
+        stopped = vars(self).pop("_stopped", None)
+        cols, order, rest, _ = _triangulate(self._rows, _cube_pick, False,
+                                            stopped)
         return None if rest else (cols, order)
 
     def permute_rows(self, order: Sequence[int]) -> "BasisMatrix":
@@ -276,10 +303,12 @@ def _cube_pick(free, rest):
 
 def _greedy_det(basis: BasisMatrix, rows: Sequence[Sequence[int]]) -> int:
     """The determinant from the capped Hajos greedy and, where it stops,
-    `_det_entries` of the block left; sets ``basis._triangle`` where this
-    elimination settles it."""
+    `_det_entries` of the block left.  Sets ``basis._triangle`` where this
+    elimination settles it; where it leaves it open (a power-of-two index
+    below 2^n, or the swap cap at 2^n), it keeps the state it stopped in
+    as ``basis._stopped``, from which `BasisMatrix._triangle` resumes."""
     n = len(rows)
-    cols, order, rest, sign = _triangulate(rows, _hajos_pick, True)
+    stopped = cols, order, rest, sign = _triangulate(rows, _hajos_pick, True)
     if not rest:
         basis._triangle = cols, order
         return sign << n  # every pivot is 2
@@ -295,6 +324,8 @@ def _greedy_det(basis: BasisMatrix, rows: Sequence[Sequence[int]]) -> int:
     # there every pick has pivot 2, so a pick left means the swap cap
     if d & d - 1 or d > top or d == top and _hajos_pick(free, rest) is None:
         basis._triangle = None
+    else:
+        basis._stopped = stopped
     return det
 
 
@@ -310,7 +341,8 @@ def _greedy_det(basis: BasisMatrix, rows: Sequence[Sequence[int]]) -> int:
 _EUCLID_SWAPS = 4
 
 
-def _triangulate(rows: Sequence[Sequence[int]], pick, capped: bool = False):
+def _triangulate(rows: Sequence[Sequence[int]], pick, capped: bool = False,
+                 start=None):
     """Column-style Hermite Normal Form, choosing the row order on the way.
 
     Step k takes coordinate ``p = pick(free, rest)``.  ``free`` are the
@@ -338,13 +370,20 @@ def _triangulate(rows: Sequence[Sequence[int]], pick, capped: bool = False):
     positive diagonal and reduces the entries at its coordinate of the
     columns before it into [0, diagonal): the columns read in the order
     taken are the HNF of the rows in that order.
+
+    ``start``, a result of an earlier call on the same rows, resumes that
+    elimination where it stopped, in place of the rows' columns: it is
+    taken over, not copied.
     """
     n = len(rows)
-    cols = [list(c) for c in zip(*rows)]
-    rest = list(range(n))
-    order = []
-    sign = 1
-    for k in range(n):
+    if start is None:
+        cols = [list(c) for c in zip(*rows)]
+        rest = list(range(n))
+        order = []
+        sign = 1
+    else:
+        cols, order, rest, sign = start
+    for k in range(len(order), n):
         p = pick(cols[k:], rest)
         if p is None:
             break

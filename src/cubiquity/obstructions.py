@@ -11,8 +11,9 @@ unit cube x + {0,1}^n.  This module provides
 * ``decide``: the determinant gate, then at a power-of-two index below
   2^n a triangular form with 1s and 2s on its diagonal, then the oracle,
   which alone is metered by a resource cap: it refuses an input whose
-  n * |det| exceeds the cap.  The oracle imports ``cosets`` on its first
-  call, so the other routes never load it.
+  n * |det| exceeds the cap.  The oracle loads ``cosets`` on its first
+  call, through an accessor that binds it once per process (`_cosets`),
+  so the other routes never load it.
 
 The paper's Wu obstruction for non-acute subsets (``WuData``,
 ``wu_element``, ``wu_obstruction``, ``wu_obstruction_orthogonal``) lives in
@@ -27,6 +28,7 @@ Hajos route and the 1-2 triangle do.
 from __future__ import annotations
 
 from enum import Enum
+from functools import cache
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import ResourceLimit
@@ -136,12 +138,20 @@ def is_cubiquitous_bruteforce(
         raise ResourceLimit(
             f"brute force counts n * |det| = {n} * {order} = {n * order} "
             f"steps, cap is {cap}")
-    from .cosets import first_missed_cube  # compiled on first use
-
-    witness = first_missed_cube(basis)
+    witness = _cosets().first_missed_cube(basis)
     if witness is None:
         return CubiquityVerdict(Status.CUBIQUITOUS)
     return CubiquityVerdict(Status.NOT_CUBIQUITOUS, witness=witness)
+
+
+@cache
+def _cosets():
+    """Module ``cosets``, compiled and loaded on the oracle's first call,
+    then bound: an import statement inside the oracle would walk the
+    import machinery on every call."""
+    from . import cosets
+
+    return cosets
 
 
 def hajos_basis(basis: BasisMatrix) -> Optional[HajosBasis]:

@@ -1,12 +1,12 @@
 """Bareiss's elimination on rows packed into one integer each.
 
-`lattice._bareiss_det` imports this module from ``lattice._PACKED_FROM``
-rows on, when every entry is below ``lattice._PACKED_BELOW``, so a program
-that takes no determinant of that size never compiles it.  Each row is
-packed into one integer of signed fixed-width slots (`_det_packed`): a
-step is then a few big-integer operations per row instead of four per
-entry; the slot width comes from Hadamard's bound on the minors the
-elimination can produce.
+`lattice._bareiss_det` loads this module, once per process
+(``lattice._packed``), from ``lattice._PACKED_FROM`` rows on, when every
+entry is below ``lattice._PACKED_BELOW``, so a program that takes no
+determinant of that size never compiles it.  Each row is packed into one
+integer of signed fixed-width slots (`_det_packed`): a step is then a few
+big-integer operations per row instead of four per entry; the slot width
+comes from Hadamard's bound on the minors the elimination can produce.
 Once a row takes ``_PAIRS_FROM`` bytes, one pass eliminates two columns
 (Bareiss's two-step method): by Sylvester's identity the row two steps on
 is ``(p2 * v - f * sec + e * top) / p0``, where top and sec are the two

@@ -10,19 +10,18 @@ Cubiquitous.
 Only the ``wu`` subcommand runs this code, so it sits apart from
 ``obstructions``, which ``check`` and ``hajos`` load; the names also
 resolve there and at the package's top level, from where this module is
-imported on their first use.
+loaded on their first use.  It imports ``subsets`` when it loads: the
+``wu`` command's module has loaded that already.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import NotNonAcute, NotOrthogonal
 from .lattice import Vector
 from .obstructions import CubiquityVerdict, Status
-
-if TYPE_CHECKING:
-    from .subsets import Subset  # loaded by the functions that need it
+from .subsets import Subset, _support_index, is_non_acute, is_orthogonal
 
 
 class WuData(NamedTuple):
@@ -44,8 +43,6 @@ def wu_element(subset: Subset) -> WuData:
 
     Each vector is added over its support, so only nonzero entries are
     read."""
-    from .subsets import _support_index
-
     total = [0] * subset.n
     for v, support in zip(subset.vectors, _support_index(subset)[0]):
         for j in support:
@@ -67,8 +64,6 @@ def wu_obstruction(subset: Subset) -> CubiquityVerdict:
 
 
 def _wu_obstruction(subset: Subset) -> tuple[WuData, CubiquityVerdict]:
-    from .subsets import is_non_acute
-
     if not is_non_acute(subset):
         raise NotNonAcute("wu_obstruction requires a non-acute subset")
     wu = wu_element(subset)
@@ -86,8 +81,6 @@ def wu_obstruction_orthogonal(subset: Subset) -> CubiquityVerdict:
     element equals the sum of the norms, so this agrees with
     wu_obstruction on every orthogonal input.
     """
-    from .subsets import is_orthogonal
-
     if not is_orthogonal(subset):
         raise NotOrthogonal(
             "wu_obstruction_orthogonal requires an orthogonal subset")

@@ -12,11 +12,15 @@ import pytest
 
 from cubiquity import (
     BasisMatrix,
+    CubiquityVerdict,
+    HajosBasis,
     MatrixFormatError,
     Status,
     Subset,
     _commands,
     cli,
+    hajos_basis,
+    parse_inline,
     parse_matrix,
 )
 from cubiquity.classify import HYPER_2X2, OTHER, TWO_TIMES, UNIT
@@ -631,6 +635,41 @@ def test_json_writer_matches_json_dumps(monkeypatch, capsys):
         assert checked(value) == json.dumps(value)
 
 
+def _verdict_shapes():
+    """A verdict of every status with each of its certificate fields set or
+    not, entries of many sizes and signs among them."""
+    hajos = HajosBasis(BasisMatrix([[2, 0, 0], [1, 2, 0], [0, 1, 2]]),
+                       (1, 0, 2))
+    for status in Status:
+        for witness in (None, (0,), (1, 0, -2), (10 ** 30, 0)):
+            for inequality in (None, (9, 4), (-3, 0), (2 ** 70, 2 ** 64)):
+                for found in (None, hajos):
+                    yield CubiquityVerdict(status, witness, inequality, found)
+
+
+def test_verdict_writers_match_json_dumps(capsys):
+    # the one-step writers print json.dumps of the payload: every verdict
+    # shape through check's writer, and hajos's found and absent payloads
+    for verdict in _verdict_shapes():
+        cli._emit_verdict(verdict, "json")
+        line = capsys.readouterr().out
+        assert line == json.dumps(verdict.to_json_dict()) + "\n", verdict
+        jsonschema.validate(json.loads(line), SCHEMA)
+    for rows, found in (("2 0 0; 1 2 0; 0 1 2", True),
+                        ("0 2 0; 2 0 0; 1 1 2", True),
+                        ("2 0; 0 6", False), ("1 0; 0 4", False)):
+        code, out, err = _run(capsys, "hajos", "--matrix", rows)
+        basis = hajos_basis(BasisMatrix(parse_inline(rows)))
+        payload = {
+            "hajos_basis": None if basis is None
+            else [list(r) for r in basis.matrix.rows],
+            "row_order": None if basis is None
+            else [i + 1 for i in basis.row_order]}
+        assert (code, err) == (0 if found else 1, "")
+        assert (basis is not None) == found
+        assert out == json.dumps(payload) + "\n", rows
+
+
 def test_internal_error_exits_70(monkeypatch, capsys):
     def broken(args):
         raise RuntimeError("boom")
@@ -1009,6 +1048,8 @@ small = [call("check", "--matrix", "2 0; 1 2"),
          call("hajos", "--matrix", "2 0; 1 2"),
          call("check", "--matrix", "2 0 0; 1 1 0; 0 1 2")]
 result = {"check_and_hajos": loaded()}
+result.update(brute=call("check", "--matrix", "1 0; 0 3"),
+              after_brute=loaded())
 small.append(call("classify", "--matrix", "1 0; 0 2"))
 result.update(small=small, after_classify=loaded(),
               parser_built=cli._parser.cache_info().currsize)
@@ -1036,6 +1077,15 @@ def test_check_and_hajos_load_only_what_they_run():
                    "cubiquity.membership"):
         assert module not in result["check_and_hajos"]
     assert "cubiquity.obstructions" in result["check_and_hajos"]
+    # index 3 is brute force's: its first call loads cosets, through the
+    # accessor, and still none of the other commands' modules
+    assert result["brute"] == (1, '{"status": "NotCubiquitous", "witness": '
+                               '[0, 1], "inequality": null, '
+                               '"hajos_basis": null}\n')
+    assert "cubiquity.cosets" in result["after_brute"]
+    for module in ("cubiquity._commands", "cubiquity.wu",
+                   "cubiquity.membership", "cubiquity.packed", "json"):
+        assert module not in result["after_brute"]
     # no 2 x 2 call writes with json, takes a packed determinant or builds
     # the full parser tree; classify is run from the other commands' module
     assert "cubiquity.classify" in result["after_classify"]

@@ -26,7 +26,9 @@ from cubiquity.lattice import (
     _PACKED_BELOW,
     _PACKED_FROM,
     _bareiss_det,
+    _cube_pick,
     _det_entries,
+    _hajos_pick,
     _hnf,
     _triangulate,
 )
@@ -607,13 +609,25 @@ def _swap_capped_chain(n, rng):
     return rows
 
 
+def _fresh_triangle(b):
+    """`BasisMatrix._triangle` as one run of the greedy from the rows gives
+    it, at a power-of-two index up to 2^n."""
+    d = abs(b.det)
+    if d & d - 1 or d > 2 ** b.n:
+        return None
+    cols, order, rest, _ = _triangulate(b.rows, _cube_pick)
+    return None if rest else (cols, order)
+
+
 def test_greedy_det_settles_the_triangle_as_the_property_would():
     # the det's greedy sets _triangle where its elimination settles it,
     # without the property's own run; where it leaves it unset (a power
-    # of two below 2^n, or the swap cap at 2^n) the property runs on first
-    # use, and everywhere the two agree
+    # of two below 2^n, or the swap cap at 2^n) it keeps the state it
+    # stopped in, which the property resumes on first use, and everywhere
+    # the form is the one a run from the rows gives
     rng = random.Random(26)
     outcomes = set()
+    stops = set()
     for n in range(2, 10):
         inputs = [rows for _, rows in _greedy_det_inputs(n, rng)]
         inputs.append(_signed_mix_rows(_diagonal_rows(
@@ -626,16 +640,22 @@ def test_greedy_det_settles_the_triangle_as_the_property_would():
                 continue
             d = abs(b.det)
             settled = "_triangle" in vars(b)
-            kept = vars(b).pop("_triangle", None)
-            fresh = b._triangle
             if settled:
-                assert kept == fresh, rows
+                assert "_stopped" not in vars(b), rows
             else:
                 assert d & d - 1 == 0 and d <= 2 ** n, rows
+                # where it stopped: no coordinate of gcd 2 left, or one
+                # that the swap cap left half cleared
+                cols, order, rest, _ = b._stopped
+                stops.add(_hajos_pick(cols[len(order):], rest) is None)
+            fresh = _fresh_triangle(b)
+            assert b._triangle == fresh, rows
+            assert "_stopped" not in vars(b)
             outcomes.add((settled, d == 2 ** n, fresh is not None))
     assert outcomes == {(True, True, True), (True, True, False),
                         (True, False, False), (False, False, True),
                         (False, True, True)}
+    assert stops == {True, False}
 
 
 def _mixed_chain(n, rng):

@@ -307,6 +307,16 @@ def test_decide_hajos_route_ignores_cap(n):
         Status.CUBIQUITOUS, hajos=HajosBasis(b, tuple(range(n))))
 
 
+def _fresh_triangle(b):
+    """`BasisMatrix._triangle` as one run of the greedy from the rows gives
+    it, at a power-of-two index up to 2^n."""
+    d = abs(b.det)
+    if d & d - 1 or d > 2 ** b.n:
+        return None
+    cols, order, rest, _ = _triangulate(b.rows, _cube_pick)
+    return None if rest else (cols, order)
+
+
 def _certified(basis, capped=False):
     """Whether the greedy with pivots 1 and 2 takes every coordinate with
     1s and 2s on its diagonal, the certificate that `decide` runs, with no
@@ -446,9 +456,10 @@ def test_triangle_has_no_swap_cap():
     # cubiquitous lattices of power-of-two index below 2^n at n = 3-10,
     # half 1-2 triangles and half filtered random Hermite forms, with
     # large multipliers mixed in; clearing a coordinate then often takes
-    # more swaps than the determinant's greedy allows
+    # more swaps than the determinant's greedy allows; the form resumes
+    # where that greedy stopped, and is the one a run from the rows gives
     rng = random.Random(2029)
-    total = certified = capped = 0
+    total = certified = capped = resumed = 0
     for n in range(3, 11):
         kept = 0
         while kept < 40:
@@ -463,6 +474,8 @@ def test_triangle_has_no_swap_cap():
             b = _large_mix(b, rng, 3 * n)
             total += 1
             capped += _certified(b, capped=True)
+            resumed += "_stopped" in vars(b)
+            assert b._triangle == _fresh_triangle(b), b
             if b._triangle is not None:
                 _assert_checkable_triangle(b)
                 assert decide(b, cap=1) == CubiquityVerdict(
@@ -470,6 +483,8 @@ def test_triangle_has_no_swap_cap():
                 certified += 1
     # the swap cap alone would leave most of them to brute force
     assert (total, certified, capped) == (320, 293, 73)
+    # below 2^n the determinant's greedy settles no form, so each resumed
+    assert resumed == total
 
 
 def test_bruteforce_matches_vertex_scan_catalog():

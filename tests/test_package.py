@@ -144,6 +144,30 @@ def test_only_lattice_names_the_elimination():
     assert naming == {"lattice.py"}
 
 
+#: The modules whose functions a CLI call runs.
+CALLED = ("cli", "_commands", "lattice", "obstructions", "formats", "wu",
+          "subsets", "classify", "transforms")
+
+
+def test_no_function_imports_on_each_call():
+    # an import statement in a function body walks the import machinery on
+    # every call; a module loaded on first use is bound once, by a cached
+    # accessor, and a PEP 562 __getattr__ binds the name it loads
+    importing = []
+    for name in CALLED:
+        tree = ast.parse((SRC / "cubiquity" / f"{name}.py").read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            cached = any(ast.unparse(d) in ("cache", "functools.cache")
+                         for d in func.decorator_list)
+            if cached or func.name == "__getattr__" and func in tree.body:
+                continue
+            importing += [f"{name}.{func.name}" for node in ast.walk(func)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert importing == []
+
+
 def test_fresh_import_loads_no_submodule_and_submodules_still_import():
     proc = subprocess.run(
         [sys.executable, "-c", FRESH], capture_output=True, text=True,
@@ -167,6 +191,10 @@ def test_plan_digest_covers_every_workload():
     assert sum(int(f["calls"]) for f in fields[:4]) == int(fields[4]["calls"])
     assert [f["_triangulate"] for f in fields[:4]] == [
         "264", "118", "6", "112"]
+    # and the bytes pinned here: a change to any output, exit code or
+    # message of these calls fails
+    assert fields[4]["sha256"] == \
+        "e3c00452c85075bf726b4f5f639b9fffc1350544ab74b02630d36ed16f32aabd"
 
 
 SUBSET = Subset([(1, 1), (1, -1)])
