@@ -17,12 +17,15 @@ line load ``errors``, ``lattice``, ``formats`` and ``obstructions``
 ``packed``), and the other subcommands add ``_commands``, which holds
 their code, and the module they run (see ``cubiquity.cli``).  The Wu
 obstruction lives in ``wu``, and ``hnf``, ``contains`` and ``direct_sum``
-in ``membership``, which no ``check`` or ``hajos`` call loads; their
-names also resolve in ``obstructions`` and ``lattice``, as the same
-objects.
-"""
+in ``membership``, which no ``check`` or ``hajos`` call loads.
 
-import importlib
+This module is the one lazy loader.  A submodule that is loaded on
+demand, here or by another module, is read as an attribute of the
+package (``cubiquity.cosets``, ``cubiquity._commands``): the first read
+imports it with an import statement's own machinery, which binds it on
+the package, so later reads are plain attribute lookups and
+``python -X importtime`` lists it.
+"""
 
 __version__ = "0.1.0"
 
@@ -57,14 +60,21 @@ _SUBMODULE = {
 
 __all__ = sorted(_SUBMODULE)
 
+#: The submodules read as attributes of the package and loaded on first read.
+_LAZY = frozenset(_SUBMODULE.values()) | {"_commands", "cosets", "packed"}
+
 
 def __getattr__(name: str):
+    if name in _LAZY:
+        # __import__ binds the submodule here, so later reads skip this
+        # function
+        return getattr(__import__(f"{__name__}.{name}"), name)
     try:
         module = _SUBMODULE[name]
     except KeyError:
         raise AttributeError(
             f"module {__name__!r} has no attribute {name!r}") from None
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    value = getattr(__getattr__(module), name)
     globals()[name] = value  # later lookups skip this function
     return value
 

@@ -8,14 +8,12 @@ command print from.  ``cli.run`` imports it the first time one of these
 commands, help or a missing or unknown command is called, so a ``check``
 or ``hajos`` call neither compiles nor loads it.  Each command reads and
 writes through the helpers of ``cli``, and ``cli.run`` turns what it
-raises into an exit code.  ``cli._json`` is looked up at call time, as
-``cli.run`` looks up each ``cmd_<name>``.  The module a command runs is
-loaded on its first call and then bound, by a cached accessor as
-``cli._other_commands`` binds this one: ``wu`` (the paper's Wu
+raises into an exit code.  The module a command runs is loaded on its
+first call, as an attribute of the package: ``wu`` (the paper's Wu
 obstruction) for ``wu``, ``classify`` for ``classify``, ``torus``,
 ``det4`` and ``catalog``, ``transforms`` for ``reduce`` and
-``contract``.  Each accessor holds an import statement, not an
-``importlib`` call, so ``python -X importtime`` lists what it loads.
+``contract``.  The payloads that are not one f-string are written by
+``_json``, which only these commands use.
 
 ``reduce`` streams its lines: the library plans the whole trace first, so
 an input it refuses prints nothing, then replays the steps over rows of
@@ -25,7 +23,7 @@ an int is its JSON text.
 
 from __future__ import annotations
 
-from functools import cache
+import cubiquity
 
 from . import cli
 from .cli import (
@@ -96,33 +94,28 @@ def build_parser() -> cli._Parser:
     return parser
 
 
-@cache
-def _wu():
-    """Module ``wu``, loaded on the ``wu`` command's first call, then
-    bound, as `cli._other_commands` binds this module: an import statement
-    in a command would walk the import machinery on every call."""
-    from . import wu
-
-    return wu
+#: The characters of ``str`` of an int, or of a list of ints or of such
+#: lists, which is then already its JSON text.
+_INT_LIST_TEXT = str.maketrans("", "", "0123456789-[], ")
 
 
-@cache
-def _classify():
-    """Module ``classify``, loaded on the first call of a command that
-    runs it (``classify``, ``torus``, ``det4`` and ``catalog``), then
-    bound."""
-    from . import classify
-
-    return classify
-
-
-@cache
-def _transforms():
-    """Module ``transforms``, loaded on the first ``reduce`` or
-    ``contract`` call, then bound."""
-    from . import transforms
-
-    return transforms
+def _json(value) -> str:
+    """``json.dumps(value)`` for what the commands print: dicts with str
+    keys, the fixed names they print (which need no escape), None, bools,
+    ints, and lists and tuples of these."""
+    if isinstance(value, dict):
+        return "{" + ", ".join([f'"{key}": {_json(item)}'
+                                for key, item in value.items()]) + "}"
+    if isinstance(value, str):
+        return f'"{value}"'
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    text = str(value)
+    if isinstance(value, (list, tuple)) and text.translate(_INT_LIST_TEXT):
+        return "[" + ", ".join(map(_json, value)) + "]"
+    return text
 
 
 def _read_subset(args) -> Subset:
@@ -132,7 +125,7 @@ def _read_subset(args) -> Subset:
 
 def cmd_wu(args) -> int:
     subset = _read_subset(args)
-    wu, verdict = _wu()._wu_obstruction(subset)
+    wu, verdict = cubiquity.wu._wu_obstruction(subset)
     lhs, rhs = verdict.inequality
     payload = {
         "W": list(wu.vector),
@@ -142,7 +135,7 @@ def cmd_wu(args) -> int:
         "status": verdict.status.value,
     }
     if args.format == "json":
-        print(cli._json(payload))
+        print(_json(payload))
     else:
         print("# W: " + " ".join(str(k) for k in wu.vector))
         print("# R_o: " + " ".join(str(i) for i in payload["R_o"]))
@@ -165,7 +158,7 @@ def cmd_stats(args) -> int:
         "identity_holds": _identity_holds(subset, st),
     }
     if args.format == "json":
-        print(cli._json(payload))
+        print(_json(payload))
     else:
         for key, value in payload.items():
             print(f"# {key}: {value}")
@@ -173,8 +166,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    classify = _classify()
-    verdict, blocks = classify._classify_blocks(_read_subset(args))
+    verdict, blocks = cubiquity.classify._classify_blocks(_read_subset(args))
     if args.format == "json":
         # one f-string per block: on a list of small dicts _json takes two
         # to four times what json.dumps does, and this about as much
@@ -192,9 +184,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_torus(args) -> int:
-    bounds = _classify().torus_sum_bounds_qball(args.params)
+    bounds = cubiquity.classify.torus_sum_bounds_qball(args.params)
     if args.format == "json":
-        print(cli._json({"bounds": bounds}))
+        print(_json({"bounds": bounds}))
     else:
         print(f"bounds: {'true' if bounds else 'false'}")
     return EXIT_CUBIQUITOUS if bounds else EXIT_NEGATIVE
@@ -206,7 +198,7 @@ def _json_rows(rows) -> str:
 
 
 def cmd_reduce(args) -> int:
-    transforms = _transforms()
+    transforms = cubiquity.transforms
     subset = _read_subset(args)
     plan = transforms._reduce_plan(subset)
     # the steps stream over rows of entry text: each entry is rendered once
@@ -220,7 +212,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_contract(args) -> int:
-    transforms = _transforms()
+    transforms = cubiquity.transforms
     subset = _read_subset(args)
     n = subset.n
     if not 1 <= args.coordinate <= n:
@@ -231,7 +223,7 @@ def cmd_contract(args) -> int:
     i = args.coordinate - 1
     s, t, u = (v - 1 for v in args.vectors)
     result = transforms.contract(subset, i, s, t, u)
-    print(cli._json({
+    print(_json({
         "kind": transforms.CONTRACTION,
         "coordinates": [args.coordinate],
         "vectors": list(args.vectors),
@@ -241,7 +233,7 @@ def cmd_contract(args) -> int:
 
 
 def cmd_det4(args) -> int:
-    classify = _classify()
+    classify = cubiquity.classify
     values = []
     for token in args.values:
         try:
@@ -271,7 +263,7 @@ def cmd_det4(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    first, second = _classify().catalog_blocks()
+    first, second = cubiquity.classify.catalog_blocks()
     if args.index == 1:
         print(format_matrix(first))
     elif args.index == 2:

@@ -24,10 +24,11 @@ full tree, which ``_commands.build_parser`` builds from the same
 function, is built only for help and for a missing or unknown command
 (``_parser``), and prints what it always has.
 
-A call compiles and loads only the code it runs, and pays for a lazy
-load once per process.  This module holds the dispatch, the shared
-readers and writers, ``check`` and ``hajos`` and their arguments, and
-importing it loads ``errors``, ``lattice``, ``formats`` and
+A call compiles and loads only the code it runs, and each module loaded
+on demand is read as an attribute of the package (see ``cubiquity``),
+which loads it on the first read.  This module holds the dispatch, the
+shared readers and writers, ``check`` and ``hajos`` and their arguments,
+and importing it loads ``errors``, ``lattice``, ``formats`` and
 ``obstructions``, which is all that ``check`` and ``hajos`` need on
 small inputs: brute force loads ``cosets`` on its first call, so an
 input that the determinant gate or the 1-2 triangle decides never loads
@@ -39,17 +40,14 @@ command.  It imports ``subsets``, which each of them uses, directly or
 through ``classify``, and each loads the module it runs on its first
 call: ``wu`` (the ``wu`` command), ``classify`` (``classify``,
 ``torus``, ``det4`` and ``catalog``) or ``transforms`` (``reduce`` and
-``contract``).  Each such module is bound by a cached accessor
-(`_other_commands` here, ``obstructions._cosets``, ``lattice._packed``
-and the accessors of ``_commands``), since an import statement in a
-function walks the import machinery on every call.  Run as ``python -m
-cubiquity.cli``, this module is ``__main__`` and registers itself as
-``cubiquity.cli`` too, so ``_commands`` imports it rather than a second
-copy.  No command imports ``json``: a verdict, ``hajos``'s payload and
-each ``classify`` block or ``reduce`` step is one f-string, since ``str``
-of a list of ints is its JSON text, and ``_json`` writes the other
-payloads.  The matrix reader's rows go to ``BasisMatrix`` unchecked, as
-the reader has checked them.
+``contract``).  Run as ``python -m cubiquity.cli``, this module is
+``__main__`` and registers itself as ``cubiquity.cli`` too, so
+``_commands`` imports it rather than a second copy.  No command imports
+``json``: a verdict, ``hajos``'s payload and each ``classify`` block or
+``reduce`` step is one f-string, since ``str`` of a list of ints is its
+JSON text, and ``_commands._json`` writes the other payloads.  The
+matrix reader's rows go to ``BasisMatrix`` unchecked, as the reader has
+checked them.
 
 The text output of ``check``, ``wu``, ``stats``, ``hajos``, ``classify``
 and ``catalog`` starts every informational line with '#', so any matrix
@@ -64,6 +62,8 @@ import functools
 import os
 import sys
 from typing import Optional, Sequence
+
+import cubiquity
 
 from .errors import CubiquityError
 from .formats import format_matrix, parse_inline, parse_matrix
@@ -152,30 +152,6 @@ def _read_basis(args) -> BasisMatrix:
     return BasisMatrix(_read_rows(args), _trusted=True)
 
 
-#: The characters of ``str`` of an int, or of a list of ints or of such
-#: lists, which is then already its JSON text.
-_INT_LIST_TEXT = str.maketrans("", "", "0123456789-[], ")
-
-
-def _json(value) -> str:
-    """``json.dumps(value)`` for what the commands print: dicts with str
-    keys, the fixed names they print (which need no escape), None, bools,
-    ints, and lists and tuples of these."""
-    if isinstance(value, dict):
-        return "{" + ", ".join([f'"{key}": {_json(item)}'
-                                for key, item in value.items()]) + "}"
-    if isinstance(value, str):
-        return f'"{value}"'
-    if value is None:
-        return "null"
-    if value is True or value is False:
-        return "true" if value else "false"
-    text = str(value)
-    if isinstance(value, (list, tuple)) and text.translate(_INT_LIST_TEXT):
-        return "[" + ", ".join(map(_json, value)) + "]"
-    return text
-
-
 def _one_based(indices) -> list[int]:
     return [i + 1 for i in indices]
 
@@ -190,8 +166,8 @@ def _status_exit(status: Status) -> int:
 
 def _verdict_json(verdict: CubiquityVerdict) -> str:
     """``json.dumps(verdict.to_json_dict())`` in one f-string, with no dict
-    for `_json` to walk: ``str`` of a list of ints, or of lists of ints,
-    is its JSON text already."""
+    to walk: ``str`` of a list of ints, or of lists of ints, is its JSON
+    text already."""
     if verdict.inequality is None:
         inequality = "null"
     else:
@@ -271,7 +247,7 @@ def _add_arguments(p: _Parser, name: str) -> None:
     """Add subcommand ``name``'s arguments to its parser ``p``: check's and
     hajos's from here, the others' from ``_commands``."""
     if name not in ("check", "hajos"):
-        _other_commands()._add_arguments(p, name)
+        cubiquity._commands._add_arguments(p, name)
         return
     _add_matrix_arguments(p)
     if name == "check":
@@ -287,7 +263,7 @@ def _add_arguments(p: _Parser, name: str) -> None:
 def _parser() -> _Parser:
     # built only for help and for a missing or unknown command; argparse
     # keeps no state between parse_args calls, so one tree serves them all
-    return _other_commands().build_parser()
+    return cubiquity._commands.build_parser()
 
 
 @functools.cache
@@ -311,17 +287,6 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
     return args
 
 
-@functools.cache
-def _other_commands():
-    """The module of every subcommand but check and hajos, and of the full
-    parser tree, compiled and loaded on the first call of one of those
-    commands, or on the first help or unknown command.  Cached, since an
-    import statement walks the import machinery on every call."""
-    from . import _commands
-
-    return _commands
-
-
 def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
         try:
@@ -331,7 +296,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         else:
             # looked up at call time, so a rebound cmd_<name> takes effect
             name = f"cmd_{args.command}"
-            command = globals().get(name) or getattr(_other_commands(), name)
+            command = globals().get(name) or getattr(cubiquity._commands, name)
             code = command(args)
         if sys.stdout is None:
             # the process started with file descriptor 1 closed, so print

@@ -5,8 +5,7 @@ the basis modulo N = |det| (N times Z^n lies in L, so no Hermite form is
 needed), and a set of cosets as the bits of one integer in mixed radix, so
 that adding an element to every coset of a set is one masked rotation per
 cyclic factor.  ``obstructions.is_cubiquitous_bruteforce`` loads this
-module on its first call and binds it for the calls after
-(``obstructions._cosets``), so a program that runs no brute force never
+module on its first call, so a program that runs no brute force never
 compiles it.
 """
 

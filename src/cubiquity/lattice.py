@@ -19,42 +19,24 @@ power-of-two index, the form resumes from where it stopped.  From
 ``_PACKED_FROM`` rows on, Bareiss's elimination runs on the whole
 matrix, on rows packed into one integer each when every entry is below
 ``_PACKED_BELOW``: that kernel, `packed._det_packed`, is loaded on its
-first call and then bound (`_packed`), so a program whose matrices stay
-below ``_PACKED_FROM`` rows never compiles it.
+first call, so a program whose matrices stay below ``_PACKED_FROM`` rows
+never compiles it.
 
 ``hnf``, ``contains`` and ``direct_sum``, which the CLI never runs, live in
-``membership``; their names still resolve here, as the same objects: the
-first lookup of one imports that module (PEP 562).  The Hermite form
-itself, ``BasisMatrix.hnf`` and `_hnf`, stays here.
+``membership``.  The Hermite form itself, ``BasisMatrix.hnf`` and `_hnf`,
+stays here.
 """
 
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cached_property
 from math import prod
 from operator import index
 from typing import Iterable, Sequence
 
+import cubiquity
+
 from .errors import DimensionMismatch, SingularMatrix
-
-#: The names of module ``membership`` that resolve here too.
-_MEMBERSHIP = ("contains", "direct_sum", "hnf")
-
-
-def __getattr__(name: str):
-    if name not in _MEMBERSHIP:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}")
-    from . import membership
-
-    value = getattr(membership, name)
-    globals()[name] = value  # later lookups skip this function
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_MEMBERSHIP))
-
 
 #: Default cap on the brute-force oracle, which refuses inputs whose
 #: n * |det| exceeds it.  Under the cap its work is one presentation of
@@ -101,18 +83,8 @@ def _bareiss_det(rows: Sequence[Sequence[int]]) -> int:
         top = max(map(max, rows))
         low = min(map(min, rows))
         if top < _PACKED_BELOW and low > -_PACKED_BELOW:
-            return _packed()._det_packed(rows, max(top, ~low))
+            return cubiquity.packed._det_packed(rows, max(top, ~low))
     return _det_entries(rows)
-
-
-@cache
-def _packed():
-    """Module ``packed``, compiled and loaded on the first determinant from
-    `_PACKED_FROM` rows on, then bound: an import statement inside
-    `_bareiss_det` would walk the import machinery on every call."""
-    from . import packed
-
-    return packed
 
 
 def _det_entries(rows: Sequence[Sequence[int]]) -> int:

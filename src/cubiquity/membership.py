@@ -4,9 +4,7 @@
 against the basis's Hermite form (``BasisMatrix.hnf``, built once per
 matrix), ``hnf`` returns that form, and ``direct_sum`` builds the
 block-diagonal basis of two lattices.  The CLI runs none of them, so they
-sit apart from ``lattice``, which every call loads; their names still
-resolve there and at the package's top level, from where this module is
-imported on their first use.
+sit apart from ``lattice``, which every call loads.
 """
 
 from __future__ import annotations

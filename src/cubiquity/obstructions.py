@@ -12,14 +12,13 @@ unit cube x + {0,1}^n.  This module provides
   2^n a triangular form with 1s and 2s on its diagonal, then the oracle,
   which alone is metered by a resource cap: it refuses an input whose
   n * |det| exceeds the cap.  The oracle loads ``cosets`` on its first
-  call, through an accessor that binds it once per process (`_cosets`),
-  so the other routes never load it.
+  call, so the other routes never load it.
 
 The paper's Wu obstruction for non-acute subsets (``WuData``,
 ``wu_element``, ``wu_obstruction``, ``wu_obstruction_orthogonal``) lives in
 ``wu``, which only the ``wu`` subcommand runs, so ``check`` and ``hajos``
-neither compile nor load it.  Its names still resolve here, as the same
-objects: the first lookup of one imports ``wu`` (PEP 562).
+neither compile nor load it.  Its four public names still resolve here,
+as the same objects, because ``bench/spans.py`` names them at this path.
 
 Obstructions never claim a lattice IS cubiquitous; only the oracle, the
 Hajos route and the 1-2 triangle do.
@@ -28,8 +27,9 @@ Hajos route and the 1-2 triangle do.
 from __future__ import annotations
 
 from enum import Enum
-from functools import cache
 from typing import TYPE_CHECKING, NamedTuple, Optional
+
+import cubiquity
 
 from .errors import ResourceLimit
 from .lattice import DEFAULT_RESOURCE_CAP, BasisMatrix, Vector
@@ -37,24 +37,10 @@ from .lattice import DEFAULT_RESOURCE_CAP, BasisMatrix, Vector
 if TYPE_CHECKING:
     from .classify import Block  # classify imports this module at runtime
 
-#: The names of module ``wu`` that resolve here too.
-_WU = ("WuData", "_wu_obstruction", "wu_element", "wu_obstruction",
-       "wu_obstruction_orthogonal")
-
-
 def __getattr__(name: str):
-    if name not in _WU:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}")
-    from . import wu
-
-    value = getattr(wu, name)
-    globals()[name] = value  # later lookups skip this function
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_WU))
+    if cubiquity._SUBMODULE.get(name) != "wu":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(cubiquity, name)
 
 
 class Status(str, Enum):
@@ -138,20 +124,10 @@ def is_cubiquitous_bruteforce(
         raise ResourceLimit(
             f"brute force counts n * |det| = {n} * {order} = {n * order} "
             f"steps, cap is {cap}")
-    witness = _cosets().first_missed_cube(basis)
+    witness = cubiquity.cosets.first_missed_cube(basis)
     if witness is None:
         return CubiquityVerdict(Status.CUBIQUITOUS)
     return CubiquityVerdict(Status.NOT_CUBIQUITOUS, witness=witness)
-
-
-@cache
-def _cosets():
-    """Module ``cosets``, compiled and loaded on the oracle's first call,
-    then bound: an import statement inside the oracle would walk the
-    import machinery on every call."""
-    from . import cosets
-
-    return cosets
 
 
 def hajos_basis(basis: BasisMatrix) -> Optional[HajosBasis]:

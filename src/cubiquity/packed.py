@@ -1,9 +1,9 @@
 """Bareiss's elimination on rows packed into one integer each.
 
-`lattice._bareiss_det` loads this module, once per process
-(``lattice._packed``), from ``lattice._PACKED_FROM`` rows on, when every
-entry is below ``lattice._PACKED_BELOW``, so a program that takes no
-determinant of that size never compiles it.  Each row is packed into one
+`lattice._bareiss_det` loads this module on its first call from
+``lattice._PACKED_FROM`` rows on, when every entry is below
+``lattice._PACKED_BELOW``, so a program that takes no determinant of that
+size never compiles it.  Each row is packed into one
 integer of signed fixed-width slots (`_det_packed`): a step is then a few
 big-integer operations per row instead of four per entry; the slot width
 comes from Hadamard's bound on the minors the elimination can produce.

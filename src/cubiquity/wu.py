@@ -8,10 +8,9 @@ is one-directional: it returns Obstructed or Inconclusive, never
 Cubiquitous.
 
 Only the ``wu`` subcommand runs this code, so it sits apart from
-``obstructions``, which ``check`` and ``hajos`` load; the names also
-resolve there and at the package's top level, from where this module is
-loaded on their first use.  It imports ``subsets`` when it loads: the
-``wu`` command's module has loaded that already.
+``obstructions``, which ``check`` and ``hajos`` load.  It imports
+``subsets`` when it loads: the ``wu`` command's module has loaded that
+already.
 """
 
 from __future__ import annotations

@@ -604,14 +604,14 @@ JSON_CALLS = [
 def test_json_writer_matches_json_dumps(monkeypatch, capsys):
     # the writer is checked on every value it is handed, nested ones
     # included, as the CLI prints them and on values no command prints
-    write = cli._json
+    write = _commands._json
 
     def checked(value):
         text = write(value)
         assert text == json.dumps(value), value
         return text
 
-    monkeypatch.setattr(cli, "_json", checked)
+    monkeypatch.setattr(_commands, "_json", checked)
     printed = ""
     for argv in JSON_CALLS:
         code, out, err = _run(capsys, *argv)
@@ -1077,8 +1077,8 @@ def test_check_and_hajos_load_only_what_they_run():
                    "cubiquity.membership"):
         assert module not in result["check_and_hajos"]
     assert "cubiquity.obstructions" in result["check_and_hajos"]
-    # index 3 is brute force's: its first call loads cosets, through the
-    # accessor, and still none of the other commands' modules
+    # index 3 is brute force's: its first call loads cosets, and still none
+    # of the other commands' modules
     assert result["brute"] == (1, '{"status": "NotCubiquitous", "witness": '
                                '[0, 1], "inequality": null, '
                                '"hajos_basis": null}\n')
