@@ -12,8 +12,8 @@ raises into an exit code.  The module a command runs is loaded on its
 first call, as an attribute of the package: ``wu`` (the paper's Wu
 obstruction) for ``wu``, ``classify`` for ``classify``, ``torus``,
 ``det4`` and ``catalog``, ``transforms`` for ``reduce`` and
-``contract``.  The payloads that are not one f-string are written by
-``_json``, which only these commands use.
+``contract``.  Each JSON payload is one f-string, as ``cli`` writes a
+verdict: ``str`` of an int, or of nested lists of ints, is its JSON text.
 
 ``reduce`` streams its lines: the library plans the whole trace first, so
 an input it refuses prints nothing, then replays the steps over rows of
@@ -94,30 +94,6 @@ def build_parser() -> cli._Parser:
     return parser
 
 
-#: The characters of ``str`` of an int, or of a list of ints or of such
-#: lists, which is then already its JSON text.
-_INT_LIST_TEXT = str.maketrans("", "", "0123456789-[], ")
-
-
-def _json(value) -> str:
-    """``json.dumps(value)`` for what the commands print: dicts with str
-    keys, the fixed names they print (which need no escape), None, bools,
-    ints, and lists and tuples of these."""
-    if isinstance(value, dict):
-        return "{" + ", ".join([f'"{key}": {_json(item)}'
-                                for key, item in value.items()]) + "}"
-    if isinstance(value, str):
-        return f'"{value}"'
-    if value is None:
-        return "null"
-    if value is True or value is False:
-        return "true" if value else "false"
-    text = str(value)
-    if isinstance(value, (list, tuple)) and text.translate(_INT_LIST_TEXT):
-        return "[" + ", ".join(map(_json, value)) + "]"
-    return text
-
-
 def _read_subset(args) -> Subset:
     # the reader gives n rows of n ints, so the columns need no check
     return Subset._unchecked(tuple(zip(*_read_rows(args))))
@@ -127,18 +103,13 @@ def cmd_wu(args) -> int:
     subset = _read_subset(args)
     wu, verdict = cubiquity.wu._wu_obstruction(subset)
     lhs, rhs = verdict.inequality
-    payload = {
-        "W": list(wu.vector),
-        "R_o": _one_based(wu.odd),
-        "lhs": lhs,
-        "rhs": rhs,
-        "status": verdict.status.value,
-    }
     if args.format == "json":
-        print(_json(payload))
+        print(f'{{"W": {list(wu.vector)}, "R_o": {_one_based(wu.odd)}, '
+              f'"lhs": {lhs}, "rhs": {rhs}, '
+              f'"status": "{verdict.status.value}"}}')
     else:
         print("# W: " + " ".join(str(k) for k in wu.vector))
-        print("# R_o: " + " ".join(str(i) for i in payload["R_o"]))
+        print("# R_o: " + " ".join(str(i) for i in _one_based(wu.odd)))
         print(f"# inequality: lhs={lhs} rhs={rhs}")
         print(f"# status: {verdict.status.value}")
     return _status_exit(verdict.status)
@@ -147,20 +118,23 @@ def cmd_wu(args) -> int:
 def cmd_stats(args) -> int:
     subset = _read_subset(args)
     st = stats(subset)
-    payload = {
-        "dimension": subset.n,
-        "norms": list(subset.norms),
-        "excess": st.excess,
-        "counts": list(st.counts),
-        "by_coordinate": [_one_based(e) for e in st.by_coordinate],
-        "by_vector": [_one_based(v) for v in st.by_vector],
-        "heavy": [_one_based(q) for q in st.heavy],
-        "identity_holds": _identity_holds(subset, st),
-    }
+    holds = _identity_holds(subset, st)
+    # every value but the flag is an int or nested lists of ints, whose str
+    # is its JSON text; the text lines print the flag as Python does
+    fields = [
+        ("dimension", subset.n),
+        ("norms", list(subset.norms)),
+        ("excess", st.excess),
+        ("counts", list(st.counts)),
+        ("by_coordinate", [_one_based(e) for e in st.by_coordinate]),
+        ("by_vector", [_one_based(v) for v in st.by_vector]),
+        ("heavy", [_one_based(q) for q in st.heavy]),
+    ]
     if args.format == "json":
-        print(_json(payload))
+        text = ", ".join([f'"{key}": {value}' for key, value in fields])
+        print(f'{{{text}, "identity_holds": {"true" if holds else "false"}}}')
     else:
-        for key, value in payload.items():
+        for key, value in [*fields, ("identity_holds", holds)]:
             print(f"# {key}: {value}")
     return EXIT_CUBIQUITOUS
 
@@ -168,8 +142,6 @@ def cmd_stats(args) -> int:
 def cmd_classify(args) -> int:
     verdict, blocks = cubiquity.classify._classify_blocks(_read_subset(args))
     if args.format == "json":
-        # one f-string per block: on a list of small dicts _json takes two
-        # to four times what json.dumps does, and this about as much
         text = ", ".join([f'{{"coordinates": {_one_based(b.coordinates)}, '
                           f'"vectors": {_one_based(b.vectors)}, '
                           f'"kind": "{b.kind}"}}' for b in blocks.blocks])
@@ -185,10 +157,9 @@ def cmd_classify(args) -> int:
 
 def cmd_torus(args) -> int:
     bounds = cubiquity.classify.torus_sum_bounds_qball(args.params)
-    if args.format == "json":
-        print(_json({"bounds": bounds}))
-    else:
-        print(f"bounds: {'true' if bounds else 'false'}")
+    word = "true" if bounds else "false"
+    print(f'{{"bounds": {word}}}' if args.format == "json" else
+          f"bounds: {word}")
     return EXIT_CUBIQUITOUS if bounds else EXIT_NEGATIVE
 
 
@@ -223,12 +194,9 @@ def cmd_contract(args) -> int:
     i = args.coordinate - 1
     s, t, u = (v - 1 for v in args.vectors)
     result = transforms.contract(subset, i, s, t, u)
-    print(_json({
-        "kind": transforms.CONTRACTION,
-        "coordinates": [args.coordinate],
-        "vectors": list(args.vectors),
-        "result": result.vectors,
-    }))
+    print(f'{{"kind": "{transforms.CONTRACTION}", '
+          f'"coordinates": [{args.coordinate}], "vectors": {args.vectors}, '
+          f'"result": {[list(v) for v in result.vectors]}}}')
     return EXIT_CUBIQUITOUS
 
 

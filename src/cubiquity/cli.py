@@ -43,11 +43,10 @@ call: ``wu`` (the ``wu`` command), ``classify`` (``classify``,
 ``contract``).  Run as ``python -m cubiquity.cli``, this module is
 ``__main__`` and registers itself as ``cubiquity.cli`` too, so
 ``_commands`` imports it rather than a second copy.  No command imports
-``json``: a verdict, ``hajos``'s payload and each ``classify`` block or
-``reduce`` step is one f-string, since ``str`` of a list of ints is its
-JSON text, and ``_commands._json`` writes the other payloads.  The
-matrix reader's rows go to ``BasisMatrix`` unchecked, as the reader has
-checked them.
+``json``: every JSON line, from a verdict to a ``reduce`` step, is one
+f-string, since ``str`` of an int or of nested lists of ints is its JSON
+text.  The matrix reader's rows go to ``BasisMatrix`` unchecked, as the
+reader has checked them.
 
 The text output of ``check``, ``wu``, ``stats``, ``hajos``, ``classify``
 and ``catalog`` starts every informational line with '#', so any matrix

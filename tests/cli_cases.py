@@ -18,7 +18,9 @@ The rows load every lazily imported module: cosets (brute force), packed
 and hajos), subsets, transforms (reduce, contract) and classify.  ``wu``
 and ``stats`` run the non-acute predicate and the support lists, and
 ``hajos`` and ``contract`` are the other two subcommands that read a
-matrix.  Through ``python -m cubiquity.cli`` the CLI module runs as
+matrix.  Every JSON line is written by hand, so the rows pin each
+command's payload byte for byte: both ``torus`` answers, and ``stats``
+with empty support lists and entries past 64 bits among them.  Through ``python -m cubiquity.cli`` the CLI module runs as
 ``__main__``, and the ``det4`` usage errors show that _commands raises
 the ``UsageError`` class that module catches.
 """
@@ -156,6 +158,18 @@ CASES = [
          '"counts": [0, 1, 1, 1], "by_coordinate": [[1, 3], [1, 2, 3], [2]], '
          '"by_vector": [[1, 2], [2, 3], [1, 2]], "heavy": [[], [3], [], []], '
          '"identity_holds": true}\n'),
+    # a zero vector has empty support lists, and the other's norm and the
+    # excess run past 64 bits
+    Case("stats 0 0; 0 10^30",
+         ("stats", "--matrix", f"0 0; 0 {10 ** 30}"), 0,
+         f'{{"dimension": 2, "norms": [0, {10 ** 60}], '
+         f'"excess": {10 ** 60 - 6}, "counts": [1, 1, 0], '
+         '"by_coordinate": [[], [2]], "by_vector": [[], [2]], '
+         '"heavy": [[], [2], []], "identity_holds": true}\n'),
+    Case("torus --format json 2 2", ("torus", "--format", "json", "2", "2"),
+         0, '{"bounds": true}\n'),
+    Case("torus --format json 3 5", ("torus", "--format", "json", "3", "5"),
+         1, '{"bounds": false}\n'),
     # a dense 24 x 24 matrix takes the packed determinant: 3I + J has det
     # 3^23 * (3 + 24) = 3^26, past 2^24
     Case("check 3I + J at n = 24", ("check", "--matrix", _three_i_plus_j(24)),

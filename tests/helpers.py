@@ -973,6 +973,19 @@ def signed_permutation(vectors, rng, shuffle_vectors=True):
     return out
 
 
+def signed_mix(basis, rng):
+    """Another basis of basis's lattice, after a signed coordinate
+    permutation."""
+    cols = signed_permutation(list(basis.columns), rng)
+    return unimodular_mix(BasisMatrix.from_columns(cols), rng, 2 * basis.n)
+
+
+def diagonal_rows(diag):
+    """The rows of the diagonal matrix with diagonal ``diag``."""
+    n = len(diag)
+    return [[diag[i] if j == i else 0 for j in range(n)] for i in range(n)]
+
+
 # Orthogonal building blocks, each a list of vectors in its own coordinates.
 BLOCK_LIBRARY = {
     "unit": [(1,)],

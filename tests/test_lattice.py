@@ -26,7 +26,6 @@ from cubiquity.lattice import (
     _PACKED_BELOW,
     _PACKED_FROM,
     _bareiss_det,
-    _cube_pick,
     _det_entries,
     _hajos_pick,
     _hnf,
@@ -38,6 +37,7 @@ from helpers import (
     cofactor_det,
     count_calls,
     det_packed_reference,
+    diagonal_rows,
     diagonalize_tietze_reference,
     gram,
     hnf_box,
@@ -46,9 +46,10 @@ from helpers import (
     membership_reference,
     minor_bits_reference,
     random_hnf,
-    signed_permutation,
+    signed_mix,
     unimodular_mix,
 )
+from triangle import fresh_triangle
 
 
 def test_det_examples():
@@ -489,11 +490,6 @@ def _signed_mix_rows(rows, rng, permute=True):
     return out
 
 
-def _diagonal_rows(diag):
-    n = len(diag)
-    return [[diag[i] if j == i else 0 for j in range(n)] for i in range(n)]
-
-
 def _greedy_det_inputs(n, rng):
     """(kind, rows) at size n: inputs on which the Hajos greedy, which
     gives the determinant below _PACKED_FROM rows, completes, stops
@@ -508,11 +504,11 @@ def _greedy_det_inputs(n, rng):
     yield "2 x dense", twice
     yield "chain", _signed_mix_rows(chain, rng)
     yield "diag(4, 1, 2, ...)", _signed_mix_rows(
-        _diagonal_rows(((4, 1) + (2,) * n)[:n]), rng)
+        diagonal_rows(((4, 1) + (2,) * n)[:n]), rng)
     # the coordinates keep their order, so the greedy takes the 2s before
     # n // 2 in turn and stops at the pivot 6
     yield "pivot 6", _signed_mix_rows(
-        _diagonal_rows([6 if i == n // 2 else 2 for i in range(n)]), rng,
+        diagonal_rows([6 if i == n // 2 else 2 for i in range(n)]), rng,
         permute=False)
     yield "anti-diagonal", [[(i + 2) * (j == n - 1 - i) for j in range(n)]
                             for i in range(n)]
@@ -609,16 +605,6 @@ def _swap_capped_chain(n, rng):
     return rows
 
 
-def _fresh_triangle(b):
-    """`BasisMatrix._triangle` as one run of the greedy from the rows gives
-    it, at a power-of-two index up to 2^n."""
-    d = abs(b.det)
-    if d & d - 1 or d > 2 ** b.n:
-        return None
-    cols, order, rest, _ = _triangulate(b.rows, _cube_pick)
-    return None if rest else (cols, order)
-
-
 def test_greedy_det_settles_the_triangle_as_the_property_would():
     # the det's greedy sets _triangle where its elimination settles it,
     # without the property's own run; where it leaves it unset (a power
@@ -630,7 +616,7 @@ def test_greedy_det_settles_the_triangle_as_the_property_would():
     stops = set()
     for n in range(2, 10):
         inputs = [rows for _, rows in _greedy_det_inputs(n, rng)]
-        inputs.append(_signed_mix_rows(_diagonal_rows(
+        inputs.append(_signed_mix_rows(diagonal_rows(
             [1 if i == n // 2 else 2 for i in range(n)]), rng))
         inputs.append(_swap_capped_chain(n, rng))
         for rows in inputs:
@@ -648,7 +634,7 @@ def test_greedy_det_settles_the_triangle_as_the_property_would():
                 # that the swap cap left half cleared
                 cols, order, rest, _ = b._stopped
                 stops.add(_hajos_pick(cols[len(order):], rest) is None)
-            fresh = _fresh_triangle(b)
+            fresh = fresh_triangle(b)
             assert b._triangle == fresh, rows
             assert "_stopped" not in vars(b)
             outcomes.add((settled, d == 2 ** n, fresh is not None))
@@ -869,11 +855,6 @@ def test_hnf_det_is_diagonal_product():
         assert h.det == BasisMatrix(h.rows).det, b
 
 
-def _signed_mix(rows, rng):
-    cols = signed_permutation(list(BasisMatrix(rows).columns), rng)
-    return unimodular_mix(BasisMatrix.from_columns(cols), rng, 2 * len(rows))
-
-
 def _unit_pivot_bases():
     """Shapes whose relations have unit coefficients, so that the Smith
     elimination takes unit pivots before the others."""
@@ -885,7 +866,7 @@ def _unit_pivot_bases():
              else 0 for j in range(10)] for i in range(10)]
     yield unimodular_mix(BasisMatrix([[rng.choice((-1, 1)) * v for v in row]
                                       for row in rows]), rng, 20)
-    yield _signed_mix(rows, rng)
+    yield signed_mix(BasisMatrix(rows), rng)
     # cyclic of index 3 * 2^16 at n = 19: x_19 = sum 2^k x_{k+1} mod N
     n, N = 19, 3 * 2 ** 16
     c = [-(2 ** k) for k in range(16)] + [0, 0, 1]
@@ -896,8 +877,7 @@ def _unit_pivot_bases():
                          2 * n)
     # Z/2 x Z/16 x Z/96 beside d_k = 1 rows
     diag = [2, 16, 96] + [1] * 5
-    yield _signed_mix([[diag[i] * (j == i) for j in range(8)]
-                       for i in range(8)], rng)
+    yield signed_mix(BasisMatrix(diagonal_rows(diag)), rng)
 
 
 def _presentation_edge_bases():

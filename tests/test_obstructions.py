@@ -38,6 +38,7 @@ from helpers import (
     bruteforce_vertex_scan,
     coset_cover_reference,
     count_calls,
+    diagonal_rows,
     first_missed_cube_reference,
     hajos_gcd_greedy,
     hajos_permutation_scan,
@@ -46,9 +47,11 @@ from helpers import (
     hnf_reference,
     length_three_family,
     random_hnf,
+    signed_mix,
     signed_permutation,
     unimodular_mix,
 )
+from triangle import fresh_triangle
 
 
 def test_wu_element_examples():
@@ -307,16 +310,6 @@ def test_decide_hajos_route_ignores_cap(n):
         Status.CUBIQUITOUS, hajos=HajosBasis(b, tuple(range(n))))
 
 
-def _fresh_triangle(b):
-    """`BasisMatrix._triangle` as one run of the greedy from the rows gives
-    it, at a power-of-two index up to 2^n."""
-    d = abs(b.det)
-    if d & d - 1 or d > 2 ** b.n:
-        return None
-    cols, order, rest, _ = _triangulate(b.rows, _cube_pick)
-    return None if rest else (cols, order)
-
-
 def _certified(basis, capped=False):
     """Whether the greedy with pivots 1 and 2 takes every coordinate with
     1s and 2s on its diagonal, the certificate that `decide` runs, with no
@@ -467,7 +460,7 @@ def test_triangle_has_no_swap_cap():
             if rng.random() < 0.5:
                 b = _scaled_triangle(n, k, rng, scale=1)
             else:
-                b = _signed_mix(random_hnf(n, 2 ** k, rng), rng)
+                b = signed_mix(random_hnf(n, 2 ** k, rng), rng)
             if is_cubiquitous_bruteforce(b).status is not Status.CUBIQUITOUS:
                 continue
             kept += 1
@@ -475,7 +468,7 @@ def test_triangle_has_no_swap_cap():
             total += 1
             capped += _certified(b, capped=True)
             resumed += "_stopped" in vars(b)
-            assert b._triangle == _fresh_triangle(b), b
+            assert b._triangle == fresh_triangle(b), b
             if b._triangle is not None:
                 _assert_checkable_triangle(b)
                 assert decide(b, cap=1) == CubiquityVerdict(
@@ -513,12 +506,6 @@ def _scaled_triangle(n, twos, rng, scale=3):
     return BasisMatrix(rows)
 
 
-def _diagonal(diag):
-    n = len(diag)
-    return BasisMatrix([[diag[i] if j == i else 0 for j in range(n)]
-                        for i in range(n)])
-
-
 def _box_position(basis, x):
     """Index of x in the lexicographic order of the HNF box."""
     diag = [basis.hnf.rows[k][k] for k in range(basis.n)]
@@ -536,7 +523,8 @@ def _past_vertex_scan_bases():
             yield _scaled_triangle(n, rng.randint(8, 11), rng, scale)
         # non-cyclic quotients, with d_k = 1 rows beside them
         for diag in ((2, 16, 96), (4, 4, 12), (2, 2, 2, 6, 30)):
-            yield _signed_mix(_diagonal(diag + (1,) * (n - len(diag))), rng)
+            yield signed_mix(BasisMatrix(diagonal_rows(
+                diag + (1,) * (n - len(diag)))), rng)
         for _ in range(4):
             d = rng.randint(2, 4 * n * n)
             yield unimodular_mix(random_hnf(n, d, rng), rng, 2 * n)
@@ -593,8 +581,8 @@ NEAR_CAP = [(3,) + (2,) * 16 + (1, 1), (2 ** 23 - 5,)]
 
 
 def _near_cap(diag):
-    b = _diagonal(diag)
-    return _signed_mix(b, random.Random(b.n)) if b.n > 1 else b
+    b = BasisMatrix(diagonal_rows(diag))
+    return signed_mix(b, random.Random(b.n)) if b.n > 1 else b
 
 
 @pytest.mark.parametrize("diag", NEAR_CAP)
@@ -643,7 +631,7 @@ def _random_non_cyclic_bases():
             diag = [d, d * rng.randint(1, 4)] + [rng.choice((1, 1, 2, 3))
                                                   for _ in range(n - 2)]
             rng.shuffle(diag)
-            b = _signed_mix(_diagonal(diag), rng)
+            b = signed_mix(BasisMatrix(diagonal_rows(diag)), rng)
         else:
             d = rng.choice((rng.randint(4, 4 * n * n), 2 ** rng.randint(2, n)))
             b = unimodular_mix(random_hnf(n, d, rng), rng, 3 * n)
@@ -794,7 +782,7 @@ def test_hajos_bit_pick_matches_gcd_pick():
                 b = _lower_two_diagonal(n, rng)
             else:
                 b = random_hnf(n, 2 ** n, rng)
-            b = _signed_mix(b, rng)
+            b = signed_mix(b, rng)
             found = hajos_basis(b)
             assert _hajos_key(found) == _hajos_key(hajos_gcd_greedy(b)), b
             outcomes.add((n, found is not None))
@@ -807,7 +795,7 @@ def test_hajos_bit_pick_matches_gcd_pick():
                 b = _lower_two_diagonal(n, rng)
             else:
                 b = _two_power_hnf(n, rng)
-            b = _signed_mix(b, rng)
+            b = signed_mix(b, rng)
             found = hajos_basis(b)
             assert _hajos_key(found) == _hajos_key(hajos_gcd_greedy(b)), b
             outcomes.add((n, found is not None))
@@ -868,27 +856,20 @@ def test_hajos_identity_order_first():
     assert _hajos_key(found) == _hajos_key(hajos_permutation_scan(b))
 
 
-def _signed_mix(b, rng):
-    """Another basis of b's lattice, after a signed coordinate permutation."""
-    cols = signed_permutation(list(b.columns), rng)
-    return unimodular_mix(BasisMatrix.from_columns(cols), rng, 2 * b.n)
-
-
 @pytest.mark.parametrize("n", [8, 64])
 def test_hajos_absent_mixed_diagonal(n):
     # index 2^n, but the coordinates of index 4 and 1 rule out every order
     diag = (4, 1) + (2,) * (n - 2)
-    b = _signed_mix(BasisMatrix([[diag[i] if j == i else 0 for j in range(n)]
-                                 for i in range(n)]), random.Random(n))
+    b = signed_mix(BasisMatrix(diagonal_rows(diag)), random.Random(n))
     assert abs(b.det) == 2 ** n
     assert hajos_basis(b) is None
 
 
 def test_hajos_present_n64_mixed_chain():
     n = 64
-    b = _signed_mix(BasisMatrix([[2 if j == i else int(j == i - 1)
-                                  for j in range(n)] for i in range(n)]),
-                    random.Random(n))
+    b = signed_mix(BasisMatrix([[2 if j == i else int(j == i - 1)
+                                 for j in range(n)] for i in range(n)]),
+                   random.Random(n))
     found = hajos_basis(b)
     h = found.matrix
     for i in range(n):
