@@ -11,13 +11,8 @@ the oracle only.
 
 Importing the package loads none of its submodules.  Each name in
 ``__all__`` is imported from its submodule on first use, so a program
-pays only for the parts it calls: ``check`` and ``hajos`` on the command
-line load ``errors``, ``lattice``, ``formats`` and ``obstructions``
-(brute force adds ``cosets``, and a determinant from 20 rows on adds
-``packed``), and the other subcommands add ``_commands``, which holds
-their code, and the module they run (see ``cubiquity.cli``).  The Wu
-obstruction lives in ``wu``, and ``hnf``, ``contains`` and ``direct_sum``
-in ``membership``, which no ``check`` or ``hajos`` call loads.
+pays only for the parts it calls; the rows of ``tests/cli_cases.py`` name
+the modules that each cold command-line call must load and must not load.
 
 This module is the one lazy loader.  A submodule that is loaded on
 demand, here or by another module, is read as an attribute of the

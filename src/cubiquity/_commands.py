@@ -5,15 +5,13 @@
 eight commands and their arguments, every command's help line and
 ``build_parser``, the full parser tree that help and a missing or unknown
 command print from.  ``cli.run`` imports it the first time one of these
-commands, help or a missing or unknown command is called, so a ``check``
-or ``hajos`` call neither compiles nor loads it.  Each command reads and
-writes through the helpers of ``cli``, and ``cli.run`` turns what it
-raises into an exit code.  The module a command runs is loaded on its
-first call, as an attribute of the package: ``wu`` (the paper's Wu
-obstruction) for ``wu``, ``classify`` for ``classify``, ``torus``,
-``det4`` and ``catalog``, ``transforms`` for ``reduce`` and
-``contract``.  Each JSON payload is one f-string, as ``cli`` writes a
-verdict: ``str`` of an int, or of nested lists of ints, is its JSON text.
+commands, help or a missing or unknown command is called.  Each command
+reads and writes through the helpers of ``cli``, and ``cli.run`` turns
+what it raises into an exit code.  The module a command runs is read as
+an attribute of the package on its first call; ``tests/cli_cases.py``
+pins which modules each cold call loads.  Each JSON payload is one
+f-string, as ``cli`` writes a verdict: ``str`` of an int, or of nested
+lists of ints, is its JSON text.
 
 ``reduce`` streams its lines: the library plans the whole trace first, so
 an input it refuses prints nothing, then replays the steps over rows of

@@ -24,29 +24,19 @@ full tree, which ``_commands.build_parser`` builds from the same
 function, is built only for help and for a missing or unknown command
 (``_parser``), and prints what it always has.
 
-A call compiles and loads only the code it runs, and each module loaded
-on demand is read as an attribute of the package (see ``cubiquity``),
-which loads it on the first read.  This module holds the dispatch, the
-shared readers and writers, ``check`` and ``hajos`` and their arguments,
-and importing it loads ``errors``, ``lattice``, ``formats`` and
-``obstructions``, which is all that ``check`` and ``hajos`` need on
-small inputs: brute force loads ``cosets`` on its first call, so an
-input that the determinant gate or the 1-2 triangle decides never loads
-it, and a determinant from ``lattice._PACKED_FROM`` rows on loads
-``packed``.  The other eight subcommands, their help lines and arguments
-and the full parser tree live in ``_commands``, which ``run`` loads on
-the first call of one of them, or for help or a missing or unknown
-command.  It imports ``subsets``, which each of them uses, directly or
-through ``classify``, and each loads the module it runs on its first
-call: ``wu`` (the ``wu`` command), ``classify`` (``classify``,
-``torus``, ``det4`` and ``catalog``) or ``transforms`` (``reduce`` and
-``contract``).  Run as ``python -m cubiquity.cli``, this module is
-``__main__`` and registers itself as ``cubiquity.cli`` too, so
-``_commands`` imports it rather than a second copy.  No command imports
-``json``: every JSON line, from a verdict to a ``reduce`` step, is one
-f-string, since ``str`` of an int or of nested lists of ints is its JSON
-text.  The matrix reader's rows go to ``BasisMatrix`` unchecked, as the
-reader has checked them.
+A call compiles and loads only the code it runs: the rows of
+``tests/cli_cases.py`` name the modules that each cold call must load and
+must not load.  Each module loaded on demand is read as an attribute of
+the package (see ``cubiquity``), which loads it on the first read.  This
+module holds the dispatch, the shared readers and writers, ``check`` and
+``hajos`` and their arguments.  The other eight subcommands, their help
+lines and arguments and the full parser tree live in ``_commands``.  Run
+as ``python -m cubiquity.cli``, this module is ``__main__`` and registers
+itself as ``cubiquity.cli`` too, so ``_commands`` imports it rather than
+a second copy.  No command imports ``json``: every JSON line, from a
+verdict to a ``reduce`` step, is one f-string, since ``str`` of an int or
+of nested lists of ints is its JSON text.  The matrix reader's rows go to
+``BasisMatrix`` unchecked, as the reader has checked them.
 
 The text output of ``check``, ``wu``, ``stats``, ``hajos``, ``classify``
 and ``catalog`` starts every informational line with '#', so any matrix

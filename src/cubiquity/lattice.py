@@ -18,13 +18,10 @@ completes is eliminated once; where that elimination stops short at a
 power-of-two index, the form resumes from where it stopped.  From
 ``_PACKED_FROM`` rows on, Bareiss's elimination runs on the whole
 matrix, on rows packed into one integer each when every entry is below
-``_PACKED_BELOW``: that kernel, `packed._det_packed`, is loaded on its
-first call, so a program whose matrices stay below ``_PACKED_FROM`` rows
-never compiles it.
+``_PACKED_BELOW``: that kernel is `packed._det_packed`.
 
-``hnf``, ``contains`` and ``direct_sum``, which the CLI never runs, live in
-``membership``.  The Hermite form itself, ``BasisMatrix.hnf`` and `_hnf`,
-stays here.
+``hnf``, ``contains`` and ``direct_sum`` live in ``membership``.  The
+Hermite form itself, ``BasisMatrix.hnf`` and `_hnf`, stays here.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 ``contains`` decides whether a vector lies in a lattice by reducing it
 against the basis's Hermite form (``BasisMatrix.hnf``, built once per
 matrix), ``hnf`` returns that form, and ``direct_sum`` builds the
-block-diagonal basis of two lattices.  The CLI runs none of them, so they
-sit apart from ``lattice``, which every call loads.
+block-diagonal basis of two lattices.  No command runs them, so they sit
+apart from ``lattice``.
 """
 
 from __future__ import annotations

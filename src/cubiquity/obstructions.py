@@ -11,14 +11,12 @@ unit cube x + {0,1}^n.  This module provides
 * ``decide``: the determinant gate, then at a power-of-two index below
   2^n a triangular form with 1s and 2s on its diagonal, then the oracle,
   which alone is metered by a resource cap: it refuses an input whose
-  n * |det| exceeds the cap.  The oracle loads ``cosets`` on its first
-  call, so the other routes never load it.
+  n * |det| exceeds the cap.
 
 The paper's Wu obstruction for non-acute subsets (``WuData``,
 ``wu_element``, ``wu_obstruction``, ``wu_obstruction_orthogonal``) lives in
-``wu``, which only the ``wu`` subcommand runs, so ``check`` and ``hajos``
-neither compile nor load it.  Its four public names still resolve here,
-as the same objects, because ``bench/spans.py`` names them at this path.
+``wu``.  Its four public names still resolve here, as the same objects,
+because ``bench/spans.py`` names them at this path.
 
 Obstructions never claim a lattice IS cubiquitous; only the oracle, the
 Hajos route and the 1-2 triangle do.

@@ -7,10 +7,9 @@ reads as the norm excess against n - 3|odd coordinates|.  The obstruction
 is one-directional: it returns Obstructed or Inconclusive, never
 Cubiquitous.
 
-Only the ``wu`` subcommand runs this code, so it sits apart from
-``obstructions``, which ``check`` and ``hajos`` load.  It imports
-``subsets`` when it loads: the ``wu`` command's module has loaded that
-already.
+Only the ``wu`` subcommand loads this module, so it sits apart from
+``obstructions``.  It imports ``subsets`` when it loads: the ``wu``
+command's module has loaded that already.
 """
 
 from __future__ import annotations
