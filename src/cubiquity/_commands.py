@@ -10,8 +10,8 @@ reads and writes through the helpers of ``cli``, and ``cli.run`` turns
 what it raises into an exit code.  The module a command runs is read as
 an attribute of the package on its first call; ``tests/cli_cases.py``
 pins which modules each cold call loads.  Each JSON payload is one
-f-string, as ``cli`` writes a verdict: ``str`` of an int, or of nested
-lists of ints, is its JSON text.
+f-string, as ``obstructions._verdict_json`` writes a verdict: ``str`` of
+an int, or of nested lists of ints, is its JSON text.
 
 ``reduce`` streams its lines: the library plans the whole trace first, so
 an input it refuses prints nothing, then replays the steps over rows of
@@ -33,6 +33,7 @@ from .cli import (
     _status_exit,
 )
 from .formats import format_matrix
+from .obstructions import _verdict_json
 from .subsets import Subset, _identity_holds, stats
 
 #: Each subcommand's help line, for the top-level help.
@@ -144,7 +145,7 @@ def cmd_classify(args) -> int:
                           f'"vectors": {_one_based(b.vectors)}, '
                           f'"kind": "{b.kind}"}}' for b in blocks.blocks])
         print(f'{{"blocks": [{text}], '
-              f'"verdict": {cli._verdict_json(verdict)}}}')
+              f'"verdict": {_verdict_json(verdict)}}}')
     else:
         for b in blocks.blocks:
             print(f"# block kind={b.kind} coordinates="

@@ -61,7 +61,7 @@ from .obstructions import (
     CubiquityVerdict,
     HajosBasis,
     Status,
-    _hajos_rows,
+    _verdict_json,
     decide,
     hajos_basis,
 )
@@ -153,23 +153,6 @@ def _status_exit(status: Status) -> int:
     return EXIT_NEGATIVE
 
 
-def _verdict_json(verdict: CubiquityVerdict) -> str:
-    """``json.dumps(verdict.to_json_dict())`` in one f-string, with no dict
-    to walk: ``str`` of a list of ints, or of lists of ints, is its JSON
-    text already."""
-    if verdict.inequality is None:
-        inequality = "null"
-    else:
-        lhs, rhs = verdict.inequality
-        inequality = f'{{"lhs": {lhs}, "rhs": {rhs}}}'
-    witness = verdict.witness
-    rows = _hajos_rows(verdict.hajos)
-    return (f'{{"status": "{verdict.status.value}", '
-            f'"witness": {"null" if witness is None else list(witness)}, '
-            f'"inequality": {inequality}, '
-            f'"hajos_basis": {"null" if rows is None else rows}}}')
-
-
 def _emit_verdict(verdict: CubiquityVerdict, fmt: str) -> None:
     if fmt == "json":
         print(_verdict_json(verdict))
@@ -203,7 +186,7 @@ def cmd_hajos(args) -> int:
     if args.format == "json":
         # one f-string, as _verdict_json writes a verdict
         if found:
-            print(f'{{"hajos_basis": {_hajos_rows(found)}, '
+            print(f'{{"hajos_basis": {[list(r) for r in found.matrix.rows]}, '
                   f'"row_order": {_one_based(found.row_order)}}}')
         else:
             print('{"hajos_basis": null, "row_order": null}')

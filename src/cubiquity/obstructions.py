@@ -79,20 +79,33 @@ class CubiquityVerdict(NamedTuple):
     block: Optional[Block] = None
 
     def to_json_dict(self) -> dict:
-        """Fixed-order JSON object: status, witness, inequality, hajos_basis."""
+        """Fixed-order JSON object: status, witness, inequality, hajos_basis;
+        ``_verdict_json`` writes it as ``check`` prints it."""
         return {
             "status": self.status.value,
             "witness": list(self.witness) if self.witness is not None else None,
             "inequality": (
                 {"lhs": self.inequality[0], "rhs": self.inequality[1]}
                 if self.inequality is not None else None),
-            "hajos_basis": _hajos_rows(self.hajos),
+            "hajos_basis": None if self.hajos is None
+            else [list(r) for r in self.hajos.matrix.rows],
         }
 
 
-def _hajos_rows(found: Optional[HajosBasis]) -> Optional[list[list[int]]]:
-    """The JSON ``hajos_basis`` value: the certificate's rows, or null."""
-    return None if found is None else [list(r) for r in found.matrix.rows]
+def _verdict_json(verdict: CubiquityVerdict) -> str:
+    """``json.dumps(verdict.to_json_dict())`` in one f-string, with no dict
+    to walk: ``str`` of a list of ints, or of lists of ints, is its JSON
+    text already."""
+    if verdict.inequality is None:
+        inequality = "null"
+    else:
+        lhs, rhs = verdict.inequality
+        inequality = f'{{"lhs": {lhs}, "rhs": {rhs}}}'
+    witness = "null" if verdict.witness is None else list(verdict.witness)
+    found = verdict.hajos
+    rows = "null" if found is None else [list(r) for r in found.matrix.rows]
+    return (f'{{"status": "{verdict.status.value}", "witness": {witness}, '
+            f'"inequality": {inequality}, "hajos_basis": {rows}}}')
 
 
 def is_cubiquitous_bruteforce(

@@ -27,6 +27,7 @@ from cubiquity.classify import HYPER_2X2, OTHER, TWO_TIMES, UNIT
 from cubiquity.cli import run
 from cubiquity.lattice import _PACKED_FROM, _det_entries
 from cubiquity.transforms import CONTRACTION, DOUBLE_PROJECTION, PROJECTION
+from cli_cases import CASES, mismatch
 from helpers import (
     count_calls,
     hajos_permutation_scan,
@@ -77,57 +78,6 @@ def test_check_dense_det_gate_on_packed_rows(n, lhs, capsys):
     jsonschema.validate(json.loads(out), SCHEMA)
 
 
-def test_check_cap_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("CUBIQUITY_RESOURCE_CAP", "1")
-    code, out, _ = _run(capsys, "check", "--matrix", "1 0; 0 3")
-    assert code == 2
-    assert json.loads(out)["status"] == "Inconclusive"
-
-
-def test_check_cap_env_var_invalid(capsys, monkeypatch):
-    monkeypatch.setenv("CUBIQUITY_RESOURCE_CAP", "abc")
-    code, out, err = _run(capsys, "check", "--matrix", "1 0; 0 3")
-    assert code == 64
-    assert out == ""
-    assert err.startswith("error: ")
-
-
-def test_check_cap_boundary(capsys):
-    # brute force on Z + 3Z costs n * |det| = 6 steps
-    code, out, _ = _run(capsys, "check", "--matrix", "1 0; 0 3",
-                        "--cap", "6")
-    assert code == 1
-    assert json.loads(out)["witness"] == [0, 1]
-    code, out, _ = _run(capsys, "check", "--matrix", "1 0; 0 3",
-                        "--cap", "5")
-    assert code == 2
-    assert json.loads(out)["status"] == "Inconclusive"
-
-
-def test_check_decides_past_old_vertex_cap(capsys):
-    # index 3 * 2^10 at n = 13: |det| * 2^n is past the default cap of
-    # 2^24, n * |det| is not
-    diag = [6] + [2] * 9 + [1] * 3
-    matrix = "; ".join(" ".join(str(d if i == j else 0) for j in range(13))
-                       for i, d in enumerate(diag))
-    code, out, _ = _run(capsys, "check", "--matrix", matrix)
-    assert code == 1
-    assert json.loads(out)["witness"] == [1] + [0] * 12
-
-
-def test_check_decides_past_old_exponential_cap(capsys):
-    # diag(3, 1, ..., 1) at n = 20: n * |det| = 60, while the former count
-    # n * (2^n + |det|) was past the default cap of 2^24
-    matrix = "; ".join(" ".join(str(3 if i == j == 0 else int(i == j))
-                                for j in range(20)) for i in range(20))
-    assert _run(capsys, "check", "--matrix", matrix) == (
-        1, '{"status": "NotCubiquitous", "witness": [1' + ', 0' * 19
-        + '], "inequality": null, "hajos_basis": null}\n', "")
-    code, out, _ = _run(capsys, "check", "--matrix", matrix, "--cap", "59")
-    assert code == 2
-    assert json.loads(out)["status"] == "Inconclusive"
-
-
 CERTIFIED = ('{"status": "Cubiquitous", "witness": null, "inequality": '
              'null, "hajos_basis": null}\n')
 
@@ -154,30 +104,6 @@ def test_check_certifies_a_1_2_triangle_past_the_cap(matrix, cap, capsys):
     assert _run(capsys, "check", "--matrix", matrix, *cap) == \
         (0, CERTIFIED, "")
     assert time.perf_counter() - start < 2
-
-
-def test_check_certificate_leaves_the_witness_to_bruteforce(capsys):
-    # index 4 < 2^3, but the greedy stops at the 4: brute force decides,
-    # with the first witness, and the cap refuses it as before
-    code, out, _ = _run(capsys, "check", "--matrix", "4 0 0; 0 1 0; 0 0 1")
-    assert code == 1
-    assert json.loads(out)["witness"] == [1, 0, 0]
-    code, out, _ = _run(capsys, "check", "--matrix", "4 0 0; 0 1 0; 0 0 1",
-                        "--cap", "1")
-    assert code == 2
-    assert json.loads(out)["status"] == "Inconclusive"
-
-
-def test_check_rows_as_vectors(capsys):
-    # rows (1,2), (0,3) span {y = 2x mod 3}, which hits every unit square;
-    # the columns (1,0), (2,3) span Z + 3Z, which does not
-    code, out, _ = _run(capsys, "check", "--matrix", "1 2; 0 3",
-                        "--rows-as-vectors")
-    assert code == 0
-    assert json.loads(out)["status"] == "Cubiquitous"
-    code, out, _ = _run(capsys, "check", "--matrix", "1 2; 0 3")
-    assert code == 1
-    assert json.loads(out)["status"] == "NotCubiquitous"
 
 
 @pytest.mark.parametrize("text", ["2\n1 x\n2 3", "2\n1 1.0\n2 3"])
@@ -331,26 +257,6 @@ def test_stats_computes_norms_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_hajos_text_round_trip(capsys):
-    code, out, _ = _run(capsys, "hajos", "--matrix", "2 0; 1 2",
-                        "--format", "text")
-    assert code == 0
-    assert parse_matrix(out) == ((2, 0), (1, 2))
-
-
-def test_reduce_step_log(capsys):
-    code, out, _ = _run(capsys, "reduce", "--matrix",
-                        "1 1 0 0; 1 -1 0 0; 0 0 2 0; 0 0 0 1")
-    assert code == 0
-    lines = [json.loads(line) for line in out.splitlines()]
-    assert [ln["kind"] for ln in lines] == \
-        ["Projection", "Projection", "DoubleProjection", "Reduced"]
-    assert lines[-1]["result"] == []
-    # indices are 1-based in the log
-    assert lines[0]["vectors"] == [3]
-    assert lines[0]["coordinates"] == [3]
-
-
 WIDE = 10 ** 24 + 1  # 25 digits, outside the reader's table
 
 
@@ -409,90 +315,46 @@ def test_reduce_prints_nothing_before_an_error(capsys):
             65, "", "error: reduce requires an orthogonal subset\n")
 
 
-def test_contract_cli(capsys):
-    code, out, _ = _run(capsys, "contract", "--matrix",
-                        "1 -1 1; 1 0 -1; 0 1 -1", "-i", "1",
-                        "--vectors", "1", "2", "3")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["kind"] == "Contraction"
-    assert payload["result"] == [[1, 1], [-1, -1]]
-
-    code, _, err = _run(capsys, "contract", "--matrix",
-                        "1 -1 1; 1 0 -1; 0 1 -1", "-i", "2",
-                        "--vectors", "1", "2", "3")
-    assert code == 65
-    assert err == ("error: coordinate i must be supported by exactly the "
-                   "vectors s, t and u\n")
-
-    # coordinate 2 of the identity is supported by vector 2 alone
-    code, out, err = _run(capsys, "contract", "--matrix",
-                          "1 0 0 0; 0 1 0 0; 0 0 1 0; 0 0 0 1", "-i", "2",
-                          "--vectors", "1", "2", "3")
-    assert (code, out) == (65, "")
-    assert err == ("error: coordinate i must be supported by exactly the "
-                   "vectors s, t and u\n")
+def _json_lines(*commands):
+    """Every JSON line that a row of the table running one of ``commands``
+    pins."""
+    return [line for case in CASES if case.argv[0] in commands
+            for line in case.stdout.splitlines() if line.startswith("{")]
 
 
-@pytest.mark.parametrize("indices, message", [
-    (("-i", "9", "--vectors", "1", "2", "3"), "coordinate 9"),
-    (("-i", "0", "--vectors", "1", "2", "3"), "coordinate 0"),
-    (("-i", "1", "--vectors", "0", "1", "2"), "vector 0"),
-])
-def test_contract_index_out_of_range(capsys, indices, message):
-    code, out, err = _run(capsys, "contract", "--matrix",
-                          "2 0 0; 0 2 0; 0 0 2", *indices)
-    assert code == 64
-    assert out == ""
-    assert err == f"error: {message} is outside 1..3\n"
-
-
-# one call per payload shape the CLI prints as JSON: every verdict status,
-# every block kind and every reduce step kind, and the edge cases of the
-# hand-written lines: entries past 64 bits and empty support lists
-JSON_CALLS = [
-    ("check", "--matrix", "2 0; 1 2"),
-    ("check", "--matrix", "3 0; 0 1"),
-    ("check", "--matrix", "3 0; 0 3"),
-    ("check", "--matrix", "3 0; 0 1", "--cap", "1"),
-    ("hajos", "--matrix", "2 0; 1 2"),
-    ("hajos", "--matrix", "2 0; 0 6"),
-    ("classify", "--matrix", "1 1 0 0; 1 -1 0 0; 0 0 2 0; 0 0 0 1"),
-    ("classify", "--matrix", "3 0; 0 1"),
-    ("stats", "--matrix", "1 0 -1; 1 -1 1; 0 3 0"),
-    ("stats", "--matrix", "0 0; 0 1"),
-    ("stats", "--matrix", f"{-10 ** 30} 0; 0 1"),
-    ("wu", "--matrix", "1 0 -1; 1 -1 1; 0 3 0"),
-    ("wu", "--matrix", "1 0; 0 1"),
-    ("wu", "--matrix", f"{10 ** 30} 0; 0 -1"),
-    ("torus", "2", "2", "--format", "json"),
-    ("torus", "3", "5", "--format", "json"),
-    ("contract", "--matrix", "1 -1 1; 1 0 -1; 0 1 -1", "-i", "1",
-     "--vectors", "1", "2", "3"),
-    ("reduce", "--matrix", "0 1 1 0; 2 0 0 0; 0 1 -1 0; 0 0 0 1"),
-]
-
-
-def test_json_writer_matches_json_dumps(capsys):
+def test_json_writer_matches_json_dumps():
     # every command writes its JSON by hand, one f-string per line: each
-    # line must be what json.dumps writes for the value it holds
-    printed = ""
-    for argv in JSON_CALLS:
-        code, out, err = _run(capsys, *argv)
-        assert err == "" and code in (0, 1, 2), argv
-        for line in out.splitlines():
-            assert json.dumps(json.loads(line)) == line, argv
-        printed += out
+    # line a row pins must be what json.dumps writes for the value it
+    # holds, and the rows together print every status and every block and
+    # step kind
+    lines = _json_lines(*cli._COMMANDS)
+    for line in lines:
+        assert json.dumps(json.loads(line)) == line
+    printed = "\n".join(lines)
     for status in Status:
         assert f'"status": "{status.value}"' in printed
     for kind in [UNIT, TWO_TIMES, HYPER_2X2, OTHER, PROJECTION,
                  DOUBLE_PROJECTION, CONTRACTION]:
         assert f'"kind": "{kind}"' in printed
-    # the edge cases print what they exist for
-    assert '"by_coordinate": [[], [2]]' in printed
-    assert '"heavy": [[], [], []]' in printed
-    assert f'"norms": [{10 ** 60}, 1]' in printed
-    assert f'"W": [{10 ** 30}, -1]' in printed
+
+
+def test_text_rows_read_back_as_matrix_files():
+    # every informational line of the text output is a comment, so the
+    # basis that a check or hajos row prints reads back from its output
+    texts = [case.stdout for case in CASES if case.code == 0
+             and case.argv[0] in ("check", "hajos") and "text" in case.argv]
+    assert texts and all(parse_matrix(text) for text in texts)
+
+
+def test_rows_print_verdicts_of_the_schema():
+    # check's verdicts, and the verdict that classify nests, of every row
+    verdicts = [json.loads(line) for line in _json_lines("check")]
+    verdicts += [json.loads(line)["verdict"]
+                 for line in _json_lines("classify")]
+    assert {verdict["status"] for verdict in verdicts} == {
+        status.value for status in Status}
+    for verdict in verdicts:
+        jsonschema.validate(verdict, SCHEMA)
 
 
 def _verdict_shapes():
@@ -592,48 +454,6 @@ def test_top_level_parser_runs_only_without_a_command(monkeypatch, capsys):
     assert calls == [["bogus"], []]
 
 
-DIAG222 = "2 0 0; 0 2 0; 0 0 2"
-
-
-def test_check_hajos_route_ignores_cap(capsys, monkeypatch):
-    # the cap meters brute force only, and hajos does not read it
-    code, out, _ = _run(capsys, "check", "--matrix", DIAG222, "--cap", "1")
-    assert code == 0
-    assert json.loads(out) == {"status": "Cubiquitous", "witness": None,
-                               "inequality": None,
-                               "hajos_basis": [[2, 0, 0], [0, 2, 0],
-                                               [0, 0, 2]]}
-    monkeypatch.setenv("CUBIQUITY_RESOURCE_CAP", "abc")
-    code, out, err = _run(capsys, "hajos", "--matrix", DIAG222)
-    assert (code, err) == (0, "")
-    assert json.loads(out)["row_order"] == [1, 2, 3]
-
-
-def test_hajos_cap_boundary(capsys, monkeypatch):
-    # the greedy search takes no cap: `--cap` is a usage error on either
-    # side of the old n * 2^n = 24 step boundary, and a cap in the
-    # environment below that boundary does not stop the search
-    for value in ("24", "23"):
-        code, out, err = _run(capsys, "hajos", "--matrix", DIAG222,
-                              "--cap", value)
-        assert code == 64
-        assert out == ""
-        assert "--cap" in err
-    monkeypatch.setenv("CUBIQUITY_RESOURCE_CAP", "23")
-    code, out, err = _run(capsys, "hajos", "--matrix", DIAG222)
-    assert (code, err) == (0, "")
-    assert json.loads(out)["row_order"] == [1, 2, 3]
-
-
-def test_perm_cap_flag_removed(capsys):
-    for command in ("check", "hajos"):
-        code, out, err = _run(capsys, command, "--matrix", DIAG222,
-                              "--perm-cap", "8")
-        assert code == 64
-        assert out == ""
-        assert "--perm-cap" in err
-
-
 def test_hajos_n10_chain_matches_permutation_scan(capsys):
     # the chain's only Hajos order is the identity, so with its last four
     # rows shuffled the reference scan stops within 4! orders
@@ -653,41 +473,6 @@ def test_hajos_n10_chain_matches_permutation_scan(capsys):
     }
 
 
-def test_det4_value_and_csv(capsys):
-    code, out, _ = _run(capsys, "det4", "3", "3", "3", "3")
-    assert code == 0
-    assert out == "0\n"
-
-    code, out, _ = _run(capsys, "det4", "--zeros", "--bound", "10")
-    assert code == 0
-    assert out.splitlines() == [
-        "a,b,c,d", "1,3,7,7", "1,4,4,9", "1,5,5,5",
-        "2,2,5,5", "2,3,3,5", "3,3,3,3",
-    ]
-
-    code, _, err = _run(capsys, "det4", "1", "2")
-    assert code == 64
-
-
-def test_det4_zeros_huge_bound(capsys):
-    code, out, err = _run(capsys, "det4", "--zeros", "--bound", "1000000000")
-    assert code == 0
-    assert err == ""
-    assert out.splitlines() == ["a,b,c,d"] + [
-        ",".join(map(str, sol)) for sol in (
-            (1, 2, 6, 41), (1, 2, 7, 23), (1, 2, 8, 17), (1, 2, 9, 14),
-            (1, 2, 11, 11), (1, 3, 4, 19), (1, 3, 5, 11), (1, 3, 7, 7),
-            (1, 4, 4, 9), (1, 5, 5, 5), (2, 2, 3, 11), (2, 2, 5, 5),
-            (2, 3, 3, 5), (3, 3, 3, 3))]
-
-
-def test_det4_zeros_bound_usage_error(capsys):
-    code, out, err = _run(capsys, "det4", "--zeros", "--bound", "0")
-    assert code == 64
-    assert out == ""
-    assert err.startswith("error: ")
-
-
 def test_catalog_round_trip(capsys):
     code, out, _ = _run(capsys, "catalog", "--index", "1")
     assert code == 0
@@ -704,23 +489,6 @@ def test_catalog_round_trip(capsys):
     assert first != second
 
 
-def test_check_text_output_reparses(capsys):
-    code, out, _ = _run(capsys, "check", "--matrix", "2 0; 0 2",
-                        "--format", "text")
-    assert code == 0
-    # informational lines are comments, so the stream is a valid matrix file
-    assert parse_matrix(out) == ((2, 0), (0, 2))
-
-
-def test_usage_errors(capsys):
-    code, _, err = _run(capsys, "bogus")
-    assert code == 64
-    code, _, err = _run(capsys, "check")
-    assert code == 64
-    code, _, err = _run(capsys, "check", "--matrix", "1", "also_a_file")
-    assert code == 64
-
-
 def test_input_errors(tmp_path, capsys):
     code, _, err = _run(capsys, "check", str(tmp_path / "missing.txt"))
     assert code == 65
@@ -735,17 +503,6 @@ def test_input_errors(tmp_path, capsys):
     code, _, err = _run(capsys, "check", str(singular))
     assert code == 65
     assert err == "error: columns of the 2x2 matrix are linearly dependent\n"
-
-
-@pytest.mark.parametrize("text, message", [
-    ("# c; 2 0\n0 2", "inline row '2 0\\n0 2' holds a line break"),
-    ("2 0; # c", "bad matrix row '# c'"),
-])
-def test_inline_parts_are_rows_only(text, message, capsys):
-    # one row per ';' part: joined into file text and parsed again, the
-    # first read as diag(2, 2), with '# c' a comment
-    assert _run(capsys, "check", "--matrix", text) == (
-        65, "", f"error: {message}\n")
 
 
 def test_non_utf8_input_exits_65(tmp_path, capsys):
@@ -765,19 +522,6 @@ def test_file_with_a_byte_order_mark(tmp_path, capsys):
     first = _run(capsys, "check", str(plain))
     assert first[0] == 0 and '"hajos_basis": [[2, 0], [1, 2]]' in first[1]
     assert _run(capsys, "check", str(marked)) == first
-
-
-def test_byte_identical_output(capsys):
-    first = _run(capsys, "check", "--matrix", "1 0; 0 3")
-    second = _run(capsys, "check", "--matrix", "1 0; 0 3")
-    assert first == second
-
-
-def test_stdin_input(capsys, monkeypatch):
-    import io
-    monkeypatch.setattr("sys.stdin", io.StringIO("1\n3\n"))
-    code, out, _ = _run(capsys, "check", "-")
-    assert code == 1
 
 
 class _ClosedPipe:
@@ -809,6 +553,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def _child(*args, unbuffered=False, **kwargs):
     env = dict(os.environ, PYTHONPATH=str(SRC))
+    # no child's answer depends on the caller's cap
+    env.pop(cli.CAP_ENV_VAR, None)
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
@@ -887,81 +633,39 @@ def test_help_returns_from_run(capsys):
     assert capsys.readouterr().out.startswith("usage: cubiquity ")
 
 
-COLD_IMPORTS = """
+def test_check_and_hajos_load_only_what_they_run():
+    # one process imports cli, which must load no module that a row skips,
+    # then runs each row that names modules, in table order: by its end
+    # the call has loaded the row's loads, and the call itself none of its
+    # skips, and no call has built the full parser tree.  Counted past the
+    # interpreter's own start, so a module that a site hook loaded does not
+    # count.
+    cases = [case for case in CASES if case.loads or case.skips]
+    script = f"""
 import sys
 start = set(sys.modules)  # before this script imports anything
 import contextlib, io
 from cubiquity import cli
-
-
-def call(*argv):
-    with contextlib.redirect_stdout(io.StringIO()) as out:
+print(sorted(set(sys.modules) - start))
+for argv in {[case.argv for case in cases]!r}:
+    before = set(sys.modules)
+    with contextlib.redirect_stdout(io.StringIO()) as out, \\
+            contextlib.redirect_stderr(io.StringIO()) as err:
         code = cli.run(list(argv))
-    return code, out.getvalue()
-
-
-def loaded():
-    return sorted(set(sys.modules) - start)
-
-
-small = [call("check", "--matrix", "2 0; 1 2"),
-         call("hajos", "--matrix", "2 0; 1 2"),
-         call("check", "--matrix", "2 0 0; 1 1 0; 0 1 2")]
-result = {"check_and_hajos": loaded()}
-result.update(brute=call("check", "--matrix", "1 0; 0 3"),
-              after_brute=loaded())
-small.append(call("classify", "--matrix", "1 0; 0 2"))
-result.update(small=small, after_classify=loaded(),
-              parser_built=cli._parser.cache_info().currsize)
-result.update(wu=call("wu", "--matrix", "1 1 0; 1 -1 0; 0 0 2"),
-              after_wu=loaded())
-identity = "; ".join(" ".join("1" if i == j else "0" for j in range(20))
-                     for i in range(20))
-result.update(large=call("check", "--matrix", identity), after_large=loaded())
-print(repr(result))
+    print((code, out.getvalue(), err.getvalue(),
+           sorted(set(sys.modules) - before), sorted(sys.modules)))
+print(cli._parser.cache_info().currsize)
 """
-
-
-def test_check_and_hajos_load_only_what_they_run():
-    proc = _child("-c", COLD_IMPORTS, capture_output=True, text=True)
+    proc = _child("-c", script, capture_output=True, text=True,
+                  stdin=subprocess.DEVNULL)
     assert proc.returncode == 0, proc.stderr
-    result = ast.literal_eval(proc.stdout)
-    assert [code for code, _ in result["small"]] == [0, 0, 0, 0]
-    # measured against the interpreter's own start, so a module that a
-    # site hook already loaded does not count; index 4 < 2^3 is certified
-    # by its 1-2 triangle, so brute force never loads cosets
-    for module in ("dataclasses", "json", "cubiquity.subsets",
-                   "cubiquity.classify", "cubiquity.transforms",
-                   "cubiquity.cosets", "cubiquity.packed",
-                   "cubiquity._commands", "cubiquity.wu",
-                   "cubiquity.membership"):
-        assert module not in result["check_and_hajos"]
-    assert "cubiquity.obstructions" in result["check_and_hajos"]
-    # index 3 is brute force's: its first call loads cosets, and still none
-    # of the other commands' modules
-    assert result["brute"] == (1, '{"status": "NotCubiquitous", "witness": '
-                               '[0, 1], "inequality": null, '
-                               '"hajos_basis": null}\n')
-    assert "cubiquity.cosets" in result["after_brute"]
-    for module in ("cubiquity._commands", "cubiquity.wu",
-                   "cubiquity.membership", "cubiquity.packed", "json"):
-        assert module not in result["after_brute"]
-    # no 2 x 2 call writes with json, takes a packed determinant or builds
-    # the full parser tree; classify is run from the other commands' module
-    assert "cubiquity.classify" in result["after_classify"]
-    assert "cubiquity._commands" in result["after_classify"]
-    assert not [module for module in result["after_classify"]
-                if module in ("json", "_json", "cubiquity.packed")
-                or module.startswith("json.")]
-    assert result["parser_built"] == 0
-    assert json.loads(result["small"][3][1])["verdict"]["status"] == \
-        "Cubiquitous"
-    # the Wu obstruction is the wu command's alone, and no command runs
-    # the membership functions
-    assert "cubiquity.wu" not in result["after_classify"]
-    assert result["wu"][0] == 2
-    assert "cubiquity.wu" in result["after_wu"]
-    assert "cubiquity.membership" not in result["after_wu"]
-    # a 20-row determinant is the packed kernel's
-    assert result["large"][0] == 0
-    assert "cubiquity.packed" in result["after_large"]
+    imported, *calls, built = map(ast.literal_eval,
+                                  proc.stdout.splitlines())
+    assert built == 0
+    skips = {module for case in CASES for module in case.skips}
+    assert sorted(skips.intersection(imported)) == []
+    for case, (code, out, err, new, loaded) in zip(cases, calls,
+                                                   strict=True):
+        assert mismatch(case, code, out, err) is None
+        assert sorted(set(case.loads).difference(loaded)) == [], case.name
+        assert sorted(set(case.skips).intersection(new)) == [], case.name

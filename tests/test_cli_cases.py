@@ -16,6 +16,9 @@ from cubiquity.cli import run
 
 @pytest.mark.parametrize("case", CASES, ids=[case.name for case in CASES])
 def test_cli_case(case, capsys, monkeypatch):
+    monkeypatch.delenv(cli_cases.CAP_ENV_VAR, raising=False)
+    for name, value in case.env:
+        monkeypatch.setenv(name, value)
     if case.stdin is not None:
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
             io.BytesIO(case.stdin), encoding="utf-8"))
