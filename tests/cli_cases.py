@@ -16,8 +16,9 @@ command runs.
 ``tests/test_cli.py::test_check_and_hajos_load_only_what_they_run``
 reads the two columns in one process: importing ``cubiquity.cli`` loads
 no module that any row skips, and in table order each row that names
-modules has loaded its ``loads`` once its call returns, and the call
-itself loads none of its ``skips``.  Run as a script, this module runs
+modules has loaded its ``loads`` once its call returns, the call itself
+loads none of its ``skips``, and any of its ``skips`` that was loaded
+before the call is in an earlier row's ``loads``.  Run as a script, this module runs
 every row as a subprocess of a command and reports each row that
 differs:
 

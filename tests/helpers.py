@@ -1,4 +1,6 @@
-"""Shared test utilities: independent oracles and instance generators."""
+"""The oracles that the tests check the library against, each deciding
+by a route of its own, and the tools that run them.  The tests' random
+inputs come from ``tests/families.py``."""
 
 import importlib
 import itertools
@@ -894,152 +896,6 @@ def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def det_splits(d, parts):
-    """All ordered factorisations of d into `parts` positive factors."""
-    if parts == 1:
-        yield (d,)
-        return
-    for first in range(1, d + 1):
-        if d % first == 0:
-            for rest in det_splits(d // first, parts - 1):
-                yield (first,) + rest
-
-
-def hnf_matrices(n, dets):
-    """Every lower-triangular column-HNF basis with determinant in dets."""
-    out = []
-    positions = [(i, j) for i in range(n) for j in range(i)]
-    for d in dets:
-        for diag in det_splits(d, n):
-            ranges = [range(diag[i]) for i, _ in positions]
-            for fill in itertools.product(*ranges):
-                rows = [[0] * n for _ in range(n)]
-                for i in range(n):
-                    rows[i][i] = diag[i]
-                for (i, j), v in zip(positions, fill):
-                    rows[i][j] = v
-                out.append(BasisMatrix(rows))
-    return out
-
-
-def random_hnf(n, d, rng):
-    """One random HNF basis with determinant d."""
-    diag = []
-    rem = d
-    for _ in range(n - 1):
-        k = rng.choice([k for k in range(1, rem + 1) if rem % k == 0])
-        diag.append(k)
-        rem //= k
-    diag.append(rem)
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = diag[i]
-        for j in range(i):
-            rows[i][j] = rng.randrange(diag[i])
-    return BasisMatrix(rows)
-
-
-def unimodular_mix(basis, rng, steps):
-    """Another basis of the same lattice, by random column operations.
-
-    Needs n >= 2.
-    """
-    n = basis.n
-    cols = [list(c) for c in basis.columns]
-    for _ in range(steps):
-        i, j = rng.sample(range(n), 2)
-        if rng.random() < 0.2:
-            cols[i] = [-v for v in cols[i]]
-        else:
-            k = rng.choice((-2, -1, 1, 2))
-            cols[i] = [a + k * b for a, b in zip(cols[i], cols[j])]
-    return BasisMatrix.from_columns(cols)
-
-
-def signed_permutation(vectors, rng, shuffle_vectors=True):
-    """Random signed coordinate permutation of a list of vectors."""
-    n = len(vectors[0]) if vectors else 0
-    perm = list(range(n))
-    rng.shuffle(perm)
-    signs = [rng.choice((-1, 1)) for _ in range(n)]
-    out = []
-    for v in vectors:
-        w = [0] * n
-        for j, x in enumerate(v):
-            w[perm[j]] = signs[perm[j]] * x
-        out.append(tuple(w))
-    if shuffle_vectors:
-        rng.shuffle(out)
-    return out
-
-
-def signed_mix(basis, rng):
-    """Another basis of basis's lattice, after a signed coordinate
-    permutation."""
-    cols = signed_permutation(list(basis.columns), rng)
-    return unimodular_mix(BasisMatrix.from_columns(cols), rng, 2 * basis.n)
-
-
-def diagonal_rows(diag):
-    """The rows of the diagonal matrix with diagonal ``diag``."""
-    n = len(diag)
-    return [[diag[i] if j == i else 0 for j in range(n)] for i in range(n)]
-
-
-# Orthogonal building blocks, each a list of vectors in its own coordinates.
-BLOCK_LIBRARY = {
-    "unit": [(1,)],
-    "double": [(2,)],
-    "triple": [(3,)],
-    "five": [(5,)],
-    "hyper": [(1, 1), (1, -1)],
-    "anti3": [(0, 3), (3, 0)],
-    "norm25": [(3, 4), (4, -3)],
-}
-
-
-def assemble_blocks(names):
-    """Direct sum of library blocks as a list of vectors."""
-    dims = [len(BLOCK_LIBRARY[nm][0]) for nm in names]
-    total = sum(dims)
-    vectors = []
-    offset = 0
-    for nm, d in zip(names, dims):
-        for v in BLOCK_LIBRARY[nm]:
-            vectors.append((0,) * offset + tuple(v)
-                           + (0,) * (total - offset - d))
-        offset += d
-    return vectors
-
-
-# Orthogonal blocks by kind, each in its own coordinates.
-ORTHOGONAL_BLOCKS = {
-    "Unit": [(1,)],
-    "TwoTimes": [(2,)],
-    "Three": [(3,)],
-    "Hyper2x2": [(1, 1), (1, -1)],
-    "Skew2": [(1, 2), (2, -1)],
-    "Norm9": [(1, 2, 2), (2, 1, -2), (2, -2, 1)],
-    "Hadamard4": [(1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1),
-                  (1, -1, -1, 1)],
-}
-
-
-def orthogonal_block_sum(n, rng):
-    """Signed-permuted direct sum of random blocks, n coordinates in all."""
-    vectors = []
-    used = 0
-    while used < n:
-        block = ORTHOGONAL_BLOCKS[rng.choice(sorted(ORTHOGONAL_BLOCKS))]
-        d = len(block)
-        if used + d > n:
-            continue
-        vectors = ([v + (0,) * d for v in vectors]
-                   + [(0,) * used + v for v in block])
-        used += d
-    return Subset(signed_permutation(vectors, rng))
-
-
 def edge_subsets():
     """Hand-picked subsets for the support-list predicates and decompose."""
     return [
@@ -1059,32 +915,3 @@ def edge_subsets():
         *(Subset(block.columns) for block in catalog_blocks()),
     ]
 
-
-def random_subsets(rng, count):
-    """Random subsets at n = 0-12, in turn dense, sparse, a non-positive
-    chain and an orthogonal block sum, so that each predicate meets both
-    answers."""
-    out = []
-    for k in range(count):
-        n = rng.randint(0, 12)
-        kind = k % 4
-        if kind == 0:
-            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        elif kind == 1:
-            rows = [[rng.choice((-2, -1, 1, 2)) if rng.random() < 0.2 else 0
-                     for _ in range(n)] for _ in range(n)]
-        elif kind == 2:
-            # vector i meets only its neighbours, with product -b_i a_(i+1)
-            # <= 0, so dominance of the norms decides non-acuteness
-            rows = [[0] * n for _ in range(n)]
-            for i in range(n):
-                rows[i][i] = rng.randint(1, 3)
-                if i + 1 < n:
-                    rows[i][i + 1] = -rng.randint(0, 3)
-        else:
-            names = []
-            while sum(len(BLOCK_LIBRARY[nm][0]) for nm in names) < n:
-                names.append(rng.choice(sorted(BLOCK_LIBRARY)))
-            rows = assemble_blocks(names)
-        out.append(Subset(signed_permutation(rows, rng)))
-    return out

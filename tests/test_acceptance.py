@@ -27,15 +27,16 @@ from cubiquity import (
     torus_sum_bounds_qball,
     wu_element,
 )
-from helpers import (
-    BLOCK_LIBRARY,
-    assemble_blocks,
-    cofactor_det,
-    dot,
-    hnf_matrices,
+from families import (
+    BLOCKS,
+    CUBIQUITOUS_BLOCKS,
+    block_sum,
+    dense,
+    hnf_rows,
     random_hnf,
     signed_permutation,
 )
+from helpers import cofactor_det, dot
 
 
 def _report(name, failures):
@@ -111,21 +112,22 @@ def test_criterion_3_hajos_cross_check():
     failures = []
     checked = 0
     for n in (1, 2, 3):
-        for basis in hnf_matrices(n, [2 ** n]):
+        for basis in map(BasisMatrix, hnf_rows(n, [2 ** n])):
             present = hajos_basis(basis) is not None
             cubiquitous = is_cubiquitous_bruteforce(basis).status is \
                 Status.CUBIQUITOUS
             if present != cubiquitous:
                 failures.append(("exact", basis.rows))
             checked += 1
-        for basis in hnf_matrices(n, range(2 ** n + 1, 2 ** n + 9)):
+        for basis in map(BasisMatrix,
+                         hnf_rows(n, range(2 ** n + 1, 2 ** n + 9))):
             if is_cubiquitous_bruteforce(basis).status is not \
                     Status.NOT_CUBIQUITOUS:
                 failures.append(("over", basis.rows))
             checked += 1
     rng = random.Random(1234)
     for _ in range(200):
-        basis = random_hnf(4, 16, rng)
+        basis = BasisMatrix(random_hnf(rng, 4, 16))
         present = hajos_basis(basis) is not None
         cubiquitous = is_cubiquitous_bruteforce(basis).status is \
             Status.CUBIQUITOUS
@@ -133,7 +135,7 @@ def test_criterion_3_hajos_cross_check():
             failures.append(("random exact", basis.rows))
         checked += 1
     for _ in range(50):
-        basis = random_hnf(4, rng.randrange(17, 41), rng)
+        basis = BasisMatrix(random_hnf(rng, 4, rng.randrange(17, 41)))
         if is_cubiquitous_bruteforce(basis).status is not \
                 Status.NOT_CUBIQUITOUS:
             failures.append(("random over", basis.rows))
@@ -145,19 +147,17 @@ def test_criterion_3_hajos_cross_check():
 
 def test_criterion_4_orthogonal_classification_equivalence():
     failures = []
-    names = sorted(BLOCK_LIBRARY)
-    dims = {nm: len(BLOCK_LIBRARY[nm][0]) for nm in names}
     multisets = [
         combo
         for r in range(1, 5)
-        for combo in itertools.combinations_with_replacement(names, r)
-        if sum(dims[nm] for nm in combo) <= 4
+        for combo in itertools.combinations_with_replacement(BLOCKS, r)
+        if sum(len(BLOCKS[nm]) for nm in combo) <= 4
     ]
     rng = random.Random(99)
     checks = 0
     while checks < 1000:
         combo = multisets[checks % len(multisets)]
-        vectors = signed_permutation(assemble_blocks(combo), rng)
+        vectors = list(zip(*signed_permutation(block_sum(combo), rng)))
         subset = Subset(vectors)
         classified = classify_orthogonal(subset).status
         oracle = is_cubiquitous_bruteforce(subset.to_basis()).status
@@ -267,16 +267,11 @@ def test_criterion_5_wu_soundness_exhaustive():
 
 def _padded_expansions():
     """Valid contraction instances: non-acute source and target."""
-    paddings = {
-        (): (),
-        ("unit",): BLOCK_LIBRARY["unit"],
-        ("double",): BLOCK_LIBRARY["double"],
-        ("hyper",): BLOCK_LIBRARY["hyper"],
-    }
+    paddings = [()] + [BLOCKS[name] for name in CUBIQUITOUS_BLOCKS]
     rng = random.Random(77)
     for x in [v for v in range(-8, 9) if v != 0]:
         base = [(0, -1, 0, 1), (0, 0, x, -1), (1, 1, 0, 1), (-1, 1, 0, 0)]
-        for pad in paddings.values():
+        for pad in paddings:
             extra = len(pad[0]) if pad else 0
             vectors = [v + (0,) * extra for v in base]
             vectors += [(0, 0, 0, 0) + tuple(p) for p in pad]
@@ -323,7 +318,7 @@ def test_criterion_6_contraction_invariance():
 def test_criterion_7_direct_sum_law():
     failures = []
     summands = [BasisMatrix([[d]]) for d in range(1, 10)]
-    summands += hnf_matrices(2, range(1, 10))
+    summands += map(BasisMatrix, hnf_rows(2, range(1, 10)))
     verdicts = {
         b: is_cubiquitous_bruteforce(b).status is Status.CUBIQUITOUS
         for b in summands
@@ -342,9 +337,7 @@ def test_criterion_8_counting_identity():
     failures = []
     rng = random.Random(2718)
     for _ in range(10000):
-        n = rng.randint(1, 6)
-        subset = Subset([tuple(rng.randint(-3, 3) for _ in range(n))
-                         for _ in range(n)])
+        subset = Subset(dense(rng, rng.randint(1, 6), -3, 3))
         if not check_identity(subset):
             failures.append(subset.vectors)
     _report("criterion 8: counting identity on 10000 random subsets",

@@ -21,15 +21,13 @@ from cubiquity import (
     is_orthogonal,
     torus_sum_bounds_qball,
 )
+from families import orthogonal_sum, subsets
 from helpers import (
-    assemble_blocks,
     cofactor_det,
     decompose_reference,
     det4_quartic_scan,
     edge_subsets,
     gram,
-    random_subsets,
-    signed_permutation,
 )
 
 
@@ -57,17 +55,15 @@ def test_decompose_degenerate_shapes():
 
 
 def test_decompose_matches_row_scan_reference():
-    for s in random_subsets(random.Random(89), 400) + edge_subsets():
+    drawn = [Subset(zip(*rows)) for rows in subsets(random.Random(89), 400)]
+    for s in drawn + edge_subsets():
         assert decompose(s) == decompose_reference(s), s
 
 
 def test_sparse_predicates_and_classify_at_n512():
     # the dense Gram matrix is O(n^3), about 10 s at this size on CPython
     # 3.11; the products over shared coordinates take milliseconds
-    rng = random.Random(97)
-    names = ["unit", "double", "triple", "hyper"] * 102 + ["hyper"]
-    rng.shuffle(names)
-    s = Subset(signed_permutation(assemble_blocks(names), rng))
+    s = Subset(zip(*orthogonal_sum(random.Random(97), 512)))
     assert s.n == 512
     for decide in (is_orthogonal, is_non_acute, classify_orthogonal):
         start = time.perf_counter()

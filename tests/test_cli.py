@@ -28,14 +28,8 @@ from cubiquity.cli import run
 from cubiquity.lattice import _PACKED_FROM, _det_entries
 from cubiquity.transforms import CONTRACTION, DOUBLE_PROJECTION, PROJECTION
 from cli_cases import CASES, mismatch
-from helpers import (
-    count_calls,
-    hajos_permutation_scan,
-    orthogonal_block_sum,
-    reduce_lines_reference,
-    signed_permutation,
-    unimodular_mix,
-)
+from families import chain, lower, mix, orthogonal_sum, signed_permutation
+from helpers import count_calls, hajos_permutation_scan, reduce_lines_reference
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" /
@@ -198,11 +192,8 @@ def test_index_2n_below_20_rows_is_eliminated_once(command, monkeypatch,
     # and no second elimination
     rng = random.Random(20)
     for n in (1, 2, 8, _PACKED_FROM - 1):
-        chain = BasisMatrix([[2 if j == i else rng.randrange(2) if j < i
-                              else 0 for j in range(n)] for i in range(n)])
-        mixed = unimodular_mix(chain, rng, 2 * n) if n > 1 else chain
-        cols = signed_permutation(list(mixed.columns), rng)
-        text = _matrix_text(zip(*cols))
+        text = _matrix_text(
+            signed_permutation(mix(chain(rng, n), rng, 2 * n), rng))
         expected = _run(capsys, command, "--matrix", text)
         assert expected[0] == 0 and expected[2] == ""
         calls = {name: count_calls(monkeypatch, f"cubiquity.{module}", name)
@@ -286,11 +277,11 @@ def test_reduce_lines_match_reference(capsys):
     # the CLI renders every entry from the parsed ints, so its bytes are
     # the json.dumps lines of the reference trace
     rng = random.Random(89)
-    subsets = [orthogonal_block_sum(n, rng) for n in range(1, 97)]
+    subsets = [Subset(zip(*orthogonal_sum(rng, n))) for n in range(1, 97)]
     # whole vectors scaled by +-WIDE stay orthogonal; a scaled pair is no
     # longer hyperbolic, so wide entries reach the Reduced line too
     for n in (3, 7, 12, 24):
-        s = orthogonal_block_sum(n, rng)
+        s = Subset(zip(*orthogonal_sum(rng, n)))
         factors = [rng.choice((1, WIDE, -WIDE)) for _ in range(n)]
         subsets.append(Subset(tuple(c * x for x in v)
                               for c, v in zip(factors, s.vectors)))
@@ -458,10 +449,9 @@ def test_hajos_n10_chain_matches_permutation_scan(capsys):
     # the chain's only Hajos order is the identity, so with its last four
     # rows shuffled the reference scan stops within 4! orders
     n = 10
-    chain = [[2 if j == i else int(j == i - 1) for j in range(n)]
-             for i in range(n)]
-    rows = [chain[i] for i in (0, 1, 2, 3, 4, 5, 9, 7, 6, 8)]
-    b = unimodular_mix(BasisMatrix(rows), random.Random(10), 2 * n)
+    rows = lower([2] * n, lambda i, j: int(j == i - 1))
+    rows = [rows[i] for i in (0, 1, 2, 3, 4, 5, 9, 7, 6, 8)]
+    b = BasisMatrix(mix(rows, random.Random(10), 2 * n))
     expected = hajos_permutation_scan(b)
     assert expected.row_order[:6] == (0, 1, 2, 3, 4, 5)
     matrix = "; ".join(" ".join(map(str, r)) for r in b.rows)
@@ -637,9 +627,11 @@ def test_check_and_hajos_load_only_what_they_run():
     # one process imports cli, which must load no module that a row skips,
     # then runs each row that names modules, in table order: by its end
     # the call has loaded the row's loads, and the call itself none of its
-    # skips, and no call has built the full parser tree.  Counted past the
-    # interpreter's own start, so a module that a site hook loaded does not
-    # count.
+    # skips, and no call has built the full parser tree.  A skipped module
+    # that an earlier call loaded must be in an earlier row's loads, so a
+    # module that an earlier row loads without saying so cannot hide a
+    # skip.  Counted past the interpreter's own start, so a module that a
+    # site hook loaded does not count.
     cases = [case for case in CASES if case.loads or case.skips]
     script = f"""
 import sys
@@ -664,8 +656,13 @@ print(cli._parser.cache_info().currsize)
     assert built == 0
     skips = {module for case in CASES for module in case.skips}
     assert sorted(skips.intersection(imported)) == []
+    stated = set()  # the loads of the rows run so far
     for case, (code, out, err, new, loaded) in zip(cases, calls,
                                                    strict=True):
         assert mismatch(case, code, out, err) is None
         assert sorted(set(case.loads).difference(loaded)) == [], case.name
         assert sorted(set(case.skips).intersection(new)) == [], case.name
+        before = set(loaded).difference(new)
+        assert sorted(set(case.skips).intersection(before)
+                      .difference(stated)) == [], case.name
+        stated.update(case.loads)

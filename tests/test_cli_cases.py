@@ -27,15 +27,17 @@ def test_cli_case(case, capsys, monkeypatch):
     assert mismatch(case, code, out, err) is None
 
 
-def test_table_imports_nothing_from_the_package():
-    # so the installed script is checked against the table alone
-    tree = ast.parse((Path(__file__).parent / "cli_cases.py").read_text())
+@pytest.mark.parametrize("module", ["cli_cases.py", "families.py"])
+def test_table_imports_nothing_from_the_package(module):
+    # so the installed script is checked against the table alone, and no
+    # test input borrows from the code it checks or from its oracles
+    tree = ast.parse((Path(__file__).parent / module).read_text())
     modules = [alias.name for node in ast.walk(tree)
                if isinstance(node, ast.Import) for alias in node.names]
     modules += [node.module for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom)]
-    assert modules and not [m for m in modules
-                            if m.partition(".")[0] == "cubiquity"]
+    assert modules and not [m for m in modules if m.partition(".")[0]
+                            in ("cubiquity", "helpers")]
 
 
 def test_rows_load_every_lazily_loaded_module():

@@ -32,22 +32,29 @@ from cubiquity.lattice import (
     _triangulate,
 )
 from cubiquity.packed import _PAIRS_FROM, _det_packed, _minor_bits
+from families import (
+    chain,
+    cyclic,
+    dense,
+    hnf_rows,
+    lower,
+    mix,
+    nonsingular,
+    random_hnf,
+    signed_mix,
+    signed_permutation,
+)
 from helpers import (
     bench_plan,
     cofactor_det,
     count_calls,
     det_packed_reference,
-    diagonal_rows,
     diagonalize_tietze_reference,
     gram,
     hnf_box,
-    hnf_matrices,
     hnf_reference,
     membership_reference,
     minor_bits_reference,
-    random_hnf,
-    signed_mix,
-    unimodular_mix,
 )
 from triangle import fresh_triangle
 
@@ -95,10 +102,6 @@ def test_singular_message_names_the_dimension():
     assert len(str(exc.value)) <= 60
 
 
-def _dense_rows(rng, n, low, high):
-    return [[rng.randint(low, high) for _ in range(n)] for _ in range(n)]
-
-
 def test_det_kernels_agree_at_every_size():
     # n = 1-96 covers _PACKED_FROM +- 1 and ends the packed kernel's last
     # stage at, before and after each stage boundary (steps 6, 12, 18, 24,
@@ -108,7 +111,7 @@ def test_det_kernels_agree_at_every_size():
     assert {_PACKED_FROM - 1, _PACKED_FROM, _PACKED_FROM + 1} <= set(sizes)
     for n in sizes:
         span = 1 + n % 2
-        rows = _dense_rows(rng, n, -span, span)
+        rows = dense(rng, n, -span, span)
         expected = _det_entries(rows)
         assert _det_packed(rows) == expected
         assert _bareiss_det(rows) == expected
@@ -118,7 +121,7 @@ def test_det_kernels_agree_at_every_size():
 
 def _near_rows(rng, n, scale):
     """Dense rows of entries within 2^20 of scale, one per row negated."""
-    rows = _dense_rows(rng, n, scale - 2 ** 20, scale + 2 ** 20)
+    rows = dense(rng, n, scale - 2 ** 20, scale + 2 ** 20)
     for row in rows:
         row[rng.randrange(n)] *= -1
     return rows
@@ -154,7 +157,7 @@ def test_det_kernels_agree_on_entries_near_2_to_100(monkeypatch):
 def test_minor_bits_match_reference():
     rng = random.Random(8)
     for n, bound in [(1, 2), (5, 2), (20, 2), (20, 2 ** 31), (33, 2 ** 62)]:
-        rows = _dense_rows(rng, n, -bound, bound)
+        rows = dense(rng, n, -bound, bound)
         rows[0] = [0] * n  # a zero row, and below it a zero column
         for row in rows:
             row[n - 1] = 0
@@ -195,7 +198,7 @@ def test_first_pack_at_code_boundaries(monkeypatch):
         for value, code in CODE_BOUNDARIES:
             lone = [[int(i == j) for j in range(n)] for i in range(n)]
             lone[n // 2][n // 2] = value
-            mixed = _dense_rows(rng, n, -2, 2)
+            mixed = dense(rng, n, -2, 2)
             for row in mixed[::8]:
                 row[rng.randrange(n)] = value
             for rows, expected in ((lone, value), (mixed, None)):
@@ -289,7 +292,7 @@ def _pin_the_sign_of_row_swaps():
     # zero leading entries, and a zero pivot again after some steps
     rng = random.Random(3)
     for n in (4, 6, 7, _PACKED_FROM, 40, 64):
-        rows = _dense_rows(rng, n, -3, 3)
+        rows = dense(rng, n, -3, 3)
         for i in range(n // 2):
             rows[i][:i + 2] = [0] * min(i + 2, n)
         rows[n // 2], rows[n - 1] = rows[n - 1], rows[n // 2]
@@ -368,7 +371,7 @@ def test_pair_update_at_every_size(monkeypatch):
     assert {_stage_steps(n)[-1] % 2 for n in sizes if n > 1} == {0, 1}
     for n in sizes:
         span = 1 + n % 2
-        rows = _dense_rows(rng, n, -span, span)
+        rows = dense(rng, n, -span, span)
         expected = _packed_kernels_agree(rows)
         if n <= 7:
             assert expected == cofactor_det(rows)
@@ -380,7 +383,7 @@ def test_pair_passes_run_on_long_rows_only(monkeypatch):
     rng = random.Random(128)
     for n, bound in [(24, 2), (32, 2), (64, 2), (_PACKED_FROM, 2),
                      (_PACKED_FROM, _PACKED_BELOW - 1)]:
-        rows = _dense_rows(rng, n, -bound, bound)
+        rows = dense(rng, n, -bound, bound)
         bits = _minor_bits(rows)
         long_rows = [(n - k) * (bits[end + 1] // 8 + 1) >= _PAIRS_FROM
                      for k, end in _stages(n)]
@@ -391,7 +394,7 @@ def test_pair_passes_run_on_long_rows_only(monkeypatch):
         assert long_rows[0] == (n == 64 or bound > 2)
         assert any(long_rows) == (n != 24 and (n, bound) != (20, 2))
     monkeypatch.setattr(packed, "_PAIRS_FROM", 0)
-    assert _pair_passes(_dense_rows(rng, 24, -2, 2)) == sum(
+    assert _pair_passes(dense(rng, 24, -2, 2)) == sum(
         steps // 2 for steps in _stage_steps(24))
 
 def test_pair_update_swaps_in_the_second_pivot(pairs):
@@ -402,7 +405,7 @@ def test_pair_update_swaps_in_the_second_pivot(pairs):
     rng = random.Random(2)
     for n in (8, 21, 33, 48, 64):
         for k in range(0, n - 2, 6):
-            rows = _dense_rows(rng, n, -2, 2)
+            rows = dense(rng, n, -2, 2)
             rows[k + 1][:k + 3] = rows[k][:k + 2] + [rows[k][k + 2] + 1]
             assert _packed_kernels_agree(rows) != 0
 
@@ -415,7 +418,7 @@ def test_pair_update_dead_ends(pairs):
     rng = random.Random(5)
     for n in (7, 21, 48, 64):
         for d in sorted({*range(0, n, 3), *range(1, n, 5), n - 1}):
-            rows = _dense_rows(rng, n, -2, 2)
+            rows = dense(rng, n, -2, 2)
             for row in rows:
                 row[d] = row[d - 1] + row[0] if d else 0
             assert _packed_kernels_agree(rows) == 0
@@ -426,7 +429,7 @@ def test_pair_update_without_any_second_pivot(pairs):
     # row's entry at column 1 is 0: the first pair finds no second pivot
     rng = random.Random(6)
     for n in (3, 20, 64):
-        rows = _dense_rows(rng, n, -2, 2)
+        rows = dense(rng, n, -2, 2)
         for row in rows:
             row[1] = 3 * row[0]
         assert _packed_kernels_agree(rows) == 0
@@ -440,7 +443,7 @@ def test_pair_update_at_the_packed_bound(pairs):
     for n in (_PACKED_FROM, _PACKED_FROM + 1, 33, 48):
         signs = [[rng.choice((-big, big)) for _ in range(n)]
                  for _ in range(n)]
-        mixed = _dense_rows(rng, n, -2, 2)
+        mixed = dense(rng, n, -2, 2)
         for row in mixed:
             row[rng.randrange(n)] = rng.choice((-big, big))
         for rows in (signs, mixed):
@@ -452,7 +455,7 @@ def test_pair_update_at_128_rows(seed):
     # ten stages, the last of them with 29 steps
     rng = random.Random(seed)
     assert _stage_steps(128)[-1] == 29
-    assert _packed_kernels_agree(_dense_rows(rng, 128, -2, 2)) != 0
+    assert _packed_kernels_agree(dense(rng, 128, -2, 2)) != 0
 
 
 def test_pair_update_beats_one_step_at_96_rows():
@@ -460,7 +463,7 @@ def test_pair_update_beats_one_step_at_96_rows():
     # it took 0.53-0.93x the one-step kernel's time (best of 3, on a host
     # whose timings vary by about 20%); the calls alternate, so a slow
     # spell of the host hits both kernels
-    rows = _dense_rows(random.Random(96), 96, -2, 2)
+    rows = dense(random.Random(96), 96, -2, 2)
     # the first stage's rows are long enough to pair
     assert 96 * (_minor_bits(rows)[7] // 8 + 1) >= _PAIRS_FROM
     best = {det_packed_reference: math.inf, _det_packed: math.inf}
@@ -474,42 +477,24 @@ def test_pair_update_beats_one_step_at_96_rows():
     assert best[_det_packed] < best[det_packed_reference]
 
 
-def _signed_mix_rows(rows, rng, permute=True):
-    """Rows of another basis of the lattice after random coordinate signs
-    and, with ``permute``, a random coordinate order: 2n signed column
-    additions."""
-    n = len(rows)
-    order = rng.sample(range(n), n) if permute else range(n)
-    signs = [rng.choice((-1, 1)) for _ in range(n)]
-    out = [[sign * a for a in rows[i]] for sign, i in zip(signs, order)]
-    for _ in range(2 * n if n > 1 else 0):
-        i, j = rng.sample(range(n), 2)
-        k = rng.choice((-2, -1, 1, 2))
-        for row in out:
-            row[i] += k * row[j]
-    return out
-
-
 def _greedy_det_inputs(n, rng):
     """(kind, rows) at size n: inputs on which the Hajos greedy, which
     gives the determinant below _PACKED_FROM rows, completes, stops
     partway or takes nothing."""
-    twice = [[2 * a for a in row] for row in _dense_rows(rng, n, -3, 3)]
-    big = _dense_rows(rng, n, -10 ** 25, 10 ** 25)
-    chain = [[2 if j == i else rng.randrange(2) if j < i else 0
-              for j in range(n)] for i in range(n)]
-    yield "random", _dense_rows(rng, n, -3, 3)
+    twice = [[2 * a for a in row] for row in dense(rng, n, -3, 3)]
+    big = dense(rng, n, -10 ** 25, 10 ** 25)
+    chain_rows = chain(rng, n)
+    yield "random", dense(rng, n, -3, 3)
     yield "25 digits", big
     yield "2 x 25 digits", [[2 * a for a in row] for row in big]
     yield "2 x dense", twice
-    yield "chain", _signed_mix_rows(chain, rng)
-    yield "diag(4, 1, 2, ...)", _signed_mix_rows(
-        diagonal_rows(((4, 1) + (2,) * n)[:n]), rng)
+    yield "chain", signed_mix(chain_rows, rng)
+    yield "diag(4, 1, 2, ...)", signed_mix(lower(((4, 1) + (2,) * n)[:n]),
+                                           rng)
     # the coordinates keep their order, so the greedy takes the 2s before
     # n // 2 in turn and stops at the pivot 6
-    yield "pivot 6", _signed_mix_rows(
-        diagonal_rows([6 if i == n // 2 else 2 for i in range(n)]), rng,
-        permute=False)
+    yield "pivot 6", mix(lower([6 if i == n // 2 else 2 for i in range(n)]),
+                         rng, 2 * n)
     yield "anti-diagonal", [[(i + 2) * (j == n - 1 - i) for j in range(n)]
                             for i in range(n)]
     yield "anti-diagonal 2s", [
@@ -574,7 +559,7 @@ def test_greedy_det_singular_raises_with_dimension_message(kind,
     rng = random.Random(23)
     seen = _record_greedy(monkeypatch)
     for n in range(1 if kind == "zero column" else 2, _PACKED_FROM):
-        rows = [[2 * a for a in row] for row in _dense_rows(rng, n, -3, 3)]
+        rows = [[2 * a for a in row] for row in dense(rng, n, -3, 3)]
         rows[0][0] = 2
         if kind == "equal rows":
             rows[n - 1] = list(rows[0])
@@ -591,20 +576,6 @@ def test_greedy_det_singular_raises_with_dimension_message(kind,
     assert len(seen) >= _PACKED_FROM - 3
 
 
-def _swap_capped_chain(n, rng):
-    """A 0/1 chain with 2s on the diagonal, mixed by large multiples:
-    index 2^n, and clearing a coordinate can take more than _EUCLID_SWAPS
-    swaps."""
-    rows = [[2 if j == i else rng.randrange(2) if j < i else 0
-             for j in range(n)] for i in range(n)]
-    for _ in range(3 * n):
-        i, j = rng.sample(range(n), 2)
-        k = rng.choice((-1, 1)) * rng.randint(1, 10 ** 6)
-        for row in rows:
-            row[i] += k * row[j]
-    return rows
-
-
 def test_greedy_det_settles_the_triangle_as_the_property_would():
     # the det's greedy sets _triangle where its elimination settles it,
     # without the property's own run; where it leaves it unset (a power
@@ -616,9 +587,12 @@ def test_greedy_det_settles_the_triangle_as_the_property_would():
     stops = set()
     for n in range(2, 10):
         inputs = [rows for _, rows in _greedy_det_inputs(n, rng)]
-        inputs.append(_signed_mix_rows(diagonal_rows(
-            [1 if i == n // 2 else 2 for i in range(n)]), rng))
-        inputs.append(_swap_capped_chain(n, rng))
+        inputs.append(signed_mix(
+            lower([1 if i == n // 2 else 2 for i in range(n)]), rng))
+        # about 3n additions of large multiples (one step in five
+        # negates): clearing a coordinate can take more than _EUCLID_SWAPS
+        # swaps
+        inputs.append(mix(chain(rng, n), rng, 4 * n, 10 ** 6))
         for rows in inputs:
             try:
                 b = BasisMatrix(rows)
@@ -644,21 +618,6 @@ def test_greedy_det_settles_the_triangle_as_the_property_would():
     assert stops == {True, False}
 
 
-def _mixed_chain(n, rng):
-    """2s on the diagonal, 0/1 below, 64 signed column additions and a
-    signed coordinate permutation."""
-    rows = [[2 if j == i else rng.randrange(2) if j < i else 0
-             for j in range(n)] for i in range(n)]
-    for _ in range(64):
-        i, j = rng.sample(range(n), 2)
-        k = rng.choice((-1, 1))
-        for row in rows:
-            row[i] += k * row[j]
-    signs = [rng.choice((-1, 1)) for _ in range(n)]
-    return [[sign * a for a in rows[i]]
-            for sign, i in zip(signs, rng.sample(range(n), n))]
-
-
 def _best_time(f, rows):
     """f(rows) and its least time in seconds over three calls."""
     best = math.inf
@@ -674,10 +633,10 @@ def test_greedy_det_time_at_19_rows():
     # 2 x (dense) input it stops early, on a mixed chain it completes
     rng = random.Random(1919)
     n = _PACKED_FROM - 1
-    twice = [[2 * a for a in row] for row in _dense_rows(rng, n, -3, 3)]
-    chain = _mixed_chain(n, rng)
-    assert abs(_det_entries(chain)) == 2 ** n
-    for rows in (twice, chain):
+    twice = [[2 * a for a in row] for row in dense(rng, n, -3, 3)]
+    mixed = signed_permutation(mix(chain(rng, n), rng, 64, 1), rng)
+    assert abs(_det_entries(mixed)) == 2 ** n
+    for rows in (twice, mixed):
         b, best = _best_time(BasisMatrix, rows)
         assert b.det == _det_entries(rows)
         assert best < 0.02
@@ -690,7 +649,7 @@ def test_greedy_det_time_on_large_even_entries(bound):
     # about what _det_entries does (without the cap, 3-6 times as much)
     rng = random.Random(bound)
     n = _PACKED_FROM - 1
-    rows = [[2 * a for a in row] for row in _dense_rows(rng, n, -bound, bound)]
+    rows = [[2 * a for a in row] for row in dense(rng, n, -bound, bound)]
     b, greedy = _best_time(BasisMatrix, rows)
     expected, bareiss = _best_time(_det_entries, rows)
     assert b.det == expected
@@ -702,7 +661,7 @@ def test_hnf_mixed_chain_n48():
     # steps took seconds on mixed chains at n = 32 and did not finish in
     # 30 s at n = 48
     rng = random.Random(48)
-    b = BasisMatrix(_mixed_chain(48, rng))
+    b = BasisMatrix(signed_permutation(mix(chain(rng, 48), rng, 64, 1), rng))
     start = time.perf_counter()
     h = b.hnf
     assert time.perf_counter() - start < 1
@@ -721,7 +680,7 @@ def test_singular_dense_64_raises_with_dimension_message(kind):
     # never a pivot column, so there the elimination runs to the end
     rng = random.Random(64)
     n = 64
-    rows = _dense_rows(rng, n, -2, 2)
+    rows = dense(rng, n, -2, 2)
     if kind == "equal rows":
         rows[41] = list(rows[7])
     elif kind.startswith("zero"):
@@ -760,21 +719,11 @@ def test_hnf_preserves_lattice_up_to_index_4():
         assert contains(b, x) == contains(h, x)
 
 
-def _random_basis(rng, n, span=5):
-    while True:
-        rows = [[rng.randint(-span, span) for _ in range(n)]
-                for _ in range(n)]
-        try:
-            return BasisMatrix(rows)
-        except SingularMatrix:
-            continue
-
-
 def test_hnf_shape_and_determinant():
     rng = random.Random(7)
     for n in (1, 2, 3, 4):
         for _ in range(30):
-            b = _random_basis(rng, n)
+            b = BasisMatrix(nonsingular(rng, n, -5, 5))
             h = hnf(b)
             assert det(h) == abs(det(b))
             for i in range(n):
@@ -790,7 +739,7 @@ def test_hnf_same_point_set_small_boxes():
     rng = random.Random(11)
     for n in (2, 3):
         for _ in range(8):
-            b = _random_basis(rng, n, span=3)
+            b = BasisMatrix(nonsingular(rng, n, -3, 3))
             h = hnf(b)
             member = membership_reference(b)
             for x in itertools.product(range(-5, 6), repeat=n):
@@ -801,10 +750,10 @@ def _small_hnf_cases():
     # every small HNF, and for n >= 2 a mixed basis of the same lattice
     rng = random.Random(29)
     for n in (1, 2, 3):
-        for b in hnf_matrices(n, range(1, 2 ** n + 9)):
-            yield b
+        for rows in hnf_rows(n, range(1, 2 ** n + 9)):
+            yield BasisMatrix(rows)
             if n > 1:
-                yield unimodular_mix(b, rng, 3 * n)
+                yield BasisMatrix(mix(rows, rng, 3 * n))
 
 
 def _mixed_hnf_cases():
@@ -812,16 +761,16 @@ def _mixed_hnf_cases():
     for n in range(4, 13):
         for _ in range(12):
             d = rng.choice((rng.randint(1, 2 ** n + 8), 2 ** n))
-            yield unimodular_mix(random_hnf(n, d, rng), rng, 3 * n)
+            yield BasisMatrix(mix(random_hnf(rng, n, d), rng, 3 * n))
 
 
 def _n64_hnf_case():
     # a lower-triangular basis with diagonal entries 1-3, mixed
     rng = random.Random(64)
     n = 64
-    rows = [[rng.randint(1, 3) if j == i else rng.randrange(4) if j < i
-             else 0 for j in range(n)] for i in range(n)]
-    return [unimodular_mix(BasisMatrix(rows), rng, 2 * n)]
+    rows = lower([rng.randint(1, 3) for _ in range(n)],
+                 lambda i, j: rng.randrange(4))
+    return [BasisMatrix(mix(rows, rng, 2 * n))]
 
 
 @pytest.mark.parametrize("cases", [_small_hnf_cases, _mixed_hnf_cases,
@@ -838,14 +787,14 @@ def test_hnf_matches_reference(cases):
 def _small_and_mixed_bases():
     rng = random.Random(29)
     for n in (1, 2, 3):
-        for b in hnf_matrices(n, range(1, 2 ** n + 9)):
-            yield b
+        for rows in hnf_rows(n, range(1, 2 ** n + 9)):
+            yield BasisMatrix(rows)
             if n > 1:
-                yield unimodular_mix(b, rng, 2 * n)
+                yield BasisMatrix(mix(rows, rng, 2 * n))
     for _ in range(60):
         n = rng.randint(4, 8)
-        yield unimodular_mix(random_hnf(n, rng.randint(1, 3 * 2 ** n), rng),
-                             rng, 2 * n)
+        yield BasisMatrix(mix(random_hnf(rng, n, rng.randint(1, 3 * 2 ** n)),
+                              rng, 2 * n))
 
 
 def test_hnf_det_is_diagonal_product():
@@ -861,41 +810,31 @@ def _unit_pivot_bases():
     rng = random.Random(1)
     # 0/1 below the diagonal (2, 2, 2, 2, 1, 2, 2, 2, 2), then a 3; under
     # coordinate reflections alone the HNF keeps that diagonal
-    diag = [2] * 4 + [1] + [2] * 4 + [3]
-    rows = [[diag[i] if j == i else rng.randint(0, 1) * (i < 9) if j < i
-             else 0 for j in range(10)] for i in range(10)]
-    yield unimodular_mix(BasisMatrix([[rng.choice((-1, 1)) * v for v in row]
-                                      for row in rows]), rng, 20)
-    yield signed_mix(BasisMatrix(rows), rng)
+    rows = lower([2] * 4 + [1] + [2] * 4 + [3],
+                 lambda i, j: rng.randint(0, 1) * (i < 9))
+    yield BasisMatrix(mix([[rng.choice((-1, 1)) * v for v in row]
+                           for row in rows], rng, 20))
+    yield BasisMatrix(signed_mix(rows, rng))
     # cyclic of index 3 * 2^16 at n = 19: x_19 = sum 2^k x_{k+1} mod N
-    n, N = 19, 3 * 2 ** 16
     c = [-(2 ** k) for k in range(16)] + [0, 0, 1]
-    cols = [[int(i == k) if i < n - 1 else -c[k] % N for i in range(n)]
-            for k in range(n - 1)]
-    cols.append([0] * (n - 1) + [N])
-    yield unimodular_mix(BasisMatrix.from_columns(cols), random.Random(n),
-                         2 * n)
+    yield BasisMatrix(mix(cyclic(c, 3 * 2 ** 16), random.Random(19), 38))
     # Z/2 x Z/16 x Z/96 beside d_k = 1 rows
-    diag = [2, 16, 96] + [1] * 5
-    yield signed_mix(BasisMatrix(diagonal_rows(diag)), rng)
+    yield BasisMatrix(signed_mix(lower([2, 16, 96] + [1] * 5), rng))
 
 
 def _presentation_edge_bases():
     """Edge cases of the presentation modulo N = |det|: no unit entry,
     every entry a unit, N = 1, n = 1, and 25-digit entries."""
     for n in range(1, 5):
-        yield BasisMatrix([[2 * (i == j) for j in range(n)]
-                           for i in range(n)])  # 2 I_n: no unit mod 2^n
-        yield BasisMatrix([[int(i == j) for j in range(n)]
-                           for i in range(n)])  # N = 1
+        yield BasisMatrix(lower([2] * n))  # 2 I_n: no unit mod 2^n
+        yield BasisMatrix(lower([1] * n))  # N = 1
     yield BasisMatrix([[4, 0, 0], [0, 4, 0], [0, 0, 12]])  # no unit mod 192
     # every entry a unit: mod 5, mod 23 and mod 4
     yield BasisMatrix([[1, 2], [3, 1]])
     yield BasisMatrix([[3, 5], [7, 4]])
     yield BasisMatrix([[1, 1, 1], [1, -1, 1], [1, 1, -1]])
-    yield unimodular_mix(BasisMatrix([[int(i == j) for j in range(5)]
-                                      for i in range(5)]),
-                         random.Random(3), 15)  # N = 1, mixed
+    # N = 1, mixed
+    yield BasisMatrix(mix(lower([1] * 5), random.Random(3), 15))
     for d in (1, 2, -7, 12):
         yield BasisMatrix([[d]])
     big = 10 ** 24 + 7
@@ -951,14 +890,11 @@ def _tietze_cases():
             yield BasisMatrix(case.rows)
     yield BasisMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])  # N = 1
     # Z/360, cyclic: the first relation solves e_1 and leaves one
-    yield unimodular_mix(BasisMatrix([[1, 0, 0], [5, 1, 0], [7, 11, 360]]),
-                         random.Random(5), 9)
+    yield BasisMatrix(mix([[1, 0, 0], [5, 1, 0], [7, 11, 360]],
+                          random.Random(5), 9))
     # every entry even, so none is a unit modulo N = 1920 and all six
     # generators stay live into the Smith elimination
-    diag = (2, 2, 2, 4, 6, 10)
-    yield unimodular_mix(BasisMatrix([[d * (i == j) for j in range(6)]
-                                      for i, d in enumerate(diag)]),
-                         random.Random(6), 18)
+    yield BasisMatrix(mix(lower([2, 2, 2, 4, 6, 10]), random.Random(6), 18))
 
 
 def test_diagonalize_matches_tietze_reference():
@@ -980,7 +916,7 @@ def test_permute_rows_rejects_non_permutations(order):
 def test_hnf_unique_for_fixed_row_order():
     rng = random.Random(13)
     for _ in range(25):
-        b = _random_basis(rng, 3, span=4)
+        b = BasisMatrix(nonsingular(rng, 3, -4, 4))
         # Unimodular recombination of the columns spans the same lattice.
         c = list(list(col) for col in b.columns)
         c[0] = [u + 2 * v for u, v in zip(c[0], c[1])]
@@ -1007,7 +943,7 @@ def test_contains_rejects_non_integers(x):
 def test_contains_every_lattice_combination():
     rng = random.Random(17)
     for n in (1, 2, 3, 4):
-        b = _random_basis(rng, n, span=3)
+        b = BasisMatrix(nonsingular(rng, n, -3, 3))
         for z in itertools.product(range(-3, 4), repeat=n):
             point = tuple(
                 sum(b.columns[j][i] * z[j] for j in range(n))
@@ -1032,7 +968,8 @@ def test_coset_reps_examples():
 
 
 def test_coset_reps_pairwise_non_congruent():
-    for b in hnf_matrices(2, (6,)) + hnf_matrices(3, (4,)):
+    for rows in hnf_rows(2, (6,)) + hnf_rows(3, (4,)):
+        b = BasisMatrix(rows)
         reps = tuple(hnf_box(b))
         assert len(reps) == abs(det(b))
         for r, s in itertools.combinations(reps, 2):
@@ -1060,6 +997,6 @@ def test_direct_sum_examples():
 def test_direct_sum_determinant_multiplicative():
     rng = random.Random(23)
     for _ in range(40):
-        b1 = _random_basis(rng, 2, span=4)
-        b2 = _random_basis(rng, 2, span=4)
+        b1 = BasisMatrix(nonsingular(rng, 2, -4, 4))
+        b2 = BasisMatrix(nonsingular(rng, 2, -4, 4))
         assert det(direct_sum(b1, b2)) == det(b1) * det(b2)

@@ -31,25 +31,33 @@ from cubiquity import (
 )
 from cubiquity.cosets import _diagonalize, first_missed_cube
 from cubiquity.lattice import _PACKED_FROM, _cube_pick, _triangulate
+from families import (
+    BLOCKS,
+    CUBIQUITOUS_BLOCKS,
+    block_sum,
+    chain,
+    cyclic,
+    dense,
+    hnf_rows,
+    lower,
+    mix,
+    orthogonal_sum,
+    random_hnf,
+    signed_mix,
+    signed_permutation,
+    triangle,
+)
 from helpers import (
-    BLOCK_LIBRARY,
-    assemble_blocks,
     bench_plan,
     bruteforce_vertex_scan,
     coset_cover_reference,
     count_calls,
-    diagonal_rows,
     first_missed_cube_reference,
     hajos_gcd_greedy,
     hajos_permutation_scan,
     hajos_prefix_dfs,
-    hnf_matrices,
     hnf_reference,
     length_three_family,
-    random_hnf,
-    signed_mix,
-    signed_permutation,
-    unimodular_mix,
 )
 from triangle import fresh_triangle
 
@@ -94,9 +102,7 @@ def test_wu_obstruction_never_claims_cubiquitous():
     rng = random.Random(31)
     seen = 0
     while seen < 300:
-        n = rng.randint(1, 4)
-        s = Subset([tuple(rng.randint(-3, 3) for _ in range(n))
-                    for _ in range(n)])
+        s = Subset(dense(rng, rng.randint(1, 4), -3, 3))
         try:
             v = wu_obstruction(s)
         except NotNonAcute:
@@ -128,11 +134,8 @@ def test_wu_obstruction_orthogonal_examples():
 def test_wu_orthogonal_agrees_with_general_form():
     rng = random.Random(37)
     checked = 0
-    names = list(BLOCK_LIBRARY)
     while checked < 200:
-        combo = [rng.choice(names) for _ in range(rng.randint(1, 3))]
-        vectors = signed_permutation(assemble_blocks(combo), rng)
-        s = Subset(vectors)
+        s = Subset(zip(*orthogonal_sum(rng, rng.randint(1, 6))))
         assert is_orthogonal(s)
         assert wu_obstruction(s).status is \
             wu_obstruction_orthogonal(s).status
@@ -141,8 +144,7 @@ def test_wu_orthogonal_agrees_with_general_form():
 
 def test_bruteforce_identity_lattices():
     for n in (1, 2, 4, 8):
-        b = BasisMatrix([[1 if i == j else 0 for j in range(n)]
-                         for i in range(n)])
+        b = BasisMatrix(lower([1] * n))
         assert is_cubiquitous_bruteforce(b).status is Status.CUBIQUITOUS
 
 
@@ -162,17 +164,15 @@ def test_bruteforce_witness_recheck():
     rng = random.Random(41)
     found = 0
     while found < 25:
-        n = rng.randint(1, 3)
-        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
         try:
-            b = BasisMatrix(rows)
-        except Exception:
+            b = BasisMatrix(dense(rng, rng.randint(1, 3), -3, 3))
+        except SingularMatrix:
             continue
         v = is_cubiquitous_bruteforce(b)
         if v.status is not Status.NOT_CUBIQUITOUS:
             continue
         found += 1
-        for eps in itertools.product((0, 1), repeat=n):
+        for eps in itertools.product((0, 1), repeat=b.n):
             point = tuple(a + e for a, e in zip(v.witness, eps))
             assert contains(b, point) is False
 
@@ -180,19 +180,13 @@ def test_bruteforce_witness_recheck():
 def test_bruteforce_signed_permutation_invariance():
     rng = random.Random(43)
     for _ in range(40):
-        n = rng.randint(1, 3)
-        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        rows = dense(rng, rng.randint(1, 3), -2, 2)
         try:
             b = BasisMatrix(rows)
-        except Exception:
+        except SingularMatrix:
             continue
         base = is_cubiquitous_bruteforce(b).status
-        perm = list(range(n))
-        rng.shuffle(perm)
-        signs = [rng.choice((-1, 1)) for _ in range(n)]
-        permuted = BasisMatrix(
-            [[signs[i] * rows[perm[i]][j] for j in range(n)]
-             for i in range(n)])
+        permuted = BasisMatrix(signed_permutation(rows, rng))
         assert is_cubiquitous_bruteforce(permuted).status is base
 
 
@@ -211,8 +205,8 @@ def _same_as_vertex_scan(basis):
 def test_bruteforce_matches_vertex_scan_exhaustive():
     checked = 0
     for n in (1, 2, 3):
-        for b in hnf_matrices(n, range(1, 2 ** n + 9)):
-            _same_as_vertex_scan(b)
+        for rows in hnf_rows(n, range(1, 2 ** n + 9)):
+            _same_as_vertex_scan(BasisMatrix(rows))
             checked += 1
     assert checked > 3000
 
@@ -223,7 +217,7 @@ def _random_differential_bases():
         n = rng.randint(4, 7)
         # power-of-two indices make cubiquitous lattices common
         d = rng.choice((rng.randint(1, 2 ** n + 8), 2 ** rng.randint(0, n)))
-        yield unimodular_mix(random_hnf(n, d, rng), rng, 3 * n)
+        yield BasisMatrix(mix(random_hnf(rng, n, d), rng, 3 * n))
 
 
 def test_bruteforce_matches_vertex_scan_random():
@@ -266,13 +260,13 @@ def _block_sum_below(n, bound, pool, rng):
     names, used, index = [], 0, 1
     for _ in range(12):
         name = rng.choice(pool)
-        block = BLOCK_LIBRARY[name]
-        d = abs(BasisMatrix.from_columns(block).det)
+        block = BLOCKS[name]
+        d = abs(BasisMatrix(block).det)
         if used + len(block) <= n and index * d <= bound:
             names.append(name)
             used += len(block)
             index *= d
-    names += ["unit"] * (n - used)
+    names += ["Unit"] * (n - used)
     rng.shuffle(names)
     return names, index
 
@@ -285,12 +279,11 @@ def test_decide_matches_classification_at_large_n(monkeypatch):
     rng = random.Random(41)
     seen = collections.Counter()
     for n in (20, 24, 32, 48, 64, 128):
-        for pool in (("double", "hyper", "unit"), sorted(BLOCK_LIBRARY)) * 2:
+        for pool in (CUBIQUITOUS_BLOCKS, tuple(BLOCKS)) * 2:
             names, index = _block_sum_below(n, 2 ** 16, pool, rng)
-            subset = Subset(signed_permutation(assemble_blocks(names), rng))
-            expected = classify_orthogonal(subset).status
-            b = unimodular_mix(BasisMatrix.from_columns(subset.vectors), rng,
-                               3 * n)
+            rows = signed_permutation(block_sum(names), rng)
+            expected = classify_orthogonal(Subset(zip(*rows))).status
+            b = BasisMatrix(mix(rows, rng, 3 * n))
             assert abs(b.det) == index and n * index <= 2 ** 24
             assert decide(b).status is expected, names
             seen[expected, index & index - 1 == 0] += 1
@@ -304,8 +297,7 @@ def test_decide_matches_classification_at_large_n(monkeypatch):
 @pytest.mark.parametrize("n", [3, 20])
 def test_decide_hajos_route_ignores_cap(n):
     # only brute force is metered; 2^n at n = 20 is past the default cap
-    b = BasisMatrix([[2 if j == i else 0 for j in range(n)]
-                     for i in range(n)])
+    b = BasisMatrix(lower([2] * n))
     assert decide(b, cap=1) == CubiquityVerdict(
         Status.CUBIQUITOUS, hajos=HajosBasis(b, tuple(range(n))))
 
@@ -400,9 +392,9 @@ def _below_2n_bases():
     rng = random.Random(26)
     for _ in range(300):
         n = rng.randint(2, 7)
-        b = random_hnf(n, 2 ** rng.randrange(n), rng)
-        cols = signed_permutation(list(b.columns), rng)
-        yield unimodular_mix(BasisMatrix.from_columns(cols), rng, 3 * n)
+        rows = signed_permutation(random_hnf(rng, n, 2 ** rng.randrange(n)),
+                                  rng)
+        yield BasisMatrix(mix(rows, rng, 3 * n))
 
 
 def _assert_checkable_triangle(b):
@@ -434,17 +426,6 @@ def test_triangle_below_2n_is_a_checkable_certificate():
     assert checked >= 250  # 69 of them from the scan plans
 
 
-def _large_mix(b, rng, steps):
-    """Another basis of b's lattice, adding multiples up to 1000 in
-    absolute value of one column to another."""
-    cols = [list(c) for c in b.columns]
-    for _ in range(steps):
-        i, j = rng.sample(range(b.n), 2)
-        k = rng.choice((-1, 1)) * rng.randint(1, 1000)
-        cols[i] = [x + k * y for x, y in zip(cols[i], cols[j])]
-    return BasisMatrix.from_columns(cols)
-
-
 def test_triangle_has_no_swap_cap():
     # cubiquitous lattices of power-of-two index below 2^n at n = 3-10,
     # half 1-2 triangles and half filtered random Hermite forms, with
@@ -458,13 +439,16 @@ def test_triangle_has_no_swap_cap():
         while kept < 40:
             k = rng.randrange(n)
             if rng.random() < 0.5:
-                b = _scaled_triangle(n, k, rng, scale=1)
+                rows = signed_permutation(triangle(rng, n, k), rng)
             else:
-                b = signed_mix(random_hnf(n, 2 ** k, rng), rng)
-            if is_cubiquitous_bruteforce(b).status is not Status.CUBIQUITOUS:
+                rows = signed_mix(random_hnf(rng, n, 2 ** k), rng)
+            if is_cubiquitous_bruteforce(BasisMatrix(rows)).status is not \
+                    Status.CUBIQUITOUS:
                 continue
             kept += 1
-            b = _large_mix(b, rng, 3 * n)
+            # multipliers up to 1000 in absolute value; one step in five
+            # negates, so 4n steps make about 3n additions
+            b = BasisMatrix(mix(rows, rng, 4 * n, 1000))
             total += 1
             capped += _certified(b, capped=True)
             resumed += "_stopped" in vars(b)
@@ -475,7 +459,7 @@ def test_triangle_has_no_swap_cap():
                     Status.CUBIQUITOUS), b
                 certified += 1
     # the swap cap alone would leave most of them to brute force
-    assert (total, certified, capped) == (320, 293, 73)
+    assert (total, certified, capped) == (320, 294, 67)
     # below 2^n the determinant's greedy settles no form, so each resumed
     assert resumed == total
 
@@ -493,19 +477,6 @@ def test_bruteforce_cap_boundary():
         is_cubiquitous_bruteforce(b, cap=5)
 
 
-def _scaled_triangle(n, twos, rng, scale=3):
-    """A lower triangle with diagonal entries in {1, 2} and 0/1 fill, which
-    is cubiquitous, signed-permuted, with one coordinate times ``scale``.
-    Tripled, it has index 3 * 2^twos and often a witness deep in the box."""
-    diag = [2] * twos + [1] * (n - twos)
-    rng.shuffle(diag)
-    rows = [[diag[i] if j == i else rng.randrange(2) if j < i else 0
-             for j in range(n)] for i in range(n)]
-    rows = [list(r) for r in signed_permutation(rows, rng)]
-    rows[0] = [scale * v for v in rows[0]]
-    return BasisMatrix(rows)
-
-
 def _box_position(basis, x):
     """Index of x in the lexicographic order of the HNF box."""
     diag = [basis.hnf.rows[k][k] for k in range(basis.n)]
@@ -519,15 +490,21 @@ def _past_vertex_scan_bases():
     """Bases at n = 11-16, where the vertex scan is too slow."""
     rng = random.Random(911)
     for n in range(11, 17):
+        # signed-permuted 1-2 triangles, cubiquitous; with one coordinate
+        # tripled, of index 3 * 2^twos and often with a witness deep in the
+        # box
         for scale in (1, 3, 3, 3, 3, 3):
-            yield _scaled_triangle(n, rng.randint(8, 11), rng, scale)
+            rows = signed_permutation(triangle(rng, n, rng.randint(8, 11)),
+                                      rng)
+            rows[0] = [scale * a for a in rows[0]]
+            yield BasisMatrix(rows)
         # non-cyclic quotients, with d_k = 1 rows beside them
         for diag in ((2, 16, 96), (4, 4, 12), (2, 2, 2, 6, 30)):
-            yield signed_mix(BasisMatrix(diagonal_rows(
-                diag + (1,) * (n - len(diag)))), rng)
+            yield BasisMatrix(signed_mix(lower(diag + (1,) * (n - len(diag))),
+                                         rng))
         for _ in range(4):
             d = rng.randint(2, 4 * n * n)
-            yield unimodular_mix(random_hnf(n, d, rng), rng, 2 * n)
+            yield BasisMatrix(mix(random_hnf(rng, n, d), rng, 2 * n))
 
 
 def test_bruteforce_matches_coset_cover_reference_n11_16():
@@ -554,13 +531,8 @@ def _cyclic_n19(top=2 ** 15):
     # 0, 0, 1 and top <= 2^15; the cubes reach the cosets -(2^15 + top) + 1
     # .. 1, so the first cube that misses L sits at 2^15 + top on the last
     # coordinate, of index N = 3 * 2^16
-    n, N = 19, 3 * 2 ** 16
     c = [-(2 ** k) for k in range(15)] + [-top, 0, 0, 1]
-    cols = [[int(i == k) if i < n - 1 else -c[k] % N for i in range(n)]
-            for k in range(n - 1)]
-    cols.append([0] * (n - 1) + [N])
-    return unimodular_mix(BasisMatrix.from_columns(cols), random.Random(n),
-                          2 * n)
+    return BasisMatrix(mix(cyclic(c, 3 * 2 ** 16), random.Random(19), 38))
 
 
 def test_bruteforce_late_witness_cyclic_n19():
@@ -581,8 +553,7 @@ NEAR_CAP = [(3,) + (2,) * 16 + (1, 1), (2 ** 23 - 5,)]
 
 
 def _near_cap(diag):
-    b = BasisMatrix(diagonal_rows(diag))
-    return signed_mix(b, random.Random(b.n)) if b.n > 1 else b
+    return BasisMatrix(signed_mix(lower(diag), random.Random(len(diag))))
 
 
 @pytest.mark.parametrize("diag", NEAR_CAP)
@@ -631,10 +602,10 @@ def _random_non_cyclic_bases():
             diag = [d, d * rng.randint(1, 4)] + [rng.choice((1, 1, 2, 3))
                                                   for _ in range(n - 2)]
             rng.shuffle(diag)
-            b = signed_mix(BasisMatrix(diagonal_rows(diag)), rng)
+            b = BasisMatrix(signed_mix(lower(diag), rng))
         else:
             d = rng.choice((rng.randint(4, 4 * n * n), 2 ** rng.randint(2, n)))
-            b = unimodular_mix(random_hnf(n, d, rng), rng, 3 * n)
+            b = BasisMatrix(mix(random_hnf(rng, n, d), rng, 3 * n))
         if _non_cyclic(b):
             found += 1
             yield b
@@ -680,7 +651,7 @@ def test_hajos_shape():
     rng = random.Random(47)
     hits = 0
     while hits < 10:
-        b = hnf_matrices(3, (8,))[rng.randrange(155)]
+        b = BasisMatrix(hnf_rows(3, (8,))[rng.randrange(155)])
         found = hajos_basis(b)
         if found is None:
             continue
@@ -693,7 +664,8 @@ def test_hajos_shape():
 
 
 def test_hajos_iff_bruteforce_exhaustive_n2():
-    for b in hnf_matrices(2, (4,)):
+    for rows in hnf_rows(2, (4,)):
+        b = BasisMatrix(rows)
         present = hajos_basis(b) is not None
         cubiquitous = is_cubiquitous_bruteforce(b).status is \
             Status.CUBIQUITOUS
@@ -702,12 +674,6 @@ def test_hajos_iff_bruteforce_exhaustive_n2():
 
 def _hajos_key(found):
     return None if found is None else (found.matrix.rows, found.row_order)
-
-
-def _lower_two_diagonal(n, rng):
-    """Random lower-triangular basis with 2s on the diagonal, 0/1 below."""
-    return BasisMatrix([[2 if j == i else rng.randrange(2) if j < i else 0
-                         for j in range(n)] for i in range(n)])
 
 
 def _hajos_matches_oracles(b):
@@ -726,8 +692,8 @@ def _hajos_matches_oracles(b):
 
 def test_hajos_matches_permutation_scan_exhaustive_n3():
     for n in (1, 2, 3):
-        for b in hnf_matrices(n, (2 ** n,)):
-            _hajos_matches_oracles(b)
+        for rows in hnf_rows(n, (2 ** n,)):
+            _hajos_matches_oracles(BasisMatrix(rows))
 
 
 def _random_hajos_bases():
@@ -736,11 +702,10 @@ def _random_hajos_bases():
     for n, count in ((4, 170), (5, 110), (6, 26), (7, 4)):
         for _ in range(count):
             if rng.random() < 0.5:
-                b = _lower_two_diagonal(n, rng)
+                rows = chain(rng, n)
             else:
-                b = random_hnf(n, 2 ** n, rng)
-            cols = signed_permutation(list(b.columns), rng)
-            yield unimodular_mix(BasisMatrix.from_columns(cols), rng, 2 * n)
+                rows = random_hnf(rng, n, 2 ** n)
+            yield BasisMatrix(signed_mix(rows, rng))
 
 
 def test_hajos_matches_permutation_scan_random():
@@ -756,20 +721,6 @@ def test_hajos_matches_permutation_scan_random():
     assert backtracked
 
 
-def _two_power_hnf(n, rng):
-    """`random_hnf(n, 2 ** n, rng)`'s distribution without its divisor
-    scan: each diagonal entry a random divisor of what is left of 2^n."""
-    rows = [[0] * n for _ in range(n)]
-    left = n
-    for i in range(n):
-        e = rng.randint(0, left) if i < n - 1 else left
-        left -= e
-        rows[i][i] = 2 ** e
-        for j in range(i):
-            rows[i][j] = rng.randrange(2 ** e)
-    return BasisMatrix(rows)
-
-
 def test_hajos_bit_pick_matches_gcd_pick():
     # hajos_basis picks by the low bits of an OR of entries, which equals
     # the gcd test only because |det| = 2^n; compare on mixed bases, with
@@ -778,11 +729,9 @@ def test_hajos_bit_pick_matches_gcd_pick():
     outcomes = set()
     for n in range(2, 10):
         for _ in range(120):
-            if rng.random() < 0.5:
-                b = _lower_two_diagonal(n, rng)
-            else:
-                b = random_hnf(n, 2 ** n, rng)
-            b = signed_mix(b, rng)
+            rows = chain(rng, n) if rng.random() < 0.5 else \
+                random_hnf(rng, n, 2 ** n)
+            b = BasisMatrix(signed_mix(rows, rng))
             found = hajos_basis(b)
             assert _hajos_key(found) == _hajos_key(hajos_gcd_greedy(b)), b
             outcomes.add((n, found is not None))
@@ -791,11 +740,9 @@ def test_hajos_bit_pick_matches_gcd_pick():
     # and past it, where only the `_triangle` property builds the form
     for n in range(10, 25):
         for _ in range(100 if n < _PACKED_FROM else 12):
-            if rng.random() < 0.5:
-                b = _lower_two_diagonal(n, rng)
-            else:
-                b = _two_power_hnf(n, rng)
-            b = signed_mix(b, rng)
+            rows = chain(rng, n) if rng.random() < 0.5 else \
+                random_hnf(rng, n, 2 ** n)
+            b = BasisMatrix(signed_mix(rows, rng))
             found = hajos_basis(b)
             assert _hajos_key(found) == _hajos_key(hajos_gcd_greedy(b)), b
             outcomes.add((n, found is not None))
@@ -813,13 +760,8 @@ def test_hajos_certificate_when_the_euclid_gives_up(monkeypatch):
     gave_up = set()
     for n in (3, 6, 10, _PACKED_FROM - 1):
         for _ in range(8):
-            rows = [[2 if j == i else rng.randrange(2) if j < i else 0
-                     for j in range(n)] for i in range(n)]
-            for _ in range(3 * n):
-                i, j = rng.sample(range(n), 2)
-                k = rng.choice((-1, 1)) * rng.randint(1, 10 ** 6)
-                for row in rows:
-                    row[i] += k * row[j]
+            # about 3n additions: one step in five negates
+            rows = mix(chain(rng, n), rng, 4 * n, 10 ** 6)
             calls.clear()
             b = BasisMatrix(rows)
             found = hajos_basis(b)
@@ -837,7 +779,8 @@ def test_hajos_certificate_when_the_euclid_gives_up(monkeypatch):
 def test_hajos_certificate_det():
     # the certificate's det is the product of its diagonal, 2^n
     bases = itertools.chain(
-        (b for n in (1, 2, 3) for b in hnf_matrices(n, (2 ** n,))),
+        (BasisMatrix(rows) for n in (1, 2, 3)
+         for rows in hnf_rows(n, (2 ** n,))),
         _random_hajos_bases())
     for b in bases:
         found = hajos_basis(b)
@@ -848,9 +791,7 @@ def test_hajos_certificate_det():
 
 def test_hajos_identity_order_first():
     rng = random.Random(5)
-    b = unimodular_mix(BasisMatrix([[2 if j == i else int(j < i)
-                                     for j in range(6)] for i in range(6)]),
-                       rng, 12)
+    b = BasisMatrix(mix(lower([2] * 6, lambda i, j: 1), rng, 12))
     found = hajos_basis(b)
     assert found.row_order == tuple(range(6))
     assert _hajos_key(found) == _hajos_key(hajos_permutation_scan(b))
@@ -860,16 +801,15 @@ def test_hajos_identity_order_first():
 def test_hajos_absent_mixed_diagonal(n):
     # index 2^n, but the coordinates of index 4 and 1 rule out every order
     diag = (4, 1) + (2,) * (n - 2)
-    b = signed_mix(BasisMatrix(diagonal_rows(diag)), random.Random(n))
+    b = BasisMatrix(signed_mix(lower(diag), random.Random(n)))
     assert abs(b.det) == 2 ** n
     assert hajos_basis(b) is None
 
 
 def test_hajos_present_n64_mixed_chain():
     n = 64
-    b = signed_mix(BasisMatrix([[2 if j == i else int(j == i - 1)
-                                 for j in range(n)] for i in range(n)]),
-                   random.Random(n))
+    b = BasisMatrix(signed_mix(lower([2] * n, lambda i, j: int(j == i - 1)),
+                               random.Random(n)))
     found = hajos_basis(b)
     h = found.matrix
     for i in range(n):

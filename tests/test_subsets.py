@@ -17,6 +17,7 @@ from cubiquity import (
     wu_element,
 )
 from cubiquity.subsets import _identity_holds
+from families import dense, subsets
 from helpers import (
     bench_plan,
     decompose_reference,
@@ -25,7 +26,6 @@ from helpers import (
     identity_reference,
     is_non_acute_reference,
     is_orthogonal_reference,
-    random_subsets,
     stats_reference,
     wu_element_reference,
 )
@@ -89,10 +89,7 @@ def test_check_identity_hand_cases():
 def test_check_identity_random_subsets():
     rng = random.Random(2024)
     for _ in range(100):
-        n = rng.randint(1, 6)
-        s = Subset([tuple(rng.randint(-3, 3) for _ in range(n))
-                    for _ in range(n)])
-        assert check_identity(s)
+        assert check_identity(Subset(dense(rng, rng.randint(1, 6), -3, 3)))
 
 
 @given(st.integers(1, 5).flatmap(
@@ -194,9 +191,8 @@ def _same_as_references(s):
 
 def test_predicates_match_dense_reference():
     # and the other subset routes, on small and edge-case subsets
-    outcomes = {_same_as_references(s)
-                for s in random_subsets(random.Random(83), 400)
-                + edge_subsets()}
+    drawn = [Subset(zip(*rows)) for rows in subsets(random.Random(83), 400)]
+    outcomes = {_same_as_references(s) for s in drawn + edge_subsets()}
     # both answers of each predicate, and non-acute without orthogonal
     assert outcomes == {(True, True), (False, True), (False, False)}
 

@@ -24,12 +24,10 @@ from cubiquity import (
     wu_element,
     wu_obstruction,
 )
+from families import CUBIQUITOUS_BLOCKS, orthogonal_sum, signed_permutation
 from helpers import (
-    assemble_blocks,
     count_calls,
     length_three_family,
-    orthogonal_block_sum,
-    signed_permutation,
     trace_reduce_reference,
     wu_preserved,
 )
@@ -80,9 +78,7 @@ def test_reduce_examples():
 def test_reduce_postconditions():
     rng = random.Random(53)
     for _ in range(150):
-        combo = [rng.choice(["unit", "double", "triple", "hyper", "anti3"])
-                 for _ in range(rng.randint(1, 3))]
-        s = Subset(signed_permutation(assemble_blocks(combo), rng))
+        s = Subset(zip(*orthogonal_sum(rng, rng.randint(1, 6))))
         out = reduce(s)
         if out.n == 0:
             continue
@@ -114,9 +110,7 @@ def test_reduce_order_invariance():
 
     rng = random.Random(59)
     for _ in range(120):
-        combo = [rng.choice(["unit", "double", "triple", "hyper", "anti3"])
-                 for _ in range(rng.randint(1, 3))]
-        s = Subset(signed_permutation(assemble_blocks(combo), rng))
+        s = Subset(zip(*orthogonal_sum(rng, rng.randint(1, 6))))
         expected = reduce(s)
         assert random_reduce(s, rng) == expected
 
@@ -124,9 +118,8 @@ def test_reduce_order_invariance():
 def test_projection_preserves_orthogonality():
     rng = random.Random(61)
     for _ in range(100):
-        combo = [rng.choice(["unit", "double", "hyper"])
-                 for _ in range(rng.randint(2, 3))]
-        s = Subset(signed_permutation(assemble_blocks(combo), rng))
+        s = Subset(zip(*orthogonal_sum(rng, rng.randint(2, 6),
+                                       CUBIQUITOUS_BLOCKS)))
         st = stats(s)
         for i in range(s.n):
             if len(st.by_vector[i]) == 1:
@@ -149,7 +142,7 @@ def test_trace_matches_reference():
     sizes += [64] * 3 + [128] * 3
     kinds = set()
     for n in sizes:
-        s = orthogonal_block_sum(n, rng)
+        s = Subset(zip(*orthogonal_sum(rng, n)))
         reduced, steps = trace_reduce(s)
         expected = trace_reduce_reference(s)
         assert (reduced, steps) == expected, s
@@ -166,7 +159,7 @@ def _count_route_work(monkeypatch):
 
 def test_trace_checks_orthogonality_once(monkeypatch):
     calls = _count_route_work(monkeypatch)
-    s = orthogonal_block_sum(32, random.Random(71))
+    s = Subset(zip(*orthogonal_sum(random.Random(71), 32)))
     reduced, steps = trace_reduce(s)
     assert len(steps) > 5 and reduced.n > 0
     # the support index is built once, by the entry check, and plans
@@ -192,7 +185,7 @@ def test_carried_index_matches_rebuilt_supports():
     rng = random.Random(73)
     total = 0
     for n in list(range(65)) + [64] * 3:
-        s = orthogonal_block_sum(n, rng)
+        s = Subset(zip(*orthogonal_sum(rng, n)))
         reduced, steps = trace_reduce(s)
         expected = trace_reduce_reference(s)
         assert (reduced, steps) == expected, s
@@ -359,9 +352,9 @@ def _non_acute_contractible(rng):
         vectors = [[rng.choice((0, 0, 0, 1, -1, 1, -1, 2, -2))
                     for _ in range(n)] for _ in range(n)]
         units = (1, -1, rng.choice((1, -1)))
-        for k, v in enumerate(vectors):
-            v[0] = units[k] if k < 3 else 0
-        s = Subset(signed_permutation(vectors, rng))
+        rows = [list(r) for r in zip(*vectors)]
+        rows[0] = [units[k] if k < 3 else 0 for k in range(n)]
+        s = Subset(zip(*signed_permutation(rows, rng)))
         verdict = _verdict(s) if is_non_acute(s) else None
         if verdict is not None:
             yield s, verdict
