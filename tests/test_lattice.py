@@ -102,23 +102,6 @@ def test_singular_message_names_the_dimension():
     assert len(str(exc.value)) <= 60
 
 
-def test_det_kernels_agree_at_every_size():
-    # n = 1-96 covers _PACKED_FROM +- 1 and ends the packed kernel's last
-    # stage at, before and after each stage boundary (steps 6, 12, 18, 24,
-    # 32, 42, 56 and 74)
-    rng = random.Random(16)
-    sizes = range(1, 97)
-    assert {_PACKED_FROM - 1, _PACKED_FROM, _PACKED_FROM + 1} <= set(sizes)
-    for n in sizes:
-        span = 1 + n % 2
-        rows = dense(rng, n, -span, span)
-        expected = _det_entries(rows)
-        assert _det_packed(rows) == expected
-        assert _bareiss_det(rows) == expected
-        if n <= 7:
-            assert expected == cofactor_det(rows)
-
-
 def _near_rows(rng, n, scale):
     """Dense rows of entries within 2^20 of scale, one per row negated."""
     rows = dense(rng, n, scale - 2 ** 20, scale + 2 ** 20)
@@ -360,19 +343,26 @@ def pairs(request, monkeypatch):
         monkeypatch.setattr(packed, "_PAIRS_FROM", 0)
 
 
-def test_pair_update_at_every_size(monkeypatch):
-    # every stage but the last has an even number of steps; the last one
-    # is odd at some sizes and even at others, and an odd one ends with a
-    # single step
-    monkeypatch.setattr(packed, "_PAIRS_FROM", 0)
-    rng = random.Random(20)
-    sizes = range(1, 80)
+def test_det_kernels_agree_at_every_size(monkeypatch):
+    # n = 1-96 covers _PACKED_FROM +- 1 and ends the packed kernel's last
+    # stage at, before and after each stage boundary (steps 6, 12, 18, 24,
+    # 32, 42, 56 and 74); every stage but the last has an even number of
+    # steps, and the last is odd at some sizes, where the pair update ends
+    # with a single step, and even at others
+    rng = random.Random(16)
+    sizes = range(1, 97)
+    assert {_PACKED_FROM - 1, _PACKED_FROM, _PACKED_FROM + 1} <= set(sizes)
     assert all(s % 2 == 0 for n in sizes for s in _stage_steps(n)[:-1])
     assert {_stage_steps(n)[-1] % 2 for n in sizes if n > 1} == {0, 1}
     for n in sizes:
         span = 1 + n % 2
         rows = dense(rng, n, -span, span)
-        expected = _packed_kernels_agree(rows)
+        expected = _det_entries(rows)
+        assert _bareiss_det(rows) == expected
+        assert det_packed_reference(rows) == expected
+        for pairs_from in (_PAIRS_FROM, 0):
+            monkeypatch.setattr(packed, "_PAIRS_FROM", pairs_from)
+            assert _det_packed(rows) == expected
         if n <= 7:
             assert expected == cofactor_det(rows)
 
@@ -784,21 +774,8 @@ def test_hnf_matches_reference(cases):
     assert checked > 0
 
 
-def _small_and_mixed_bases():
-    rng = random.Random(29)
-    for n in (1, 2, 3):
-        for rows in hnf_rows(n, range(1, 2 ** n + 9)):
-            yield BasisMatrix(rows)
-            if n > 1:
-                yield BasisMatrix(mix(rows, rng, 2 * n))
-    for _ in range(60):
-        n = rng.randint(4, 8)
-        yield BasisMatrix(mix(random_hnf(rng, n, rng.randint(1, 3 * 2 ** n)),
-                              rng, 2 * n))
-
-
 def test_hnf_det_is_diagonal_product():
-    for b in _small_and_mixed_bases():
+    for b in itertools.chain(_small_hnf_cases(), _mixed_hnf_cases()):
         h = b.hnf
         assert h.det == abs(b.det), b
         assert h.det == BasisMatrix(h.rows).det, b
@@ -864,7 +841,8 @@ def test_diagonalize_is_an_isomorphism():
     # the images satisfy every relation that a basis column gives, and take
     # the |det| points of the HNF box to |det| distinct elements of a group
     # of order |det|
-    for b in itertools.chain(_small_and_mixed_bases(), _unit_pivot_bases(),
+    for b in itertools.chain(_small_hnf_cases(), _mixed_hnf_cases(),
+                             _unit_pivot_bases(),
                              _presentation_edge_bases()):
         moduli, images = _diagonalize(b)
         n = b.n
@@ -899,7 +877,8 @@ def _tietze_cases():
 
 def test_diagonalize_matches_tietze_reference():
     shapes = set()
-    for b in itertools.chain(_tietze_cases(), _small_and_mixed_bases(),
+    for b in itertools.chain(_tietze_cases(), _small_hnf_cases(),
+                             _mixed_hnf_cases(),
                              _unit_pivot_bases(), _presentation_edge_bases()):
         moduli, images = _diagonalize(b)
         assert (moduli, images) == diagonalize_tietze_reference(b), b

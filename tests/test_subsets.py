@@ -17,7 +17,7 @@ from cubiquity import (
     wu_element,
 )
 from cubiquity.subsets import _identity_holds
-from families import dense, subsets
+from families import subsets
 from helpers import (
     bench_plan,
     decompose_reference,
@@ -84,12 +84,6 @@ def test_check_identity_hand_cases():
     assert check_identity(Subset([(1, 1), (1, -1)]))
     # {3e1}: lhs = 2 + 0 + 6 = 8, rhs = 9 - 1 = 8
     assert check_identity(Subset([(3,)]))
-
-
-def test_check_identity_random_subsets():
-    rng = random.Random(2024)
-    for _ in range(100):
-        assert check_identity(Subset(dense(rng, rng.randint(1, 6), -3, 3)))
 
 
 @given(st.integers(1, 5).flatmap(

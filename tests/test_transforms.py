@@ -136,22 +136,6 @@ def test_projection_preserves_orthogonality():
                 break
 
 
-def test_trace_matches_reference():
-    rng = random.Random(67)
-    sizes = [rng.randint(1, 63) for _ in range(30)]
-    sizes += [64] * 3 + [128] * 3
-    kinds = set()
-    for n in sizes:
-        s = Subset(zip(*orthogonal_sum(rng, n)))
-        reduced, steps = trace_reduce(s)
-        expected = trace_reduce_reference(s)
-        assert (reduced, steps) == expected, s
-        # reduce replays the same plan and snapshots once, at the end
-        assert reduce(s) == expected[0], s
-        kinds.update(step.kind for step in steps)
-    assert kinds == {"Projection", "DoubleProjection"}
-
-
 def _count_route_work(monkeypatch):
     return {name: count_calls(monkeypatch, "cubiquity.subsets", name)
             for name in ("is_orthogonal", "_supports")}
@@ -179,23 +163,27 @@ def test_rewrite_builds_the_support_index_once(rewrite, at, monkeypatch):
         {"is_orthogonal": 1, "_supports": 1}
 
 
-def test_carried_index_matches_rebuilt_supports():
+def test_trace_matches_reference():
     # the trace is planned from the entry index alone; every step must
     # still match the reference, which rebuilds the supports per step
     rng = random.Random(73)
+    kinds = set()
     total = 0
-    for n in list(range(65)) + [64] * 3:
+    for n in list(range(65)) + [64] * 3 + [128] * 3:
         s = Subset(zip(*orthogonal_sum(rng, n)))
         reduced, steps = trace_reduce(s)
         expected = trace_reduce_reference(s)
         assert (reduced, steps) == expected, s
+        # reduce replays the same plan and snapshots once, at the end
         assert reduce(s) == expected[0], s
         for step in steps:
             # the unchecked results hold the same tuples of ints
             assert step.result == Subset(step.result.vectors)
             assert all(type(x) is int
                        for v in step.result.vectors for x in v)
+            kinds.add(step.kind)
         total += len(steps)
+    assert kinds == {"Projection", "DoubleProjection"}
     assert total > 600
 
 

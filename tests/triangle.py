@@ -8,11 +8,16 @@ library.
 from cubiquity.lattice import _cube_pick, _triangulate
 
 
-def fresh_triangle(b):
-    """`BasisMatrix._triangle` as one run of the greedy from the rows gives
-    it, at a power-of-two index up to 2^n."""
-    d = abs(b.det)
-    if d & d - 1 or d > 2 ** b.n:
+def fresh_triangle(b, capped=False):
+    """(columns, row order) of one run of the greedy from the rows, with
+    `_cube_pick` and the determinant's swap cap where ``capped``, where it
+    takes every coordinate with 1s and 2s on its diagonal, else None.
+
+    Its pivots then multiply to |det|, so the index is a power of two up
+    to 2^n.  Uncapped, it is `BasisMatrix._triangle`, the certificate that
+    `decide` runs below 2^n; elsewhere the greedy can complete with a pivot
+    of 2 times an odd number, and this refuses it."""
+    cols, order, rest, _ = _triangulate(b.rows, _cube_pick, capped)
+    if rest or any(cols[k][p] > 2 for k, p in enumerate(order)):
         return None
-    cols, order, rest, _ = _triangulate(b.rows, _cube_pick)
-    return None if rest else (cols, order)
+    return cols, order
