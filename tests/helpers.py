@@ -127,8 +127,14 @@ def hnf_reference(basis):
     Lower triangular with positive diagonal; in each row the entries left
     of the diagonal are reduced into [0, diagonal).
     """
-    n = basis.n
-    cols = [list(c) for c in basis.columns]
+    return BasisMatrix.from_columns(
+        hnf_reference_columns([list(c) for c in basis.columns]))
+
+
+def hnf_reference_columns(cols):
+    """`hnf_reference` on a list of n columns, which it reduces in place
+    and returns: no matrix is built and no determinant computed."""
+    n = len(cols)
     for r in range(n):
         for j in range(r + 1, n):
             b = cols[j][r]
@@ -151,7 +157,7 @@ def hnf_reference(basis):
                 cj, cr = cols[j], cols[r]
                 for i in range(r, n):
                     cj[i] -= q * cr[i]
-    return BasisMatrix.from_columns(cols)
+    return cols
 
 
 def membership_reference(basis):
@@ -630,10 +636,13 @@ def hajos_permutation_scan(basis):
     n = basis.n
     if abs(basis.det) != 2 ** n:
         return None
+    rows = basis.rows
     for order in itertools.permutations(range(n)):
-        h = hnf_reference(basis.permute_rows(order))
-        if all(h.rows[i][i] == 2 for i in range(n)):
-            return HajosBasis(matrix=h, row_order=order)
+        cols = hnf_reference_columns([[rows[i][j] for i in order]
+                                      for j in range(n)])
+        if all(cols[i][i] == 2 for i in range(n)):
+            return HajosBasis(matrix=BasisMatrix.from_columns(cols),
+                              row_order=order)
     return None
 
 

@@ -29,7 +29,7 @@ from cubiquity import (
     wu_obstruction,
     wu_obstruction_orthogonal,
 )
-from cubiquity.cosets import _diagonalize, first_missed_cube
+from cubiquity.cosets import _diagonalize
 from cubiquity.lattice import _PACKED_FROM
 from families import (
     BLOCKS,
@@ -189,18 +189,48 @@ def test_bruteforce_resource_limit():
         is_cubiquitous_bruteforce(BasisMatrix([[9, 0], [0, 9]]), cap=100)
 
 
-def _same_as_vertex_scan(basis):
-    fast = is_cubiquitous_bruteforce(basis)
-    slow = bruteforce_vertex_scan(basis)
-    assert (fast.status, fast.witness) == (slow.status, slow.witness), basis
-    return fast.status
+def _verdict_agrees(b):
+    """Brute force's verdict on b, the status with the first witness, after
+    checking every `decide` route and every oracle whose cost, read from n
+    and |det|, is in bounds:
+
+    - `decide` gives `det_gate`'s verdict where the gate decides, else
+      brute force's, and it agrees with brute force on cubiquity;
+    - brute force, at its default cap, gives the status and witness of
+      `first_missed_cube_reference` and `coset_cover_reference` where
+      n |det| <= 2^17 (each builds a set of up to |det| cosets, one
+      coordinate at a time), and of `bruteforce_vertex_scan` where
+      2^n |det| <= 2^16 (that many membership solves);
+    - at |det| = 2^n and n <= 7, `_hajos_matches_oracles` (its permutation
+      scan builds n! Hermite forms); below 2^n, `_assert_checkable_triangle`
+      wherever the basis keeps a 1-2 triangle.
+
+    A new `decide` route or oracle joins here, so every input below runs
+    it."""
+    n, d = b.n, abs(b.det)
+    verdict, gate = decide(b), det_gate(b)
+    oracle = is_cubiquitous_bruteforce(b)
+    assert verdict == (oracle if gate.status is Status.INCONCLUSIVE
+                       else gate), b
+    assert (verdict.status is Status.CUBIQUITOUS) == \
+        (oracle.status is Status.CUBIQUITOUS), b
+    if n * d <= 2 ** 17:
+        assert first_missed_cube_reference(b) == oracle.witness, b
+        assert coset_cover_reference(b)[:2] == oracle[:2], b
+    if d << n <= 2 ** 16:
+        assert bruteforce_vertex_scan(b)[:2] == oracle[:2], b
+    if d == 2 ** n and n <= 7:
+        _hajos_matches_oracles(b)
+    elif d < 2 ** n and b._triangle is not None:
+        _assert_checkable_triangle(b)
+    return oracle
 
 
 def test_bruteforce_matches_vertex_scan_exhaustive():
     checked = 0
     for n in (1, 2, 3):
         for rows in hnf_rows(n, range(1, 2 ** n + 9)):
-            _same_as_vertex_scan(BasisMatrix(rows))
+            _verdict_agrees(BasisMatrix(rows))
             checked += 1
     assert checked > 3000
 
@@ -214,32 +244,31 @@ def _random_differential_bases():
         yield BasisMatrix(mix(random_hnf(rng, n, d), rng, 3 * n))
 
 
-def test_bruteforce_matches_vertex_scan_random():
-    seen = {_same_as_vertex_scan(b) for b in _random_differential_bases()}
-    assert seen == {Status.CUBIQUITOUS, Status.NOT_CUBIQUITOUS}
-
-
 def test_decide_matches_gate_and_bruteforce_random():
     routes = set()
+    hits = set()
+    backtracked = False
     for b in itertools.chain(_random_differential_bases(),
                              _random_hajos_bases()):
-        verdict = decide(b)
-        gate = det_gate(b)
-        oracle = is_cubiquitous_bruteforce(b)
-        if gate.status is Status.INCONCLUSIVE:
-            assert verdict == oracle, b
-        else:
-            assert verdict == gate, b
-        assert (verdict.status is Status.CUBIQUITOUS) == \
-            (oracle.status is Status.CUBIQUITOUS), b
-        routes.add((gate.status, verdict.status))
+        gate = det_gate(b).status
+        routes.add((gate, _verdict_agrees(b).status))
+        if abs(b.det) == 2 ** b.n:
+            hits.add((b.n, gate is Status.CUBIQUITOUS))
+        if gate is Status.NOT_CUBIQUITOUS:
+            # the dead-set count that _hajos_matches_oracles reads is live:
+            # the DFS does backtrack where no Hajos basis exists
+            backtracked |= hajos_prefix_dfs(b)[1] > 0
+    # each gate outcome, with the truth brute force gives where it can vary
     assert routes == {
-        (Status.OBSTRUCTED, Status.OBSTRUCTED),
+        (Status.OBSTRUCTED, Status.NOT_CUBIQUITOUS),
         (Status.CUBIQUITOUS, Status.CUBIQUITOUS),
         (Status.NOT_CUBIQUITOUS, Status.NOT_CUBIQUITOUS),
         (Status.INCONCLUSIVE, Status.CUBIQUITOUS),
         (Status.INCONCLUSIVE, Status.NOT_CUBIQUITOUS),
     }
+    # at 2^n, with and without a Hajos basis at each n = 4-7
+    assert hits == {(n, hit) for n in (4, 5, 6, 7) for hit in (False, True)}
+    assert backtracked
 
 
 def test_decide_inconclusive_past_cap():
@@ -313,8 +342,7 @@ def test_decide_matches_bruteforce_below_2n_random():
         d = abs(b.det)
         if d >= 2 ** n:
             continue
-        oracle = is_cubiquitous_bruteforce(b, cap=2 ** 30)
-        assert decide(b, cap=2 ** 30) == oracle, b
+        oracle = _verdict_agrees(b)
         certified = fresh_triangle(b) is not None
         if certified:
             assert oracle.status is Status.CUBIQUITOUS, b
@@ -403,9 +431,8 @@ def _assert_checkable_triangle(b):
 def test_triangle_below_2n_is_a_checkable_certificate():
     checked = 0
     for b in _below_2n_bases():
-        if abs(b.det) < 2 ** b.n and b._triangle is not None:
-            _assert_checkable_triangle(b)
-            checked += 1
+        _verdict_agrees(b)
+        checked += abs(b.det) < 2 ** b.n and b._triangle is not None
     assert checked >= 250  # 69 of them from the scan plans
 
 
@@ -449,7 +476,7 @@ def test_triangle_has_no_swap_cap():
 
 def test_bruteforce_matches_vertex_scan_catalog():
     for block in catalog_blocks():
-        assert _same_as_vertex_scan(block) is Status.NOT_CUBIQUITOUS
+        assert _verdict_agrees(block).status is Status.NOT_CUBIQUITOUS
 
 
 def test_bruteforce_cap_boundary():
@@ -494,9 +521,7 @@ def test_bruteforce_matches_coset_cover_reference_n11_16():
     late = ones = non_cyclic = 0
     statuses = set()
     for b in _past_vertex_scan_bases():
-        fast = is_cubiquitous_bruteforce(b)
-        slow = coset_cover_reference(b)
-        assert (fast.status, fast.witness) == (slow.status, slow.witness), b
+        fast = _verdict_agrees(b)
         statuses.add(fast.status)
         diag = [b.hnf.rows[k][k] for k in range(b.n)]
         ones += 1 in diag
@@ -594,16 +619,9 @@ def _random_non_cyclic_bases():
 
 
 def test_first_missed_cube_matches_references_non_cyclic():
-    statuses = set()
-    for b in _random_non_cyclic_bases():
-        witness = first_missed_cube(b)
-        assert witness == first_missed_cube_reference(b), b
-        slow = coset_cover_reference(b)
-        assert (slow.status, slow.witness) == (
-            is_cubiquitous_bruteforce(b)[:2]), b
-        assert slow.witness == witness, b
-        statuses.add(slow.status)
+    statuses = {_verdict_agrees(b).status for b in _random_non_cyclic_bases()}
     assert statuses == {Status.CUBIQUITOUS, Status.NOT_CUBIQUITOUS}
+
 
 def test_hajos_examples():
     found = hajos_basis(BasisMatrix([[2]]))
@@ -634,7 +652,7 @@ def _hajos_key(found):
 
 
 def _hajos_matches_oracles(b):
-    """hajos_basis against both reference searches; returns its result."""
+    """hajos_basis against both reference searches."""
     found = hajos_basis(b)
     assert _hajos_key(found) == _hajos_key(hajos_permutation_scan(b)), b
     order, dead = hajos_prefix_dfs(b)
@@ -649,7 +667,6 @@ def _hajos_matches_oracles(b):
         assert found.matrix.det == BasisMatrix(h).det == 2 ** b.n, b
         # the greedy path never backtracks when a basis exists
         assert dead == 0, b
-    return found, dead
 
 
 def test_hajos_matches_permutation_scan_exhaustive_n3():
@@ -668,19 +685,6 @@ def _random_hajos_bases():
             else:
                 rows = random_hnf(rng, n, 2 ** n)
             yield BasisMatrix(signed_mix(rows, rng))
-
-
-def test_hajos_matches_permutation_scan_random():
-    outcomes = set()
-    backtracked = False
-    for b in _random_hajos_bases():
-        found, dead = _hajos_matches_oracles(b)
-        outcomes.add((b.n, found is not None))
-        backtracked |= dead > 0
-    assert outcomes == {(n, hit) for n in (4, 5, 6, 7)
-                        for hit in (False, True)}
-    # the dead-set count is live: the DFS does backtrack where none exists
-    assert backtracked
 
 
 def test_hajos_bit_pick_matches_gcd_pick():
