@@ -59,15 +59,16 @@ from helpers import (
 from triangle import fresh_triangle
 
 
-def _dets_agree(rows):
+def _dets_agree(rows, pairs=(_PAIRS_FROM, 0)):
     """The det of rows, after checking that every determinant path gives
     it: `_det_entries`, `_bareiss_det`, the one-step packed reference,
-    `_det_packed` with two columns per pass on long rows only and on every
-    stage, cofactor expansion up to n = 8, and `BasisMatrix(rows).det`.
-    `_det_packed` runs where every entry lies in [-2^63, 2^63), which its
-    widest struct code holds.  A singular matrix has det 0 on every path,
-    and `BasisMatrix` refuses it with a message that names its size.  A
-    new determinant path joins here, so every input below runs it."""
+    `_det_packed` at each `_PAIRS_FROM` in pairs (by default two columns
+    per pass on long rows only, and on every stage), cofactor expansion up
+    to n = 8, and `BasisMatrix(rows).det`.  `_det_packed` runs where every
+    entry lies in [-2^63, 2^63), which its widest struct code holds.  A
+    singular matrix has det 0 on every path, and `BasisMatrix` refuses it
+    with a message that names its size.  A new determinant path joins
+    here, so every input below runs it."""
     n = len(rows)
     expected = _det_entries(rows)
     assert _bareiss_det(rows) == expected, rows
@@ -76,7 +77,7 @@ def _dets_agree(rows):
         # at _PAIRS_FROM = 0 every stage pairs its steps, so that small
         # inputs reach every branch of the pair update too
         with pytest.MonkeyPatch.context() as mp:
-            for pairs_from in (_PAIRS_FROM, 0):
+            for pairs_from in pairs:
                 mp.setattr(packed, "_PAIRS_FROM", pairs_from)
                 assert _det_packed(rows) == expected, (pairs_from, rows)
     if n <= 8:
@@ -346,7 +347,16 @@ def test_pair_passes_run_on_long_rows_only(monkeypatch):
         steps // 2 for steps in _stage_steps(24))
 
 
-def test_pair_update_swaps_in_the_second_pivot():
+# the pair-update tests run each input once per switch, so a failure names
+# the one that broke: "every stage" pairs from _PAIRS_FROM = 0, so that
+# small inputs reach every branch of the pair update too, and "long rows"
+# keeps the default
+pairs = pytest.mark.parametrize(
+    "pairs", [(0,), (_PAIRS_FROM,)], ids=["every stage", "long rows"])
+
+
+@pairs
+def test_pair_update_swaps_in_the_second_pivot(pairs):
     # row k + 1 agrees with row k on columns 0 to k + 1, so its one-step
     # entry at column k + 1 is 0: the pair starting at step k must swap a
     # later row into second place, and flip the sign; the two rows differ
@@ -356,10 +366,11 @@ def test_pair_update_swaps_in_the_second_pivot():
         for k in range(0, n - 2, 6):
             rows = dense(rng, n, -2, 2)
             rows[k + 1][:k + 3] = rows[k][:k + 2] + [rows[k][k + 2] + 1]
-            assert _dets_agree(rows) != 0
+            assert _dets_agree(rows, pairs) != 0
 
 
-def test_pair_update_dead_ends():
+@pairs
+def test_pair_update_dead_ends(pairs):
     # column d is a sum of earlier columns, so the pivot column is 0 in
     # every row at step d: pairs start at even steps, so an even d ends
     # the elimination at a pair's first pivot and an odd d at its second;
@@ -370,10 +381,11 @@ def test_pair_update_dead_ends():
             rows = dense(rng, n, -2, 2)
             for row in rows:
                 row[d] = row[d - 1] + row[0] if d else 0
-            assert _dets_agree(rows) == 0
+            assert _dets_agree(rows, pairs) == 0
 
 
-def test_pair_update_without_any_second_pivot():
+@pairs
+def test_pair_update_without_any_second_pivot(pairs):
     # column 1 is three times column 0, so after the first step every
     # row's entry at column 1 is 0: the first pair finds no second pivot
     rng = random.Random(6)
@@ -381,10 +393,11 @@ def test_pair_update_without_any_second_pivot():
         rows = dense(rng, n, -2, 2)
         for row in rows:
             row[1] = 3 * row[0]
-        assert _dets_agree(rows) == 0
+        assert _dets_agree(rows, pairs) == 0
 
 
-def test_pair_update_at_the_packed_bound():
+@pairs
+def test_pair_update_at_the_packed_bound(pairs):
     # the largest entries _bareiss_det packs: +-(_PACKED_BELOW - 1), alone
     # and mixed with small ones, on both sides of the pair switch
     rng = random.Random(16)
@@ -396,7 +409,7 @@ def test_pair_update_at_the_packed_bound():
         for row in mixed:
             row[rng.randrange(n)] = rng.choice((-big, big))
         for rows in (signs, mixed):
-            _dets_agree(rows)
+            _dets_agree(rows, pairs)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
